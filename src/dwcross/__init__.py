@@ -15,10 +15,6 @@ from .models import (
     M4Params,
     ModelParams,
     UnitsConfig,
-    char_m1,
-    char_m2,
-    char_m3,
-    char_m4,
     characteristic,
 )
 from .oracle import OracleConfig, oracle_levels, wronskian_constancy
@@ -45,10 +41,6 @@ __all__ = [
     "M4Params",
     "ModelParams",
     "CharacteristicEvaluation",
-    "char_m1",
-    "char_m2",
-    "char_m3",
-    "char_m4",
     "characteristic",
     "log_gamma_signed",
     "recip_gamma",

@@ -10,6 +10,7 @@ import numpy as np
 
 _SAFMIN = 2.2250738585072014e-308
 _RENORM_LIMIT = 1e100
+_BLOCK_ROWS = 512  # rows of the pivot recurrence held in memory at once
 
 
 def sturm_counts(diag: np.ndarray, offdiag: np.ndarray, shifts: np.ndarray) -> np.ndarray:
@@ -18,6 +19,11 @@ def sturm_counts(diag: np.ndarray, offdiag: np.ndarray, shifts: np.ndarray) -> n
     Counts negative pivots of the shifted LDL^T factorization, vectorized
     across shifts; pivots too close to zero are clamped to -pivmin, which
     keeps the count monotone and the recurrence finite.
+
+    Rows go in blocks.  A block first runs the bare recurrence, two
+    in-place ufunc calls per row; only a block holding a pivot below
+    pivmin can differ under the clamp, and it is redone with the clamp.
+    Every pivot is the clamped recurrence's, so counts match _core.pyx.
     """
     d = np.ascontiguousarray(diag, dtype=np.float64)
     e = np.ascontiguousarray(offdiag, dtype=np.float64)
@@ -25,15 +31,36 @@ def sturm_counts(diag: np.ndarray, offdiag: np.ndarray, shifts: np.ndarray) -> n
     n = d.shape[0]
     e2 = e * e
     pivmin = _SAFMIN * max(1.0, float(e2.max()) if e2.size else 1.0)
+    e2 = e2.tolist()
 
-    q = d[0] - sh
-    q = np.where(np.abs(q) < pivmin, -pivmin, q)
-    counts = (q < 0.0).astype(np.int64)
-    for i in range(1, n):
-        q = (d[i] - sh) - e2[i - 1] / q
-        q = np.where(np.abs(q) < pivmin, -pivmin, q)
-        counts += q < 0.0
+    counts = np.zeros(sh.shape, dtype=np.int64)
+    q = None
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = d[start : start + _BLOCK_ROWS]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            block = _pivots(np.subtract.outer(rows, sh), e2, start, q, None)
+        if (np.abs(block) < pivmin).any():
+            block = _pivots(np.subtract.outer(rows, sh), e2, start, q, pivmin)
+        q = block[-1]
+        counts += np.count_nonzero(block < 0.0, axis=0)
     return counts
+
+
+def _pivots(
+    block: np.ndarray, e2: list[float], start: int, q: np.ndarray | None, pivmin: float | None
+) -> np.ndarray:
+    """Overwrite block, whose rows hold d[i] - sh from row i = start on, with
+    the pivots q_i = (d[i] - sh) - e2[i-1] / q_{i-1}; q is the row of pivots
+    before the block (None at row 0).  With pivmin given, pivots with
+    |q| < pivmin are clamped to -pivmin."""
+    ratio = np.empty_like(block[0])
+    for i, row in enumerate(block, start):
+        if q is not None:
+            np.subtract(row, np.divide(e2[i - 1], q, out=ratio), out=row)
+        if pivmin is not None:
+            row[np.abs(row) < pivmin] = -pivmin
+        q = row
+    return block
 
 
 def integrate_schrodinger(

@@ -15,16 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DwcrossError
-from .models import (
-    M1Params,
-    M2Params,
-    M3Params,
-    M4Params,
-    ModelParams,
-    UnitsConfig,
-    model_kind,
-    sweep_param_name,
-)
+from .models import VARIANTS, ModelParams, UnitsConfig
 from .oracle import OracleConfig, oracle_levels
 from .rootfind import RootfindConfig, solve_levels
 from .sweep import (
@@ -110,24 +101,14 @@ class RunConfig:
     def build_model(self) -> ModelParams:
         if self.model is None:
             raise ConfigError("no model selected (use --model or --preset)")
-        kind = self.model.lower()
+        cls = VARIANTS.get(self.model.lower())
+        if cls is None:
+            raise ConfigError(f"unknown model {self.model!r} (expected {'|'.join(VARIANTS)})")
+        values = [self._req(f.name) for f in fields(cls)]
         try:
-            if kind == "m1":
-                return M1Params(v0=self._req("v0"), a=self._req("a"), b=self._req("b"))
-            if kind == "m2":
-                return M2Params(
-                    v0=self._req("v0"), a=self._req("a"), b=self._req("b"), c=self._req("c")
-                )
-            if kind == "m3":
-                return M3Params(v0=self._req("v0"), hw1=self._req("hw1"), hw2=self._req("hw2"))
-            if kind == "m4":
-                return M4Params(
-                    v0=self._req("v0"), hw1=self._req("hw1"), hw2=self._req("hw2"),
-                    a=self._req("a"),
-                )
+            return cls(*values)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        raise ConfigError(f"unknown model {self.model!r} (expected m1|m2|m3|m4)")
 
     def _req(self, name: str) -> float:
         value = getattr(self, name)
@@ -146,7 +127,7 @@ class RunConfig:
             raise ConfigError("sweep needs lambda_min and lambda_max (or a preset)")
         try:
             return SweepSpec(
-                param_name=sweep_param_name(model),
+                param_name=model.sweep_param,
                 lambda_min=self.lambda_min,
                 lambda_max=self.lambda_max,
                 steps=self.steps,
@@ -171,12 +152,7 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
     def build_oracle(self) -> OracleConfig:
-        try:
-            return OracleConfig(n_points=self.oracle_points, richardson=self.richardson)
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return OracleConfig(n_points=self.oracle_points, richardson=self.richardson)
 
 
 def _parse_value(key: str, raw: str, where: str):
@@ -237,7 +213,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", type=Path, help="key=value configuration file")
         p.add_argument("--preset", choices=sorted(PRESETS), help="bundled figure configuration")
-        p.add_argument("--model", choices=["m1", "m2", "m3", "m4"])
+        p.add_argument("--model", choices=list(VARIANTS))
         p.add_argument("--u", type=float, help="units constant 2*mu/hbar^2 in 1/(eV A^2)")
         p.add_argument("--v0", type=float, help="barrier height (eV) or delta strength (eV*A)")
         p.add_argument("--a", type=float)
@@ -270,10 +246,8 @@ def parse_config(source: str | list[str]) -> RunConfig:
     Precedence: defaults < preset < config file/text keys < flags.
     """
     if isinstance(source, str):
-        merged = _expand_preset(parse_config_text(source))
-        return _merge_config(merged, command=None)[1]
-    command, merged = _collect(source)
-    return _merge_config(merged, command)[1]
+        return _merge_config(_expand_preset(parse_config_text(source)))
+    return _merge_config(_collect(source)[1])
 
 
 def _expand_preset(values: dict) -> dict:
@@ -306,13 +280,13 @@ def _collect(argv: list[str]) -> tuple[str, dict]:
     return ns.command, merged
 
 
-def _merge_config(values: dict, command: str | None) -> tuple[str | None, RunConfig]:
+def _merge_config(values: dict) -> RunConfig:
     cfg = RunConfig()
     for key, value in values.items():
         if key not in {f.name for f in fields(RunConfig)}:
             raise ConfigError(f"unknown configuration key {key!r}")
         setattr(cfg, key, value)
-    return command, cfg
+    return cfg
 
 
 def _fmt(x: float) -> str:
@@ -343,13 +317,9 @@ def cmd_solve(cfg: RunConfig) -> int:
 def _sweep_table(cfg: RunConfig):
     # The swept parameter needs no base value; seed it from the window end
     # (every grid point is validated and substituted during the sweep).
-    if cfg.lambda_max is not None:
-        if cfg.model == "m1" and cfg.b is None:
-            cfg.b = cfg.lambda_max
-        elif cfg.model == "m2" and cfg.c is None:
-            cfg.c = cfg.lambda_max
-        elif cfg.model in ("m3", "m4") and cfg.hw2 is None:
-            cfg.hw2 = cfg.lambda_max
+    cls = VARIANTS.get((cfg.model or "").lower())
+    if cls is not None and cfg.lambda_max is not None and getattr(cfg, cls.sweep_param) is None:
+        setattr(cfg, cls.sweep_param, cfg.lambda_max)
     model = cfg.build_model()
     units = cfg.build_units()
     spec = cfg.build_sweep_spec(model)
@@ -410,7 +380,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     reference = oracle_levels(
         model, units, cfg.levels, cfg.build_oracle(), e_top=1.5 * analytic[-1]
     )
-    tolerance = cfg.tolerance if cfg.tolerance is not None else _GATE_TOLERANCE[model_kind(model)]
+    tolerance = cfg.tolerance if cfg.tolerance is not None else _GATE_TOLERANCE[model.kind]
     lines = ["level,analytic_ev,oracle_ev,abs_diff_ev"]
     worst = 0.0
     for i, (ana, ora) in enumerate(zip(analytic, reference), start=1):
@@ -497,7 +467,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         command, merged = _collect(argv)
-        cfg = _merge_config(merged, command)[1]
+        cfg = _merge_config(merged)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -1,11 +1,20 @@
-"""Characteristic functions whose real zeros are the bound-state energies.
+"""The four double-well variants and their level conditions.
 
-Four double-well variants, all sharing one in-barrier at the center:
+All four share one in-barrier at the center:
 
     m1: Dirac delta between two hard walls at -a and b
     m2: rectangular barrier of height v0 on [-b, b] between walls at -a and c
     m3: Dirac delta joining two half-harmonic wells (hw1 left, hw2 right)
     m4: rectangular barrier on (-a, a) joining two offset harmonic wells
+
+Each variant is one frozen dataclass, M1Params..M4Params, derived from
+ModelParams.  The class holds the parameters and everything the solver,
+the oracle, the sweep and the CLI need to know about the variant: its
+tag (`kind`), the parameter a sweep varies (`sweep_param`), the
+characteristic function (`char`), the smooth potential and its cell
+average, the level-window estimate, the delta strength, the shooting
+breakpoints and the box walls.  Other modules ask the model, never its
+type.  VARIANTS maps each tag to its class.
 
 Each characteristic function is written in a pole-free, spurious-root-free
 form: gamma ratios are cleared into reciprocal-gamma products (entire in E,
@@ -21,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -29,24 +39,17 @@ from .specfun import recip_gamma_log
 
 __all__ = [
     "UnitsConfig",
+    "ModelParams",
     "M1Params",
     "M2Params",
     "M3Params",
     "M4Params",
-    "ModelParams",
+    "VARIANTS",
     "CharacteristicEvaluation",
-    "char_m1",
-    "char_m2",
-    "char_m3",
-    "char_m4",
     "characteristic",
     "characteristic_fn",
     "model_kind",
-    "sweep_param_name",
     "replace_param",
-    "potential_on_grid",
-    "delta_strength",
-    "level_window_estimate",
 ]
 
 _LN_SQRT2 = 0.5 * math.log(2.0)
@@ -74,79 +77,6 @@ class UnitsConfig:
 
 
 @dataclass(frozen=True)
-class M1Params:
-    """Delta spike of strength v0 (eV*Angstrom) between walls at -a and b."""
-
-    v0: float
-    a: float
-    b: float
-
-    def __post_init__(self) -> None:
-        if self.v0 < 0.0:
-            raise ValueError("m1 requires v0 >= 0 (repulsive in-barrier)")
-        if not (self.a > 0.0 and self.b > 0.0):
-            raise ValueError("m1 requires a > 0 and b > 0")
-
-
-@dataclass(frozen=True)
-class M2Params:
-    """Rectangular barrier of height v0 (eV) on [-b, b], walls at -a and c."""
-
-    v0: float
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self) -> None:
-        if self.v0 < 0.0:
-            raise ValueError("m2 requires v0 >= 0 (repulsive in-barrier)")
-        if not (self.a > self.b > 0.0):
-            raise ValueError("m2 requires a > b > 0 (left well width a-b > 0)")
-        if not (self.c > self.b):
-            raise ValueError("m2 requires c > b (right well width c-b > 0)")
-
-
-@dataclass(frozen=True)
-class M3Params:
-    """Delta spike of strength v0 (eV*Angstrom) joining half-harmonic wells."""
-
-    v0: float
-    hw1: float
-    hw2: float
-
-    def __post_init__(self) -> None:
-        if self.v0 < 0.0:
-            raise ValueError("m3 requires v0 >= 0 (repulsive in-barrier)")
-        if not (self.hw1 > 0.0 and self.hw2 > 0.0):
-            raise ValueError("m3 requires hw1 > 0 and hw2 > 0")
-
-
-@dataclass(frozen=True)
-class M4Params:
-    """Rectangular barrier of height v0 (eV) on (-a, a) between harmonic wells.
-
-    The wells are centered on the barrier edges: hw1 curvature in (x+a) for
-    x <= -a and hw2 curvature in (x-a) for x >= a.
-    """
-
-    v0: float
-    hw1: float
-    hw2: float
-    a: float
-
-    def __post_init__(self) -> None:
-        if self.v0 < 0.0:
-            raise ValueError("m4 requires v0 >= 0 (repulsive in-barrier)")
-        if not (self.hw1 > 0.0 and self.hw2 > 0.0):
-            raise ValueError("m4 requires hw1 > 0 and hw2 > 0")
-        if self.a < 0.0:
-            raise ValueError("m4 requires a >= 0 (barrier half-width)")
-
-
-ModelParams = M1Params | M2Params | M3Params | M4Params
-
-
-@dataclass(frozen=True)
 class CharacteristicEvaluation:
     """Value of a model's characteristic function at one energy.
 
@@ -165,6 +95,79 @@ class CharacteristicEvaluation:
     nu2: float | None = None
     alpha1: float | None = None
     alpha2: float | None = None
+
+
+@dataclass(frozen=True)
+class ModelParams:
+    """Base of the four variants: shared validation and the interface.
+
+    Every field must be finite, and v0 >= 0 (a repulsive in-barrier).
+    Subclasses set the class attributes `kind` and `sweep_param`.
+    """
+
+    kind: ClassVar[str]
+    sweep_param: ClassVar[str]
+
+    def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{self.kind} requires finite parameters, got {f.name}={value}")
+        if self.v0 < 0.0:
+            raise ValueError(f"{self.kind} requires v0 >= 0 (repulsive in-barrier)")
+
+    def char(self, energy: float, units: UnitsConfig) -> CharacteristicEvaluation:
+        """Characteristic function; its zeros on (0, inf) are the levels."""
+        raise NotImplementedError
+
+    def potential(self, units: UnitsConfig, x: np.ndarray) -> np.ndarray:
+        """Smooth part of V(x) in eV on the given positions (delta terms excluded).
+
+        Harmonic arms are (u/4) hw^2 (x - x0)^2, which is (1/2) mu omega^2
+        (x-x0)^2 expressed through u and hbar*omega.
+        """
+        raise NotImplementedError
+
+    def cell_average(self, units: UnitsConfig, x: np.ndarray, h: float) -> np.ndarray:
+        """Average of the smooth potential over each grid cell [x-h/2, x+h/2].
+
+        For the rectangular-barrier models the step edges generally fall
+        between nodes; pointwise sampling then carries an O(h) edge-placement
+        error that Richardson extrapolation cannot cancel.  Those models
+        average the exact piecewise integral, which restores smooth O(h^2)
+        behavior.  The smooth models (m1, m3) keep pointwise values.
+        """
+        return self.potential(units, x)
+
+    def level_window(self, units: UnitsConfig, n_levels: int) -> float:
+        """Upper-bound estimate for the n-th level, for initial scan windows
+        and oracle domain sizing.  Kept tight on purpose: scan cells scale
+        with the window, and near-degenerate pairs are easiest to resolve on
+        fine grids.  Callers auto-expand if it ever falls short.
+
+        Bounds used: a positive delta spike is a rank-one perturbation, so
+        E_n(v0) <= E_{n+1}(v0=0) (interlacing); a rectangular barrier is
+        dominated by lifting the whole box floor to v0.
+        """
+        raise NotImplementedError
+
+    @property
+    def delta_strength(self) -> float | None:
+        """Strength of the delta spike at x = 0; None for the rectangular
+        barriers, which have no spike."""
+        return None
+
+    @property
+    def breakpoints(self) -> list[float]:
+        """Interior positions where the potential steps or a delta sits; the
+        shooting integration is split there so each span stays smooth.  The
+        default is the delta variants' spike at x = 0."""
+        return [0.0]
+
+    @property
+    def walls(self) -> tuple[float, float] | None:
+        """Positions of the hard walls; None for the harmonic pairs."""
+        return None
 
 
 def _require_positive_energy(energy: float) -> None:
@@ -201,59 +204,6 @@ def _barrier_factors(w: float, half_width: float) -> tuple[float, float]:
     return math.cos(arg), math.sin(arg) / root
 
 
-def char_m1(energy: float, params: M1Params, units: UnitsConfig) -> CharacteristicEvaluation:
-    """Delta-between-walls level condition.
-
-        F(E) = k sin(k(a+b)) + u v0 sin(ka) sin(kb),   k = sqrt(uE)
-
-    The leading k restores dimensional consistency and reproduces the
-    symmetric reduction k cot(ka) = -u v0 / 2 at a = b.  F is entire in E
-    and its zeros on (0, inf) are exactly the spectrum.
-    """
-    _require_positive_energy(energy)
-    u = units.u
-    k = math.sqrt(u * energy)
-    value = k * math.sin(k * (params.a + params.b)) + u * params.v0 * math.sin(
-        k * params.a
-    ) * math.sin(k * params.b)
-    return CharacteristicEvaluation(energy=energy, value=value, k=k)
-
-
-def char_m2(energy: float, params: M2Params, units: UnitsConfig) -> CharacteristicEvaluation:
-    """Rectangular-barrier double-well level condition, pole free.
-
-    With d1 = a-b, d2 = c-b, d = d1+d2, w = u(v0-E) and the entire barrier
-    factors C(w), S(w) of half-width b:
-
-        F(E) = k sin(kd) C(w) + [k^2 cos(kd) + u v0 sin(kd1) sin(kd2)] S(w)
-
-    This is the opened matching determinant divided by p = sqrt(w), which
-    removes the spurious root the raw determinant has at E = v0; the S(w)
-    series at w ~ 0 is precisely the linear-interior-solution matching
-    condition, and w < 0 continues the formula above the barrier.
-    """
-    _require_positive_energy(energy)
-    u = units.u
-    k = math.sqrt(u * energy)
-    d1 = params.a - params.b
-    d2 = params.c - params.b
-    s1 = math.sin(k * d1)
-    s2 = math.sin(k * d2)
-    w = u * (params.v0 - energy)
-    c_fac, s_fac = _barrier_factors(w, params.b)
-    kd = k * (d1 + d2)
-    # s1*s2 grouped so that swapping the two wells gives a bitwise
-    # identical value (float multiplication commutes but not associates)
-    value = k * math.sin(kd) * c_fac + (k * k * math.cos(kd) + u * params.v0 * (s1 * s2)) * s_fac
-    return CharacteristicEvaluation(
-        energy=energy,
-        value=value,
-        k=k,
-        p_or_q=math.sqrt(abs(w)),
-        p_or_q_imaginary=w < 0.0,
-    )
-
-
 def _signed_exp_sum(terms: list[tuple[int, float]]) -> float:
     """Sum sign*exp(log) over terms, under a common positive rescale.
 
@@ -281,107 +231,314 @@ def _harmonic_orders(
     return nu1, nu2, alpha1, alpha2
 
 
-def char_m3(energy: float, params: M3Params, units: UnitsConfig) -> CharacteristicEvaluation:
-    """Delta-in-harmonic-well level condition, pole free.
+def _harmonic_window(hw1: float, hw2: float, n_levels: int) -> float:
+    hmean = 2.0 * hw1 * hw2 / (hw1 + hw2)
+    return (n_levels + 2) * hmean + 3.0 * max(hw1, hw2)
 
-    Clearing the gamma-ratio matching condition into reciprocal-gamma
-    factors h_i = 1/Gamma(-nu_i/2), j_i = 1/Gamma(1/2 - nu_i/2) and
-    normalizing by the positive factor 2^(-(nu1+nu2)/2)/pi gives
 
-        F(E) = -[ sqrt(2) (alpha2 h2 j1 + alpha1 h1 j2) + u v0 j1 j2 ]
+@dataclass(frozen=True)
+class M1Params(ModelParams):
+    """Delta spike of strength v0 (eV*Angstrom) between walls at -a and b."""
 
-    which is entire in E and, unlike the ratio form, keeps the odd-parity
-    roots at hw1 = hw2 where D_nu(0) = 0 (there all three products vanish
-    through the exact zeros of j).  Terms are combined in log space.
+    kind = "m1"
+    sweep_param = "b"
+
+    v0: float
+    a: float
+    b: float
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not (self.a > 0.0 and self.b > 0.0):
+            raise ValueError("m1 requires a > 0 and b > 0")
+
+    def char(self, energy: float, units: UnitsConfig) -> CharacteristicEvaluation:
+        """Delta-between-walls level condition.
+
+            F(E) = k sin(k(a+b)) + u v0 sin(ka) sin(kb),   k = sqrt(uE)
+
+        The leading k restores dimensional consistency and reproduces the
+        symmetric reduction k cot(ka) = -u v0 / 2 at a = b.  F is entire in E
+        and its zeros on (0, inf) are exactly the spectrum.
+        """
+        _require_positive_energy(energy)
+        u = units.u
+        k = math.sqrt(u * energy)
+        value = k * math.sin(k * (self.a + self.b)) + u * self.v0 * math.sin(
+            k * self.a
+        ) * math.sin(k * self.b)
+        return CharacteristicEvaluation(energy=energy, value=value, k=k)
+
+    def potential(self, units: UnitsConfig, x: np.ndarray) -> np.ndarray:
+        return np.zeros_like(x)
+
+    def level_window(self, units: UnitsConfig, n_levels: int) -> float:
+        width = self.a + self.b
+        return ((n_levels + 3) * math.pi / width) ** 2 / units.u + 1.0
+
+    @property
+    def delta_strength(self) -> float:
+        return self.v0
+
+    @property
+    def walls(self) -> tuple[float, float]:
+        return -self.a, self.b
+
+
+@dataclass(frozen=True)
+class M2Params(ModelParams):
+    """Rectangular barrier of height v0 (eV) on [-b, b], walls at -a and c."""
+
+    kind = "m2"
+    sweep_param = "c"
+
+    v0: float
+    a: float
+    b: float
+    c: float
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not (self.a > self.b > 0.0):
+            raise ValueError("m2 requires a > b > 0 (left well width a-b > 0)")
+        if not (self.c > self.b):
+            raise ValueError("m2 requires c > b (right well width c-b > 0)")
+
+    def char(self, energy: float, units: UnitsConfig) -> CharacteristicEvaluation:
+        """Rectangular-barrier double-well level condition, pole free.
+
+        With d1 = a-b, d2 = c-b, d = d1+d2, w = u(v0-E) and the entire barrier
+        factors C(w), S(w) of half-width b:
+
+            F(E) = k sin(kd) C(w) + [k^2 cos(kd) + u v0 sin(kd1) sin(kd2)] S(w)
+
+        This is the opened matching determinant divided by p = sqrt(w), which
+        removes the spurious root the raw determinant has at E = v0; the S(w)
+        series at w ~ 0 is precisely the linear-interior-solution matching
+        condition, and w < 0 continues the formula above the barrier.
+        """
+        _require_positive_energy(energy)
+        u = units.u
+        k = math.sqrt(u * energy)
+        d1 = self.a - self.b
+        d2 = self.c - self.b
+        s1 = math.sin(k * d1)
+        s2 = math.sin(k * d2)
+        w = u * (self.v0 - energy)
+        c_fac, s_fac = _barrier_factors(w, self.b)
+        kd = k * (d1 + d2)
+        # s1*s2 grouped so that swapping the two wells gives a bitwise
+        # identical value (float multiplication commutes but not associates)
+        value = k * math.sin(kd) * c_fac + (k * k * math.cos(kd) + u * self.v0 * (s1 * s2)) * s_fac
+        return CharacteristicEvaluation(
+            energy=energy,
+            value=value,
+            k=k,
+            p_or_q=math.sqrt(abs(w)),
+            p_or_q_imaginary=w < 0.0,
+        )
+
+    def potential(self, units: UnitsConfig, x: np.ndarray) -> np.ndarray:
+        return np.where(np.abs(x) <= self.b, self.v0, 0.0)
+
+    def cell_average(self, units: UnitsConfig, x: np.ndarray, h: float) -> np.ndarray:
+        lo = np.maximum(x - 0.5 * h, -self.b)
+        hi = np.minimum(x + 0.5 * h, self.b)
+        return self.v0 * np.maximum(0.0, hi - lo) / h
+
+    def level_window(self, units: UnitsConfig, n_levels: int) -> float:
+        return ((n_levels + 2) * math.pi / (self.a + self.c)) ** 2 / units.u + self.v0 + 1.0
+
+    @property
+    def breakpoints(self) -> list[float]:
+        return [-self.b, self.b]
+
+    @property
+    def walls(self) -> tuple[float, float]:
+        return -self.a, self.c
+
+
+@dataclass(frozen=True)
+class M3Params(ModelParams):
+    """Delta spike of strength v0 (eV*Angstrom) joining half-harmonic wells."""
+
+    kind = "m3"
+    sweep_param = "hw2"
+
+    v0: float
+    hw1: float
+    hw2: float
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not (self.hw1 > 0.0 and self.hw2 > 0.0):
+            raise ValueError("m3 requires hw1 > 0 and hw2 > 0")
+
+    def char(self, energy: float, units: UnitsConfig) -> CharacteristicEvaluation:
+        """Delta-in-harmonic-well level condition, pole free.
+
+        Clearing the gamma-ratio matching condition into reciprocal-gamma
+        factors h_i = 1/Gamma(-nu_i/2), j_i = 1/Gamma(1/2 - nu_i/2) and
+        normalizing by the positive factor 2^(-(nu1+nu2)/2)/pi gives
+
+            F(E) = -[ sqrt(2) (alpha2 h2 j1 + alpha1 h1 j2) + u v0 j1 j2 ]
+
+        which is entire in E and, unlike the ratio form, keeps the odd-parity
+        roots at hw1 = hw2 where D_nu(0) = 0 (there all three products vanish
+        through the exact zeros of j).  Terms are combined in log space.
+        """
+        _require_positive_energy(energy)
+        u = units.u
+        nu1, nu2, alpha1, alpha2 = _harmonic_orders(energy, self.hw1, self.hw2, u)
+        sh1, lh1 = recip_gamma_log(-0.5 * nu1)
+        sh2, lh2 = recip_gamma_log(-0.5 * nu2)
+        sj1, lj1 = recip_gamma_log(0.5 - 0.5 * nu1)
+        sj2, lj2 = recip_gamma_log(0.5 - 0.5 * nu2)
+
+        terms = [
+            (sh2 * sj1, _LN_SQRT2 + math.log(alpha2) + lh2 + lj1),
+            (sh1 * sj2, _LN_SQRT2 + math.log(alpha1) + lh1 + lj2),
+        ]
+        if self.v0 > 0.0:
+            terms.append((sj1 * sj2, math.log(u * self.v0) + lj1 + lj2))
+        value = -_signed_exp_sum(terms)
+        return CharacteristicEvaluation(
+            energy=energy, value=value, nu1=nu1, nu2=nu2, alpha1=alpha1, alpha2=alpha2
+        )
+
+    def potential(self, units: UnitsConfig, x: np.ndarray) -> np.ndarray:
+        curv = np.where(x < 0.0, self.hw1, self.hw2)
+        return 0.25 * units.u * curv * curv * x * x
+
+    def level_window(self, units: UnitsConfig, n_levels: int) -> float:
+        return _harmonic_window(self.hw1, self.hw2, n_levels)
+
+    @property
+    def delta_strength(self) -> float:
+        return self.v0
+
+
+@dataclass(frozen=True)
+class M4Params(ModelParams):
+    """Rectangular barrier of height v0 (eV) on (-a, a) between harmonic wells.
+
+    The wells are centered on the barrier edges: hw1 curvature in (x+a) for
+    x <= -a and hw2 curvature in (x-a) for x >= a.
     """
-    _require_positive_energy(energy)
-    u = units.u
-    nu1, nu2, alpha1, alpha2 = _harmonic_orders(energy, params.hw1, params.hw2, u)
-    sh1, lh1 = recip_gamma_log(-0.5 * nu1)
-    sh2, lh2 = recip_gamma_log(-0.5 * nu2)
-    sj1, lj1 = recip_gamma_log(0.5 - 0.5 * nu1)
-    sj2, lj2 = recip_gamma_log(0.5 - 0.5 * nu2)
 
-    terms = [
-        (sh2 * sj1, _LN_SQRT2 + math.log(alpha2) + lh2 + lj1),
-        (sh1 * sj2, _LN_SQRT2 + math.log(alpha1) + lh1 + lj2),
-    ]
-    if params.v0 > 0.0:
-        terms.append((sj1 * sj2, math.log(u * params.v0) + lj1 + lj2))
-    value = -_signed_exp_sum(terms)
-    return CharacteristicEvaluation(
-        energy=energy, value=value, nu1=nu1, nu2=nu2, alpha1=alpha1, alpha2=alpha2
-    )
+    kind = "m4"
+    sweep_param = "hw2"
+
+    v0: float
+    hw1: float
+    hw2: float
+    a: float
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not (self.hw1 > 0.0 and self.hw2 > 0.0):
+            raise ValueError("m4 requires hw1 > 0 and hw2 > 0")
+        if self.a < 0.0:
+            raise ValueError("m4 requires a >= 0 (barrier half-width)")
+
+    def char(self, energy: float, units: UnitsConfig) -> CharacteristicEvaluation:
+        """Barrier-in-harmonic-well level condition, pole free.
+
+        With h_i, j_i as in M3Params.char, w = u(v0-E), and the entire
+        barrier factors C(w), S(w) of half-width a:
+
+            F(E) = sqrt(2) (alpha1 h1 j2 + alpha2 h2 j1) C(w)
+                 + [ w j1 j2 + 2 alpha1 alpha2 h1 h2 ] S(w)
+
+        Derived by eliminating the interior sinh/cosh amplitudes between the
+        two matching interfaces and clearing denominators; the w j1 j2 term
+        carries q^2 = w through both branches, S(w) removes the spurious root
+        at E = v0, and the sign of the S-group is fixed by the parity
+        factorization at hw1 = hw2 and by the delta limit (a -> 0 with
+        2 a v0 held fixed reproduces m3).  Terms combine in log space
+        under the same positive rescale as m3.
+        """
+        _require_positive_energy(energy)
+        u = units.u
+        nu1, nu2, alpha1, alpha2 = _harmonic_orders(energy, self.hw1, self.hw2, u)
+        sh1, lh1 = recip_gamma_log(-0.5 * nu1)
+        sh2, lh2 = recip_gamma_log(-0.5 * nu2)
+        sj1, lj1 = recip_gamma_log(0.5 - 0.5 * nu1)
+        sj2, lj2 = recip_gamma_log(0.5 - 0.5 * nu2)
+
+        w = u * (self.v0 - energy)
+        c_fac, s_fac = _barrier_factors(w, self.a)
+
+        def _with_factor(sign: int, log: float, factor: float) -> tuple[int, float]:
+            if sign == 0 or factor == 0.0:
+                return 0, -math.inf
+            fsign = 1 if factor > 0.0 else -1
+            return sign * fsign, log + math.log(abs(factor))
+
+        terms = [
+            _with_factor(sh1 * sj2, _LN_SQRT2 + math.log(alpha1) + lh1 + lj2, c_fac),
+            _with_factor(sh2 * sj1, _LN_SQRT2 + math.log(alpha2) + lh2 + lj1, c_fac),
+            _with_factor(sh1 * sh2, math.log(2.0 * alpha1 * alpha2) + lh1 + lh2, s_fac),
+        ]
+        if w != 0.0:
+            wsign = 1 if w > 0.0 else -1
+            terms.append(_with_factor(wsign * sj1 * sj2, math.log(abs(w)) + lj1 + lj2, s_fac))
+        value = _signed_exp_sum(terms)
+        return CharacteristicEvaluation(
+            energy=energy,
+            value=value,
+            p_or_q=math.sqrt(abs(w)),
+            p_or_q_imaginary=w < 0.0,
+            nu1=nu1,
+            nu2=nu2,
+            alpha1=alpha1,
+            alpha2=alpha2,
+        )
+
+    def potential(self, units: UnitsConfig, x: np.ndarray) -> np.ndarray:
+        u = units.u
+        left = 0.25 * u * self.hw1 * self.hw1 * np.square(x + self.a)
+        right = 0.25 * u * self.hw2 * self.hw2 * np.square(x - self.a)
+        return np.where(x <= -self.a, left, np.where(x >= self.a, right, self.v0))
+
+    def cell_average(self, units: UnitsConfig, x: np.ndarray, h: float) -> np.ndarray:
+        u = units.u
+        lo = x - 0.5 * h
+        hi = x + 0.5 * h
+
+        def quad_piece(center: float, hw: float, a: float, b: float) -> np.ndarray:
+            # integral of (u/4) hw^2 (t - center)^2 over [a, b] (b >= a)
+            coeff = 0.25 * u * hw * hw / 3.0
+            return coeff * ((b - center) ** 3 - (a - center) ** 3)
+
+        left = quad_piece(-self.a, self.hw1, lo, np.minimum(hi, -self.a))
+        left = np.where(lo < -self.a, left, 0.0)
+        right = quad_piece(self.a, self.hw2, np.maximum(lo, self.a), hi)
+        right = np.where(hi > self.a, right, 0.0)
+        mid = self.v0 * np.maximum(0.0, np.minimum(hi, self.a) - np.maximum(lo, -self.a))
+        return (left + mid + right) / h
+
+    def level_window(self, units: UnitsConfig, n_levels: int) -> float:
+        top = _harmonic_window(self.hw1, self.hw2, n_levels)
+        return top + min(0.5 * self.v0, (n_levels + 2) * max(self.hw1, self.hw2))
+
+    @property
+    def breakpoints(self) -> list[float]:
+        return [-self.a, self.a] if self.a > 0.0 else []
 
 
-def char_m4(energy: float, params: M4Params, units: UnitsConfig) -> CharacteristicEvaluation:
-    """Barrier-in-harmonic-well level condition, pole free.
-
-    With h_i, j_i as in char_m3, w = u(v0-E), and the entire barrier
-    factors C(w), S(w) of half-width a:
-
-        F(E) = sqrt(2) (alpha1 h1 j2 + alpha2 h2 j1) C(w)
-             + [ w j1 j2 + 2 alpha1 alpha2 h1 h2 ] S(w)
-
-    Derived by eliminating the interior sinh/cosh amplitudes between the
-    two matching interfaces and clearing denominators; the w j1 j2 term
-    carries q^2 = w through both branches, S(w) removes the spurious root
-    at E = v0, and the sign of the S-group is fixed by the parity
-    factorization at hw1 = hw2 and by the delta limit (a -> 0 with
-    2 a v0 held fixed reproduces char_m3).  Terms combine in log space
-    under the same positive rescale as char_m3.
-    """
-    _require_positive_energy(energy)
-    u = units.u
-    nu1, nu2, alpha1, alpha2 = _harmonic_orders(energy, params.hw1, params.hw2, u)
-    sh1, lh1 = recip_gamma_log(-0.5 * nu1)
-    sh2, lh2 = recip_gamma_log(-0.5 * nu2)
-    sj1, lj1 = recip_gamma_log(0.5 - 0.5 * nu1)
-    sj2, lj2 = recip_gamma_log(0.5 - 0.5 * nu2)
-
-    w = u * (params.v0 - energy)
-    c_fac, s_fac = _barrier_factors(w, params.a)
-
-    def _with_factor(sign: int, log: float, factor: float) -> tuple[int, float]:
-        if sign == 0 or factor == 0.0:
-            return 0, -math.inf
-        fsign = 1 if factor > 0.0 else -1
-        return sign * fsign, log + math.log(abs(factor))
-
-    terms = [
-        _with_factor(sh1 * sj2, _LN_SQRT2 + math.log(alpha1) + lh1 + lj2, c_fac),
-        _with_factor(sh2 * sj1, _LN_SQRT2 + math.log(alpha2) + lh2 + lj1, c_fac),
-        _with_factor(sh1 * sh2, math.log(2.0 * alpha1 * alpha2) + lh1 + lh2, s_fac),
-    ]
-    if w != 0.0:
-        wsign = 1 if w > 0.0 else -1
-        terms.append(_with_factor(wsign * sj1 * sj2, math.log(abs(w)) + lj1 + lj2, s_fac))
-    value = _signed_exp_sum(terms)
-    return CharacteristicEvaluation(
-        energy=energy,
-        value=value,
-        p_or_q=math.sqrt(abs(w)),
-        p_or_q_imaginary=w < 0.0,
-        nu1=nu1,
-        nu2=nu2,
-        alpha1=alpha1,
-        alpha2=alpha2,
-    )
+VARIANTS: dict[str, type[ModelParams]] = {
+    cls.kind: cls for cls in (M1Params, M2Params, M3Params, M4Params)
+}
 
 
 def characteristic(
     energy: float, model: ModelParams, units: UnitsConfig
 ) -> CharacteristicEvaluation:
     """Evaluate the characteristic function of whichever model is given."""
-    if isinstance(model, M1Params):
-        return char_m1(energy, model, units)
-    if isinstance(model, M2Params):
-        return char_m2(energy, model, units)
-    if isinstance(model, M3Params):
-        return char_m3(energy, model, units)
-    if isinstance(model, M4Params):
-        return char_m4(energy, model, units)
-    raise ModelMismatchError(f"unknown model type {type(model).__name__}")
+    if not isinstance(model, ModelParams):
+        raise ModelMismatchError(f"unknown model type {type(model).__name__}")
+    return model.char(energy, units)
 
 
 def characteristic_fn(model: ModelParams, units: UnitsConfig):
@@ -395,107 +552,11 @@ def characteristic_fn(model: ModelParams, units: UnitsConfig):
 
 def model_kind(model: ModelParams) -> str:
     """Short tag 'm1'..'m4' for the model variant."""
-    return {M1Params: "m1", M2Params: "m2", M3Params: "m3", M4Params: "m4"}[type(model)]
-
-
-def sweep_param_name(model: ModelParams) -> str:
-    """The well-width/asymmetry parameter each variant sweeps."""
-    return {M1Params: "b", M2Params: "c", M3Params: "hw2", M4Params: "hw2"}[type(model)]
+    return model.kind
 
 
 def replace_param(model: ModelParams, name: str, value: float) -> ModelParams:
     """New params with one field replaced (validates the result)."""
     if name not in {f.name for f in dataclasses.fields(model)}:
-        raise ModelMismatchError(f"{model_kind(model)} has no parameter {name!r}")
+        raise ModelMismatchError(f"{model.kind} has no parameter {name!r}")
     return dataclasses.replace(model, **{name: value})
-
-
-def potential_on_grid(model: ModelParams, units: UnitsConfig, x: np.ndarray) -> np.ndarray:
-    """Smooth part of V(x) in eV on the given positions (delta terms excluded).
-
-    Harmonic arms are (u/4) hw^2 (x - x0)^2, which is (1/2) mu omega^2
-    (x-x0)^2 expressed through u and hbar*omega.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    u = units.u
-    if isinstance(model, M1Params):
-        return np.zeros_like(x)
-    if isinstance(model, M2Params):
-        return np.where(np.abs(x) <= model.b, model.v0, 0.0)
-    if isinstance(model, M3Params):
-        curv = np.where(x < 0.0, model.hw1, model.hw2)
-        return 0.25 * u * curv * curv * x * x
-    if isinstance(model, M4Params):
-        left = 0.25 * u * model.hw1 * model.hw1 * np.square(x + model.a)
-        right = 0.25 * u * model.hw2 * model.hw2 * np.square(x - model.a)
-        out = np.where(x <= -model.a, left, np.where(x >= model.a, right, model.v0))
-        return out
-    raise ModelMismatchError(f"unknown model type {type(model).__name__}")
-
-
-def delta_strength(model: ModelParams) -> float:
-    """Strength of the delta spike at x = 0 (0.0 for the rectangular models)."""
-    if isinstance(model, (M1Params, M3Params)):
-        return model.v0
-    return 0.0
-
-
-def potential_cell_average(
-    model: ModelParams, units: UnitsConfig, x: np.ndarray, h: float
-) -> np.ndarray:
-    """Average of the smooth potential over each grid cell [x-h/2, x+h/2].
-
-    For the rectangular-barrier models the step edges generally fall
-    between nodes; pointwise sampling then carries an O(h) edge-placement
-    error that Richardson extrapolation cannot cancel.  Averaging the
-    exact piecewise integral restores smooth O(h^2) behavior.  The smooth
-    models (m1, m3) keep pointwise values.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    u = units.u
-    if isinstance(model, M2Params):
-        lo = np.maximum(x - 0.5 * h, -model.b)
-        hi = np.minimum(x + 0.5 * h, model.b)
-        return model.v0 * np.maximum(0.0, hi - lo) / h
-    if isinstance(model, M4Params):
-        lo = x - 0.5 * h
-        hi = x + 0.5 * h
-
-        def quad_piece(center: float, hw: float, a: float, b: float) -> np.ndarray:
-            # integral of (u/4) hw^2 (t - center)^2 over [a, b] (b >= a)
-            coeff = 0.25 * u * hw * hw / 3.0
-            return coeff * ((b - center) ** 3 - (a - center) ** 3)
-
-        left = quad_piece(-model.a, model.hw1, lo, np.minimum(hi, -model.a))
-        left = np.where(lo < -model.a, left, 0.0)
-        right = quad_piece(model.a, model.hw2, np.maximum(lo, model.a), hi)
-        right = np.where(hi > model.a, right, 0.0)
-        mid = model.v0 * np.maximum(
-            0.0, np.minimum(hi, model.a) - np.maximum(lo, -model.a)
-        )
-        return (left + mid + right) / h
-    return potential_on_grid(model, units, x)
-
-
-def level_window_estimate(model: ModelParams, units: UnitsConfig, n_levels: int) -> float:
-    """Upper-bound estimate for the n-th level, for initial scan windows
-    and oracle domain sizing.  Kept tight on purpose: scan cells scale
-    with the window, and near-degenerate pairs are easiest to resolve on
-    fine grids.  Callers auto-expand if it ever falls short.
-
-    Bounds used: a positive delta spike is a rank-one perturbation, so
-    E_n(v0) <= E_{n+1}(v0=0) (interlacing); a rectangular barrier is
-    dominated by lifting the whole box floor to v0.
-    """
-    u = units.u
-    if isinstance(model, M1Params):
-        width = model.a + model.b
-        return ((n_levels + 3) * math.pi / width) ** 2 / u + 1.0
-    if isinstance(model, M2Params):
-        full_box = ((n_levels + 2) * math.pi / (model.a + model.c)) ** 2 / u + model.v0
-        return full_box + 1.0
-    hmean = 2.0 * model.hw1 * model.hw2 / (model.hw1 + model.hw2)
-    top = (n_levels + 2) * hmean + 3.0 * max(model.hw1, model.hw2)
-    if isinstance(model, M4Params):
-        top += min(0.5 * model.v0, (n_levels + 2) * max(model.hw1, model.hw2))
-    return top

@@ -17,18 +17,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ConfigError, NonConvergenceError
-from .models import (
-    M1Params,
-    M2Params,
-    M3Params,
-    ModelParams,
-    UnitsConfig,
-    delta_strength,
-    level_window_estimate,
-    model_kind,
-    potential_cell_average,
-    potential_on_grid,
-)
+from .models import ModelParams, UnitsConfig
 
 __all__ = [
     "OracleConfig",
@@ -38,7 +27,6 @@ __all__ = [
     "lowest_eigenvalues",
     "oracle_levels",
     "wronskian_constancy",
-    "default_e_top",
 ]
 
 # Interior points when OracleConfig.n_points is left unset.
@@ -72,7 +60,7 @@ class OracleConfig:
             )
 
     def resolve_points(self, model: ModelParams) -> int:
-        return self.n_points if self.n_points is not None else _DEFAULT_POINTS[model_kind(model)]
+        return self.n_points if self.n_points is not None else _DEFAULT_POINTS[model.kind]
 
 
 @dataclass(frozen=True)
@@ -95,9 +83,6 @@ class TridiagonalHamiltonian:
     def x_max(self) -> float:
         return self.x_min + (self.size + 1) * self.h
 
-    def interior_x(self) -> np.ndarray:
-        return self.x_min + self.h * np.arange(1, self.size + 1)
-
 
 @dataclass(frozen=True)
 class _GridSpec:
@@ -112,19 +97,15 @@ class _GridSpec:
         return _GridSpec(self.x_min, 0.5 * self.h, 2 * self.n_interior + 1, di)
 
 
-def default_e_top(model: ModelParams, units: UnitsConfig, n: int) -> float:
-    """Domain-sizing energy before any analytic levels are known."""
-    return level_window_estimate(model, units, n)
-
-
-def _snap_m1_grid(params: M1Params, n_target: int) -> _GridSpec:
-    """Grid over [-a, b] with n near n_target, chosen so a node sits as
-    close to x = 0 as the geometry allows (the delta lands on that node)."""
-    span = params.a + params.b
+def _snap_box_grid(left: float, right: float, n_target: int) -> _GridSpec:
+    """Grid over the box [left, right] with n near n_target, chosen so a
+    node sits as close to x = 0 as the geometry allows (the delta lands on
+    that node)."""
+    span = right - left
     best: tuple[float, int, float, int] | None = None
     for n in range(n_target, n_target + 241):
         h = span / (n + 1)
-        pos = params.a / h
+        pos = -left / h
         idx = round(pos)
         if idx < 1 or idx > n:
             continue
@@ -135,10 +116,10 @@ def _snap_m1_grid(params: M1Params, n_target: int) -> _GridSpec:
                 break
     if best is None:
         raise ConfigError(
-            "delta node would fall on a boundary; increase n_points for this m1 geometry"
+            "delta node would fall on a boundary; increase n_points for this geometry"
         )
     _, n, h, delta_index = best
-    return _GridSpec(-params.a, h, n, delta_index)
+    return _GridSpec(left, h, n, delta_index)
 
 
 def _harmonic_reach(e_top: float, hw: float, u: float, margin: float) -> float:
@@ -152,24 +133,26 @@ def _grid_spec(
     model: ModelParams, units: UnitsConfig, cfg: OracleConfig, e_top: float | None
 ) -> _GridSpec:
     n_target = cfg.resolve_points(model)
-    if isinstance(model, M1Params):
-        return _snap_m1_grid(model, n_target)
-    if isinstance(model, M2Params):
-        span = model.a + model.c
-        return _GridSpec(-model.a, span / (n_target + 1), n_target, None)
+    has_delta = model.delta_strength is not None
+    if model.walls is not None:
+        left, right = model.walls
+        if has_delta:
+            return _snap_box_grid(left, right, n_target)
+        return _GridSpec(left, (right - left) / (n_target + 1), n_target, None)
 
     if e_top is None or not e_top > 0.0:
         raise ConfigError("harmonic models need a positive sizing energy e_top")
     margin = cfg.turning_point_margin
     reach1 = _harmonic_reach(e_top, model.hw1, units.u, margin)
     reach2 = _harmonic_reach(e_top, model.hw2, units.u, margin)
-    if isinstance(model, M3Params):
+    if has_delta:
         # Step chosen so that x = 0 is exactly a grid node (the delta node).
         h0 = (reach1 + reach2) / (n_target + 1)
         m_left = max(2, round(reach1 / h0))
         h = reach1 / m_left
         m_right = max(2, math.ceil(reach2 / h))
         return _GridSpec(-m_left * h, h, m_left + m_right - 1, m_left - 1)
+    # Without a delta the wells are centred on the barrier edges -a and a.
     x_min = -model.a - reach1
     x_max = model.a + reach2
     return _GridSpec(x_min, (x_max - x_min) / (n_target + 1), n_target, None)
@@ -181,10 +164,10 @@ def _assemble(
     u = units.u
     x = spec.x_min + spec.h * np.arange(1, spec.n_interior + 1)
     kin = 2.0 / (u * spec.h * spec.h)
-    diag = kin + potential_cell_average(model, units, x, spec.h)
+    diag = kin + model.cell_average(units, x, spec.h)
     offdiag = np.full(spec.n_interior - 1, -1.0 / (u * spec.h * spec.h))
-    v0 = delta_strength(model)
-    if v0 != 0.0:
+    v0 = model.delta_strength
+    if v0:  # no spike (None) or a zero-strength one adds nothing
         if spec.delta_index is None:
             raise ConfigError("delta model without a delta node in the grid")
         diag[spec.delta_index] += v0 / spec.h
@@ -193,7 +176,7 @@ def _assemble(
         offdiag=offdiag,
         x_min=spec.x_min,
         h=spec.h,
-        model_tag=model_kind(model),
+        model_tag=model.kind,
         delta_index=spec.delta_index,
     )
 
@@ -212,7 +195,7 @@ def build_hamiltonian(
     the node placed at x = 0.
     """
     if e_top is None:
-        e_top = default_e_top(model, units, 6)
+        e_top = model.level_window(units, 6)
     return _assemble(model, units, _grid_spec(model, units, cfg, e_top))
 
 
@@ -281,8 +264,8 @@ def oracle_levels(
     one); if the solved levels reach past the sizing energy, the domain is
     grown and the solve repeated.
     """
-    box_model = isinstance(model, (M1Params, M2Params))
-    sizing = e_top if e_top is not None else default_e_top(model, units, n)
+    box_model = model.walls is not None
+    sizing = e_top if e_top is not None else model.level_window(units, n)
     for _ in range(5):
         spec = _grid_spec(model, units, cfg, sizing)
         coarse = lowest_eigenvalues(_assemble(model, units, spec), n, tol)
@@ -297,24 +280,14 @@ def oracle_levels(
     raise NonConvergenceError("oracle domain sizing did not stabilize")
 
 
-def _shooting_breakpoints(model: ModelParams) -> list[float]:
-    """Interior positions where the potential steps or a delta sits; the
-    shooting integration is split there so each span stays smooth."""
-    if isinstance(model, (M1Params, M3Params)):
-        return [0.0]
-    if isinstance(model, M2Params):
-        return [-model.b, model.b]
-    return [-model.a, model.a] if model.a > 0.0 else []
-
-
 def _shooting_segments(
     model: ModelParams, units: UnitsConfig, cfg: OracleConfig, energy: float
 ) -> list[tuple[float, float, int]]:
-    sizing = max(3.0 * energy, level_window_estimate(model, units, 1))
+    sizing = max(3.0 * energy, model.level_window(units, 1))
     spec = _grid_spec(model, units, cfg, sizing)
     x_lo = spec.x_min
     x_hi = spec.x_min + (spec.n_interior + 1) * spec.h
-    cuts = [x_lo] + [b for b in _shooting_breakpoints(model) if x_lo < b < x_hi] + [x_hi]
+    cuts = [x_lo] + [b for b in model.breakpoints if x_lo < b < x_hi] + [x_hi]
     # 6x the matrix resolution: the two-sided mismatch is amplified through
     # the forbidden tails, making shooting the most step-sensitive consumer
     # of the grid (error falls as h^4).
@@ -332,7 +305,7 @@ def _segment_v_half(
     # see the correct branch at their edges.
     x[0] = s + 1e-9 * (e - s)
     x[-1] = e - 1e-9 * (e - s)
-    return potential_on_grid(model, units, x)
+    return model.potential(units, x)
 
 
 def _shoot(
@@ -346,7 +319,7 @@ def _shoot(
     psi = np.empty(total)
     dpsi = np.empty(total)
     offsets = np.concatenate([[0], np.cumsum([m for _, _, m in segments])])
-    v0 = delta_strength(model)
+    v0 = model.delta_strength or 0.0
     u = units.u
 
     y1, y2 = 0.0, 1.0 if from_left else -1.0

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import CountMismatchError, NonConvergenceError
-from .models import ModelParams, UnitsConfig, characteristic_fn, level_window_estimate
+from .models import ModelParams, UnitsConfig, characteristic_fn
 
 __all__ = [
     "Bracket",
@@ -60,7 +60,6 @@ class RootfindConfig:
     coarse_steps: int = 512
     max_subdivision_depth: int = 12
     tol_abs: float = 1e-10
-    tol_rel: float = 0.0
 
     def __post_init__(self) -> None:
         if self.e_max is not None and not (self.e_min < self.e_max):
@@ -69,8 +68,6 @@ class RootfindConfig:
             raise ValueError(f"coarse_steps must be >= 64, got {self.coarse_steps}")
         if not self.tol_abs > 0.0:
             raise ValueError("tol_abs must be positive")
-        if self.tol_rel < 0.0:
-            raise ValueError("tol_rel must be non-negative")
 
 
 def _nudged_value(f: Callable[[float], float], x: float, cell: float) -> tuple[float, float]:
@@ -216,7 +213,7 @@ def scan_brackets(
 
 
 def refine_root(f: Callable[[float], float], bracket: Bracket, cfg: RootfindConfig) -> float:
-    """Root inside the bracket, to width max(tol_abs, tol_rel*|E|).
+    """Root inside the bracket, to width max(tol_abs, 4 eps |E|).
 
     Bisection with inverse-quadratic/secant acceleration; every iterate
     stays inside the original bracket, so convergence is guaranteed and
@@ -233,7 +230,7 @@ def refine_root(f: Callable[[float], float], bracket: Bracket, cfg: RootfindConf
     for _ in range(300):
         if fb == 0.0:
             return b
-        tol = 0.5 * max(cfg.tol_abs, cfg.tol_rel * abs(b), 4.0 * 2.22e-16 * abs(b))
+        tol = 0.5 * max(cfg.tol_abs, 4.0 * 2.22e-16 * abs(b))
         m = 0.5 * (c - b)
         if abs(m) <= tol:
             return b
@@ -292,7 +289,7 @@ def solve_levels(
         raise ValueError(f"n_levels must be >= 1, got {n_levels}")
     base = cfg if cfg is not None else RootfindConfig()
     f = characteristic_fn(model, units)
-    e_max = base.e_max if base.e_max is not None else level_window_estimate(model, units, n_levels)
+    e_max = base.e_max if base.e_max is not None else model.level_window(units, n_levels)
     steps = base.coarse_steps
     while True:
         local = dataclasses.replace(

@@ -19,15 +19,7 @@ from statistics import median
 import numpy as np
 
 from .errors import ModelMismatchError, NonConvergenceError
-from .models import (
-    M1Params,
-    ModelParams,
-    UnitsConfig,
-    characteristic_fn,
-    model_kind,
-    replace_param,
-    sweep_param_name,
-)
+from .models import ModelParams, UnitsConfig, characteristic_fn, replace_param
 from .rootfind import RootfindConfig, refine_root, scan_brackets, solve_levels
 
 __all__ = [
@@ -94,10 +86,9 @@ class AvoidedCrossing:
 
 
 def _check_spec(model: ModelParams, spec: SweepSpec) -> None:
-    expected = sweep_param_name(model)
-    if spec.param_name != expected:
+    if spec.param_name != model.sweep_param:
         raise ValueError(
-            f"{model_kind(model)} sweeps {expected!r}, got param_name={spec.param_name!r}"
+            f"{model.kind} sweeps {model.sweep_param!r}, got param_name={spec.param_name!r}"
         )
 
 
@@ -318,9 +309,9 @@ def edge_candidates(
 def effective_levels(table: SpectrumTable) -> np.ndarray:
     """Width-scaled levels E'_n = u (a + b)^2 E_n for the delta-between-walls
     sweep (lambda is b); preserves row ordering and gap-minimum locations."""
-    if not isinstance(table.model, M1Params) or table.param_name != "b":
+    if table.model.kind != "m1" or table.param_name != "b":
         raise ModelMismatchError(
-            f"effective levels are defined for the m1 b-sweep, not {model_kind(table.model)}"
+            f"effective levels are defined for the m1 b-sweep, not {table.model.kind}"
         )
     factors = table.units.u * np.square(table.model.a + table.lambdas)
     return factors[:, None] * table.levels

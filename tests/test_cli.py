@@ -7,7 +7,7 @@ import pytest
 
 from dwcross.cli import PRESETS, main, parse_config, parse_config_text
 from dwcross.errors import ConfigError
-from dwcross.models import M1Params, M2Params
+from dwcross.models import M1Params, M2Params, M3Params, M4Params
 
 
 class TestParseConfigText:
@@ -97,6 +97,19 @@ def run_cli(tmp_path, monkeypatch, args):
     return main(args)
 
 
+# A NaN in one field and an infinity in another, for each variant.
+NON_FINITE = [
+    pytest.param(M1Params, dict(v0=math.nan, a=2.0, b=2.0), id="m1-v0-nan"),
+    pytest.param(M1Params, dict(v0=10.0, a=2.0, b=math.inf), id="m1-b-inf"),
+    pytest.param(M2Params, dict(v0=math.nan, a=2.0, b=1.0, c=2.0), id="m2-v0-nan"),
+    pytest.param(M2Params, dict(v0=10.0, a=math.inf, b=1.0, c=2.0), id="m2-a-inf"),
+    pytest.param(M3Params, dict(v0=10.0, hw1=2.0, hw2=math.nan), id="m3-hw2-nan"),
+    pytest.param(M3Params, dict(v0=math.inf, hw1=2.0, hw2=2.0), id="m3-v0-inf"),
+    pytest.param(M4Params, dict(v0=10.0, hw1=math.nan, hw2=2.0, a=0.5), id="m4-hw1-nan"),
+    pytest.param(M4Params, dict(v0=10.0, hw1=2.0, hw2=2.0, a=-math.inf), id="m4-a-neginf"),
+]
+
+
 class TestExitCodes:
     def test_success(self, tmp_path, monkeypatch):
         code = run_cli(
@@ -116,6 +129,19 @@ class TestExitCodes:
         assert code == 1
         assert not (tmp_path / "bad.csv").exists()
         assert "a > b" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cls,params", NON_FINITE)
+    def test_non_finite_parameter_is_config_error(
+        self, tmp_path, monkeypatch, capsys, cls, params
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            cls(**params)
+        argv = ["solve", "--model", cls.kind, "--out", "bad.csv"]
+        argv += [f"--{name}={value}" for name, value in params.items()]
+        assert run_cli(tmp_path, monkeypatch, argv) == 1
+        assert not (tmp_path / "bad.csv").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "finite" in err
 
     def test_unknown_flag_is_one(self, tmp_path, monkeypatch):
         assert run_cli(tmp_path, monkeypatch, ["solve", "--frobnicate"]) == 1
@@ -219,6 +245,18 @@ class TestSweepOutput:
         svg = (tmp_path / "s.svg").read_text()
         assert svg.count("<polyline") == 3
         assert svg.startswith("<svg")
+
+    @pytest.mark.parametrize("tag", ["m1", "M1"])
+    def test_config_file_sweep_needs_no_swept_value(self, tmp_path, monkeypatch, tag):
+        # the swept b is seeded from the window, whatever the tag's case
+        (tmp_path / "sw.cfg").write_text(
+            f"model={tag}\nv0=0\na=2\nlambda_min=0.5\nlambda_max=2.5\nsteps=5\nlevels=3\n",
+            encoding="utf-8",
+        )
+        code = run_cli(tmp_path, monkeypatch, ["sweep", "--config", "sw.cfg", "--out", "f.csv"])
+        assert code == 0
+        run_cli(tmp_path, monkeypatch, self.ARGS + ["--out", "flags.csv"])
+        assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "flags.csv").read_bytes()
 
     def test_byte_identical_across_runs_and_workers(self, tmp_path, monkeypatch):
         run_cli(tmp_path, monkeypatch, self.ARGS + ["--out", "a.csv"])

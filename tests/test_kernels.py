@@ -23,6 +23,20 @@ def random_tridiagonal(rng, n):
     return rng.normal(size=n) * 4.0, rng.normal(size=n - 1) * 2.0
 
 
+def scalar_sturm_count(diag, off, shift):
+    """The clamped pivot recurrence one shift at a time, as in _core.pyx."""
+    e2 = [v * v for v in off]
+    pivmin = 2.2250738585072014e-308 * max([1.0] + e2)
+    count = 0
+    q = 0.0
+    for i, d in enumerate(diag):
+        q = (d - shift) - e2[i - 1] / q if i else d - shift
+        if -pivmin < q < pivmin:
+            q = -pivmin
+        count += q < 0.0
+    return count
+
+
 class TestSturmKernel:
     def test_reference_counts(self):
         diag = np.array([2.0, 2.0, 2.0])
@@ -31,6 +45,21 @@ class TestSturmKernel:
         counts = _pure.sturm_counts(diag, off, shifts)
         # spectrum: 2 - sqrt(2), 2, 2 + sqrt(2)
         assert counts.tolist() == [0, 1, 1, 2, 3]
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 7, 512])
+    def test_blocked_pivots_match_scalar_recurrence(self, monkeypatch, block_rows):
+        # integer matrices and shifts hit exact zero pivots, so clamped
+        # blocks are redone; small blocks put clamps on block edges
+        monkeypatch.setattr(_pure, "_BLOCK_ROWS", block_rows)
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            diag = rng.integers(-3, 4, size=n).astype(float)
+            off = rng.integers(-2, 3, size=n - 1).astype(float)
+            shifts = rng.integers(-5, 6, size=int(rng.integers(1, 10))).astype(float)
+            counts = _pure.sturm_counts(diag, off, shifts)
+            assert counts.dtype == np.int64
+            assert counts.tolist() == [scalar_sturm_count(diag, off, s) for s in shifts]
 
     @needs_compiled
     def test_backends_bitwise_identical(self):
@@ -45,12 +74,7 @@ class TestSturmKernel:
 
     @needs_compiled
     def test_selected_backend_is_compiled(self):
-        import os
-
-        if os.environ.get("DWCROSS_KERNELS", "").strip().lower() == "pure":
-            assert BACKEND == "pure"
-        else:
-            assert BACKEND == "compiled"
+        assert BACKEND == "compiled"
 
 
 class TestShootingKernel:

@@ -14,14 +14,10 @@ from dwcross.models import (
     M3Params,
     M4Params,
     UnitsConfig,
-    char_m1,
-    char_m2,
-    char_m3,
     characteristic,
     characteristic_fn,
     model_kind,
     replace_param,
-    sweep_param_name,
 )
 from dwcross.rootfind import solve_levels
 from dwcross.specfun import pcf_at_zero
@@ -56,8 +52,8 @@ class TestParamsValidation:
 
     def test_kind_and_sweep_param(self):
         assert model_kind(M1Params(0.0, 1.0, 1.0)) == "m1"
-        assert sweep_param_name(M2Params(1.0, 2.0, 1.0, 3.0)) == "c"
-        assert sweep_param_name(M4Params(1.0, 1.0, 1.0, 0.5)) == "hw2"
+        assert M2Params(1.0, 2.0, 1.0, 3.0).sweep_param == "c"
+        assert M4Params(1.0, 1.0, 1.0, 0.5).sweep_param == "hw2"
 
     def test_replace_param_validates(self):
         m = M2Params(10.0, 2.0, 1.0, 3.0)
@@ -71,17 +67,17 @@ class TestParamsValidation:
 class TestCharM1:
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            char_m1(0.0, M1Params(1.0, 1.0, 1.0), U1)
+            M1Params(1.0, 1.0, 1.0).char(0.0, U1)
         with pytest.raises(DomainError):
-            char_m1(-1.0, M1Params(1.0, 1.0, 1.0), U1)
+            M1Params(1.0, 1.0, 1.0).char(-1.0, U1)
 
     def test_free_well_zeros(self):
         # v0 = 0: exact zeros at (n pi / (a+b))^2 / u
         m = M1Params(0.0, 2.0, 2.0)
         for n in (1, 2, 3):
             e = (n * math.pi / 4.0) ** 2
-            assert abs(char_m1(e, m, U1).value) < 1e-9
-        assert abs(char_m1(1.3, m, U1).value) > 1e-2  # not a zero away from roots
+            assert abs(m.char(e, U1).value) < 1e-9
+        assert abs(m.char(1.3, U1).value) > 1e-2  # not a zero away from roots
 
     def test_value_formula(self):
         m = M1Params(3.0, 1.5, 2.5)
@@ -89,7 +85,7 @@ class TestCharM1:
         e = 1.234
         k = math.sqrt(0.7 * e)
         expected = k * math.sin(4.0 * k) + 0.7 * 3.0 * math.sin(1.5 * k) * math.sin(2.5 * k)
-        ev = char_m1(e, m, u)
+        ev = m.char(e, u)
         assert ev.value == pytest.approx(expected, rel=1e-14)
         assert ev.k == pytest.approx(k, rel=1e-15)
 
@@ -105,7 +101,7 @@ class TestCharM1:
 class TestCharM2:
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            char_m2(-0.5, M2Params(1.0, 2.0, 1.0, 3.0), U1)
+            M2Params(1.0, 2.0, 1.0, 3.0).char(-0.5, U1)
 
     def test_thin_barrier_limit(self):
         # b -> 0: zeros approach the single well of width a + c
@@ -122,7 +118,7 @@ class TestCharM2:
         m = M2Params(9.0, 2.5, 1.0, 3.2)  # d1 = 1.5, d2 = 2.2
         swapped = M2Params(9.0, 3.2, 1.0, 2.5)  # d1 = 2.2, d2 = 1.5
         for e in np.linspace(0.1, 25.0, 400):
-            assert char_m2(float(e), m, u).value == char_m2(float(e), swapped, u).value
+            assert m.char(float(e), u).value == swapped.char(float(e), u).value
 
     def test_continuity_through_barrier_top(self):
         m = M2Params(10.0, 2.0, 1.0, 3.0)
@@ -138,8 +134,8 @@ class TestCharM2:
 
     def test_branch_flag(self):
         m = M2Params(10.0, 2.0, 1.0, 3.0)
-        below = char_m2(5.0, m, U1)
-        above = char_m2(15.0, m, U1)
+        below = m.char(5.0, U1)
+        above = m.char(15.0, U1)
         assert not below.p_or_q_imaginary
         assert above.p_or_q_imaginary
         assert below.p_or_q == pytest.approx(math.sqrt(5.0), rel=1e-14)
@@ -149,7 +145,7 @@ class TestCharM2:
 class TestCharM3:
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            char_m3(0.0, M3Params(1.0, 2.0, 2.0), U1)
+            M3Params(1.0, 2.0, 2.0).char(0.0, U1)
 
     def test_unperturbed_oscillator_zeros(self):
         m = M3Params(0.0, 2.0, 2.0)
@@ -160,7 +156,7 @@ class TestCharM3:
         # states with a node at the origin never feel the delta
         m = M3Params(10.0, 2.0, 2.0)
         for e in (3.0, 7.0, 11.0):
-            assert char_m3(e, m, U1).value == 0.0
+            assert m.char(e, U1).value == 0.0
 
     def test_even_levels_shift_up(self):
         m = M3Params(10.0, 2.0, 2.0)
@@ -176,7 +172,7 @@ class TestCharM3:
         m = M3Params(4.0, 2.0, 1.3)
         u = UnitsConfig(0.8)
         for e in np.linspace(0.3, 18.0, 57):
-            ev = char_m3(float(e), m, u)
+            ev = m.char(float(e), u)
             p1 = pcf_at_zero(ev.nu1)
             p2 = pcf_at_zero(ev.nu2)
             raw = (
@@ -195,7 +191,7 @@ class TestCharM3:
                 assert hi >= lo - 1e-10
 
     def test_derived_fields(self):
-        ev = char_m3(4.0, M3Params(1.0, 2.0, 0.5), U1)
+        ev = M3Params(1.0, 2.0, 0.5).char(4.0, U1)
         assert ev.nu1 == pytest.approx(1.5)
         assert ev.nu2 == pytest.approx(7.5)
         assert ev.alpha1 == pytest.approx(math.sqrt(2.0))
@@ -265,7 +261,7 @@ class TestEverywhereFinite:
     @given(st.floats(min_value=1e-6, max_value=60.0))
     @settings(max_examples=200, deadline=None)
     def test_m3_finite_property(self, e):
-        assert math.isfinite(char_m3(e, M3Params(10.0, 2.0, 0.7), U1).value)
+        assert math.isfinite(M3Params(10.0, 2.0, 0.7).char(e, U1).value)
 
     def test_dispatcher(self):
         assert characteristic(1.0, M1Params(0.0, 1.0, 1.0), U1).k is not None
