@@ -29,34 +29,39 @@ def sturm_counts(diag: np.ndarray, offdiag: np.ndarray, shifts: np.ndarray) -> n
     e = np.ascontiguousarray(offdiag, dtype=np.float64)
     sh = np.atleast_1d(np.ascontiguousarray(shifts, dtype=np.float64))
     n = d.shape[0]
-    e2 = e * e
-    pivmin = _SAFMIN * max(1.0, float(e2.max()) if e2.size else 1.0)
-    e2 = e2.tolist()
+    # max(e * e) without forming e * e: rounding keeps squares monotone in |e|
+    emax = max(float(e.max()), -float(e.min())) if e.size else 0.0
+    pivmin = _SAFMIN * max(1.0, emax * emax)
 
     counts = np.zeros(sh.shape, dtype=np.int64)
     q = None
     for start in range(0, n, _BLOCK_ROWS):
         rows = d[start : start + _BLOCK_ROWS]
+        # e[i-1]^2 couples row i to row i - 1 (row 0 has none), as Python
+        # floats, which divide an array faster than numpy scalars do; one
+        # block at a time keeps the grid's couplings out of memory
+        pairs = e[max(start - 1, 0) : start + rows.size - 1]
+        couplings = ([0.0] if start == 0 else []) + (pairs * pairs).tolist()
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            block = _pivots(np.subtract.outer(rows, sh), e2, start, q, None)
+            block = _pivots(np.subtract.outer(rows, sh), couplings, q, None)
         if (np.abs(block) < pivmin).any():
-            block = _pivots(np.subtract.outer(rows, sh), e2, start, q, pivmin)
+            block = _pivots(np.subtract.outer(rows, sh), couplings, q, pivmin)
         q = block[-1]
         counts += np.count_nonzero(block < 0.0, axis=0)
     return counts
 
 
 def _pivots(
-    block: np.ndarray, e2: list[float], start: int, q: np.ndarray | None, pivmin: float | None
+    block: np.ndarray, couplings: list[float], q: np.ndarray | None, pivmin: float | None
 ) -> np.ndarray:
-    """Overwrite block, whose rows hold d[i] - sh from row i = start on, with
-    the pivots q_i = (d[i] - sh) - e2[i-1] / q_{i-1}; q is the row of pivots
-    before the block (None at row 0).  With pivmin given, pivots with
-    |q| < pivmin are clamped to -pivmin."""
+    """Overwrite block, whose rows hold d[i] - sh, with the pivots
+    q_i = (d[i] - sh) - e2[i] / q_{i-1}; couplings holds e2[i] of each row
+    and q is the row of pivots before the block (None at row 0).  With
+    pivmin given, pivots with |q| < pivmin are clamped to -pivmin."""
     ratio = np.empty_like(block[0])
-    for i, row in enumerate(block, start):
+    for row, coupling in zip(block, couplings):
         if q is not None:
-            np.subtract(row, np.divide(e2[i - 1], q, out=ratio), out=row)
+            np.subtract(row, np.divide(coupling, q, out=ratio), out=row)
         if pivmin is not None:
             row[np.abs(row) < pivmin] = -pivmin
         q = row

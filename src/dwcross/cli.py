@@ -8,6 +8,7 @@ gate failure (compare).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -286,6 +287,12 @@ def _merge_config(values: dict) -> RunConfig:
         if key not in {f.name for f in fields(RunConfig)}:
             raise ConfigError(f"unknown configuration key {key!r}")
         setattr(cfg, key, value)
+    # NaN passes every comparison-based check downstream (a NaN tolerance
+    # passes any gate), so no float may be NaN or infinite.
+    for key in sorted(_FLOAT_KEYS):
+        value = getattr(cfg, key)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
     return cfg
 
 

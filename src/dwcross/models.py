@@ -11,10 +11,20 @@ Each variant is one frozen dataclass, M1Params..M4Params, derived from
 ModelParams.  The class holds the parameters and everything the solver,
 the oracle, the sweep and the CLI need to know about the variant: its
 tag (`kind`), the parameter a sweep varies (`sweep_param`), the
-characteristic function (`char`), the smooth potential and its cell
-average, the level-window estimate, the delta strength, the shooting
-breakpoints and the box walls.  Other modules ask the model, never its
-type.  VARIANTS maps each tag to its class.
+characteristic function (`char`, one energy, and `char_values`, an array
+of energies), the smooth potential and its cell average, the
+level-window estimate, the delta strength, the shooting breakpoints and
+the box walls.  Other modules ask the model, never its type.  VARIANTS
+maps each tag to its class.
+
+`char_values` is the array form of `char`: the same formulas, with each
+branch an np.where over the block and the reciprocal gammas from
+specfun.recip_gamma_log_values.  The bracket scan evaluates whole grids
+through it.  Root refinement stays on the scalar `char` (through
+characteristic_fn): it makes one evaluation per step, where a numpy call
+costs more than the math-module arithmetic.  numpy's exp, log, cos,
+cosh and sinh may round differently from math's in the last place, so
+the two forms agree to a few ulp; signs agree away from the roots.
 
 Each characteristic function is written in a pole-free, spurious-root-free
 form: gamma ratios are cleared into reciprocal-gamma products (entire in E,
@@ -35,7 +45,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DomainError, ModelMismatchError
-from .specfun import recip_gamma_log
+from .specfun import recip_gamma_log, recip_gamma_log_values
 
 __all__ = [
     "UnitsConfig",
@@ -60,6 +70,11 @@ _LOG_RESCALE_THRESHOLD = 600.0
 # Barrier factors switch to their power series when (2*half_width)^2*(v0-E)
 # is below this, which joins the E<v0, E=v0 and E>v0 branches smoothly.
 _BARRIER_SERIES_CUT = 1e-6
+
+# Barrier arguments above this are held at it: the factors then carry a
+# common positive rescale instead of overflowing.
+_BARRIER_ARG_CAP = 350.0
+_BARRIER_BIG = 0.5 * math.exp(_BARRIER_ARG_CAP)
 
 
 @dataclass(frozen=True)
@@ -120,6 +135,15 @@ class ModelParams:
         """Characteristic function; its zeros on (0, inf) are the levels."""
         raise NotImplementedError
 
+    def char_values(self, energies: np.ndarray, units: UnitsConfig) -> np.ndarray:
+        """`char(...).value` at every energy of a 1-D array, in one pass of
+        array operations (see the module docstring).
+
+        Raises:
+            DomainError: some energy is not positive and finite.
+        """
+        raise NotImplementedError
+
     def potential(self, units: UnitsConfig, x: np.ndarray) -> np.ndarray:
         """Smooth part of V(x) in eV on the given positions (delta terms excluded).
 
@@ -175,6 +199,14 @@ def _require_positive_energy(energy: float) -> None:
         raise DomainError(f"characteristic functions are defined for E > 0, got {energy!r}")
 
 
+def _positive_energies(energies: np.ndarray) -> np.ndarray:
+    e = np.asarray(energies, dtype=np.float64)
+    # a NaN makes min() NaN, which fails the test as a non-positive does
+    if e.size and not (e.min() > 0.0 and math.isfinite(e.max())):
+        _require_positive_energy(float(e[~((e > 0.0) & np.isfinite(e))][0]))
+    return e
+
+
 def _barrier_factors(w: float, half_width: float) -> tuple[float, float]:
     """Entire-in-w barrier factors C(w) = cosh(2L*sqrt(w)) and
     S(w) = sinh(2L*sqrt(w))/sqrt(w), continued through w <= 0.
@@ -195,13 +227,36 @@ def _barrier_factors(w: float, half_width: float) -> tuple[float, float]:
     if w > 0.0:
         root = math.sqrt(w)
         arg = width * root
-        if arg <= 350.0:
+        if arg <= _BARRIER_ARG_CAP:
             return math.cosh(arg), math.sinh(arg) / root
-        big = 0.5 * math.exp(350.0)
-        return big, big / root
+        return _BARRIER_BIG, _BARRIER_BIG / root
     root = math.sqrt(-w)
     arg = width * root
     return math.cos(arg), math.sin(arg) / root
+
+
+def _barrier_factor_values(w: np.ndarray, half_width: float) -> tuple[np.ndarray, np.ndarray]:
+    """_barrier_factors on an array of w: every branch evaluated, then
+    selected per element."""
+    width = 2.0 * half_width
+    s2 = width * width * w
+    series_c = 1.0 + s2 * (0.5 + s2 * (1.0 / 24.0 + s2 / 720.0))
+    series_s = width * (1.0 + s2 * (1.0 / 6.0 + s2 * (1.0 / 120.0 + s2 / 5040.0)))
+    root = np.sqrt(np.abs(w))
+    arg = width * root
+    below_cap = arg <= _BARRIER_ARG_CAP
+    capped = np.minimum(arg, _BARRIER_ARG_CAP)
+    hyper_c = np.where(below_cap, np.cosh(capped), _BARRIER_BIG)
+    hyper_s = np.where(below_cap, np.sinh(capped), _BARRIER_BIG)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # root is 0 only where the series branch is taken
+        hyper_s = hyper_s / root
+        trig_s = np.sin(arg) / root
+    series = np.abs(s2) < _BARRIER_SERIES_CUT
+    over = w > 0.0
+    c = np.where(series, series_c, np.where(over, hyper_c, np.cos(arg)))
+    s = np.where(series, series_s, np.where(over, hyper_s, trig_s))
+    return c, s
 
 
 def _signed_exp_sum(terms: list[tuple[int, float]]) -> float:
@@ -219,6 +274,33 @@ def _signed_exp_sum(terms: list[tuple[int, float]]) -> float:
     peak = max(l for _, l in live)
     shift = peak - _LOG_RESCALE_THRESHOLD if peak > _LOG_RESCALE_THRESHOLD else 0.0
     return math.fsum(s * math.exp(l - shift) for s, l in live)
+
+
+def _signed_exp_sum_values(terms: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """_signed_exp_sum per element; the live terms are added in order
+    rather than by fsum, so sums of three or four terms may differ from
+    the scalar one in the last place."""
+    logs = [np.where(sign == 0.0, -math.inf, log) for sign, log in terms]
+    peak = logs[0]
+    for log in logs[1:]:
+        peak = np.maximum(peak, log)
+    shift = np.where(
+        peak > _LOG_RESCALE_THRESHOLD, peak - _LOG_RESCALE_THRESHOLD, 0.0
+    )
+    total = np.zeros_like(shift)
+    for (sign, _), log in zip(terms, logs):
+        total += sign * np.exp(log - shift)
+    return total
+
+
+def _gamma_factor_values(nu1: np.ndarray, nu2: np.ndarray):
+    """(sign, log) of h1, h2, j1, j2 = 1/Gamma(-nu_i/2), 1/Gamma(1/2 - nu_i/2)."""
+    return (
+        recip_gamma_log_values(-0.5 * nu1),
+        recip_gamma_log_values(-0.5 * nu2),
+        recip_gamma_log_values(0.5 - 0.5 * nu1),
+        recip_gamma_log_values(0.5 - 0.5 * nu2),
+    )
 
 
 def _harmonic_orders(
@@ -268,6 +350,13 @@ class M1Params(ModelParams):
             k * self.a
         ) * math.sin(k * self.b)
         return CharacteristicEvaluation(energy=energy, value=value, k=k)
+
+    def char_values(self, energies: np.ndarray, units: UnitsConfig) -> np.ndarray:
+        u = units.u
+        k = np.sqrt(u * _positive_energies(energies))
+        return k * np.sin(k * (self.a + self.b)) + u * self.v0 * np.sin(
+            k * self.a
+        ) * np.sin(k * self.b)
 
     def potential(self, units: UnitsConfig, x: np.ndarray) -> np.ndarray:
         return np.zeros_like(x)
@@ -338,6 +427,18 @@ class M2Params(ModelParams):
             p_or_q_imaginary=w < 0.0,
         )
 
+    def char_values(self, energies: np.ndarray, units: UnitsConfig) -> np.ndarray:
+        e = _positive_energies(energies)
+        u = units.u
+        k = np.sqrt(u * e)
+        d1 = self.a - self.b
+        d2 = self.c - self.b
+        s1 = np.sin(k * d1)
+        s2 = np.sin(k * d2)
+        c_fac, s_fac = _barrier_factor_values(u * (self.v0 - e), self.b)
+        kd = k * (d1 + d2)
+        return k * np.sin(kd) * c_fac + (k * k * np.cos(kd) + u * self.v0 * (s1 * s2)) * s_fac
+
     def potential(self, units: UnitsConfig, x: np.ndarray) -> np.ndarray:
         return np.where(np.abs(x) <= self.b, self.v0, 0.0)
 
@@ -405,6 +506,20 @@ class M3Params(ModelParams):
         return CharacteristicEvaluation(
             energy=energy, value=value, nu1=nu1, nu2=nu2, alpha1=alpha1, alpha2=alpha2
         )
+
+    def char_values(self, energies: np.ndarray, units: UnitsConfig) -> np.ndarray:
+        u = units.u
+        nu1, nu2, alpha1, alpha2 = _harmonic_orders(
+            _positive_energies(energies), self.hw1, self.hw2, u
+        )
+        (sh1, lh1), (sh2, lh2), (sj1, lj1), (sj2, lj2) = _gamma_factor_values(nu1, nu2)
+        terms = [
+            (sh2 * sj1, _LN_SQRT2 + math.log(alpha2) + lh2 + lj1),
+            (sh1 * sj2, _LN_SQRT2 + math.log(alpha1) + lh1 + lj2),
+        ]
+        if self.v0 > 0.0:
+            terms.append((sj1 * sj2, math.log(u * self.v0) + lj1 + lj2))
+        return -_signed_exp_sum_values(terms)
 
     def potential(self, units: UnitsConfig, x: np.ndarray) -> np.ndarray:
         curv = np.where(x < 0.0, self.hw1, self.hw2)
@@ -494,6 +609,25 @@ class M4Params(ModelParams):
             alpha1=alpha1,
             alpha2=alpha2,
         )
+
+    def char_values(self, energies: np.ndarray, units: UnitsConfig) -> np.ndarray:
+        e = _positive_energies(energies)
+        u = units.u
+        nu1, nu2, alpha1, alpha2 = _harmonic_orders(e, self.hw1, self.hw2, u)
+        (sh1, lh1), (sh2, lh2), (sj1, lj1), (sj2, lj2) = _gamma_factor_values(nu1, nu2)
+        w = u * (self.v0 - e)
+        c_fac, s_fac = _barrier_factor_values(w, self.a)
+        with np.errstate(divide="ignore"):
+            # log 0 = -inf marks a dead term, as the scalar form's sign 0 does
+            log_c, log_s, log_w = np.log(np.abs(c_fac)), np.log(np.abs(s_fac)), np.log(np.abs(w))
+        sign_c, sign_s = np.sign(c_fac), np.sign(s_fac)
+        terms = [
+            (sh1 * sj2 * sign_c, _LN_SQRT2 + math.log(alpha1) + lh1 + lj2 + log_c),
+            (sh2 * sj1 * sign_c, _LN_SQRT2 + math.log(alpha2) + lh2 + lj1 + log_c),
+            (sh1 * sh2 * sign_s, math.log(2.0 * alpha1 * alpha2) + lh1 + lh2 + log_s),
+            (np.sign(w) * sj1 * sj2 * sign_s, log_w + lj1 + lj2 + log_s),
+        ]
+        return _signed_exp_sum_values(terms)
 
     def potential(self, units: UnitsConfig, x: np.ndarray) -> np.ndarray:
         u = units.u

@@ -35,6 +35,10 @@ _DEFAULT_POINTS = {"m1": 4000, "m2": 4000, "m3": 6000, "m4": 6000}
 # Probes per unconverged level and per multisection pass.
 _PROBES_PER_LEVEL = 8
 
+# Grid nodes per call of the potential's cell average: holds its
+# temporaries to a fixed size on the finest grids.
+_ASSEMBLY_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class OracleConfig:
@@ -162,9 +166,12 @@ def _assemble(
     model: ModelParams, units: UnitsConfig, spec: _GridSpec
 ) -> TridiagonalHamiltonian:
     u = units.u
-    x = spec.x_min + spec.h * np.arange(1, spec.n_interior + 1)
     kin = 2.0 / (u * spec.h * spec.h)
-    diag = kin + model.cell_average(units, x, spec.h)
+    diag = np.empty(spec.n_interior)
+    for start in range(0, spec.n_interior, _ASSEMBLY_BLOCK):
+        stop = min(start + _ASSEMBLY_BLOCK, spec.n_interior)
+        x = spec.x_min + spec.h * np.arange(start + 1, stop + 1)
+        diag[start:stop] = kin + model.cell_average(units, x, spec.h)
     offdiag = np.full(spec.n_interior - 1, -1.0 / (u * spec.h * spec.h))
     v0 = model.delta_strength
     if v0:  # no spike (None) or a zero-strength one adds nothing

@@ -1,11 +1,17 @@
-"""Bracket and refine all zeros of a scalar characteristic function.
+"""Bracket and refine all zeros of a characteristic function.
 
 The scan walks an adaptively refined energy grid: cells around small
 local minima of |f| are subdivided so that near-degenerate root pairs
 (the throats of avoided crossings) are separated into distinct brackets
-even when they fall inside one coarse cell.  Refinement is a guarded
-bisection with inverse-quadratic acceleration that never leaves its
-bracket.
+even when they fall inside one coarse cell.  It takes the array form of
+f (a model's char_values) and evaluates each grid, and each round of
+midpoints, in one pass; both subdivision triggers are array operations.
+
+Refinement is a guarded bisection with inverse-quadratic acceleration
+that never leaves its bracket.  It takes the scalar form of f (through
+models.characteristic_fn): each step needs one new value, and a numpy
+call on one element costs more than the math-module arithmetic of the
+scalar form.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import partial
 from statistics import median
 from typing import Callable, NamedTuple
 
@@ -36,6 +43,9 @@ _E_MAX_CAP = 1e4
 _EXPAND = 1.6
 
 _COARSE_STEPS_CAP = 16384
+
+# An array form of f: 1-D energies to the values there.
+ArrayFn = Callable[[np.ndarray], np.ndarray]
 
 
 class Bracket(NamedTuple):
@@ -62,6 +72,10 @@ class RootfindConfig:
     tol_abs: float = 1e-10
 
     def __post_init__(self) -> None:
+        for name in ("e_min", "e_max", "tol_abs"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.e_max is not None and not (self.e_min < self.e_max):
             raise ValueError(f"need e_min < e_max, got [{self.e_min}, {self.e_max}]")
         if self.coarse_steps < 64:
@@ -70,10 +84,39 @@ class RootfindConfig:
             raise ValueError("tol_abs must be positive")
 
 
-def _nudged_value(f: Callable[[float], float], x: float, cell: float) -> tuple[float, float]:
+# Energies per array evaluation of f.  Holds the scan's temporaries to a
+# fixed size: every intermediate of F on a 16385-node window would
+# otherwise be allocated at full length at once.
+_EVAL_BLOCK = 2048
+
+
+def _evaluate(f: ArrayFn, xs: np.ndarray, cfg: RootfindConfig) -> np.ndarray:
+    """f on xs, in blocks of at most _EVAL_BLOCK energies.
+
+    Raises:
+        NonConvergenceError: f is NaN or infinite somewhere; a NaN would
+            otherwise never count as a sign change and hide a root.
+    """
+    out = np.empty_like(xs)
+    for start in range(0, xs.size, _EVAL_BLOCK):
+        block = xs[start : start + _EVAL_BLOCK]
+        values = f(block)
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise NonConvergenceError(
+                f"characteristic function is not finite at E={float(block[~finite][0])!r} "
+                f"in the scan window [{cfg.e_min}, {cfg.e_max}]"
+            )
+        out[start : start + block.size] = values
+    return out
+
+
+def _nudged_value(
+    f: ArrayFn, x: float, cell: float, cfg: RootfindConfig
+) -> tuple[float, float]:
     """Move a node that evaluates to exactly 0.0 off the root."""
     for delta in (1e-9 * cell, -1e-9 * cell, 1e-6 * cell, -1e-6 * cell):
-        fx = f(x + delta)
+        fx = _evaluate(f, np.array([x + delta]), cfg)[0]
         if fx != 0.0:
             return x + delta, fx
     raise NonConvergenceError(f"characteristic function is identically zero near E={x}")
@@ -83,42 +126,126 @@ def _sign_change(fa: float, fb: float) -> bool:
     return (fa < 0.0 < fb) or (fb < 0.0 < fa)
 
 
-def _parabola_predicts_root(
-    x0: float, x1: float, x2: float,
-    f0: float, f1: float, f2: float,
-    lo: float, hi: float,
-) -> bool:
-    """True when the quadratic through three nodes has a real root inside
-    [lo, hi]: the signature of a sub-grid root pair hiding in a cell whose
-    dip is not deep enough for the absolute-threshold trigger (scale
-    free)."""
-    scale = max(abs(f0), abs(f1), abs(f2))
-    if scale == 0.0 or not math.isfinite(scale):
-        return False
-    f0, f1, f2 = f0 / scale, f1 / scale, f2 / scale
-    d01 = (f1 - f0) / (x1 - x0)
-    d12 = (f2 - f1) / (x2 - x1)
-    curv = (d12 - d01) / (x2 - x0)
-    slope = d01 + curv * (x1 - x0)  # p'(x1)
-    disc = slope * slope - 4.0 * curv * f1
-    if disc < 0.0:
-        return False
-    root = math.sqrt(disc)
-    if curv == 0.0:
-        if slope == 0.0:
-            return False
-        candidates = [-f1 / slope]
-    else:
-        candidates = [(-slope - root) / (2.0 * curv), (-slope + root) / (2.0 * curv)]
-    return any(lo <= x1 + xi <= hi for xi in candidates)
+def _sign_changes(fs: np.ndarray) -> np.ndarray:
+    """Per cell of the node values fs: True where f changes sign (a zero
+    value changes no sign)."""
+    signs = np.sign(fs)
+    return signs[:-1] * signs[1:] < 0.0
+
+
+def _parabola_roots(xs: np.ndarray, fs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real roots of the quadratic through each node triple
+    (xs[t], xs[t+1], xs[t+2]); NaN where there is none.
+
+    Values are normalised by the triple's largest |f| first, so the roots
+    do not depend on the scale of f.  A triple whose quadratic degenerates
+    to a line gives its one root twice.
+    """
+    x0, x1, x2 = xs[:-2], xs[1:-1], xs[2:]
+    f0, f1, f2 = fs[:-2], fs[1:-1], fs[2:]
+    scale = np.maximum(np.maximum(np.abs(f0), np.abs(f1)), np.abs(f2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f0, f1, f2 = f0 / scale, f1 / scale, f2 / scale
+        d01 = (f1 - f0) / (x1 - x0)
+        d12 = (f2 - f1) / (x2 - x1)
+        curv = (d12 - d01) / (x2 - x0)
+        slope = d01 + curv * (x1 - x0)  # p'(x1)
+        disc = slope * slope - 4.0 * curv * f1
+        root = np.sqrt(disc)
+        line = -f1 / slope
+        lower = (-slope - root) / (2.0 * curv)
+        upper = (-slope + root) / (2.0 * curv)
+    flat = curv == 0.0
+    lower = x1 + np.where(flat, line, lower)
+    upper = x1 + np.where(flat, line, upper)
+    # flat becomes the mask of triples without a root (in place, see
+    # _cells_to_split): a constant line, a negative discriminant, or
+    # all three values zero
+    flat &= slope == 0.0
+    flat |= disc < 0.0
+    flat |= scale == 0.0
+    lower[flat] = np.nan
+    upper[flat] = np.nan
+    return lower, upper
+
+
+def _cells_to_split(xs: np.ndarray, fs: np.ndarray, threshold_factor: float) -> np.ndarray:
+    """Cells that may hide a sub-grid root pair (see scan_brackets).
+
+    The masks are built in place, with one temporary at a time.  numpy
+    keeps up to seven freed buffers of each size below 1 kB for reuse;
+    the boolean masks of a 513- to 1023-node grid are that small, and
+    every round of subdivision has a new grid size, so each temporary
+    mask left such a buffer allocated for good (about 0.4 MB over a
+    solve-mix pass).
+    """
+    abs_fs = np.abs(fs)
+    # statistics.median, not np.median or np.sort: numpy's sort maps
+    # 256 kB more of its code into memory (x86-64, numpy 2.4), and
+    # np.median also imports numpy.ma, about a megabyte
+    threshold = threshold_factor * median(abs_fs.tolist())
+    changes = _sign_changes(fs)
+    split = np.zeros(changes.size, dtype=bool)
+    # Scale-free rule: a quadratic through either flanking node triple
+    # predicts a root inside a sign-preserving cell.  Triple t flanks
+    # cells t and t + 1.
+    lower, upper = _parabola_roots(xs, fs)
+    for cells, lo, hi in ((split[:-1], xs[:-2], xs[1:-1]), (split[1:], xs[1:-1], xs[2:])):
+        for root in (lower, upper):
+            hit = lo <= root
+            hit &= root <= hi
+            cells |= hit
+    split[changes] = False
+    # Deep-dip rule: cells flanking a sub-threshold local minimum of |f|
+    # that has no adjacent sign change.
+    inner = abs_fs[1:-1]
+    dip = inner < threshold
+    dip &= inner <= abs_fs[:-2]
+    dip &= inner <= abs_fs[2:]
+    dip[changes[:-1]] = False
+    dip[changes[1:]] = False
+    split[:-1] |= dip
+    split[1:] |= dip
+    return split
+
+
+def _merged(
+    values: np.ndarray, added: np.ndarray, old: np.ndarray, at: np.ndarray
+) -> np.ndarray:
+    """values at the positions flagged in old, added at the positions at.
+
+    This is np.insert at sorted positions, without the argsort np.insert
+    makes of its indices: that first sort maps 384 kB more of numpy's
+    code into memory, against 64 kB for the masked stores (x86-64,
+    numpy 2.4).
+    """
+    out = np.empty(old.size)
+    out[old] = values
+    out[at] = added
+    return out
+
+
+def _brackets(xs: np.ndarray, fs: np.ndarray) -> list[Bracket]:
+    cells = np.flatnonzero(_sign_changes(fs))
+    return [
+        Bracket(*nodes)
+        for nodes in zip(
+            xs[cells].tolist(), xs[cells + 1].tolist(), fs[cells].tolist(), fs[cells + 1].tolist()
+        )
+    ]
 
 
 def scan_brackets(
-    f: Callable[[float], float],
+    f: ArrayFn,
     cfg: RootfindConfig,
     expected_count: int | None = None,
 ) -> list[Bracket]:
     """Disjoint, sorted sign-change brackets of f on [e_min, e_max].
+
+    f maps a 1-D array of energies to the array of its values (for a
+    model, its char_values).  The coarse grid is evaluated in one pass and
+    each subdivision round's midpoints in another, in blocks of at most
+    _EVAL_BLOCK energies; a non-finite value raises NonConvergenceError.
 
     Two triggers mark a cell as possibly hiding a sub-grid root pair (the
     throat of an avoided crossing), and such cells are subdivided down to
@@ -132,77 +259,39 @@ def scan_brackets(
     """
     if cfg.e_max is None:
         raise ValueError("scan_brackets needs cfg.e_max")
-    xs = list(np.linspace(cfg.e_min, cfg.e_max, cfg.coarse_steps + 1))
+    xs = np.linspace(cfg.e_min, cfg.e_max, cfg.coarse_steps + 1)
     coarse_cell = (cfg.e_max - cfg.e_min) / cfg.coarse_steps
     min_cell = coarse_cell / 2**cfg.max_subdivision_depth
-    fs = []
-    for x in xs:
-        fx = f(x)
-        if fx == 0.0:
-            x, fx = _nudged_value(f, x, coarse_cell)
-        fs.append(fx)
+    fs = _evaluate(f, xs, cfg)
+    for i in np.flatnonzero(fs == 0.0):
+        # the coarse node keeps its position and takes the nudged value
+        fs[i] = _nudged_value(f, xs[i], coarse_cell, cfg)[1]
 
-    def run_subdivision(threshold_factor: float) -> None:
+    def subdivide(xs: np.ndarray, fs: np.ndarray, threshold_factor: float):
         for _ in range(cfg.max_subdivision_depth + 1):
-            abs_fs = [abs(v) for v in fs]
-            threshold = threshold_factor * median(abs_fs)
-            n = len(xs)
-            split_cells: set[int] = set()
-            # Deep-dip rule: cells flanking a sub-threshold local minimum
-            # of |f| that has no adjacent sign change.
-            for i in range(1, n - 1):
-                if abs_fs[i] >= threshold:
-                    continue
-                if abs_fs[i] > abs_fs[i - 1] or abs_fs[i] > abs_fs[i + 1]:
-                    continue
-                if _sign_change(fs[i - 1], fs[i]) or _sign_change(fs[i], fs[i + 1]):
-                    continue
-                split_cells.update((i - 1, i))
-            # Scale-free rule: a quadratic through either flanking node
-            # triple predicts a root inside a sign-preserving cell.
-            for i in range(n - 1):
-                if i in split_cells or _sign_change(fs[i], fs[i + 1]):
-                    continue
-                lo, hi = xs[i], xs[i + 1]
-                left_triple = i >= 1 and _parabola_predicts_root(
-                    xs[i - 1], xs[i], xs[i + 1], fs[i - 1], fs[i], fs[i + 1], lo, hi
-                )
-                if left_triple or (
-                    i + 2 < n
-                    and _parabola_predicts_root(
-                        xs[i], xs[i + 1], xs[i + 2], fs[i], fs[i + 1], fs[i + 2], lo, hi
-                    )
-                ):
-                    split_cells.add(i)
-            inserts = [
-                (i + 1, 0.5 * (xs[i] + xs[i + 1]))
-                for i in sorted(split_cells)
-                if xs[i + 1] - xs[i] > min_cell
-            ]
-            if not inserts:
-                return
-            for pos, x in sorted(inserts, reverse=True):
-                fx = f(x)
-                if fx == 0.0:
-                    x, fx = _nudged_value(f, x, min_cell)
-                xs.insert(pos, x)
-                fs.insert(pos, fx)
+            split = _cells_to_split(xs, fs, threshold_factor)
+            split &= xs[1:] - xs[:-1] > min_cell
+            cells = np.flatnonzero(split)
+            if not cells.size:
+                break
+            mids = 0.5 * (xs[cells] + xs[cells + 1])
+            fm = _evaluate(f, mids, cfg)
+            for j in np.flatnonzero(fm == 0.0):
+                mids[j], fm[j] = _nudged_value(f, mids[j], min_cell, cfg)
+            # each midpoint goes right after its cell's left node
+            at = cells + np.arange(1, cells.size + 1)
+            old = np.ones(xs.size + cells.size, dtype=bool)
+            old[at] = False
+            xs, fs = _merged(xs, mids, old, at), _merged(fs, fm, old, at)
+        return xs, fs
 
-    run_subdivision(1e-3)
-    brackets = [
-        Bracket(xs[i], xs[i + 1], fs[i], fs[i + 1])
-        for i in range(len(xs) - 1)
-        if _sign_change(fs[i], fs[i + 1])
-    ]
+    xs, fs = subdivide(xs, fs, 1e-3)
+    brackets = _brackets(xs, fs)
     if expected_count is not None and len(brackets) < expected_count:
         factor = 1e-2
         while len(brackets) < expected_count and factor <= 1e3:
-            run_subdivision(factor)
-            brackets = [
-                Bracket(xs[i], xs[i + 1], fs[i], fs[i + 1])
-                for i in range(len(xs) - 1)
-                if _sign_change(fs[i], fs[i + 1])
-            ]
+            xs, fs = subdivide(xs, fs, factor)
+            brackets = _brackets(xs, fs)
             factor *= 10.0
         if len(brackets) < expected_count:
             raise CountMismatchError(
@@ -289,13 +378,14 @@ def solve_levels(
         raise ValueError(f"n_levels must be >= 1, got {n_levels}")
     base = cfg if cfg is not None else RootfindConfig()
     f = characteristic_fn(model, units)
+    f_values = partial(model.char_values, units=units)
     e_max = base.e_max if base.e_max is not None else model.level_window(units, n_levels)
     steps = base.coarse_steps
     while True:
         local = dataclasses.replace(
             base, e_max=e_max, coarse_steps=min(int(steps), _COARSE_STEPS_CAP)
         )
-        brackets = scan_brackets(f, local)
+        brackets = scan_brackets(f_values, local)
         if len(brackets) >= n_levels:
             return [refine_root(f, br, local) for br in brackets[:n_levels]]
         if e_max >= _E_MAX_CAP:

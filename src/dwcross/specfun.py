@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import PoleProximityError
 
 __all__ = [
@@ -21,6 +23,7 @@ __all__ = [
     "log_gamma_signed",
     "recip_gamma",
     "recip_gamma_log",
+    "recip_gamma_log_values",
     "pcf_at_zero",
     "POLE_TOLERANCE",
 ]
@@ -139,6 +142,48 @@ def recip_gamma_log(x: float) -> tuple[int, float]:
         return 0, -math.inf
     log_abs, sign = log_gamma_signed(x)
     return sign, -log_abs
+
+
+def _lanczos_log_gamma_values(x: np.ndarray) -> np.ndarray:
+    """_lanczos_log_gamma on an array, summing the series in the same order."""
+    z = x - 1.0
+    acc = np.full_like(z, _LANCZOS_COEFFS[0])
+    for i in range(1, 9):
+        acc += _LANCZOS_COEFFS[i] / (z + i)
+    t = z + _LANCZOS_G + 0.5
+    return _LOG_SQRT_TWO_PI + (z + 0.5) * np.log(t) - t + np.log(acc)
+
+
+def recip_gamma_log_values(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """recip_gamma_log on a 1-D array: (signs, logs), the signs as floats
+    -1.0, 0.0 and 1.0.  Elementwise the same pole rule (sign 0 and log
+    -inf within POLE_TOLERANCE of a non-positive integer, nearest integer
+    rounded half to even), Lanczos series and reflection.  Signs equal the
+    scalar ones; logs agree to a few ulp (numpy's log and sin may round
+    differently from math's).
+
+    Raises:
+        PoleProximityError: some x is not finite.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        bad = float(x[~np.isfinite(x)][0])
+        raise PoleProximityError(f"recip_gamma_log_values requires finite x, got {bad!r}")
+    nearest = np.rint(x)
+    pole = (nearest <= 0.0) & (np.abs(x - nearest) < POLE_TOLERANCE)
+    reflect = x < 0.5
+    log_gamma = _lanczos_log_gamma_values(np.where(reflect, 1.0 - x, x))
+    # _sin_pi on the reflected points: fold r about 1/2, sign (-1)^floor(x).
+    n = np.floor(x)
+    r = x - n
+    s = np.sin(math.pi * np.where(r <= 0.5, r, 1.0 - r))
+    s = np.where(np.floor(0.5 * n) == 0.5 * n, s, -s)
+    live = ~pole
+    with np.errstate(divide="ignore"):
+        log_abs = np.where(reflect, _LOG_PI - np.log(np.abs(s)) - log_gamma, log_gamma)
+    signs = np.where(live, np.where(reflect & ~(s > 0.0), -1.0, 1.0), 0.0)
+    logs = np.where(live, -log_abs, -math.inf)
+    return signs, logs
 
 
 def pcf_at_zero(nu: float) -> PcfBoundaryValues:

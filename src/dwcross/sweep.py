@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from statistics import median
 
 import numpy as np
@@ -123,6 +123,9 @@ def sweep_levels(
     ]
     rows = []
     if workers > 1:
+        # imported here so that importing dwcross does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_solve_point, job) for job in jobs]
             for i, fut in enumerate(futures):
@@ -178,7 +181,7 @@ def _gap_at(
     varied = replace_param(model, name, lam)
     f = characteristic_fn(varied, units)
     local = dataclasses.replace(cfg, e_min=max(e_lo, cfg.e_min), e_max=e_hi, coarse_steps=256)
-    brackets = scan_brackets(f, local)
+    brackets = scan_brackets(partial(varied.char_values, units=units), local)
     if len(brackets) == 2:
         lo_root = refine_root(f, brackets[0], local)
         hi_root = refine_root(f, brackets[1], local)

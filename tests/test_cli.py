@@ -1,6 +1,9 @@
 """Command-line surface: config parsing, presets, CSV/SVG output, exit codes."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -140,6 +143,29 @@ class TestExitCodes:
         argv += [f"--{name}={value}" for name, value in params.items()]
         assert run_cli(tmp_path, monkeypatch, argv) == 1
         assert not (tmp_path / "bad.csv").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "finite" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(
+                ["compare", "--model", "m1", "--v0", "10", "--a", "2", "--b", "2",
+                 "--levels", "2", "--oracle-points", "500", "--no-richardson",
+                 "--tolerance", "nan"],
+                id="compare-tolerance-nan",
+            ),
+            pytest.param(["detect", "--preset", "fig5", "--gap-ceiling", "nan"],
+                         id="detect-gap-ceiling-nan"),
+            pytest.param(["solve", "--model", "m1", "--v0", "1", "--a", "2", "--b", "2",
+                          "--e-min", "nan"], id="solve-e-min-nan"),
+        ],
+    )
+    def test_non_finite_option_is_config_error(self, tmp_path, monkeypatch, capsys, argv):
+        # a NaN passes every comparison: a NaN tolerance passes any gate and
+        # a NaN gap ceiling finds nothing, both with exit code 0
+        assert run_cli(tmp_path, monkeypatch, argv + ["--out", "bad.csv"]) == 1
+        assert list(tmp_path.iterdir()) == []
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "finite" in err
 
@@ -312,3 +338,13 @@ class TestCompareOutput:
             # columns are quantized to 12 significant digits
             assert abs(float(ana) - float(ora)) == pytest.approx(float(diff), abs=2e-11)
             assert float(diff) <= 2e-3
+
+
+def test_import_does_not_load_multiprocessing():
+    # the process pool is imported only when a sweep asks for workers
+    code = "import sys, dwcross.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert out.stdout.strip() == "False"

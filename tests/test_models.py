@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dwcross.errors import DomainError, ModelMismatchError
 from dwcross.models import (
+    VARIANTS,
     M1Params,
     M2Params,
     M3Params,
@@ -268,3 +269,65 @@ class TestEverywhereFinite:
         assert characteristic(1.0, M3Params(0.0, 1.0, 1.0), U1).nu1 is not None
         with pytest.raises(ModelMismatchError):
             characteristic(1.0, object(), U1)  # type: ignore[arg-type]
+
+
+def _models(kind):
+    """Strategy for models of one variant.  v0 is 0, moderate, or high
+    enough that barrier arguments pass the overflow cap of 350; m4 widths
+    include a = 0."""
+    v0 = st.one_of(st.just(0.0), st.floats(0.1, 50.0), st.floats(2e4, 1e5))
+    length = st.floats(0.3, 3.0)
+    hw = st.floats(0.3, 4.0)
+    if kind == "m1":
+        return st.builds(M1Params, v0, length, length)
+    if kind == "m2":
+        return st.builds(
+            lambda v, b, d1, d2: M2Params(v, b + d1, b, b + d2), v0, length, length, length
+        )
+    if kind == "m3":
+        return st.builds(M3Params, v0, hw, hw)
+    return st.builds(M4Params, v0, hw, hw, st.one_of(st.just(0.0), st.floats(0.05, 2.0)))
+
+
+def _branch_energies(model):
+    """Energies where char takes a special branch: the exact gamma poles
+    E = hw (2m + 1/2) of the harmonic variants, and E = v0 (the barrier
+    series) of the rectangular barriers."""
+    out = []
+    for hw in (getattr(model, "hw1", None), getattr(model, "hw2", None)):
+        if hw is not None:
+            out += [hw * (2 * m + 0.5) for m in range(6)]
+    if model.kind in ("m2", "m4") and model.v0 > 0.0:
+        out += [model.v0, model.v0 * (1.0 - 1e-9), model.v0 * (1.0 + 1e-9)]
+    return out
+
+
+class TestCharValues:
+    @pytest.mark.parametrize("kind", list(VARIANTS))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scalar_char(self, kind, data):
+        model = data.draw(_models(kind))
+        top = 1.5 * model.level_window(U1, 8)
+        energies = np.concatenate(
+            [np.linspace(1e-6, top, 257), [e for e in _branch_energies(model) if e <= top]]
+        )
+        got = model.char_values(energies, U1)
+        want = np.array([model.char(float(e), U1).value for e in energies])
+        scale = float(np.max(np.abs(want)))
+        resolved = np.abs(want) > 1e-12 * scale
+        assert np.array_equal(np.sign(got[resolved]), np.sign(want[resolved]))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+    def test_exact_poles_and_barrier_top(self):
+        # odd levels of the symmetric oscillator sit exactly on gamma poles
+        m = M3Params(0.0, 2.0, 2.0)
+        assert np.all(m.char_values(np.array([3.0, 7.0, 11.0]), U1) == 0.0)
+        m4 = M4Params(10.0, 2.0, 1.5, 0.5)
+        e = np.array([10.0])
+        assert m4.char_values(e, U1)[0] == pytest.approx(m4.char(10.0, U1).value, rel=1e-13)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_domain_error(self, bad):
+        with pytest.raises(DomainError):
+            M2Params(10.0, 2.0, 1.0, 3.0).char_values(np.array([1.0, bad]), U1)

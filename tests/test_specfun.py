@@ -14,6 +14,7 @@ from dwcross.specfun import (
     pcf_at_zero,
     recip_gamma,
     recip_gamma_log,
+    recip_gamma_log_values,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -115,6 +116,40 @@ class TestRecipGamma:
                 assert direct == 0.0
             else:
                 assert sign * math.exp(log_abs) == pytest.approx(direct, rel=1e-13)
+
+
+class TestRecipGammaLogValues:
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(min_value=-250.0, max_value=250.0),
+                st.floats(min_value=-250.0, max_value=-100.0),
+                # exact poles, and points just inside and outside the tolerance
+                st.integers(min_value=-250, max_value=0).map(float),
+                st.integers(min_value=-250, max_value=0).map(
+                    lambda n: n + 0.5 * POLE_TOLERANCE
+                ),
+                st.integers(min_value=-250, max_value=0).map(lambda n: n - 2.0 * POLE_TOLERANCE),
+                st.integers(min_value=-250, max_value=250).map(lambda n: n + 0.5),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar(self, xs):
+        signs, logs = recip_gamma_log_values(np.array(xs))
+        for x, sign, log in zip(xs, signs, logs):
+            want_sign, want_log = recip_gamma_log(x)
+            assert sign == want_sign
+            if want_sign == 0:
+                assert log == -math.inf
+            else:
+                assert abs(log - want_log) <= 1e-13 * max(1.0, abs(want_log))
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(PoleProximityError):
+            recip_gamma_log_values(np.array([1.0, math.nan]))
 
 
 class TestPcfAtZero:
