@@ -6,7 +6,6 @@ independently validates every level, and parameter-sweep machinery that
 locates and refines avoided crossings.
 """
 
-from ._kernels import BACKEND as kernel_backend
 from .models import (
     CharacteristicEvaluation,
     M1Params,
@@ -31,6 +30,10 @@ from .sweep import (
 )
 
 __version__ = "0.1.0"
+
+# The one kernel implementation (numpy and plain Python), by name, for
+# run records that note what they measured.
+kernel_backend = "pure"
 
 __all__ = [
     "kernel_backend",

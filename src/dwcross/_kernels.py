@@ -1,7 +1,7 @@
-"""Pure numpy/Python kernels: fallback when the compiled core is absent.
+"""Hot numerical kernels of the oracle, in numpy and plain Python.
 
-The algorithms and floating-point operation order mirror _core.pyx exactly,
-so both backends produce bitwise-identical results; only speed differs.
+sturm_counts counts eigenvalues of a symmetric tridiagonal matrix below
+a batch of shifts; integrate_schrodinger is the RK4 shooting step loop.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ def sturm_counts(diag: np.ndarray, offdiag: np.ndarray, shifts: np.ndarray) -> n
     Rows go in blocks.  A block first runs the bare recurrence, two
     in-place ufunc calls per row; only a block holding a pivot below
     pivmin can differ under the clamp, and it is redone with the clamp.
-    Every pivot is the clamped recurrence's, so counts match _core.pyx.
+    Every pivot is the clamped recurrence's.
     """
     d = np.ascontiguousarray(diag, dtype=np.float64)
     e = np.ascontiguousarray(offdiag, dtype=np.float64)

@@ -65,7 +65,7 @@ _FLOAT_KEYS = {
     "u", "v0", "a", "b", "c", "hw1", "hw2",
     "lambda_min", "lambda_max", "tolerance", "gap_ceiling", "e_min", "e_max",
 }
-_INT_KEYS = {"steps", "levels", "oracle_points", "workers", "coarse_steps"}
+_INT_KEYS = {"steps", "levels", "oracle_points", "coarse_steps"}
 _BOOL_KEYS = {"effective", "richardson"}
 _STR_KEYS = {"model", "preset", "out", "svg"}
 _ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _BOOL_KEYS | _STR_KEYS
@@ -93,7 +93,6 @@ class RunConfig:
     tolerance: float | None = None
     oracle_points: int | None = None
     richardson: bool = True
-    workers: int = 1
     gap_ceiling: float | None = None
     e_min: float | None = None
     e_max: float | None = None
@@ -234,7 +233,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--oracle-points", dest="oracle_points", type=int)
         p.add_argument("--no-richardson", dest="richardson", action="store_false", default=None)
         p.add_argument("--gap-ceiling", dest="gap_ceiling", type=float)
-        p.add_argument("--workers", type=int)
         p.add_argument("--e-min", dest="e_min", type=float)
         p.add_argument("--e-max", dest="e_max", type=float)
         p.add_argument("--coarse-steps", dest="coarse_steps", type=int)
@@ -293,6 +291,8 @@ def _merge_config(values: dict) -> RunConfig:
         value = getattr(cfg, key)
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value}")
+    if cfg.levels < 1:
+        raise ConfigError(f"levels must be >= 1, got {cfg.levels}")
     return cfg
 
 
@@ -330,7 +330,7 @@ def _sweep_table(cfg: RunConfig):
     model = cfg.build_model()
     units = cfg.build_units()
     spec = cfg.build_sweep_spec(model)
-    table = sweep_levels(model, units, spec, cfg.build_rootfind(), workers=cfg.workers)
+    table = sweep_levels(model, units, spec, cfg.build_rootfind())
     return model, units, spec, table
 
 

@@ -13,9 +13,9 @@ the oracle, the sweep and the CLI need to know about the variant: its
 tag (`kind`), the parameter a sweep varies (`sweep_param`), the
 characteristic function (`char`, one energy, and `char_values`, an array
 of energies), the smooth potential and its cell average, the
-level-window estimate, the delta strength, the shooting breakpoints and
-the box walls.  Other modules ask the model, never its type.  VARIANTS
-maps each tag to its class.
+level-window estimate, the delta strength, the shooting breakpoints,
+the box walls and the oracle's grid ends.  Other modules ask the model,
+never its type.  VARIANTS maps each tag to its class.
 
 `char_values` is the array form of `char`: the same formulas, with each
 branch an np.where over the block and the reciprocal gammas from
@@ -193,6 +193,13 @@ class ModelParams:
         """Positions of the hard walls; None for the harmonic pairs."""
         return None
 
+    def domain(self, e_top: float, margin: float, units: UnitsConfig) -> tuple[float, float]:
+        """Ends (left, right) of the oracle's grid: the walls of a box
+        variant, whatever the energy.  A harmonic pair truncates each arm
+        where V >= 4 e_top, and at least `margin` classical turning points
+        of e_top from its well's center."""
+        return self.walls
+
 
 def _require_positive_energy(energy: float) -> None:
     if not (energy > 0.0 and math.isfinite(energy)):
@@ -311,6 +318,13 @@ def _harmonic_orders(
     alpha1 = math.sqrt(u * hw1)
     alpha2 = math.sqrt(u * hw2)
     return nu1, nu2, alpha1, alpha2
+
+
+def _harmonic_reach(e_top: float, hw: float, u: float, margin: float) -> float:
+    """Distance from a harmonic well's center beyond which V >= 4 e_top
+    (and at least `margin` classical turning points of e_top)."""
+    x_turn = 2.0 * math.sqrt(e_top / u) / hw
+    return max(margin, 2.0) * x_turn
 
 
 def _harmonic_window(hw1: float, hw2: float, n_levels: int) -> float:
@@ -528,6 +542,12 @@ class M3Params(ModelParams):
     def level_window(self, units: UnitsConfig, n_levels: int) -> float:
         return _harmonic_window(self.hw1, self.hw2, n_levels)
 
+    def domain(self, e_top: float, margin: float, units: UnitsConfig) -> tuple[float, float]:
+        return (
+            -_harmonic_reach(e_top, self.hw1, units.u, margin),
+            _harmonic_reach(e_top, self.hw2, units.u, margin),
+        )
+
     @property
     def delta_strength(self) -> float:
         return self.v0
@@ -655,6 +675,13 @@ class M4Params(ModelParams):
     def level_window(self, units: UnitsConfig, n_levels: int) -> float:
         top = _harmonic_window(self.hw1, self.hw2, n_levels)
         return top + min(0.5 * self.v0, (n_levels + 2) * max(self.hw1, self.hw2))
+
+    def domain(self, e_top: float, margin: float, units: UnitsConfig) -> tuple[float, float]:
+        # the wells are centred on the barrier edges -a and a
+        return (
+            -self.a - _harmonic_reach(e_top, self.hw1, units.u, margin),
+            self.a + _harmonic_reach(e_top, self.hw2, units.u, margin),
+        )
 
     @property
     def breakpoints(self) -> list[float]:

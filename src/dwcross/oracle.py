@@ -126,40 +126,24 @@ def _snap_box_grid(left: float, right: float, n_target: int) -> _GridSpec:
     return _GridSpec(left, h, n, delta_index)
 
 
-def _harmonic_reach(e_top: float, hw: float, u: float, margin: float) -> float:
-    """Distance from a harmonic well's center beyond which V >= 4 e_top
-    (and at least `margin` classical turning points of e_top)."""
-    x_turn = 2.0 * math.sqrt(e_top / u) / hw
-    return max(margin, 2.0) * x_turn
-
-
 def _grid_spec(
     model: ModelParams, units: UnitsConfig, cfg: OracleConfig, e_top: float | None
 ) -> _GridSpec:
     n_target = cfg.resolve_points(model)
-    has_delta = model.delta_strength is not None
-    if model.walls is not None:
-        left, right = model.walls
-        if has_delta:
-            return _snap_box_grid(left, right, n_target)
-        return _GridSpec(left, (right - left) / (n_target + 1), n_target, None)
-
-    if e_top is None or not e_top > 0.0:
+    box = model.walls is not None
+    if not box and (e_top is None or not e_top > 0.0):
         raise ConfigError("harmonic models need a positive sizing energy e_top")
-    margin = cfg.turning_point_margin
-    reach1 = _harmonic_reach(e_top, model.hw1, units.u, margin)
-    reach2 = _harmonic_reach(e_top, model.hw2, units.u, margin)
-    if has_delta:
-        # Step chosen so that x = 0 is exactly a grid node (the delta node).
-        h0 = (reach1 + reach2) / (n_target + 1)
-        m_left = max(2, round(reach1 / h0))
-        h = reach1 / m_left
-        m_right = max(2, math.ceil(reach2 / h))
-        return _GridSpec(-m_left * h, h, m_left + m_right - 1, m_left - 1)
-    # Without a delta the wells are centred on the barrier edges -a and a.
-    x_min = -model.a - reach1
-    x_max = model.a + reach2
-    return _GridSpec(x_min, (x_max - x_min) / (n_target + 1), n_target, None)
+    left, right = model.domain(e_top, cfg.turning_point_margin, units)
+    if model.delta_strength is None:
+        return _GridSpec(left, (right - left) / (n_target + 1), n_target, None)
+    if box:
+        return _snap_box_grid(left, right, n_target)
+    # Step chosen so that x = 0 is exactly a grid node (the delta node).
+    h0 = (right - left) / (n_target + 1)
+    m_left = max(2, round(-left / h0))
+    h = -left / m_left
+    m_right = max(2, math.ceil(right / h))
+    return _GridSpec(-m_left * h, h, m_left + m_right - 1, m_left - 1)
 
 
 def _assemble(

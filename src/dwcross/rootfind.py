@@ -264,8 +264,7 @@ def scan_brackets(
     min_cell = coarse_cell / 2**cfg.max_subdivision_depth
     fs = _evaluate(f, xs, cfg)
     for i in np.flatnonzero(fs == 0.0):
-        # the coarse node keeps its position and takes the nudged value
-        fs[i] = _nudged_value(f, xs[i], coarse_cell, cfg)[1]
+        xs[i], fs[i] = _nudged_value(f, xs[i], coarse_cell, cfg)
 
     def subdivide(xs: np.ndarray, fs: np.ndarray, threshold_factor: float):
         for _ in range(cfg.max_subdivision_depth + 1):

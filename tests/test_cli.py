@@ -169,6 +169,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "finite" in err
 
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    @pytest.mark.parametrize("levels", ["0", "-2"])
+    def test_levels_below_one_is_config_error(
+        self, tmp_path, monkeypatch, capsys, command, levels
+    ):
+        argv = [command, "--model", "m1", "--v0", "10", "--a", "2", "--b", "2",
+                "--levels", levels, "--out", "bad.csv"]
+        assert run_cli(tmp_path, monkeypatch, argv) == 1
+        assert list(tmp_path.iterdir()) == []
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "levels must be >= 1" in err
+
     def test_unknown_flag_is_one(self, tmp_path, monkeypatch):
         assert run_cli(tmp_path, monkeypatch, ["solve", "--frobnicate"]) == 1
 
@@ -284,10 +296,10 @@ class TestSweepOutput:
         run_cli(tmp_path, monkeypatch, self.ARGS + ["--out", "flags.csv"])
         assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "flags.csv").read_bytes()
 
-    def test_byte_identical_across_runs_and_workers(self, tmp_path, monkeypatch):
+    def test_byte_identical_across_runs(self, tmp_path, monkeypatch):
         run_cli(tmp_path, monkeypatch, self.ARGS + ["--out", "a.csv"])
         run_cli(tmp_path, monkeypatch, self.ARGS + ["--out", "b.csv"])
-        run_cli(tmp_path, monkeypatch, self.ARGS + ["--workers", "2", "--out", "c.csv"])
+        run_cli(tmp_path, monkeypatch, self.ARGS + ["--out", "c.csv"])
         a = (tmp_path / "a.csv").read_bytes()
         assert a == (tmp_path / "b.csv").read_bytes()
         assert a == (tmp_path / "c.csv").read_bytes()
@@ -341,7 +353,7 @@ class TestCompareOutput:
 
 
 def test_import_does_not_load_multiprocessing():
-    # the process pool is imported only when a sweep asks for workers
+    # nothing in the package runs processes; the import must not pay for them
     code = "import sys, dwcross.cli; print('multiprocessing' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,

@@ -1,30 +1,16 @@
-"""Backend equivalence and kernel correctness.
-
-The compiled core and the numpy fallback implement the same floating-point
-sequences; when both are importable their outputs must match bitwise.
-"""
+"""Kernel correctness: Sturm counts against the scalar recurrence and
+closed forms, RK4 shooting against analytic solutions."""
 
 import math
 
 import numpy as np
 import pytest
 
-from dwcross._kernels import BACKEND, _pure
-
-try:
-    from dwcross._kernels import _core
-except ImportError:
-    _core = None
-
-needs_compiled = pytest.mark.skipif(_core is None, reason="compiled kernels not built")
-
-
-def random_tridiagonal(rng, n):
-    return rng.normal(size=n) * 4.0, rng.normal(size=n - 1) * 2.0
+from dwcross import _kernels
 
 
 def scalar_sturm_count(diag, off, shift):
-    """The clamped pivot recurrence one shift at a time, as in _core.pyx."""
+    """The clamped pivot recurrence one shift at a time."""
     e2 = [v * v for v in off]
     pivmin = 2.2250738585072014e-308 * max([1.0] + e2)
     count = 0
@@ -42,7 +28,7 @@ class TestSturmKernel:
         diag = np.array([2.0, 2.0, 2.0])
         off = np.array([-1.0, -1.0])
         shifts = np.array([0.0, 0.6, 1.0, 2.1, 3.5])
-        counts = _pure.sturm_counts(diag, off, shifts)
+        counts = _kernels.sturm_counts(diag, off, shifts)
         # spectrum: 2 - sqrt(2), 2, 2 + sqrt(2)
         assert counts.tolist() == [0, 1, 1, 2, 3]
 
@@ -50,31 +36,16 @@ class TestSturmKernel:
     def test_blocked_pivots_match_scalar_recurrence(self, monkeypatch, block_rows):
         # integer matrices and shifts hit exact zero pivots, so clamped
         # blocks are redone; small blocks put clamps on block edges
-        monkeypatch.setattr(_pure, "_BLOCK_ROWS", block_rows)
+        monkeypatch.setattr(_kernels, "_BLOCK_ROWS", block_rows)
         rng = np.random.default_rng(11)
         for _ in range(200):
             n = int(rng.integers(1, 40))
             diag = rng.integers(-3, 4, size=n).astype(float)
             off = rng.integers(-2, 3, size=n - 1).astype(float)
             shifts = rng.integers(-5, 6, size=int(rng.integers(1, 10))).astype(float)
-            counts = _pure.sturm_counts(diag, off, shifts)
+            counts = _kernels.sturm_counts(diag, off, shifts)
             assert counts.dtype == np.int64
             assert counts.tolist() == [scalar_sturm_count(diag, off, s) for s in shifts]
-
-    @needs_compiled
-    def test_backends_bitwise_identical(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            n = int(rng.integers(3, 200))
-            diag, off = random_tridiagonal(rng, n)
-            shifts = rng.normal(size=int(rng.integers(1, 12))) * 5.0
-            a = _pure.sturm_counts(diag, off, shifts)
-            b = _core.sturm_counts(diag, off, shifts)
-            assert np.array_equal(a, b)
-
-    @needs_compiled
-    def test_selected_backend_is_compiled(self):
-        assert BACKEND == "compiled"
 
 
 class TestShootingKernel:
@@ -86,7 +57,7 @@ class TestShootingKernel:
         h = 4.0 / (n - 1)
         e = 2.31
         k = math.sqrt(e)
-        psi, dpsi = _pure.integrate_schrodinger(self.make_flat(n), h, 1.0, e, 0.0, 1.0, True)
+        psi, dpsi = _kernels.integrate_schrodinger(self.make_flat(n), h, 1.0, e, 0.0, 1.0, True)
         x = h * np.arange(n)
         assert np.allclose(psi, np.sin(k * x) / k, atol=1e-9)
         assert np.allclose(dpsi, np.cos(k * x), atol=1e-9)
@@ -97,7 +68,7 @@ class TestShootingKernel:
         e = 1.0
         v = 5.0
         kappa = math.sqrt(v - e)
-        psi, _ = _pure.integrate_schrodinger(self.make_flat(n, v), h, 1.0, e, 0.0, 1.0, True)
+        psi, _ = _kernels.integrate_schrodinger(self.make_flat(n, v), h, 1.0, e, 0.0, 1.0, True)
         x = h * np.arange(n)
         assert np.allclose(psi, np.sinh(kappa * x) / kappa, atol=1e-10)
 
@@ -109,8 +80,8 @@ class TestShootingKernel:
         x = -1.0 + h * np.arange(n)
         v_half = 3.0 * (np.linspace(-1.0, 1.0, 2 * (n - 1) + 1)) ** 2
         e = 1.7
-        pl, dl = _pure.integrate_schrodinger(v_half, h, 1.0, e, 0.0, 1.0, True)
-        pr, dr = _pure.integrate_schrodinger(v_half, h, 1.0, e, 0.0, -1.0, False)
+        pl, dl = _kernels.integrate_schrodinger(v_half, h, 1.0, e, 0.0, 1.0, True)
+        pr, dr = _kernels.integrate_schrodinger(v_half, h, 1.0, e, 0.0, -1.0, False)
         assert np.allclose(pl, pr[::-1] * -1.0 * -1.0, atol=0)  # shapes line up
         assert np.allclose(pl, pr[::-1], atol=1e-9)
         assert np.allclose(dl, -dr[::-1], atol=1e-9)
@@ -122,34 +93,10 @@ class TestShootingKernel:
         h = 600.0 / (n - 1)
         e = 1.0
         v = 2.0
-        psi, dpsi = _pure.integrate_schrodinger(self.make_flat(n, v), h, 1.0, e, 0.0, 1.0, True)
+        psi, dpsi = _kernels.integrate_schrodinger(self.make_flat(n, v), h, 1.0, e, 0.0, 1.0, True)
         assert np.all(np.isfinite(psi)) and np.all(np.isfinite(dpsi))
         assert np.max(np.abs(psi)) <= 1e100 * (1.0 + 1e-12)
         x = h * np.arange(1, n)
         ratio = dpsi[1:] / psi[1:]
         want = 1.0 / np.tanh(x)  # kappa = 1
         assert np.allclose(ratio[-100:], want[-100:], rtol=1e-8)
-
-    @needs_compiled
-    def test_backends_bitwise_identical(self):
-        rng = np.random.default_rng(5)
-        for from_left in (True, False):
-            n = 700
-            h = 7.0 / (n - 1)
-            v_half = np.abs(rng.normal(size=2 * (n - 1) + 1)) * 3.0
-            args = (v_half, h, 1.2, 1.9, 0.3, 1.0, from_left)
-            pa, da = _pure.integrate_schrodinger(*args)
-            pb, db = _core.integrate_schrodinger(*args)
-            assert np.array_equal(pa, pb)
-            assert np.array_equal(da, db)
-
-    @needs_compiled
-    def test_backends_identical_through_renormalization(self):
-        n = 2001
-        h = 500.0 / (n - 1)
-        v_half = np.full(2 * (n - 1) + 1, 3.0)
-        args = (v_half, h, 1.0, 1.0, 0.0, 1.0, True)
-        pa, da = _pure.integrate_schrodinger(*args)
-        pb, db = _core.integrate_schrodinger(*args)
-        assert np.array_equal(pa, pb)
-        assert np.array_equal(da, db)

@@ -123,7 +123,10 @@ class TestScanBrackets:
         cfg2 = RootfindConfig(e_min=0.0, e_max=10.0, coarse_steps=100)
         brackets = scan_brackets(f, cfg2)
         assert len(brackets) == 1
-        assert brackets[0].lo <= 5.0 <= brackets[0].hi
+        lo, hi, f_lo, f_hi = brackets[0]
+        assert lo <= 5.0 <= hi
+        # the node moves off the root with its value: both ends hold F
+        assert (f_lo, f_hi) == (f(lo), f(hi))
 
     def test_non_finite_value_raises(self):
         # a NaN never counts as a sign change, so it could hide a root

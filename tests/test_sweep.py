@@ -59,14 +59,6 @@ class TestSweepLevels:
         table = sweep_levels(M3Params(10.0, 2.0, 2.0), U1, spec)
         assert np.all(np.diff(table.levels, axis=1) > 0.0)
 
-    def test_workers_do_not_change_result(self):
-        spec = SweepSpec("b", 0.5, 2.5, 8, 3)
-        model = M1Params(10.0, 2.0, 2.0)
-        seq = sweep_levels(model, U1, spec, workers=1)
-        par = sweep_levels(model, U1, spec, workers=2)
-        assert np.array_equal(seq.levels, par.levels)
-        assert np.array_equal(seq.lambdas, par.lambdas)
-
     def test_failure_reports_grid_index(self):
         # an expansion-capped solve fails; the sweep must name the point
         spec = SweepSpec("b", 0.01, 0.03, 3, 4)
