@@ -1,7 +1,8 @@
 """Hot numerical kernels of the oracle, in numpy and plain Python.
 
 sturm_counts counts eigenvalues of a symmetric tridiagonal matrix below
-a batch of shifts; integrate_schrodinger is the RK4 shooting step loop.
+a batch of shifts; integrate_schrodinger is the RK4 shooting step loop,
+which steps forward over the samples it is given with a signed step.
 """
 
 from __future__ import annotations
@@ -75,18 +76,19 @@ def integrate_schrodinger(
     energy: float,
     y_start: float,
     dy_start: float,
-    from_left: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """RK4 integration of psi'' = u (V - E) psi across one smooth span.
 
+    Starts from (y_start, dy_start) at the first sample and steps by the
+    signed h: a negative h integrates leftward over a reversed v_half.
     v_half holds the potential on the half-step grid (2*(n-1)+1 values for
-    n nodes); it must be smooth over the span (callers split at potential
-    steps and delta spikes and chain the returned endpoint state).  The
-    running solution is renormalized when it grows past 1e100; each stored
-    (psi, dpsi) node pair shares one scale, so same-node bilinear products
-    of two solutions stay scale-consistent.
+    n nodes) in integration order; it must be smooth over the span (callers
+    split at potential steps and delta spikes and chain the returned
+    endpoint state).  The running solution is renormalized when it grows
+    past 1e100; each stored (psi, dpsi) node pair shares one scale, so
+    same-node bilinear products of two solutions stay scale-consistent.
 
-    Returns (psi, dpsi) over the n nodes in left-to-right order.
+    Returns (psi, dpsi) over the n nodes in integration order.
     """
     vh = np.ascontiguousarray(v_half, dtype=np.float64).tolist()
     n_nodes = (len(vh) - 1) // 2 + 1
@@ -94,43 +96,20 @@ def integrate_schrodinger(
     dpsi = np.empty(n_nodes, dtype=np.float64)
     ue = u * energy
     y1, y2 = y_start, dy_start
-
-    if from_left:
-        s = h
-        psi[0] = y1
-        dpsi[0] = y2
-        for node in range(1, n_nodes):
-            base = 2 * (node - 1)
-            g0 = u * vh[base] - ue
-            gm = u * vh[base + 1] - ue
-            g1 = u * vh[base + 2] - ue
-            y1, y2 = _rk4_step(y1, y2, s, g0, gm, g1)
-            psi[node] = y1
-            dpsi[node] = y2
-            mag = max(abs(y1), abs(y2))
-            if mag > _RENORM_LIMIT:
-                y1 /= mag
-                y2 /= mag
-                psi[node] = y1
-                dpsi[node] = y2
-    else:
-        s = -h
-        psi[n_nodes - 1] = y1
-        dpsi[n_nodes - 1] = y2
-        for node in range(n_nodes - 2, -1, -1):
-            base = 2 * (node + 1)
-            g0 = u * vh[base] - ue
-            gm = u * vh[base - 1] - ue
-            g1 = u * vh[base - 2] - ue
-            y1, y2 = _rk4_step(y1, y2, s, g0, gm, g1)
-            psi[node] = y1
-            dpsi[node] = y2
-            mag = max(abs(y1), abs(y2))
-            if mag > _RENORM_LIMIT:
-                y1 /= mag
-                y2 /= mag
-                psi[node] = y1
-                dpsi[node] = y2
+    psi[0] = y1
+    dpsi[0] = y2
+    for node in range(1, n_nodes):
+        base = 2 * (node - 1)
+        g0 = u * vh[base] - ue
+        gm = u * vh[base + 1] - ue
+        g1 = u * vh[base + 2] - ue
+        y1, y2 = _rk4_step(y1, y2, h, g0, gm, g1)
+        mag = max(abs(y1), abs(y2))
+        if mag > _RENORM_LIMIT:
+            y1 /= mag
+            y2 /= mag
+        psi[node] = y1
+        dpsi[node] = y2
     return psi, dpsi
 
 

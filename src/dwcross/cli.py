@@ -20,6 +20,7 @@ from .models import VARIANTS, ModelParams, UnitsConfig
 from .oracle import OracleConfig, oracle_levels
 from .rootfind import RootfindConfig, solve_levels
 from .sweep import (
+    AvoidedCrossing,
     SweepSpec,
     detect_avoided_crossings,
     edge_candidates,
@@ -354,6 +355,15 @@ def cmd_sweep(cfg: RunConfig) -> int:
     return 0
 
 
+def _write_crossings(path: Path, crossings: list[AvoidedCrossing]) -> None:
+    lines = ["gap_index,lambda_star,gap_ev,e_mid_ev"]
+    lines += [
+        f"{ac.level_index},{_fmt(ac.lambda_star)},{_fmt(ac.gap)},{_fmt(ac.e_mid)}"
+        for ac in crossings
+    ]
+    _write_text(path, "\n".join(lines) + "\n")
+
+
 def cmd_detect(cfg: RunConfig) -> int:
     """Write refined avoided crossings plus boundary candidates."""
     model, units, spec, table = _sweep_table(cfg)
@@ -362,20 +372,9 @@ def cmd_detect(cfg: RunConfig) -> int:
         gap_ceiling=cfg.gap_ceiling, table=table,
     )
     edges = edge_candidates(table, cfg.gap_ceiling)
-    header = "gap_index,lambda_star,gap_ev,e_mid_ev"
-    lines = [header]
-    for ac in crossings:
-        lines.append(
-            f"{ac.level_index},{_fmt(ac.lambda_star)},{_fmt(ac.gap)},{_fmt(ac.e_mid)}"
-        )
     out = _default_out(cfg, "detect")
-    _write_text(out, "\n".join(lines) + "\n")
-    edge_lines = [header]
-    for ac in edges:
-        edge_lines.append(
-            f"{ac.level_index},{_fmt(ac.lambda_star)},{_fmt(ac.gap)},{_fmt(ac.e_mid)}"
-        )
-    _write_text(out.with_suffix(".edges.csv"), "\n".join(edge_lines) + "\n")
+    _write_crossings(out, crossings)
+    _write_crossings(out.with_suffix(".edges.csv"), edges)
     return 0
 
 

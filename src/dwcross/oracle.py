@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import ConfigError, NonConvergenceError
+from .errors import ConfigError, DomainError, NonConvergenceError
 from .models import ModelParams, UnitsConfig
 
 __all__ = [
@@ -39,29 +39,29 @@ _PROBES_PER_LEVEL = 8
 # temporaries to a fixed size on the finest grids.
 _ASSEMBLY_BLOCK = 4096
 
+# Harmonic domains extend at least this multiple of the classical turning
+# point of the sizing energy (and always far enough that V at the walls is
+# >= 4x the sizing energy).
+_TURNING_POINT_MARGIN = 2.0
+
+# Multisection width of each eigenvalue in oracle_levels.
+_LEVEL_TOL = 1e-11
+
 
 @dataclass(frozen=True)
 class OracleConfig:
     """Grid controls for the finite-difference oracle.
 
     n_points: interior grid points (model-dependent default when None).
-    turning_point_margin: harmonic domains extend at least this multiple of
-        the classical turning point of the sizing energy (and always far
-        enough that V at the walls is >= 4x the sizing energy).
     richardson: combine grids h and h/2 as (4 E(h/2) - E(h))/3.
     """
 
     n_points: int | None = None
-    turning_point_margin: float = 2.0
     richardson: bool = True
 
     def __post_init__(self) -> None:
         if self.n_points is not None and self.n_points < 500:
             raise ConfigError(f"oracle n_points must be >= 500, got {self.n_points}")
-        if self.turning_point_margin < 1.5:
-            raise ConfigError(
-                f"turning_point_margin must be >= 1.5, got {self.turning_point_margin}"
-            )
 
     def resolve_points(self, model: ModelParams) -> int:
         return self.n_points if self.n_points is not None else _DEFAULT_POINTS[model.kind]
@@ -76,7 +76,6 @@ class TridiagonalHamiltonian:
     offdiag: np.ndarray
     x_min: float
     h: float
-    model_tag: str
     delta_index: int | None = None
 
     @property
@@ -133,7 +132,7 @@ def _grid_spec(
     box = model.walls is not None
     if not box and (e_top is None or not e_top > 0.0):
         raise ConfigError("harmonic models need a positive sizing energy e_top")
-    left, right = model.domain(e_top, cfg.turning_point_margin, units)
+    left, right = model.domain(e_top, _TURNING_POINT_MARGIN, units)
     if model.delta_strength is None:
         return _GridSpec(left, (right - left) / (n_target + 1), n_target, None)
     if box:
@@ -167,7 +166,6 @@ def _assemble(
         offdiag=offdiag,
         x_min=spec.x_min,
         h=spec.h,
-        model_tag=model.kind,
         delta_index=spec.delta_index,
     )
 
@@ -245,7 +243,6 @@ def oracle_levels(
     n: int,
     cfg: OracleConfig,
     e_top: float | None = None,
-    tol: float = 1e-11,
 ) -> list[float]:
     """First n eigenvalues from the finite-difference oracle.
 
@@ -259,9 +256,9 @@ def oracle_levels(
     sizing = e_top if e_top is not None else model.level_window(units, n)
     for _ in range(5):
         spec = _grid_spec(model, units, cfg, sizing)
-        coarse = lowest_eigenvalues(_assemble(model, units, spec), n, tol)
+        coarse = lowest_eigenvalues(_assemble(model, units, spec), n, _LEVEL_TOL)
         if cfg.richardson:
-            fine = lowest_eigenvalues(_assemble(model, units, spec.refined()), n, tol)
+            fine = lowest_eigenvalues(_assemble(model, units, spec.refined()), n, _LEVEL_TOL)
             levels = [(4.0 * f - c) / 3.0 for c, f in zip(coarse, fine)]
         else:
             levels = coarse
@@ -313,32 +310,24 @@ def _shoot(
     v0 = model.delta_strength or 0.0
     u = units.u
 
-    y1, y2 = 0.0, 1.0 if from_left else -1.0
-    order = range(len(segments)) if from_left else range(len(segments) - 1, -1, -1)
-    junction_fix: tuple[int, float] | None = None
-    for k in order:
+    # way = +1 integrates rightward from the left wall, -1 leftward from the
+    # right wall over reversed samples; the kernel returns integration order.
+    way = 1 if from_left else -1
+    y1, y2 = 0.0, float(way)
+    for k in range(len(segments))[::way]:
         s, e, m = segments[k]
         v_half = _segment_v_half(model, units, s, e, m)
         h_seg = (e - s) / m
-        p, d = _kernels.integrate_schrodinger(v_half, h_seg, u, energy, y1, y2, from_left)
+        p, d = _kernels.integrate_schrodinger(v_half[::way], way * h_seg, u, energy, y1, y2)
+        y1, y2 = float(p[-1]), float(d[-1])
+        if v0 != 0.0 and (e if from_left else s) == 0.0:
+            y2 += way * u * v0 * y1  # derivative jump across the delta at 0
+        # A shared node keeps its left span's values: at the delta node that
+        # is the 0- derivative, whichever way the solution runs.
+        skip = 1 if k else 0
         lo = int(offsets[k])
-        psi[lo : lo + m + 1] = p
-        dpsi[lo : lo + m + 1] = d
-        if junction_fix is not None:
-            # The slice write above put the post-jump (0+) derivative on the
-            # shared delta node; both directions store the 0- convention.
-            dpsi[junction_fix[0]] = junction_fix[1]
-            junction_fix = None
-        if from_left:
-            y1, y2 = float(p[-1]), float(d[-1])
-            if v0 != 0.0 and k + 1 < len(segments) and segments[k + 1][0] == 0.0:
-                junction_fix = (lo + m, y2)
-                y2 += u * v0 * y1
-        else:
-            y1, y2 = float(p[0]), float(d[0])
-            if v0 != 0.0 and s == 0.0:
-                y2 -= u * v0 * y1
-                dpsi[lo] = y2  # rewrite junction to the 0- convention
+        psi[lo + skip : lo + m + 1] = p[::way][skip:]
+        dpsi[lo + skip : lo + m + 1] = d[::way][skip:]
     return psi, dpsi
 
 
@@ -356,7 +345,13 @@ def wronskian_constancy(
     |W| / max(|psi_L psi_R'|, |psi_R psi_L'|, floor) with
     W = psi_L psi_R' - psi_R psi_L'.  Near 0 at an eigenvalue (the two
     solutions are proportional), O(1) away from one.
+
+    Raises:
+        DomainError: energy is NaN or infinite; its residual would be NaN,
+            which passes every threshold comparison.
     """
+    if not math.isfinite(energy):
+        raise DomainError(f"{model.kind} shooting check needs a finite energy, got {energy!r}")
     segments = _shooting_segments(model, units, cfg, energy)
     psi_l, dpsi_l = _shoot(model, units, segments, energy, True)
     psi_r, dpsi_r = _shoot(model, units, segments, energy, False)

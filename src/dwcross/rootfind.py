@@ -76,6 +76,8 @@ class RootfindConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        if not self.e_min > 0.0:
+            raise ValueError(f"e_min must be positive, got {self.e_min}")
         if self.e_max is not None and not (self.e_min < self.e_max):
             raise ValueError(f"need e_min < e_max, got [{self.e_min}, {self.e_max}]")
         if self.coarse_steps < 64:
@@ -371,7 +373,9 @@ def solve_levels(
 
     The scan window starts at a variant-specific estimate (or cfg.e_max)
     and grows geometrically, rescanning, until enough roots are bracketed;
-    expansion past 1e4 eV raises NonConvergenceError.
+    expansion past 1e4 eV raises NonConvergenceError.  Levels are those
+    above cfg.e_min: an e_min past the estimate shifts the estimated
+    window up to start there.
     """
     if n_levels < 1:
         raise ValueError(f"n_levels must be >= 1, got {n_levels}")
@@ -379,6 +383,12 @@ def solve_levels(
     f = characteristic_fn(model, units)
     f_values = partial(model.char_values, units=units)
     e_max = base.e_max if base.e_max is not None else model.level_window(units, n_levels)
+    if e_max <= base.e_min:
+        e_max = min(base.e_min + e_max, _E_MAX_CAP)
+        if e_max <= base.e_min:
+            raise NonConvergenceError(
+                f"e_min={base.e_min} leaves no window below the {_E_MAX_CAP} eV cap"
+            )
     steps = base.coarse_steps
     while True:
         local = dataclasses.replace(

@@ -10,7 +10,8 @@ import pytest
 
 from dwcross.cli import PRESETS, main, parse_config, parse_config_text
 from dwcross.errors import ConfigError
-from dwcross.models import M1Params, M2Params, M3Params, M4Params
+from dwcross.models import M1Params, M2Params, M3Params, M4Params, UnitsConfig
+from dwcross.rootfind import solve_levels
 
 
 class TestParseConfigText:
@@ -194,6 +195,28 @@ class TestExitCodes:
         )
         assert code == 2
         assert "solver error" in capsys.readouterr().err
+
+    E_MIN_ARGV = ["solve", "--model", "m1", "--v0", "1", "--a", "2", "--b", "2",
+                  "--levels", "2", "--out", "e.csv", "--e-min"]
+
+    def test_e_min_above_estimate_gives_levels_above_it(self, tmp_path, monkeypatch):
+        # the estimated window (~16 eV) lies below e_min: the scan starts there
+        assert run_cli(tmp_path, monkeypatch, self.E_MIN_ARGV + ["100"]) == 0
+        lines = (tmp_path / "e.csv").read_text().strip().split("\n")[1:]
+        got = [float(line.split(",")[1]) for line in lines]
+        wide = solve_levels(M1Params(1.0, 2.0, 2.0), UnitsConfig(1.0), 16)
+        want = [e for e in wide if e > 100.0][:2]
+        assert min(got) > 100.0
+        assert np.allclose(got, want, rtol=0.0, atol=1e-9)
+
+    def test_e_min_past_window_cap_is_solver_error(self, tmp_path, monkeypatch, capsys):
+        assert run_cli(tmp_path, monkeypatch, self.E_MIN_ARGV + ["20000"]) == 2
+        assert "solver error" in capsys.readouterr().err
+
+    def test_e_min_zero_is_config_error(self, tmp_path, monkeypatch, capsys):
+        assert run_cli(tmp_path, monkeypatch, self.E_MIN_ARGV + ["0"]) == 1
+        assert list(tmp_path.iterdir()) == []
+        assert "e_min must be positive" in capsys.readouterr().err
 
     def test_gate_failure_is_three(self, tmp_path, monkeypatch):
         code = run_cli(

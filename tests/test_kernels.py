@@ -57,7 +57,7 @@ class TestShootingKernel:
         h = 4.0 / (n - 1)
         e = 2.31
         k = math.sqrt(e)
-        psi, dpsi = _kernels.integrate_schrodinger(self.make_flat(n), h, 1.0, e, 0.0, 1.0, True)
+        psi, dpsi = _kernels.integrate_schrodinger(self.make_flat(n), h, 1.0, e, 0.0, 1.0)
         x = h * np.arange(n)
         assert np.allclose(psi, np.sin(k * x) / k, atol=1e-9)
         assert np.allclose(dpsi, np.cos(k * x), atol=1e-9)
@@ -68,7 +68,7 @@ class TestShootingKernel:
         e = 1.0
         v = 5.0
         kappa = math.sqrt(v - e)
-        psi, _ = _kernels.integrate_schrodinger(self.make_flat(n, v), h, 1.0, e, 0.0, 1.0, True)
+        psi, _ = _kernels.integrate_schrodinger(self.make_flat(n, v), h, 1.0, e, 0.0, 1.0)
         x = h * np.arange(n)
         assert np.allclose(psi, np.sinh(kappa * x) / kappa, atol=1e-10)
 
@@ -80,11 +80,12 @@ class TestShootingKernel:
         x = -1.0 + h * np.arange(n)
         v_half = 3.0 * (np.linspace(-1.0, 1.0, 2 * (n - 1) + 1)) ** 2
         e = 1.7
-        pl, dl = _kernels.integrate_schrodinger(v_half, h, 1.0, e, 0.0, 1.0, True)
-        pr, dr = _kernels.integrate_schrodinger(v_half, h, 1.0, e, 0.0, -1.0, False)
-        assert np.allclose(pl, pr[::-1] * -1.0 * -1.0, atol=0)  # shapes line up
-        assert np.allclose(pl, pr[::-1], atol=1e-9)
-        assert np.allclose(dl, -dr[::-1], atol=1e-9)
+        pl, dl = _kernels.integrate_schrodinger(v_half, h, 1.0, e, 0.0, 1.0)
+        pr, dr = _kernels.integrate_schrodinger(v_half[::-1], -h, 1.0, e, 0.0, -1.0)
+        assert pl.shape == pr.shape
+        # pr runs from x = 1 back to x = -1, so it lists the mirror image
+        assert np.allclose(pl, pr, atol=1e-9)
+        assert np.allclose(dl, -dr, atol=1e-9)
 
     def test_renormalization_keeps_pairs_consistent(self):
         # a long forbidden span overflows without renormalization; the
@@ -93,7 +94,7 @@ class TestShootingKernel:
         h = 600.0 / (n - 1)
         e = 1.0
         v = 2.0
-        psi, dpsi = _kernels.integrate_schrodinger(self.make_flat(n, v), h, 1.0, e, 0.0, 1.0, True)
+        psi, dpsi = _kernels.integrate_schrodinger(self.make_flat(n, v), h, 1.0, e, 0.0, 1.0)
         assert np.all(np.isfinite(psi)) and np.all(np.isfinite(dpsi))
         assert np.max(np.abs(psi)) <= 1e100 * (1.0 + 1e-12)
         x = h * np.arange(1, n)

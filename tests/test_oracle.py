@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dwcross.errors import ConfigError
+from dwcross import oracle
+from dwcross.errors import ConfigError, DomainError
 from dwcross.models import M1Params, M2Params, M3Params, M4Params, UnitsConfig
 from dwcross.oracle import (
     OracleConfig,
@@ -32,7 +33,6 @@ def tridiag(diag, off):
         offdiag=np.asarray(off, dtype=float),
         x_min=0.0,
         h=1.0,
-        model_tag="test",
     )
 
 
@@ -40,10 +40,6 @@ class TestConfigValidation:
     def test_minimum_points(self):
         with pytest.raises(ConfigError):
             OracleConfig(n_points=400)
-
-    def test_minimum_margin(self):
-        with pytest.raises(ConfigError):
-            OracleConfig(turning_point_margin=1.0)
 
     def test_model_defaults(self):
         cfg = OracleConfig()
@@ -187,12 +183,14 @@ class TestOracleLevels:
         extrap = oracle_levels(m, U1, 1, OracleConfig(n_points=1000, richardson=True))
         assert abs(extrap[0] - exact) < 0.01 * abs(plain[0] - exact)
 
-    def test_domain_doubling_invariance(self):
+    def test_domain_doubling_invariance(self, monkeypatch):
         # wall truncation error is exponentially small: doubling the
         # turning-point margin must not move the levels
         m = M4Params(10.0, 2.0, 1.0, 0.5)
-        tight = oracle_levels(m, U1, 3, OracleConfig(n_points=4000, turning_point_margin=2.0))
-        wide = oracle_levels(m, U1, 3, OracleConfig(n_points=8000, turning_point_margin=4.0))
+        monkeypatch.setattr(oracle, "_TURNING_POINT_MARGIN", 2.0)
+        tight = oracle_levels(m, U1, 3, OracleConfig(n_points=4000))
+        monkeypatch.setattr(oracle, "_TURNING_POINT_MARGIN", 4.0)
+        wide = oracle_levels(m, U1, 3, OracleConfig(n_points=8000))
         assert np.allclose(tight, wide, atol=5e-6)
 
     @pytest.mark.parametrize(
@@ -269,3 +267,19 @@ class TestWronskianConstancy:
             assert wronskian_constancy(model, U1, e, OracleConfig()) <= 1e-5
         probe = 0.5 * (levels[0] + levels[1])
         assert wronskian_constancy(model, U1, probe, OracleConfig()) >= 0.05
+
+    @pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "model",
+        [
+            M1Params(10.0, 2.0, 2.0),
+            M2Params(10.0, 2.0, 1.0, 3.0),
+            M3Params(10.0, 2.0, 1.5),
+            M4Params(10.0, 2.0, 2.0, 0.5),
+        ],
+        ids=lambda m: m.kind,
+    )
+    def test_non_finite_energy_is_domain_error(self, model, energy):
+        # a NaN residual would pass both "> bound" and "< bound" checks
+        with pytest.raises(DomainError, match=rf"{model.kind}.*{energy!r}"):
+            wronskian_constancy(model, U1, energy, OracleConfig())

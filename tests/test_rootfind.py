@@ -39,6 +39,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             RootfindConfig(e_min=2.0, e_max=1.0)
 
+    @pytest.mark.parametrize("e_min", [0.0, -1.0])
+    def test_positive_e_min(self, e_min):
+        with pytest.raises(ValueError, match="e_min must be positive"):
+            RootfindConfig(e_min=e_min)
+
     def test_minimum_steps(self):
         with pytest.raises(ValueError):
             RootfindConfig(coarse_steps=32)
@@ -119,9 +124,9 @@ class TestScanBrackets:
     def test_exact_grid_zero_handled(self):
         # a root exactly on a scan node must still produce one bracket
         f = lambda e: e - 5.0  # noqa: E731
-        cfg = RootfindConfig(e_min=0.0 + 1e-9, e_max=10.0 + 2e-9, coarse_steps=100)
-        cfg2 = RootfindConfig(e_min=0.0, e_max=10.0, coarse_steps=100)
-        brackets = scan_brackets(f, cfg2)
+        cfg = RootfindConfig(e_min=2.5, e_max=7.5, coarse_steps=80)
+        assert 5.0 in np.linspace(cfg.e_min, cfg.e_max, cfg.coarse_steps + 1)
+        brackets = scan_brackets(f, cfg)
         assert len(brackets) == 1
         lo, hi, f_lo, f_hi = brackets[0]
         assert lo <= 5.0 <= hi
