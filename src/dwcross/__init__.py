@@ -7,7 +7,6 @@ locates and refines avoided crossings.
 """
 
 from .models import (
-    CharacteristicEvaluation,
     M1Params,
     M2Params,
     M3Params,
@@ -18,7 +17,6 @@ from .models import (
 )
 from .oracle import OracleConfig, oracle_levels, wronskian_constancy
 from .rootfind import RootfindConfig, solve_levels
-from .specfun import log_gamma_signed, pcf_at_zero, recip_gamma
 from .sweep import (
     AvoidedCrossing,
     SpectrumTable,
@@ -43,11 +41,7 @@ __all__ = [
     "M3Params",
     "M4Params",
     "ModelParams",
-    "CharacteristicEvaluation",
     "characteristic",
-    "log_gamma_signed",
-    "recip_gamma",
-    "pcf_at_zero",
     "RootfindConfig",
     "solve_levels",
     "OracleConfig",

@@ -380,6 +380,10 @@ def cmd_detect(cfg: RunConfig) -> int:
 
 def cmd_compare(cfg: RunConfig) -> int:
     """Analytic roots vs Richardson oracle, with a tolerance gate (exit 3)."""
+    if cfg.e_min is not None:
+        # the oracle solves for the lowest levels, so the analytic ones
+        # must be the lowest too
+        raise ConfigError("compare gates the lowest levels; e_min cannot be set")
     model = cfg.build_model()
     units = cfg.build_units()
     analytic = solve_levels(model, units, cfg.levels, cfg.build_rootfind())

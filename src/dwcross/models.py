@@ -11,20 +11,26 @@ Each variant is one frozen dataclass, M1Params..M4Params, derived from
 ModelParams.  The class holds the parameters and everything the solver,
 the oracle, the sweep and the CLI need to know about the variant: its
 tag (`kind`), the parameter a sweep varies (`sweep_param`), the
-characteristic function (`char`, one energy, and `char_values`, an array
-of energies), the smooth potential and its cell average, the
-level-window estimate, the delta strength, the shooting breakpoints,
-the box walls and the oracle's grid ends.  Other modules ask the model,
-never its type.  VARIANTS maps each tag to its class.
+characteristic function, the smooth potential and its cell average,
+the level-window estimate, the delta strength, the shooting
+breakpoints, the box walls and the oracle's grid ends.  Other modules
+ask the model, never its type.  VARIANTS maps each tag to its class.
 
-`char_values` is the array form of `char`: the same formulas, with each
-branch an np.where over the block and the reciprocal gammas from
-specfun.recip_gamma_log_values.  The bracket scan evaluates whole grids
-through it.  Root refinement stays on the scalar `char` (through
-characteristic_fn): it makes one evaluation per step, where a numpy call
-costs more than the math-module arithmetic.  numpy's exp, log, cos,
-cosh and sinh may round differently from math's in the last place, so
-the two forms agree to a few ulp; signs agree away from the roots.
+Each variant writes its level condition once, as `_char(e, u, ops)`:
+one formula over the primitives in `ops` (square root, sine, cosine,
+the reciprocal-gamma and barrier factors, a signed log and a rescaled
+signed-exponential sum).  `char` evaluates it at one energy with
+_SCALAR, the math-module primitives, and returns a float; `char_values`
+evaluates it on a 1-D array of energies with _ARRAY, the numpy
+primitives, with each branch an np.where over the block.  The bracket
+scan evaluates whole grids through `char_values`.  Root refinement stays
+on `char` (through characteristic_fn): it makes one evaluation per step,
+and a numpy call on one element costs several times the math-module
+arithmetic, so the primitives stay dual while the formulas are shared.
+numpy's exp, log, cos, cosh and sinh may round differently from math's
+in the last place, and the array sum adds its terms in order where the
+scalar one uses fsum, so the two forms agree to a few ulp; signs agree
+away from the roots.
 
 Each characteristic function is written in a pole-free, spurious-root-free
 form: gamma ratios are cleared into reciprocal-gamma products (entire in E,
@@ -40,7 +46,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -55,7 +61,6 @@ __all__ = [
     "M3Params",
     "M4Params",
     "VARIANTS",
-    "CharacteristicEvaluation",
     "characteristic",
     "characteristic_fn",
     "model_kind",
@@ -92,27 +97,6 @@ class UnitsConfig:
 
 
 @dataclass(frozen=True)
-class CharacteristicEvaluation:
-    """Value of a model's characteristic function at one energy.
-
-    Derived wave numbers are recorded where meaningful for the model:
-    k (free regions), p_or_q (barrier region; flagged when the branch is
-    oscillatory, i.e. E above the barrier), nu_i and alpha_i (harmonic
-    wells).
-    """
-
-    energy: float
-    value: float
-    k: float | None = None
-    p_or_q: float | None = None
-    p_or_q_imaginary: bool = False
-    nu1: float | None = None
-    nu2: float | None = None
-    alpha1: float | None = None
-    alpha2: float | None = None
-
-
-@dataclass(frozen=True)
 class ModelParams:
     """Base of the four variants: shared validation and the interface.
 
@@ -131,18 +115,29 @@ class ModelParams:
         if self.v0 < 0.0:
             raise ValueError(f"{self.kind} requires v0 >= 0 (repulsive in-barrier)")
 
-    def char(self, energy: float, units: UnitsConfig) -> CharacteristicEvaluation:
-        """Characteristic function; its zeros on (0, inf) are the levels."""
+    def _char(self, e: float | np.ndarray, u: float, ops: _Ops) -> float | np.ndarray:
+        """The level condition F at e, a float (ops = _SCALAR) or a 1-D
+        array of energies (ops = _ARRAY); e is positive and finite."""
         raise NotImplementedError
 
+    def char(self, energy: float, units: UnitsConfig) -> float:
+        """Characteristic function at one energy; its zeros on (0, inf) are
+        the levels.
+
+        Raises:
+            DomainError: energy is not positive and finite.
+        """
+        _require_positive_energy(energy)
+        return self._char(energy, units.u, _SCALAR)
+
     def char_values(self, energies: np.ndarray, units: UnitsConfig) -> np.ndarray:
-        """`char(...).value` at every energy of a 1-D array, in one pass of
-        array operations (see the module docstring).
+        """`char` at every energy of a 1-D array, in one pass of array
+        operations (see the module docstring).
 
         Raises:
             DomainError: some energy is not positive and finite.
         """
-        raise NotImplementedError
+        return self._char(_positive_energies(energies), units.u, _ARRAY)
 
     def potential(self, units: UnitsConfig, x: np.ndarray) -> np.ndarray:
         """Smooth part of V(x) in eV on the given positions (delta terms excluded).
@@ -300,14 +295,62 @@ def _signed_exp_sum_values(terms: list[tuple[np.ndarray, np.ndarray]]) -> np.nda
     return total
 
 
-def _gamma_factor_values(nu1: np.ndarray, nu2: np.ndarray):
+def _gamma_factors(nu1: float, nu2: float):
     """(sign, log) of h1, h2, j1, j2 = 1/Gamma(-nu_i/2), 1/Gamma(1/2 - nu_i/2)."""
+    return (
+        recip_gamma_log(-0.5 * nu1),
+        recip_gamma_log(-0.5 * nu2),
+        recip_gamma_log(0.5 - 0.5 * nu1),
+        recip_gamma_log(0.5 - 0.5 * nu2),
+    )
+
+
+def _gamma_factor_values(nu1: np.ndarray, nu2: np.ndarray):
+    """_gamma_factors on arrays of orders."""
     return (
         recip_gamma_log_values(-0.5 * nu1),
         recip_gamma_log_values(-0.5 * nu2),
         recip_gamma_log_values(0.5 - 0.5 * nu1),
         recip_gamma_log_values(0.5 - 0.5 * nu2),
     )
+
+
+def _signed_log(x: float) -> tuple[int, float]:
+    """(sign, log|x|); sign 0 and log -inf at x = 0, a dead term."""
+    if x == 0.0:
+        return 0, -math.inf
+    return (1 if x > 0.0 else -1), math.log(abs(x))
+
+
+def _signed_log_values(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_signed_log per element."""
+    with np.errstate(divide="ignore"):
+        return np.sign(x), np.log(np.abs(x))
+
+
+class _Ops(NamedTuple):
+    """The primitives a level condition is built from, for one input form."""
+
+    sqrt: Callable
+    sin: Callable
+    cos: Callable
+    gamma_factors: Callable
+    barrier_factors: Callable
+    signed_log: Callable
+    signed_exp_sum: Callable
+
+
+# _gamma_factors looks recip_gamma_log up in this module's globals at each
+# call, so a wrapper installed there (perfbench's tracer) sees every call;
+# recip_gamma_log itself must not go into the table.
+_SCALAR = _Ops(
+    math.sqrt, math.sin, math.cos,
+    _gamma_factors, _barrier_factors, _signed_log, _signed_exp_sum,
+)
+_ARRAY = _Ops(
+    np.sqrt, np.sin, np.cos,
+    _gamma_factor_values, _barrier_factor_values, _signed_log_values, _signed_exp_sum_values,
+)
 
 
 def _harmonic_orders(
@@ -348,7 +391,7 @@ class M1Params(ModelParams):
         if not (self.a > 0.0 and self.b > 0.0):
             raise ValueError("m1 requires a > 0 and b > 0")
 
-    def char(self, energy: float, units: UnitsConfig) -> CharacteristicEvaluation:
+    def _char(self, e, u: float, ops: _Ops):
         """Delta-between-walls level condition.
 
             F(E) = k sin(k(a+b)) + u v0 sin(ka) sin(kb),   k = sqrt(uE)
@@ -357,20 +400,10 @@ class M1Params(ModelParams):
         symmetric reduction k cot(ka) = -u v0 / 2 at a = b.  F is entire in E
         and its zeros on (0, inf) are exactly the spectrum.
         """
-        _require_positive_energy(energy)
-        u = units.u
-        k = math.sqrt(u * energy)
-        value = k * math.sin(k * (self.a + self.b)) + u * self.v0 * math.sin(
+        k = ops.sqrt(u * e)
+        return k * ops.sin(k * (self.a + self.b)) + u * self.v0 * ops.sin(
             k * self.a
-        ) * math.sin(k * self.b)
-        return CharacteristicEvaluation(energy=energy, value=value, k=k)
-
-    def char_values(self, energies: np.ndarray, units: UnitsConfig) -> np.ndarray:
-        u = units.u
-        k = np.sqrt(u * _positive_energies(energies))
-        return k * np.sin(k * (self.a + self.b)) + u * self.v0 * np.sin(
-            k * self.a
-        ) * np.sin(k * self.b)
+        ) * ops.sin(k * self.b)
 
     def potential(self, units: UnitsConfig, x: np.ndarray) -> np.ndarray:
         return np.zeros_like(x)
@@ -407,7 +440,7 @@ class M2Params(ModelParams):
         if not (self.c > self.b):
             raise ValueError("m2 requires c > b (right well width c-b > 0)")
 
-    def char(self, energy: float, units: UnitsConfig) -> CharacteristicEvaluation:
+    def _char(self, e, u: float, ops: _Ops):
         """Rectangular-barrier double-well level condition, pole free.
 
         With d1 = a-b, d2 = c-b, d = d1+d2, w = u(v0-E) and the entire barrier
@@ -420,38 +453,16 @@ class M2Params(ModelParams):
         series at w ~ 0 is precisely the linear-interior-solution matching
         condition, and w < 0 continues the formula above the barrier.
         """
-        _require_positive_energy(energy)
-        u = units.u
-        k = math.sqrt(u * energy)
+        k = ops.sqrt(u * e)
         d1 = self.a - self.b
         d2 = self.c - self.b
-        s1 = math.sin(k * d1)
-        s2 = math.sin(k * d2)
-        w = u * (self.v0 - energy)
-        c_fac, s_fac = _barrier_factors(w, self.b)
+        s1 = ops.sin(k * d1)
+        s2 = ops.sin(k * d2)
+        c_fac, s_fac = ops.barrier_factors(u * (self.v0 - e), self.b)
         kd = k * (d1 + d2)
         # s1*s2 grouped so that swapping the two wells gives a bitwise
         # identical value (float multiplication commutes but not associates)
-        value = k * math.sin(kd) * c_fac + (k * k * math.cos(kd) + u * self.v0 * (s1 * s2)) * s_fac
-        return CharacteristicEvaluation(
-            energy=energy,
-            value=value,
-            k=k,
-            p_or_q=math.sqrt(abs(w)),
-            p_or_q_imaginary=w < 0.0,
-        )
-
-    def char_values(self, energies: np.ndarray, units: UnitsConfig) -> np.ndarray:
-        e = _positive_energies(energies)
-        u = units.u
-        k = np.sqrt(u * e)
-        d1 = self.a - self.b
-        d2 = self.c - self.b
-        s1 = np.sin(k * d1)
-        s2 = np.sin(k * d2)
-        c_fac, s_fac = _barrier_factor_values(u * (self.v0 - e), self.b)
-        kd = k * (d1 + d2)
-        return k * np.sin(kd) * c_fac + (k * k * np.cos(kd) + u * self.v0 * (s1 * s2)) * s_fac
+        return k * ops.sin(kd) * c_fac + (k * k * ops.cos(kd) + u * self.v0 * (s1 * s2)) * s_fac
 
     def potential(self, units: UnitsConfig, x: np.ndarray) -> np.ndarray:
         return np.where(np.abs(x) <= self.b, self.v0, 0.0)
@@ -489,7 +500,7 @@ class M3Params(ModelParams):
         if not (self.hw1 > 0.0 and self.hw2 > 0.0):
             raise ValueError("m3 requires hw1 > 0 and hw2 > 0")
 
-    def char(self, energy: float, units: UnitsConfig) -> CharacteristicEvaluation:
+    def _char(self, e, u: float, ops: _Ops):
         """Delta-in-harmonic-well level condition, pole free.
 
         Clearing the gamma-ratio matching condition into reciprocal-gamma
@@ -502,38 +513,15 @@ class M3Params(ModelParams):
         roots at hw1 = hw2 where D_nu(0) = 0 (there all three products vanish
         through the exact zeros of j).  Terms are combined in log space.
         """
-        _require_positive_energy(energy)
-        u = units.u
-        nu1, nu2, alpha1, alpha2 = _harmonic_orders(energy, self.hw1, self.hw2, u)
-        sh1, lh1 = recip_gamma_log(-0.5 * nu1)
-        sh2, lh2 = recip_gamma_log(-0.5 * nu2)
-        sj1, lj1 = recip_gamma_log(0.5 - 0.5 * nu1)
-        sj2, lj2 = recip_gamma_log(0.5 - 0.5 * nu2)
-
+        nu1, nu2, alpha1, alpha2 = _harmonic_orders(e, self.hw1, self.hw2, u)
+        (sh1, lh1), (sh2, lh2), (sj1, lj1), (sj2, lj2) = ops.gamma_factors(nu1, nu2)
         terms = [
             (sh2 * sj1, _LN_SQRT2 + math.log(alpha2) + lh2 + lj1),
             (sh1 * sj2, _LN_SQRT2 + math.log(alpha1) + lh1 + lj2),
         ]
         if self.v0 > 0.0:
             terms.append((sj1 * sj2, math.log(u * self.v0) + lj1 + lj2))
-        value = -_signed_exp_sum(terms)
-        return CharacteristicEvaluation(
-            energy=energy, value=value, nu1=nu1, nu2=nu2, alpha1=alpha1, alpha2=alpha2
-        )
-
-    def char_values(self, energies: np.ndarray, units: UnitsConfig) -> np.ndarray:
-        u = units.u
-        nu1, nu2, alpha1, alpha2 = _harmonic_orders(
-            _positive_energies(energies), self.hw1, self.hw2, u
-        )
-        (sh1, lh1), (sh2, lh2), (sj1, lj1), (sj2, lj2) = _gamma_factor_values(nu1, nu2)
-        terms = [
-            (sh2 * sj1, _LN_SQRT2 + math.log(alpha2) + lh2 + lj1),
-            (sh1 * sj2, _LN_SQRT2 + math.log(alpha1) + lh1 + lj2),
-        ]
-        if self.v0 > 0.0:
-            terms.append((sj1 * sj2, math.log(u * self.v0) + lj1 + lj2))
-        return -_signed_exp_sum_values(terms)
+        return -ops.signed_exp_sum(terms)
 
     def potential(self, units: UnitsConfig, x: np.ndarray) -> np.ndarray:
         curv = np.where(x < 0.0, self.hw1, self.hw2)
@@ -576,10 +564,10 @@ class M4Params(ModelParams):
         if self.a < 0.0:
             raise ValueError("m4 requires a >= 0 (barrier half-width)")
 
-    def char(self, energy: float, units: UnitsConfig) -> CharacteristicEvaluation:
+    def _char(self, e, u: float, ops: _Ops):
         """Barrier-in-harmonic-well level condition, pole free.
 
-        With h_i, j_i as in M3Params.char, w = u(v0-E), and the entire
+        With h_i, j_i as in M3Params._char, w = u(v0-E), and the entire
         barrier factors C(w), S(w) of half-width a:
 
             F(E) = sqrt(2) (alpha1 h1 j2 + alpha2 h2 j1) C(w)
@@ -591,63 +579,24 @@ class M4Params(ModelParams):
         at E = v0, and the sign of the S-group is fixed by the parity
         factorization at hw1 = hw2 and by the delta limit (a -> 0 with
         2 a v0 held fixed reproduces m3).  Terms combine in log space
-        under the same positive rescale as m3.
+        under the same positive rescale as m3.  Each factor enters as a
+        (sign, log) pair; a zero factor, or w = 0, has sign 0 and leaves its
+        term dead.
         """
-        _require_positive_energy(energy)
-        u = units.u
-        nu1, nu2, alpha1, alpha2 = _harmonic_orders(energy, self.hw1, self.hw2, u)
-        sh1, lh1 = recip_gamma_log(-0.5 * nu1)
-        sh2, lh2 = recip_gamma_log(-0.5 * nu2)
-        sj1, lj1 = recip_gamma_log(0.5 - 0.5 * nu1)
-        sj2, lj2 = recip_gamma_log(0.5 - 0.5 * nu2)
-
-        w = u * (self.v0 - energy)
-        c_fac, s_fac = _barrier_factors(w, self.a)
-
-        def _with_factor(sign: int, log: float, factor: float) -> tuple[int, float]:
-            if sign == 0 or factor == 0.0:
-                return 0, -math.inf
-            fsign = 1 if factor > 0.0 else -1
-            return sign * fsign, log + math.log(abs(factor))
-
-        terms = [
-            _with_factor(sh1 * sj2, _LN_SQRT2 + math.log(alpha1) + lh1 + lj2, c_fac),
-            _with_factor(sh2 * sj1, _LN_SQRT2 + math.log(alpha2) + lh2 + lj1, c_fac),
-            _with_factor(sh1 * sh2, math.log(2.0 * alpha1 * alpha2) + lh1 + lh2, s_fac),
-        ]
-        if w != 0.0:
-            wsign = 1 if w > 0.0 else -1
-            terms.append(_with_factor(wsign * sj1 * sj2, math.log(abs(w)) + lj1 + lj2, s_fac))
-        value = _signed_exp_sum(terms)
-        return CharacteristicEvaluation(
-            energy=energy,
-            value=value,
-            p_or_q=math.sqrt(abs(w)),
-            p_or_q_imaginary=w < 0.0,
-            nu1=nu1,
-            nu2=nu2,
-            alpha1=alpha1,
-            alpha2=alpha2,
-        )
-
-    def char_values(self, energies: np.ndarray, units: UnitsConfig) -> np.ndarray:
-        e = _positive_energies(energies)
-        u = units.u
         nu1, nu2, alpha1, alpha2 = _harmonic_orders(e, self.hw1, self.hw2, u)
-        (sh1, lh1), (sh2, lh2), (sj1, lj1), (sj2, lj2) = _gamma_factor_values(nu1, nu2)
+        (sh1, lh1), (sh2, lh2), (sj1, lj1), (sj2, lj2) = ops.gamma_factors(nu1, nu2)
         w = u * (self.v0 - e)
-        c_fac, s_fac = _barrier_factor_values(w, self.a)
-        with np.errstate(divide="ignore"):
-            # log 0 = -inf marks a dead term, as the scalar form's sign 0 does
-            log_c, log_s, log_w = np.log(np.abs(c_fac)), np.log(np.abs(s_fac)), np.log(np.abs(w))
-        sign_c, sign_s = np.sign(c_fac), np.sign(s_fac)
+        c_fac, s_fac = ops.barrier_factors(w, self.a)
+        sign_c, log_c = ops.signed_log(c_fac)
+        sign_s, log_s = ops.signed_log(s_fac)
+        sign_w, log_w = ops.signed_log(w)
         terms = [
             (sh1 * sj2 * sign_c, _LN_SQRT2 + math.log(alpha1) + lh1 + lj2 + log_c),
             (sh2 * sj1 * sign_c, _LN_SQRT2 + math.log(alpha2) + lh2 + lj1 + log_c),
             (sh1 * sh2 * sign_s, math.log(2.0 * alpha1 * alpha2) + lh1 + lh2 + log_s),
-            (np.sign(w) * sj1 * sj2 * sign_s, log_w + lj1 + lj2 + log_s),
+            (sign_w * sj1 * sj2 * sign_s, log_w + lj1 + lj2 + log_s),
         ]
-        return _signed_exp_sum_values(terms)
+        return ops.signed_exp_sum(terms)
 
     def potential(self, units: UnitsConfig, x: np.ndarray) -> np.ndarray:
         u = units.u
@@ -693,9 +642,7 @@ VARIANTS: dict[str, type[ModelParams]] = {
 }
 
 
-def characteristic(
-    energy: float, model: ModelParams, units: UnitsConfig
-) -> CharacteristicEvaluation:
+def characteristic(energy: float, model: ModelParams, units: UnitsConfig) -> float:
     """Evaluate the characteristic function of whichever model is given."""
     if not isinstance(model, ModelParams):
         raise ModelMismatchError(f"unknown model type {type(model).__name__}")
@@ -706,7 +653,7 @@ def characteristic_fn(model: ModelParams, units: UnitsConfig):
     """Scalar E -> F(E) closure for the root finder."""
 
     def f(energy: float) -> float:
-        return characteristic(energy, model, units).value
+        return characteristic(energy, model, units)
 
     return f
 

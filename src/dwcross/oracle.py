@@ -251,11 +251,19 @@ def oracle_levels(
     sized from e_top (1.5x the highest analytic level when the caller has
     one); if the solved levels reach past the sizing energy, the domain is
     grown and the solve repeated.
+
+    Raises:
+        ConfigError: the grid has fewer interior points than n.
     """
     box_model = model.walls is not None
     sizing = e_top if e_top is not None else model.level_window(units, n)
     for _ in range(5):
         spec = _grid_spec(model, units, cfg, sizing)
+        if n > spec.n_interior:
+            raise ConfigError(
+                f"cannot resolve {n} levels on an oracle grid of {spec.n_interior} "
+                f"interior points; raise the oracle's n_points (--oracle-points) above {n}"
+            )
         coarse = lowest_eigenvalues(_assemble(model, units, spec), n, _LEVEL_TOL)
         if cfg.richardson:
             fine = lowest_eigenvalues(_assemble(model, units, spec.refined()), n, _LEVEL_TOL)

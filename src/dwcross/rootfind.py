@@ -44,6 +44,10 @@ _EXPAND = 1.6
 
 _COARSE_STEPS_CAP = 16384
 
+# Suspect cells are halved at most this many times: down to 1/4096 of a
+# coarse cell.
+_MAX_SUBDIVISION_DEPTH = 12
+
 # An array form of f: 1-D energies to the values there.
 ArrayFn = Callable[[np.ndarray], np.ndarray]
 
@@ -68,7 +72,6 @@ class RootfindConfig:
     e_min: float = 1e-9
     e_max: float | None = None
     coarse_steps: int = 512
-    max_subdivision_depth: int = 12
     tol_abs: float = 1e-10
 
     def __post_init__(self) -> None:
@@ -251,7 +254,7 @@ def scan_brackets(
 
     Two triggers mark a cell as possibly hiding a sub-grid root pair (the
     throat of an avoided crossing), and such cells are subdivided down to
-    coarse_cell / 2^max_subdivision_depth: a node where |f| has a local
+    coarse_cell / 2^_MAX_SUBDIVISION_DEPTH: a node where |f| has a local
     minimum below 1e-3 times the running median of |f| with no adjacent
     sign change, and, scale-free, a quadratic through either node triple
     flanking a sign-preserving cell predicting a real root inside it.
@@ -263,13 +266,13 @@ def scan_brackets(
         raise ValueError("scan_brackets needs cfg.e_max")
     xs = np.linspace(cfg.e_min, cfg.e_max, cfg.coarse_steps + 1)
     coarse_cell = (cfg.e_max - cfg.e_min) / cfg.coarse_steps
-    min_cell = coarse_cell / 2**cfg.max_subdivision_depth
+    min_cell = coarse_cell / 2**_MAX_SUBDIVISION_DEPTH
     fs = _evaluate(f, xs, cfg)
     for i in np.flatnonzero(fs == 0.0):
         xs[i], fs[i] = _nudged_value(f, xs[i], coarse_cell, cfg)
 
     def subdivide(xs: np.ndarray, fs: np.ndarray, threshold_factor: float):
-        for _ in range(cfg.max_subdivision_depth + 1):
+        for _ in range(_MAX_SUBDIVISION_DEPTH + 1):
             split = _cells_to_split(xs, fs, threshold_factor)
             split &= xs[1:] - xs[:-1] > min_cell
             cells = np.flatnonzero(split)

@@ -1,30 +1,28 @@
-"""Real-line gamma machinery and parabolic-cylinder boundary values.
+"""The real-line reciprocal gamma function, in sign-tracked log form.
 
 The level conditions for the harmonic double wells need Gamma(x) for
 arbitrary real x, including deep on the negative axis where Gamma
-oscillates between poles.  Everything here is built on a sign-tracked
-log-gamma so that model code never evaluates Gamma at or near a pole:
-the reciprocal 1/Gamma(x) is an entire function and is returned as an
-exact 0.0 at the poles.
+oscillates between poles.  They take it as 1/Gamma(x), an entire
+function, in the form (sign, log|1/Gamma(x)|), so model code never
+evaluates Gamma at or near a pole: the sign is exactly 0 at the poles.
+
+There are two forms, as for the level conditions themselves (see
+dwcross.models): recip_gamma_log on one float, for root refinement, and
+recip_gamma_log_values on an array, for the bracket scan.  Both apply
+the same pole rule, Lanczos series and reflection.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import PoleProximityError
 
 __all__ = [
-    "SignedLogGamma",
-    "PcfBoundaryValues",
-    "log_gamma_signed",
-    "recip_gamma",
     "recip_gamma_log",
     "recip_gamma_log_values",
-    "pcf_at_zero",
     "POLE_TOLERANCE",
 ]
 
@@ -49,30 +47,6 @@ _LANCZOS_COEFFS = (
 
 _LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_PI = math.log(math.pi)
-_SQRT_PI = math.sqrt(math.pi)
-
-
-class SignedLogGamma(NamedTuple):
-    """Natural log of |Gamma(x)| together with the sign of Gamma(x)."""
-
-    log_abs: float
-    sign: int
-
-
-class PcfBoundaryValues(NamedTuple):
-    """Value and slope of the parabolic cylinder function D_nu at the origin."""
-
-    d0: float
-    d0_prime: float
-    nu: float
-
-
-def _pole_distance(x: float) -> float:
-    """Distance from x to the nearest non-positive integer (inf if x > 0.5)."""
-    nearest = round(x)
-    if nearest > 0:
-        return math.inf
-    return abs(x - nearest)
 
 
 def _sin_pi(x: float) -> float:
@@ -94,54 +68,30 @@ def _lanczos_log_gamma(x: float) -> float:
     return _LOG_SQRT_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(acc)
 
 
-def log_gamma_signed(x: float) -> SignedLogGamma:
-    """Sign-tracked log-gamma on the real line.
-
-    Uses the Lanczos series for x >= 0.5 and the reflection identity
-    Gamma(x)Gamma(1-x) = pi/sin(pi*x) below, so the sign on the negative
-    axis comes from the sign of sin(pi*x).
-
-    Raises:
-        PoleProximityError: x is within POLE_TOLERANCE of 0, -1, -2, ...
-    """
-    if not math.isfinite(x):
-        raise PoleProximityError(f"log_gamma_signed requires finite x, got {x!r}")
-    if _pole_distance(x) < POLE_TOLERANCE:
-        raise PoleProximityError(f"x={x!r} is within {POLE_TOLERANCE} of a gamma pole")
-    if x >= 0.5:
-        return SignedLogGamma(_lanczos_log_gamma(x), 1)
-    s = _sin_pi(x)
-    log_abs = _LOG_PI - math.log(abs(s)) - _lanczos_log_gamma(1.0 - x)
-    return SignedLogGamma(log_abs, 1 if s > 0.0 else -1)
-
-
-def recip_gamma(x: float) -> float:
-    """1/Gamma(x): entire in x, exactly 0.0 at the poles of Gamma.
-
-    Total function of finite x; may overflow to +-inf for x below about
-    -180 where 1/Gamma grows factorially (not reached by the models,
-    which work with this function through recip_gamma_log).
-    """
-    if _pole_distance(x) < POLE_TOLERANCE:
-        return 0.0
-    log_abs, sign = log_gamma_signed(x)
-    try:
-        return sign * math.exp(-log_abs)
-    except OverflowError:
-        return sign * math.inf
-
-
 def recip_gamma_log(x: float) -> tuple[int, float]:
     """(sign, log|1/Gamma(x)|) with sign 0 exactly at the poles.
 
     The log-space form the characteristic functions combine before a
     single final exponentiation, so their values stay representable even
-    when individual gamma factors would overflow.
+    when individual gamma factors would overflow.  x within POLE_TOLERANCE
+    of 0, -1, -2, ... is a pole (sign 0, log -inf).  Otherwise the Lanczos
+    series gives log Gamma(x) for x >= 0.5, and below it the reflection
+    identity Gamma(x)Gamma(1-x) = pi/sin(pi*x), so the sign on the
+    negative axis comes from the sign of sin(pi*x).
+
+    Raises:
+        PoleProximityError: x is not finite.
     """
-    if _pole_distance(x) < POLE_TOLERANCE:
+    if not math.isfinite(x):
+        raise PoleProximityError(f"recip_gamma_log requires finite x, got {x!r}")
+    nearest = round(x)
+    if nearest <= 0 and abs(x - nearest) < POLE_TOLERANCE:
         return 0, -math.inf
-    log_abs, sign = log_gamma_signed(x)
-    return sign, -log_abs
+    if x >= 0.5:
+        return 1, -_lanczos_log_gamma(x)
+    s = _sin_pi(x)
+    log_abs = _LOG_PI - math.log(abs(s)) - _lanczos_log_gamma(1.0 - x)
+    return (1 if s > 0.0 else -1), -log_abs
 
 
 def _lanczos_log_gamma_values(x: np.ndarray) -> np.ndarray:
@@ -184,18 +134,3 @@ def recip_gamma_log_values(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     signs = np.where(live, np.where(reflect & ~(s > 0.0), -1.0, 1.0), 0.0)
     logs = np.where(live, -log_abs, -math.inf)
     return signs, logs
-
-
-def pcf_at_zero(nu: float) -> PcfBoundaryValues:
-    """Boundary values D_nu(0) and D'_nu(0) of the parabolic cylinder function.
-
-        D_nu(0)  =  2^(nu/2)   sqrt(pi) / Gamma(1/2 - nu/2)
-        D'_nu(0) = -2^((nu+1)/2) sqrt(pi) / Gamma(-nu/2)
-
-    Both are computed through recip_gamma, so D_nu(0) is exactly 0 at odd
-    non-negative integer nu and D'_nu(0) exactly 0 at even non-negative
-    integer nu; they are never simultaneously zero.
-    """
-    d0 = 2.0 ** (0.5 * nu) * _SQRT_PI * recip_gamma(0.5 - 0.5 * nu)
-    d0p = -(2.0 ** (0.5 * (nu + 1.0))) * _SQRT_PI * recip_gamma(-0.5 * nu)
-    return PcfBoundaryValues(d0, d0p, nu)

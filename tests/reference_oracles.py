@@ -2,7 +2,9 @@
 
 Everything here deliberately avoids the library's own root-finding and
 discretization paths: plain bisection on one-variable closed-form
-conditions only.  The one exception is scan_brackets, the bracket scan
+conditions only, and the parabolic-cylinder boundary values D_nu(0),
+D'_nu(0) from math.gamma, which shares nothing with the library's
+Lanczos series.  The one exception is scan_brackets, the bracket scan
 as it was before it evaluated whole grids at once: one scalar call of f
 per node, both subdivision triggers as loops.  It is kept verbatim as
 the reference the array scan must reproduce node for node.
@@ -10,12 +12,12 @@ the reference the array scan must reproduce node for node.
 
 import math
 from statistics import median
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from dwcross.errors import CountMismatchError, NonConvergenceError
-from dwcross.rootfind import Bracket, RootfindConfig
+from dwcross.rootfind import _MAX_SUBDIVISION_DEPTH, Bracket, RootfindConfig
 
 
 def bisect(f, lo, hi, tol=1e-12):
@@ -31,6 +33,40 @@ def bisect(f, lo, hi, tol=1e-12):
         else:
             hi, fhi = mid, fm
     return 0.5 * (lo + hi)
+
+
+class PcfBoundaryValues(NamedTuple):
+    """Value and slope of the parabolic cylinder function D_nu at the origin."""
+
+    d0: float
+    d0_prime: float
+
+
+def _recip_gamma(x: float) -> float:
+    """1/Gamma(x) from math.gamma: 0.0 at the poles 0, -1, -2, ... and
+    wherever math.gamma overflows (within about 1e-308 of a pole, or
+    x > 171.6), where |1/Gamma| is below about 1e-290."""
+    if x <= 0.0 and x == math.floor(x):
+        return 0.0
+    try:
+        return 1.0 / math.gamma(x)
+    except OverflowError:
+        return 0.0
+
+
+def pcf_at_zero(nu: float) -> PcfBoundaryValues:
+    """Boundary values D_nu(0) and D'_nu(0) of the parabolic cylinder function.
+
+        D_nu(0)  =  2^(nu/2)   sqrt(pi) / Gamma(1/2 - nu/2)
+        D'_nu(0) = -2^((nu+1)/2) sqrt(pi) / Gamma(-nu/2)
+
+    D_nu(0) is exactly 0 at odd non-negative integer nu and D'_nu(0)
+    exactly 0 at even non-negative integer nu; they are never both zero.
+    """
+    root_pi = math.sqrt(math.pi)
+    d0 = 2.0 ** (0.5 * nu) * root_pi * _recip_gamma(0.5 - 0.5 * nu)
+    d0p = -(2.0 ** (0.5 * (nu + 1.0))) * root_pi * _recip_gamma(-0.5 * nu)
+    return PcfBoundaryValues(d0, d0p)
 
 
 def symmetric_delta_box_levels(v0, a, u, count, tol=1e-12):
@@ -141,7 +177,7 @@ def scan_brackets(
 
     Two triggers mark a cell as possibly hiding a sub-grid root pair (the
     throat of an avoided crossing), and such cells are subdivided down to
-    coarse_cell / 2^max_subdivision_depth: a node where |f| has a local
+    coarse_cell / 2^_MAX_SUBDIVISION_DEPTH: a node where |f| has a local
     minimum below 1e-3 times the running median of |f| with no adjacent
     sign change, and, scale-free, a quadratic through either node triple
     flanking a sign-preserving cell predicting a real root inside it.
@@ -153,7 +189,7 @@ def scan_brackets(
         raise ValueError("scan_brackets needs cfg.e_max")
     xs = list(np.linspace(cfg.e_min, cfg.e_max, cfg.coarse_steps + 1))
     coarse_cell = (cfg.e_max - cfg.e_min) / cfg.coarse_steps
-    min_cell = coarse_cell / 2**cfg.max_subdivision_depth
+    min_cell = coarse_cell / 2**_MAX_SUBDIVISION_DEPTH
     fs = []
     for i, x in enumerate(xs):
         fx = f(x)
@@ -162,7 +198,7 @@ def scan_brackets(
         fs.append(fx)
 
     def run_subdivision(threshold_factor: float) -> None:
-        for _ in range(cfg.max_subdivision_depth + 1):
+        for _ in range(_MAX_SUBDIVISION_DEPTH + 1):
             abs_fs = [abs(v) for v in fs]
             threshold = threshold_factor * median(abs_fs)
             n = len(xs)

@@ -213,6 +213,24 @@ class TestExitCodes:
         assert run_cli(tmp_path, monkeypatch, self.E_MIN_ARGV + ["20000"]) == 2
         assert "solver error" in capsys.readouterr().err
 
+    def test_compare_rejects_e_min(self, tmp_path, monkeypatch, capsys):
+        # the oracle gives the lowest levels: analytic levels above e_min
+        # would be gated against the wrong partners
+        argv = ["compare"] + self.E_MIN_ARGV[1:] + ["100"]
+        assert run_cli(tmp_path, monkeypatch, argv) == 1
+        assert list(tmp_path.iterdir()) == []
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "e_min" in err
+
+    def test_compare_levels_beyond_oracle_grid(self, tmp_path, monkeypatch, capsys):
+        argv = ["compare", "--model", "m1", "--v0", "1", "--a", "2", "--b", "2", "--u", "100",
+                "--levels", "600", "--oracle-points", "500", "--out", "bad.csv"]
+        assert run_cli(tmp_path, monkeypatch, argv) == 1
+        assert list(tmp_path.iterdir()) == []
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "600 levels" in err and "501 interior points" in err and "--oracle-points" in err
+
     def test_e_min_zero_is_config_error(self, tmp_path, monkeypatch, capsys):
         assert run_cli(tmp_path, monkeypatch, self.E_MIN_ARGV + ["0"]) == 1
         assert list(tmp_path.iterdir()) == []

@@ -21,8 +21,7 @@ from dwcross.models import (
     replace_param,
 )
 from dwcross.rootfind import solve_levels
-from dwcross.specfun import pcf_at_zero
-from reference_oracles import bisect, symmetric_delta_box_levels
+from reference_oracles import bisect, pcf_at_zero, symmetric_delta_box_levels
 
 U1 = UnitsConfig(1.0)
 
@@ -77,8 +76,8 @@ class TestCharM1:
         m = M1Params(0.0, 2.0, 2.0)
         for n in (1, 2, 3):
             e = (n * math.pi / 4.0) ** 2
-            assert abs(m.char(e, U1).value) < 1e-9
-        assert abs(m.char(1.3, U1).value) > 1e-2  # not a zero away from roots
+            assert abs(m.char(e, U1)) < 1e-9
+        assert abs(m.char(1.3, U1)) > 1e-2  # not a zero away from roots
 
     def test_value_formula(self):
         m = M1Params(3.0, 1.5, 2.5)
@@ -86,9 +85,7 @@ class TestCharM1:
         e = 1.234
         k = math.sqrt(0.7 * e)
         expected = k * math.sin(4.0 * k) + 0.7 * 3.0 * math.sin(1.5 * k) * math.sin(2.5 * k)
-        ev = m.char(e, u)
-        assert ev.value == pytest.approx(expected, rel=1e-14)
-        assert ev.k == pytest.approx(k, rel=1e-15)
+        assert m.char(e, u) == pytest.approx(expected, rel=1e-14)
 
     def test_symmetric_reduction(self):
         # a = b: root set of F equals the union of the k cot(ka) = -u v0/2
@@ -119,7 +116,7 @@ class TestCharM2:
         m = M2Params(9.0, 2.5, 1.0, 3.2)  # d1 = 1.5, d2 = 2.2
         swapped = M2Params(9.0, 3.2, 1.0, 2.5)  # d1 = 2.2, d2 = 1.5
         for e in np.linspace(0.1, 25.0, 400):
-            assert m.char(float(e), u).value == swapped.char(float(e), u).value
+            assert m.char(float(e), u) == swapped.char(float(e), u)
 
     def test_continuity_through_barrier_top(self):
         m = M2Params(10.0, 2.0, 1.0, 3.0)
@@ -132,15 +129,6 @@ class TestCharM2:
         vals = [f(float(e)) for e in es]
         diffs = np.abs(np.diff(vals))
         assert diffs.max() < 1e-4 * (1.0 + np.abs(vals).max())
-
-    def test_branch_flag(self):
-        m = M2Params(10.0, 2.0, 1.0, 3.0)
-        below = m.char(5.0, U1)
-        above = m.char(15.0, U1)
-        assert not below.p_or_q_imaginary
-        assert above.p_or_q_imaginary
-        assert below.p_or_q == pytest.approx(math.sqrt(5.0), rel=1e-14)
-        assert above.p_or_q == pytest.approx(math.sqrt(5.0), rel=1e-14)
 
 
 class TestCharM3:
@@ -157,7 +145,7 @@ class TestCharM3:
         # states with a node at the origin never feel the delta
         m = M3Params(10.0, 2.0, 2.0)
         for e in (3.0, 7.0, 11.0):
-            assert m.char(e, U1).value == 0.0
+            assert m.char(e, U1) == 0.0
 
     def test_even_levels_shift_up(self):
         m = M3Params(10.0, 2.0, 2.0)
@@ -172,17 +160,18 @@ class TestCharM3:
         # 2^(-(nu1+nu2)/2)/pi
         m = M3Params(4.0, 2.0, 1.3)
         u = UnitsConfig(0.8)
+        alpha1, alpha2 = math.sqrt(u.u * m.hw1), math.sqrt(u.u * m.hw2)
         for e in np.linspace(0.3, 18.0, 57):
-            ev = m.char(float(e), u)
-            p1 = pcf_at_zero(ev.nu1)
-            p2 = pcf_at_zero(ev.nu2)
+            nu1, nu2 = e / m.hw1 - 0.5, e / m.hw2 - 0.5
+            p1 = pcf_at_zero(nu1)
+            p2 = pcf_at_zero(nu2)
             raw = (
-                ev.alpha2 * p2.d0_prime * p1.d0
-                + ev.alpha1 * p1.d0_prime * p2.d0
+                alpha2 * p2.d0_prime * p1.d0
+                + alpha1 * p1.d0_prime * p2.d0
                 - u.u * m.v0 * p1.d0 * p2.d0
             )
-            expected = raw * 2.0 ** (-0.5 * (ev.nu1 + ev.nu2)) / math.pi
-            assert ev.value == pytest.approx(expected, rel=1e-9, abs=1e-12)
+            expected = raw * 2.0 ** (-0.5 * (nu1 + nu2)) / math.pi
+            assert m.char(float(e), u) == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
     def test_monotone_in_delta_strength(self):
         # a non-negative perturbation never lowers a level
@@ -190,13 +179,6 @@ class TestCharM3:
         for weaker, stronger in zip(grids[:-1], grids[1:]):
             for lo, hi in zip(weaker, stronger):
                 assert hi >= lo - 1e-10
-
-    def test_derived_fields(self):
-        ev = M3Params(1.0, 2.0, 0.5).char(4.0, U1)
-        assert ev.nu1 == pytest.approx(1.5)
-        assert ev.nu2 == pytest.approx(7.5)
-        assert ev.alpha1 == pytest.approx(math.sqrt(2.0))
-        assert ev.alpha2 == pytest.approx(math.sqrt(0.5))
 
 
 class TestCharM4:
@@ -262,11 +244,11 @@ class TestEverywhereFinite:
     @given(st.floats(min_value=1e-6, max_value=60.0))
     @settings(max_examples=200, deadline=None)
     def test_m3_finite_property(self, e):
-        assert math.isfinite(M3Params(10.0, 2.0, 0.7).char(e, U1).value)
+        assert math.isfinite(M3Params(10.0, 2.0, 0.7).char(e, U1))
 
     def test_dispatcher(self):
-        assert characteristic(1.0, M1Params(0.0, 1.0, 1.0), U1).k is not None
-        assert characteristic(1.0, M3Params(0.0, 1.0, 1.0), U1).nu1 is not None
+        for m in (M1Params(0.0, 1.0, 1.0), M3Params(0.0, 1.0, 1.0)):
+            assert characteristic(1.0, m, U1) == m.char(1.0, U1)
         with pytest.raises(ModelMismatchError):
             characteristic(1.0, object(), U1)  # type: ignore[arg-type]
 
@@ -313,7 +295,7 @@ class TestCharValues:
             [np.linspace(1e-6, top, 257), [e for e in _branch_energies(model) if e <= top]]
         )
         got = model.char_values(energies, U1)
-        want = np.array([model.char(float(e), U1).value for e in energies])
+        want = np.array([model.char(float(e), U1) for e in energies])
         scale = float(np.max(np.abs(want)))
         resolved = np.abs(want) > 1e-12 * scale
         assert np.array_equal(np.sign(got[resolved]), np.sign(want[resolved]))
@@ -325,7 +307,7 @@ class TestCharValues:
         assert np.all(m.char_values(np.array([3.0, 7.0, 11.0]), U1) == 0.0)
         m4 = M4Params(10.0, 2.0, 1.5, 0.5)
         e = np.array([10.0])
-        assert m4.char_values(e, U1)[0] == pytest.approx(m4.char(10.0, U1).value, rel=1e-13)
+        assert m4.char_values(e, U1)[0] == pytest.approx(m4.char(10.0, U1), rel=1e-13)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_domain_error(self, bad):

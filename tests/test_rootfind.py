@@ -100,7 +100,7 @@ class TestScanBrackets:
 
     def test_count_mismatch_error(self):
         f = sin_sqrt
-        cfg = RootfindConfig(e_min=0.5, e_max=9.5, coarse_steps=64, max_subdivision_depth=4)
+        cfg = RootfindConfig(e_min=0.5, e_max=9.5, coarse_steps=64)
         with pytest.raises(CountMismatchError):
             scan_brackets(f, cfg, expected_count=7)
 

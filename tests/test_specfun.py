@@ -1,4 +1,5 @@
-"""Gamma machinery and parabolic-cylinder boundary values."""
+"""The reciprocal gamma function, and the parabolic-cylinder boundary
+values the m3 level condition is checked against."""
 
 import math
 
@@ -8,42 +9,48 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dwcross.errors import PoleProximityError
-from dwcross.specfun import (
-    POLE_TOLERANCE,
-    log_gamma_signed,
-    pcf_at_zero,
-    recip_gamma,
-    recip_gamma_log,
-    recip_gamma_log_values,
-)
+from dwcross.specfun import POLE_TOLERANCE, recip_gamma_log, recip_gamma_log_values
+from reference_oracles import pcf_at_zero
 
 SQRT_PI = math.sqrt(math.pi)
 
 
+def log_gamma_signed(x):
+    """(log|Gamma(x)|, sign of Gamma(x)), read off recip_gamma_log."""
+    sign, log = recip_gamma_log(x)
+    return -log, sign
+
+
+def recip_gamma(x):
+    """1/Gamma(x) from its signed log (0.0 at the poles)."""
+    sign, log = recip_gamma_log(x)
+    return sign * math.exp(log)
+
+
 class TestLogGammaSigned:
     def test_half(self):
-        lg = log_gamma_signed(0.5)
-        assert lg.sign == 1
-        assert lg.log_abs == pytest.approx(math.log(SQRT_PI), rel=1e-14)
+        log_abs, sign = log_gamma_signed(0.5)
+        assert sign == 1
+        assert log_abs == pytest.approx(math.log(SQRT_PI), rel=1e-14)
 
     def test_one(self):
-        lg = log_gamma_signed(1.0)
-        assert lg.sign == 1
-        assert abs(lg.log_abs) < 1e-13
+        log_abs, sign = log_gamma_signed(1.0)
+        assert sign == 1
+        assert abs(log_abs) < 1e-13
 
     def test_minus_half(self):
         # Gamma(-1/2) = -2 sqrt(pi) by reflection
-        lg = log_gamma_signed(-0.5)
-        assert lg.sign == -1
-        assert lg.log_abs == pytest.approx(math.log(2.0 * SQRT_PI), rel=1e-13)
+        log_abs, sign = log_gamma_signed(-0.5)
+        assert sign == -1
+        assert log_abs == pytest.approx(math.log(2.0 * SQRT_PI), rel=1e-13)
 
     def test_positive_axis_against_libm(self):
         # math.lgamma is an independent reference implementation
         for x in np.linspace(0.05, 170.0, 1200):
-            ours = log_gamma_signed(float(x))
-            assert ours.sign == 1
+            log_abs, sign = log_gamma_signed(float(x))
+            assert sign == 1
             ref = math.lgamma(float(x))
-            assert abs(ours.log_abs - ref) <= 1e-12 * max(1.0, abs(ref))
+            assert abs(log_abs - ref) <= 1e-12 * max(1.0, abs(ref))
 
     def test_negative_axis_against_libm(self):
         rng = np.random.default_rng(42)
@@ -51,17 +58,18 @@ class TestLogGammaSigned:
             x = float(rng.uniform(-30.0, -0.01))
             if abs(x - round(x)) < 1e-3:
                 continue
-            ours = log_gamma_signed(x)
-            assert abs(ours.log_abs - math.lgamma(x)) <= 1e-10 * max(1.0, abs(math.lgamma(x)))
+            log_abs, sign = log_gamma_signed(x)
+            assert abs(log_abs - math.lgamma(x)) <= 1e-10 * max(1.0, abs(math.lgamma(x)))
             # Gamma alternates sign between poles: negative on (-1, 0),
             # positive on (-2, -1), and so on.
             n = math.floor(-x)
-            assert ours.sign == (-1 if n % 2 == 0 else 1)
+            assert sign == (-1 if n % 2 == 0 else 1)
 
     @pytest.mark.parametrize("x", [0.0, -1.0, -2.0, -7.0, -3.0 + 1e-13])
     def test_pole_rejection(self, x):
-        with pytest.raises(PoleProximityError):
-            log_gamma_signed(x)
+        # within POLE_TOLERANCE of a pole, 1/Gamma is an exact zero: a dead
+        # term, never a log of a huge |Gamma|
+        assert recip_gamma_log(x) == (0, -math.inf)
 
     def test_reflection_identity_bulk(self):
         # Gamma(x) Gamma(1-x) = pi / sin(pi x), 1000 samples
@@ -71,15 +79,20 @@ class TestLogGammaSigned:
             x = float(rng.uniform(-20.0, 20.0))
             if abs(x - round(x)) < 1e-3:
                 continue
-            a = log_gamma_signed(x)
-            b = log_gamma_signed(1.0 - x)
-            lhs = a.sign * b.sign * math.exp(a.log_abs + b.log_abs)
+            log_a, sign_a = log_gamma_signed(x)
+            log_b, sign_b = log_gamma_signed(1.0 - x)
+            lhs = sign_a * sign_b * math.exp(log_a + log_b)
             rhs = math.pi / math.sin(math.pi * x)
             assert lhs == pytest.approx(rhs, rel=1e-9)
             checked += 1
 
 
 class TestRecipGamma:
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, x):
+        with pytest.raises(PoleProximityError):
+            recip_gamma_log(x)
+
     @pytest.mark.parametrize("x", [0.0, -1.0, -2.0, -15.0])
     def test_exact_zero_at_poles(self, x):
         assert recip_gamma(x) == 0.0
@@ -107,15 +120,11 @@ class TestRecipGamma:
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-300)
 
     def test_signed_log_form_matches(self):
+        # math.gamma is an independent reference implementation
         for x in np.linspace(-12.3, 15.7, 301):
             if abs(x - round(x)) < 1e-6 and round(x) <= 0:
                 continue
-            sign, log_abs = recip_gamma_log(float(x))
-            direct = recip_gamma(float(x))
-            if sign == 0:
-                assert direct == 0.0
-            else:
-                assert sign * math.exp(log_abs) == pytest.approx(direct, rel=1e-13)
+            assert recip_gamma(float(x)) == pytest.approx(1.0 / math.gamma(float(x)), rel=1e-12)
 
 
 class TestRecipGammaLogValues:
@@ -153,6 +162,9 @@ class TestRecipGammaLogValues:
 
 
 class TestPcfAtZero:
+    """The test-side D_nu(0) route (reference_oracles.pcf_at_zero) that the
+    m3 level condition is checked against."""
+
     def test_nu_zero(self):
         # D_0(z) = exp(-z^2/4): value 1, slope 0
         vals = pcf_at_zero(0.0)
