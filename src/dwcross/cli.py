@@ -21,6 +21,7 @@ from .oracle import OracleConfig, oracle_levels
 from .rootfind import RootfindConfig, solve_levels
 from .sweep import (
     AvoidedCrossing,
+    SpectrumTable,
     SweepSpec,
     detect_avoided_crossings,
     edge_candidates,
@@ -123,12 +124,11 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def build_sweep_spec(self, model: ModelParams) -> SweepSpec:
+    def build_sweep_spec(self) -> SweepSpec:
         if self.lambda_min is None or self.lambda_max is None:
             raise ConfigError("sweep needs lambda_min and lambda_max (or a preset)")
         try:
             return SweepSpec(
-                param_name=model.sweep_param,
                 lambda_min=self.lambda_min,
                 lambda_max=self.lambda_max,
                 steps=self.steps,
@@ -294,6 +294,10 @@ def _merge_config(values: dict) -> RunConfig:
             raise ConfigError(f"{key} must be finite, got {value}")
     if cfg.levels < 1:
         raise ConfigError(f"levels must be >= 1, got {cfg.levels}")
+    if cfg.gap_ceiling is not None and cfg.gap_ceiling <= 0.0:
+        raise ConfigError(f"gap_ceiling must be > 0, got {cfg.gap_ceiling}")
+    if cfg.tolerance is not None and cfg.tolerance < 0.0:
+        raise ConfigError(f"tolerance must be >= 0, got {cfg.tolerance}")
     return cfg
 
 
@@ -322,24 +326,27 @@ def cmd_solve(cfg: RunConfig) -> int:
     return 0
 
 
-def _sweep_table(cfg: RunConfig):
+def _sweep_model(cfg: RunConfig) -> ModelParams:
     # The swept parameter needs no base value; seed it from the window end
     # (every grid point is validated and substituted during the sweep).
     cls = VARIANTS.get((cfg.model or "").lower())
     if cls is not None and cfg.lambda_max is not None and getattr(cfg, cls.sweep_param) is None:
         setattr(cfg, cls.sweep_param, cfg.lambda_max)
-    model = cfg.build_model()
-    units = cfg.build_units()
-    spec = cfg.build_sweep_spec(model)
-    table = sweep_levels(model, units, spec, cfg.build_rootfind())
-    return model, units, spec, table
+    return cfg.build_model()
+
+
+def _sweep_table(cfg: RunConfig, model: ModelParams) -> SpectrumTable:
+    return sweep_levels(model, cfg.build_units(), cfg.build_sweep_spec(), cfg.build_rootfind())
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
     """Write the lambda grid and level columns (optionally effective levels
     and an SVG chart)."""
-    model, units, spec, table = _sweep_table(cfg)
-    n = spec.n_levels
+    model = _sweep_model(cfg)
+    if cfg.effective and model.kind != "m1":
+        raise ConfigError(f"effective levels are defined for the m1 b-sweep, not {model.kind}")
+    table = _sweep_table(cfg, model)
+    n = table.levels.shape[1]
     header = "lambda," + ",".join(f"E{j}" for j in range(1, n + 1))
     columns = [table.levels]
     if cfg.effective:
@@ -351,7 +358,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         lines.append(",".join([_fmt(float(lam))] + [_fmt(float(v)) for v in row]))
     _write_text(_default_out(cfg, "sweep"), "\n".join(lines) + "\n")
     if cfg.svg:
-        _write_svg(Path(cfg.svg), table.lambdas, table.levels, spec.param_name)
+        _write_svg(Path(cfg.svg), table.lambdas, table.levels, model.sweep_param)
     return 0
 
 
@@ -366,11 +373,8 @@ def _write_crossings(path: Path, crossings: list[AvoidedCrossing]) -> None:
 
 def cmd_detect(cfg: RunConfig) -> int:
     """Write refined avoided crossings plus boundary candidates."""
-    model, units, spec, table = _sweep_table(cfg)
-    crossings = detect_avoided_crossings(
-        model, units, spec, cfg.build_rootfind(),
-        gap_ceiling=cfg.gap_ceiling, table=table,
-    )
+    table = _sweep_table(cfg, _sweep_model(cfg))
+    crossings = detect_avoided_crossings(table, cfg.build_rootfind(), cfg.gap_ceiling)
     edges = edge_candidates(table, cfg.gap_ceiling)
     out = _default_out(cfg, "detect")
     _write_crossings(out, crossings)

@@ -13,10 +13,6 @@ class PoleProximityError(DomainError):
     """Evaluation point is too close to a gamma-function pole."""
 
 
-class CountMismatchError(DwcrossError):
-    """Bracket scan found fewer roots than the independent count requires."""
-
-
 class NonConvergenceError(DwcrossError):
     """An iterative search exhausted its budget without converging."""
 

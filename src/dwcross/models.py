@@ -10,11 +10,12 @@ All four share one in-barrier at the center:
 Each variant is one frozen dataclass, M1Params..M4Params, derived from
 ModelParams.  The class holds the parameters and everything the solver,
 the oracle, the sweep and the CLI need to know about the variant: its
-tag (`kind`), the parameter a sweep varies (`sweep_param`), the
-characteristic function, the smooth potential and its cell average,
-the level-window estimate, the delta strength, the shooting
-breakpoints, the box walls and the oracle's grid ends.  Other modules
-ask the model, never its type.  VARIANTS maps each tag to its class.
+tag (`kind`), the parameter a sweep varies (`sweep_param`, which `at`
+sets to a new value), the characteristic function, the smooth
+potential and its cell average, the level-window estimate, the delta
+strength, the shooting breakpoints, the box walls and the oracle's
+grid ends.  Other modules ask the model, never its type.  VARIANTS
+maps each tag to its class.
 
 Each variant writes its level condition once, as `_char(e, u, ops)`:
 one formula over the primitives in `ops` (square root, sine, cosine,
@@ -64,7 +65,6 @@ __all__ = [
     "characteristic",
     "characteristic_fn",
     "model_kind",
-    "replace_param",
 ]
 
 _LN_SQRT2 = 0.5 * math.log(2.0)
@@ -138,6 +138,10 @@ class ModelParams:
             DomainError: some energy is not positive and finite.
         """
         return self._char(_positive_energies(energies), units.u, _ARRAY)
+
+    def at(self, value: float) -> ModelParams:
+        """The same model with its sweep parameter set to value (validated)."""
+        return dataclasses.replace(self, **{self.sweep_param: value})
 
     def potential(self, units: UnitsConfig, x: np.ndarray) -> np.ndarray:
         """Smooth part of V(x) in eV on the given positions (delta terms excluded).
@@ -661,10 +665,3 @@ def characteristic_fn(model: ModelParams, units: UnitsConfig):
 def model_kind(model: ModelParams) -> str:
     """Short tag 'm1'..'m4' for the model variant."""
     return model.kind
-
-
-def replace_param(model: ModelParams, name: str, value: float) -> ModelParams:
-    """New params with one field replaced (validates the result)."""
-    if name not in {f.name for f in dataclasses.fields(model)}:
-        raise ModelMismatchError(f"{model.kind} has no parameter {name!r}")
-    return dataclasses.replace(model, **{name: value})

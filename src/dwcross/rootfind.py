@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import CountMismatchError, NonConvergenceError
+from .errors import NonConvergenceError
 from .models import ModelParams, UnitsConfig, characteristic_fn
 
 __all__ = [
@@ -47,6 +47,10 @@ _COARSE_STEPS_CAP = 16384
 # Suspect cells are halved at most this many times: down to 1/4096 of a
 # coarse cell.
 _MAX_SUBDIVISION_DEPTH = 12
+
+# A local minimum of |f| below this share of the median |f| on the scan
+# grid marks its flanking cells for subdivision.
+_DIP_FRACTION = 1e-3
 
 # An array form of f: 1-D energies to the values there.
 ArrayFn = Callable[[np.ndarray], np.ndarray]
@@ -174,7 +178,7 @@ def _parabola_roots(xs: np.ndarray, fs: np.ndarray) -> tuple[np.ndarray, np.ndar
     return lower, upper
 
 
-def _cells_to_split(xs: np.ndarray, fs: np.ndarray, threshold_factor: float) -> np.ndarray:
+def _cells_to_split(xs: np.ndarray, fs: np.ndarray) -> np.ndarray:
     """Cells that may hide a sub-grid root pair (see scan_brackets).
 
     The masks are built in place, with one temporary at a time.  numpy
@@ -188,7 +192,7 @@ def _cells_to_split(xs: np.ndarray, fs: np.ndarray, threshold_factor: float) -> 
     # statistics.median, not np.median or np.sort: numpy's sort maps
     # 256 kB more of its code into memory (x86-64, numpy 2.4), and
     # np.median also imports numpy.ma, about a megabyte
-    threshold = threshold_factor * median(abs_fs.tolist())
+    threshold = _DIP_FRACTION * median(abs_fs.tolist())
     changes = _sign_changes(fs)
     split = np.zeros(changes.size, dtype=bool)
     # Scale-free rule: a quadratic through either flanking node triple
@@ -230,21 +234,7 @@ def _merged(
     return out
 
 
-def _brackets(xs: np.ndarray, fs: np.ndarray) -> list[Bracket]:
-    cells = np.flatnonzero(_sign_changes(fs))
-    return [
-        Bracket(*nodes)
-        for nodes in zip(
-            xs[cells].tolist(), xs[cells + 1].tolist(), fs[cells].tolist(), fs[cells + 1].tolist()
-        )
-    ]
-
-
-def scan_brackets(
-    f: ArrayFn,
-    cfg: RootfindConfig,
-    expected_count: int | None = None,
-) -> list[Bracket]:
+def scan_brackets(f: ArrayFn, cfg: RootfindConfig) -> list[Bracket]:
     """Disjoint, sorted sign-change brackets of f on [e_min, e_max].
 
     f maps a 1-D array of energies to the array of its values (for a
@@ -255,12 +245,9 @@ def scan_brackets(
     Two triggers mark a cell as possibly hiding a sub-grid root pair (the
     throat of an avoided crossing), and such cells are subdivided down to
     coarse_cell / 2^_MAX_SUBDIVISION_DEPTH: a node where |f| has a local
-    minimum below 1e-3 times the running median of |f| with no adjacent
-    sign change, and, scale-free, a quadratic through either node triple
-    flanking a sign-preserving cell predicting a real root inside it.
-    When expected_count is given (an independent Sturm count) and too few
-    brackets emerge, the dip threshold is loosened stepwise and
-    subdivision repeated before a CountMismatchError is raised.
+    minimum below _DIP_FRACTION times the running median of |f| with no
+    adjacent sign change, and, scale-free, a quadratic through either node
+    triple flanking a sign-preserving cell predicting a real root inside it.
     """
     if cfg.e_max is None:
         raise ValueError("scan_brackets needs cfg.e_max")
@@ -271,38 +258,28 @@ def scan_brackets(
     for i in np.flatnonzero(fs == 0.0):
         xs[i], fs[i] = _nudged_value(f, xs[i], coarse_cell, cfg)
 
-    def subdivide(xs: np.ndarray, fs: np.ndarray, threshold_factor: float):
-        for _ in range(_MAX_SUBDIVISION_DEPTH + 1):
-            split = _cells_to_split(xs, fs, threshold_factor)
-            split &= xs[1:] - xs[:-1] > min_cell
-            cells = np.flatnonzero(split)
-            if not cells.size:
-                break
-            mids = 0.5 * (xs[cells] + xs[cells + 1])
-            fm = _evaluate(f, mids, cfg)
-            for j in np.flatnonzero(fm == 0.0):
-                mids[j], fm[j] = _nudged_value(f, mids[j], min_cell, cfg)
-            # each midpoint goes right after its cell's left node
-            at = cells + np.arange(1, cells.size + 1)
-            old = np.ones(xs.size + cells.size, dtype=bool)
-            old[at] = False
-            xs, fs = _merged(xs, mids, old, at), _merged(fs, fm, old, at)
-        return xs, fs
-
-    xs, fs = subdivide(xs, fs, 1e-3)
-    brackets = _brackets(xs, fs)
-    if expected_count is not None and len(brackets) < expected_count:
-        factor = 1e-2
-        while len(brackets) < expected_count and factor <= 1e3:
-            xs, fs = subdivide(xs, fs, factor)
-            brackets = _brackets(xs, fs)
-            factor *= 10.0
-        if len(brackets) < expected_count:
-            raise CountMismatchError(
-                f"found {len(brackets)} bracket(s), expected {expected_count}; "
-                "a near-degenerate pair is unresolved at this subdivision depth"
-            )
-    return brackets
+    for _ in range(_MAX_SUBDIVISION_DEPTH + 1):
+        split = _cells_to_split(xs, fs)
+        split &= xs[1:] - xs[:-1] > min_cell
+        cells = np.flatnonzero(split)
+        if not cells.size:
+            break
+        mids = 0.5 * (xs[cells] + xs[cells + 1])
+        fm = _evaluate(f, mids, cfg)
+        for j in np.flatnonzero(fm == 0.0):
+            mids[j], fm[j] = _nudged_value(f, mids[j], min_cell, cfg)
+        # each midpoint goes right after its cell's left node
+        at = cells + np.arange(1, cells.size + 1)
+        old = np.ones(xs.size + cells.size, dtype=bool)
+        old[at] = False
+        xs, fs = _merged(xs, mids, old, at), _merged(fs, fm, old, at)
+    cells = np.flatnonzero(_sign_changes(fs))
+    return [
+        Bracket(*nodes)
+        for nodes in zip(
+            xs[cells].tolist(), xs[cells + 1].tolist(), fs[cells].tolist(), fs[cells + 1].tolist()
+        )
+    ]
 
 
 def refine_root(f: Callable[[float], float], bracket: Bracket, cfg: RootfindConfig) -> float:

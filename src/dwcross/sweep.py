@@ -18,8 +18,8 @@ from statistics import median
 
 import numpy as np
 
-from .errors import ModelMismatchError, NonConvergenceError
-from .models import ModelParams, UnitsConfig, characteristic_fn, replace_param
+from .errors import ConfigError, ModelMismatchError, NonConvergenceError
+from .models import ModelParams, UnitsConfig, characteristic_fn
 from .rootfind import RootfindConfig, refine_root, scan_brackets, solve_levels
 
 __all__ = [
@@ -43,9 +43,8 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Which parameter to vary, over what grid, tracking how many levels."""
+    """The grid of the model's sweep parameter, and how many levels to track."""
 
-    param_name: str
     lambda_min: float
     lambda_max: float
     steps: int
@@ -65,13 +64,13 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SpectrumTable:
-    """Levels over the sweep grid: levels[i, n] is E_{n+1} at lambdas[i]."""
+    """Levels over the sweep grid: levels[i, n] is E_{n+1} at lambdas[i],
+    a value of model.sweep_param."""
 
     lambdas: np.ndarray
     levels: np.ndarray
     model: ModelParams
     units: UnitsConfig
-    param_name: str
 
 
 @dataclass(frozen=True)
@@ -85,42 +84,38 @@ class AvoidedCrossing:
     e_mid: float
 
 
-def _check_spec(model: ModelParams, spec: SweepSpec) -> None:
-    if spec.param_name != model.sweep_param:
-        raise ValueError(
-            f"{model.kind} sweeps {model.sweep_param!r}, got param_name={spec.param_name!r}"
-        )
-
-
 def sweep_levels(
     model: ModelParams,
     units: UnitsConfig,
     spec: SweepSpec,
     cfg: RootfindConfig | None = None,
 ) -> SpectrumTable:
-    """Solve the first n_levels at every grid point of the sweep.
+    """Solve the first n_levels at every grid point of the model's sweep
+    parameter.
 
     Every grid point's model is built (and so validated) before the first
-    solve.  Any per-point failure aborts the sweep with the offending grid
-    index (partial tables are never returned).
+    solve: a point outside the model's valid range raises ConfigError.
+    Any per-point solver failure aborts the sweep with NonConvergenceError.
+    Both name the offending grid index (partial tables are never returned).
     """
-    _check_spec(model, spec)
     lambdas = spec.grid()
-    varied = [replace_param(model, spec.param_name, float(lam)) for lam in lambdas]
+    name = model.sweep_param
+    varied = []
+    for i, lam in enumerate(lambdas.tolist()):
+        try:
+            varied.append(model.at(lam))
+        except ValueError as exc:
+            raise ConfigError(f"sweep grid index {i} ({name}={lam}): {exc}") from exc
     rows = []
     for i, point in enumerate(varied):
         try:
             rows.append(solve_levels(point, units, spec.n_levels, cfg))
         except Exception as exc:
             raise NonConvergenceError(
-                f"sweep failed at grid index {i} ({spec.param_name}={float(lambdas[i])}): {exc}"
+                f"sweep failed at grid index {i} ({name}={float(lambdas[i])}): {exc}"
             ) from exc
     return SpectrumTable(
-        lambdas=lambdas,
-        levels=np.array(rows, dtype=np.float64),
-        model=model,
-        units=units,
-        param_name=spec.param_name,
+        lambdas=lambdas, levels=np.array(rows, dtype=np.float64), model=model, units=units
     )
 
 
@@ -137,7 +132,6 @@ def default_gap_ceiling(table: SpectrumTable) -> float:
 def _gap_at(
     model: ModelParams,
     units: UnitsConfig,
-    name: str,
     lam: float,
     col: int,
     cfg: RootfindConfig,
@@ -150,7 +144,7 @@ def _gap_at(
     target roots; falls back to a full level solve when the window
     disagrees (e.g. a third root drifted in during refinement).
     """
-    varied = replace_param(model, name, lam)
+    varied = model.at(lam)
     f = characteristic_fn(varied, units)
     local = dataclasses.replace(cfg, e_min=max(e_lo, cfg.e_min), e_max=e_hi, coarse_steps=256)
     brackets = scan_brackets(partial(varied.char_values, units=units), local)
@@ -178,36 +172,32 @@ def _interior_minima(gaps: np.ndarray, ceiling: float) -> list[tuple[int, int]]:
 
 
 def detect_avoided_crossings(
-    model: ModelParams,
-    units: UnitsConfig,
-    spec: SweepSpec,
+    table: SpectrumTable,
     cfg: RootfindConfig | None = None,
     gap_ceiling: float | None = None,
-    table: SpectrumTable | None = None,
 ) -> list[AvoidedCrossing]:
-    """Certified avoided crossings of the sweep, sorted by lambda_star.
+    """Certified avoided crossings of a sweep, sorted by lambda_star.
 
     Each interior local minimum of a gap curve below gap_ceiling (default:
     20% of the sweep's median gap) is refined by golden-section search on
     the gap over its flanking grid cells; every crossing certifies a
     strictly positive refined gap.  Boundary minima are excluded (see
-    edge_candidates).  An already computed table for the same sweep may be
-    passed to skip the grid solve.
+    edge_candidates).  cfg is the root-finding configuration the table
+    was solved with.
     """
-    _check_spec(model, spec)
-    if table is None:
-        table = sweep_levels(model, units, spec, cfg)
+    model, units = table.model, table.units
     base = cfg if cfg is not None else RootfindConfig()
     gaps = gap_curves(table)
     ceiling = gap_ceiling if gap_ceiling is not None else default_gap_ceiling(table)
-    lam_tol = (spec.lambda_max - spec.lambda_min) * _LAMBDA_TOL_FRACTION
+    # linspace stores both window ends exactly
+    lam_tol = float(table.lambdas[-1] - table.lambdas[0]) * _LAMBDA_TOL_FRACTION
 
     found = []
     for row, col in _interior_minima(gaps, ceiling):
         e_lo, e_hi = _energy_window(table, row, col)
 
         def gap_fn(lam: float, col: int = col, e_lo: float = e_lo, e_hi: float = e_hi):
-            return _gap_at(model, units, spec.param_name, lam, col, base, e_lo, e_hi)
+            return _gap_at(model, units, lam, col, base, e_lo, e_hi)
 
         lam_star, gap, e_mid = _golden_min(
             gap_fn, float(table.lambdas[row - 1]), float(table.lambdas[row + 1]), lam_tol
@@ -283,7 +273,7 @@ def edge_candidates(
 def effective_levels(table: SpectrumTable) -> np.ndarray:
     """Width-scaled levels E'_n = u (a + b)^2 E_n for the delta-between-walls
     sweep (lambda is b); preserves row ordering and gap-minimum locations."""
-    if table.model.kind != "m1" or table.param_name != "b":
+    if table.model.kind != "m1":
         raise ModelMismatchError(
             f"effective levels are defined for the m1 b-sweep, not {table.model.kind}"
         )

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from dwcross.errors import CountMismatchError, NonConvergenceError
+from dwcross.errors import NonConvergenceError
 from dwcross.rootfind import _MAX_SUBDIVISION_DEPTH, Bracket, RootfindConfig
 
 
@@ -168,11 +168,7 @@ def _parabola_predicts_root(
     return any(lo <= x1 + xi <= hi for xi in candidates)
 
 
-def scan_brackets(
-    f: Callable[[float], float],
-    cfg: RootfindConfig,
-    expected_count: int | None = None,
-) -> list[Bracket]:
+def scan_brackets(f: Callable[[float], float], cfg: RootfindConfig) -> list[Bracket]:
     """Disjoint, sorted sign-change brackets of f on [e_min, e_max].
 
     Two triggers mark a cell as possibly hiding a sub-grid root pair (the
@@ -181,9 +177,6 @@ def scan_brackets(
     minimum below 1e-3 times the running median of |f| with no adjacent
     sign change, and, scale-free, a quadratic through either node triple
     flanking a sign-preserving cell predicting a real root inside it.
-    When expected_count is given (an independent Sturm count) and too few
-    brackets emerge, the dip threshold is loosened stepwise and
-    subdivision repeated before a CountMismatchError is raised.
     """
     if cfg.e_max is None:
         raise ValueError("scan_brackets needs cfg.e_max")
@@ -197,10 +190,10 @@ def scan_brackets(
             xs[i], fx = _nudged_value(f, x, coarse_cell)
         fs.append(fx)
 
-    def run_subdivision(threshold_factor: float) -> None:
+    def run_subdivision() -> None:
         for _ in range(_MAX_SUBDIVISION_DEPTH + 1):
             abs_fs = [abs(v) for v in fs]
-            threshold = threshold_factor * median(abs_fs)
+            threshold = 1e-3 * median(abs_fs)
             n = len(xs)
             split_cells: set[int] = set()
             # Deep-dip rule: cells flanking a sub-threshold local minimum
@@ -243,25 +236,9 @@ def scan_brackets(
                 xs.insert(pos, x)
                 fs.insert(pos, fx)
 
-    run_subdivision(1e-3)
-    brackets = [
+    run_subdivision()
+    return [
         Bracket(xs[i], xs[i + 1], fs[i], fs[i + 1])
         for i in range(len(xs) - 1)
         if _sign_change(fs[i], fs[i + 1])
     ]
-    if expected_count is not None and len(brackets) < expected_count:
-        factor = 1e-2
-        while len(brackets) < expected_count and factor <= 1e3:
-            run_subdivision(factor)
-            brackets = [
-                Bracket(xs[i], xs[i + 1], fs[i], fs[i + 1])
-                for i in range(len(xs) - 1)
-                if _sign_change(fs[i], fs[i + 1])
-            ]
-            factor *= 10.0
-        if len(brackets) < expected_count:
-            raise CountMismatchError(
-                f"found {len(brackets)} bracket(s), expected {expected_count}; "
-                "a near-degenerate pair is unresolved at this subdivision depth"
-            )
-    return brackets

@@ -62,8 +62,7 @@ def preset_model(name):
 
 def preset_sweep_spec(name):
     p = PRESETS[name]
-    param = {"m1": "b", "m2": "c", "m3": "hw2", "m4": "hw2"}[p["model"]]
-    return SweepSpec(param, p["lambda_min"], p["lambda_max"], p["steps"], p["levels"])
+    return SweepSpec(p["lambda_min"], p["lambda_max"], p["steps"], p["levels"])
 
 
 _detection_cache: dict = {}
@@ -76,9 +75,7 @@ def preset_detection(name):
         spec = preset_sweep_spec(name)
         start = time.perf_counter()
         table = sweep_levels(model, units, spec)
-        acs = detect_avoided_crossings(
-            model, units, spec, gap_ceiling=PRESETS[name].get("gap_ceiling"), table=table
-        )
+        acs = detect_avoided_crossings(table, gap_ceiling=PRESETS[name].get("gap_ceiling"))
         elapsed = time.perf_counter() - start
         _detection_cache[name] = (table, acs, elapsed)
     return _detection_cache[name]

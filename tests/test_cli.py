@@ -63,8 +63,8 @@ class TestPresets:
         assert model == M2Params(v0=10.0, a=2.0, b=1.0, c=2.0)
         assert cfg.u == 1.0
         assert (cfg.lambda_min, cfg.lambda_max) == (1.05, 6.0)
-        spec = cfg.build_sweep_spec(model)
-        assert spec.param_name == "c"
+        assert model.sweep_param == "c"
+        spec = cfg.build_sweep_spec()
         assert spec.n_levels == 5
 
     def test_preset_values_frozen(self):
@@ -181,6 +181,55 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == []
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "levels must be >= 1" in err
+
+    @pytest.mark.parametrize(
+        "argv,point",
+        [
+            pytest.param(["sweep", "--preset", "fig5", "--lambda-min", "0.5"], "c=0.5",
+                         id="sweep-fig5-c-below-b"),
+            pytest.param(["sweep", "--preset", "fig6a", "--lambda-min", "0"], "hw2=0.0",
+                         id="sweep-fig6a-hw2-zero"),
+            pytest.param(["detect", "--preset", "fig3", "--lambda-min", "-1"], "b=-1.0",
+                         id="detect-fig3-b-negative"),
+        ],
+    )
+    def test_sweep_window_outside_valid_range(
+        self, tmp_path, monkeypatch, capsys, argv, point
+    ):
+        # the first grid point lies outside the model's valid range
+        assert run_cli(tmp_path, monkeypatch, argv + ["--out", "bad.csv"]) == 1
+        assert list(tmp_path.iterdir()) == []
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"grid index 0 ({point})" in err
+
+    def test_effective_sweep_needs_m1(self, tmp_path, monkeypatch, capsys):
+        # rejected before any level is solved, not after the whole sweep
+        argv = ["sweep", "--preset", "fig5", "--effective", "--out", "bad.csv"]
+        assert run_cli(tmp_path, monkeypatch, argv) == 1
+        assert list(tmp_path.iterdir()) == []
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "m1" in err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            pytest.param(["detect", "--preset", "fig3", "--gap-ceiling", "-1"],
+                         "gap_ceiling must be > 0", id="detect-gap-ceiling-negative"),
+            pytest.param(["detect", "--preset", "fig3", "--gap-ceiling", "0"],
+                         "gap_ceiling must be > 0", id="detect-gap-ceiling-zero"),
+            pytest.param(["compare", "--preset", "fig3", "--tolerance", "-1"],
+                         "tolerance must be >= 0", id="compare-tolerance-negative"),
+        ],
+    )
+    def test_meaningless_gate_is_config_error(
+        self, tmp_path, monkeypatch, capsys, argv, message
+    ):
+        # a non-positive ceiling finds nothing and a negative tolerance
+        # fails every gate, whatever the levels
+        assert run_cli(tmp_path, monkeypatch, argv + ["--out", "bad.csv"]) == 1
+        assert list(tmp_path.iterdir()) == []
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
 
     def test_unknown_flag_is_one(self, tmp_path, monkeypatch):
         assert run_cli(tmp_path, monkeypatch, ["solve", "--frobnicate"]) == 1

@@ -1,5 +1,6 @@
 """Characteristic functions: closed-form zeros, branch joining, symmetry."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +19,6 @@ from dwcross.models import (
     characteristic,
     characteristic_fn,
     model_kind,
-    replace_param,
 )
 from dwcross.rootfind import solve_levels
 from reference_oracles import bisect, pcf_at_zero, symmetric_delta_box_levels
@@ -55,13 +55,19 @@ class TestParamsValidation:
         assert M2Params(1.0, 2.0, 1.0, 3.0).sweep_param == "c"
         assert M4Params(1.0, 1.0, 1.0, 0.5).sweep_param == "hw2"
 
-    def test_replace_param_validates(self):
-        m = M2Params(10.0, 2.0, 1.0, 3.0)
-        assert replace_param(m, "c", 4.0).c == 4.0
-        with pytest.raises(ValueError):
-            replace_param(m, "c", 0.5)
-        with pytest.raises(ModelMismatchError):
-            replace_param(m, "hw2", 1.0)
+    def test_at_validates(self):
+        # each variant moves its own sweep parameter and rejects a value
+        # outside its valid range
+        for model, invalid in (
+            (M1Params(10.0, 2.0, 2.0), 0.0),
+            (M2Params(10.0, 2.0, 1.0, 3.0), 0.5),
+            (M3Params(10.0, 2.0, 2.0), -1.0),
+            (M4Params(10.0, 2.0, 2.0, 0.5), 0.0),
+        ):
+            moved = model.at(4.0)
+            assert moved == dataclasses.replace(model, **{model.sweep_param: 4.0})
+            with pytest.raises(ValueError, match=model.kind):
+                model.at(invalid)
 
 
 class TestCharM1:

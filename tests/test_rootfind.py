@@ -9,7 +9,7 @@ import pytest
 
 import reference_oracles
 from dwcross.cli import PRESETS
-from dwcross.errors import CountMismatchError, NonConvergenceError
+from dwcross.errors import NonConvergenceError
 from dwcross.models import (
     VARIANTS,
     M1Params,
@@ -76,7 +76,7 @@ class TestScanBrackets:
         m = M2Params(10.0, 2.0, 1.0, 3.3553)
         f = characteristic_fn(m, U1)
         cfg = RootfindConfig(e_min=1e-9, e_max=16.0, coarse_steps=64)
-        brackets = scan_brackets(values_fn(m), cfg, expected_count=5)
+        brackets = scan_brackets(values_fn(m), cfg)
         assert len(brackets) == 5
         pair = [b for b in brackets if 5.0 < b.lo < 5.6]
         assert len(pair) == 2
@@ -98,14 +98,8 @@ class TestScanBrackets:
         assert roots[1] == pytest.approx(5.41844, abs=1e-3)
         assert roots[2] == pytest.approx(12.04674, abs=1e-3)
 
-    def test_count_mismatch_error(self):
-        f = sin_sqrt
-        cfg = RootfindConfig(e_min=0.5, e_max=9.5, coarse_steps=64)
-        with pytest.raises(CountMismatchError):
-            scan_brackets(f, cfg, expected_count=7)
-
     def test_expected_count_from_oracle_sturm(self):
-        # the expected count comes straight from the independent
+        # the scan finds as many brackets as the independent
         # finite-difference Sturm count at the window top
         from dwcross.oracle import OracleConfig, build_hamiltonian, sturm_count
 
@@ -114,7 +108,7 @@ class TestScanBrackets:
         expected = sturm_count(T, 12.0)
         assert expected == 4
         cfg = RootfindConfig(e_min=1e-9, e_max=12.0, coarse_steps=128)
-        brackets = scan_brackets(values_fn(m), cfg, expected_count=expected)
+        brackets = scan_brackets(values_fn(m), cfg)
         assert len(brackets) == expected
 
     def test_requires_e_max(self):

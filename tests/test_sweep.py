@@ -24,29 +24,24 @@ U1 = UnitsConfig(1.0)
 class TestSweepSpec:
     def test_window_order(self):
         with pytest.raises(ValueError):
-            SweepSpec("b", 2.0, 1.0, 10, 3)
+            SweepSpec(2.0, 1.0, 10, 3)
 
     def test_minimum_sizes(self):
         with pytest.raises(ValueError):
-            SweepSpec("b", 0.1, 1.0, 1, 3)
+            SweepSpec(0.1, 1.0, 1, 3)
         with pytest.raises(ValueError):
-            SweepSpec("b", 0.1, 1.0, 10, 1)
-
-    def test_param_must_match_model(self):
-        spec = SweepSpec("c", 0.5, 1.0, 4, 2)
-        with pytest.raises(ValueError, match="sweeps"):
-            sweep_levels(M1Params(0.0, 2.0, 2.0), U1, spec)
+            SweepSpec(0.1, 1.0, 10, 1)
 
     def test_invalid_grid_point_rejected(self):
         # c must stay above b = 1 at every grid point
-        spec = SweepSpec("c", 0.5, 3.0, 6, 2)
-        with pytest.raises(ValueError):
+        spec = SweepSpec(0.5, 3.0, 6, 2)
+        with pytest.raises(ValueError, match=r"grid index 0 \(c=0.5\)"):
             sweep_levels(M2Params(10.0, 2.0, 1.0, 2.0), U1, spec)
 
 
 class TestSweepLevels:
     def test_free_well_closed_form(self):
-        spec = SweepSpec("b", 0.5, 3.0, 11, 3)
+        spec = SweepSpec(0.5, 3.0, 11, 3)
         table = sweep_levels(M1Params(0.0, 2.0, 2.0), U1, spec)
         assert table.levels.shape == (11, 3)
         for i, b in enumerate(table.lambdas):
@@ -55,13 +50,13 @@ class TestSweepLevels:
                 assert table.levels[i, n - 1] == pytest.approx(want, abs=1e-8)
 
     def test_rows_strictly_ascending(self):
-        spec = SweepSpec("hw2", 0.8, 2.4, 9, 4)
+        spec = SweepSpec(0.8, 2.4, 9, 4)
         table = sweep_levels(M3Params(10.0, 2.0, 2.0), U1, spec)
         assert np.all(np.diff(table.levels, axis=1) > 0.0)
 
     def test_failure_reports_grid_index(self):
         # an expansion-capped solve fails; the sweep must name the point
-        spec = SweepSpec("b", 0.01, 0.03, 3, 4)
+        spec = SweepSpec(0.01, 0.03, 3, 4)
         cfg = RootfindConfig(e_max=20.0)
         with pytest.raises(NonConvergenceError, match="grid index"):
             sweep_levels(M1Params(0.0, 0.02, 0.02), U1, spec, cfg)
@@ -69,7 +64,7 @@ class TestSweepLevels:
 
 class TestGapCurves:
     def test_positive_and_telescoping(self):
-        spec = SweepSpec("b", 0.5, 3.0, 7, 4)
+        spec = SweepSpec(0.5, 3.0, 7, 4)
         table = sweep_levels(M1Params(10.0, 2.0, 2.0), U1, spec)
         gaps = gap_curves(table)
         assert gaps.shape == (7, 3)
@@ -81,7 +76,7 @@ class TestGapCurves:
 
     def test_constant_columns_give_constant_gap(self):
         table = sweep_levels(
-            M1Params(0.0, 2.0, 2.0), U1, SweepSpec("b", 1.0, 1.0 + 1e-12, 2, 3)
+            M1Params(0.0, 2.0, 2.0), U1, SweepSpec(1.0, 1.0 + 1e-12, 2, 3)
         )
         gaps = gap_curves(table)
         assert gaps[0, 0] == pytest.approx(gaps[1, 0], rel=1e-6)
@@ -89,20 +84,20 @@ class TestGapCurves:
 
 class TestEffectiveLevels:
     def test_exact_cancellation_at_zero_strength(self):
-        spec = SweepSpec("b", 0.5, 4.0, 9, 3)
+        spec = SweepSpec(0.5, 4.0, 9, 3)
         table = sweep_levels(M1Params(0.0, 2.0, 2.0), U1, spec)
         eff = effective_levels(table)
         for n in (1, 2, 3):
             assert np.allclose(eff[:, n - 1], (n * math.pi) ** 2, atol=1e-6)
 
     def test_ordering_preserved(self):
-        spec = SweepSpec("b", 0.5, 4.0, 9, 4)
+        spec = SweepSpec(0.5, 4.0, 9, 4)
         table = sweep_levels(M1Params(10.0, 2.0, 2.0), U1, spec)
         eff = effective_levels(table)
         assert np.all(np.diff(eff, axis=1) > 0.0)
 
     def test_wrong_model_rejected(self):
-        spec = SweepSpec("hw2", 1.0, 2.0, 4, 2)
+        spec = SweepSpec(1.0, 2.0, 4, 2)
         table = sweep_levels(M3Params(0.0, 2.0, 2.0), U1, spec)
         with pytest.raises(ModelMismatchError):
             effective_levels(table)
@@ -113,7 +108,7 @@ class TestEffectiveLevels:
         # down, and keep the gap-minimum locations
         units = UnitsConfig(0.2625)
         model = M1Params(20.0, 5.0, 5.0)
-        table = sweep_levels(model, units, SweepSpec("b", 0.5, 25.0, 250, 4))
+        table = sweep_levels(model, units, SweepSpec(0.5, 25.0, 250, 4))
         eff = effective_levels(table)
         assert float(eff.max()) < 400.0
         turns = np.abs(np.diff(np.sign(np.diff(eff[:, 1])))) > 0
@@ -131,8 +126,8 @@ class TestDetection:
     def test_symmetric_point_crossing(self):
         # the b ~ 2 avoided crossing of the delta-in-box family
         model = M1Params(10.0, 2.0, 2.0)
-        spec = SweepSpec("b", 1.5, 2.5, 41, 2)
-        acs = detect_avoided_crossings(model, U1, spec, gap_ceiling=1.0)
+        spec = SweepSpec(1.5, 2.5, 41, 2)
+        acs = detect_avoided_crossings(sweep_levels(model, U1, spec), gap_ceiling=1.0)
         assert len(acs) == 1
         ac = acs[0]
         assert ac.level_index == 1
@@ -143,10 +138,10 @@ class TestDetection:
 
     def test_refinement_improves_on_grid(self):
         model = M1Params(10.0, 2.0, 2.0)
-        spec = SweepSpec("b", 1.5, 2.5, 21, 2)
+        spec = SweepSpec(1.5, 2.5, 21, 2)
         table = sweep_levels(model, U1, spec)
         coarse_min = float(gap_curves(table)[:, 0].min())
-        acs = detect_avoided_crossings(model, U1, spec, gap_ceiling=1.0, table=table)
+        acs = detect_avoided_crossings(table, gap_ceiling=1.0)
         assert len(acs) == 1
         assert acs[0].gap <= coarse_min + 1e-12
 
@@ -155,8 +150,8 @@ class TestDetection:
         lam_tol = (2.5 - 1.5) * 1e-4
         results = []
         for steps in (31, 62):
-            spec = SweepSpec("b", 1.5, 2.5, steps, 2)
-            acs = detect_avoided_crossings(model, U1, spec, gap_ceiling=1.0)
+            spec = SweepSpec(1.5, 2.5, steps, 2)
+            acs = detect_avoided_crossings(sweep_levels(model, U1, spec), gap_ceiling=1.0)
             results.append(acs)
         assert len(results[0]) == len(results[1]) == 1
         assert abs(results[0][0].lambda_star - results[1][0].lambda_star) <= lam_tol
@@ -165,23 +160,23 @@ class TestDetection:
         # smooth monotone curves: no gap minima below any ceiling under
         # the smallest level spacing
         model = M1Params(0.0, 2.0, 2.0)
-        spec = SweepSpec("b", 0.5, 3.0, 31, 3)
+        spec = SweepSpec(0.5, 3.0, 31, 3)
         table = sweep_levels(model, U1, spec)
         ceiling = 0.9 * float(gap_curves(table).min())
-        acs = detect_avoided_crossings(model, U1, spec, gap_ceiling=ceiling, table=table)
+        acs = detect_avoided_crossings(table, gap_ceiling=ceiling)
         assert acs == []
 
     def test_sorted_by_lambda(self):
         model = M2Params(10.0, 2.0, 1.0, 2.0)
-        spec = SweepSpec("c", 1.8, 3.6, 61, 4)
-        acs = detect_avoided_crossings(model, U1, spec)
+        spec = SweepSpec(1.8, 3.6, 61, 4)
+        acs = detect_avoided_crossings(sweep_levels(model, U1, spec))
         stars = [ac.lambda_star for ac in acs]
         assert stars == sorted(stars)
         assert len(acs) == 2  # the c ~ 2.0 and c ~ 3.36 crossings
 
     def test_default_ceiling_is_fifth_of_median(self):
         model = M1Params(10.0, 2.0, 2.0)
-        spec = SweepSpec("b", 1.5, 2.5, 11, 3)
+        spec = SweepSpec(1.5, 2.5, 11, 3)
         table = sweep_levels(model, U1, spec)
         gaps = sorted(gap_curves(table).ravel().tolist())
         n = len(gaps)
@@ -200,9 +195,9 @@ class TestGapProbe:
         model = M2Params(10.0, 2.0, 1.0, 2.0)
         cfg = RootfindConfig()
         lam = 3.3553
-        focused = _gap_at(model, U1, "c", lam, 1, cfg, 4.8, 6.2)
+        focused = _gap_at(model, U1, lam, 1, cfg, 4.8, 6.2)
         # a window spanning three roots forces the fallback path
-        fallback = _gap_at(model, U1, "c", lam, 1, cfg, 0.5, 11.5)
+        fallback = _gap_at(model, U1, lam, 1, cfg, 0.5, 11.5)
         assert focused[0] == pytest.approx(fallback[0], abs=1e-8)
         assert focused[1] == pytest.approx(fallback[1], abs=1e-8)
         assert focused[0] == pytest.approx(0.0617, abs=1e-3)
@@ -212,13 +207,13 @@ class TestEdgeCandidates:
     def test_gap_falling_into_window_edge(self):
         # the c ~ 6 feature sits at the fig5 window boundary
         model = M2Params(10.0, 2.0, 1.0, 2.0)
-        spec = SweepSpec("c", 5.2, 6.0, 17, 5)
+        spec = SweepSpec(5.2, 6.0, 17, 5)
         table = sweep_levels(model, U1, spec)
         edges = edge_candidates(table, gap_ceiling=0.6)
         assert any(
             ac.lambda_star == spec.lambda_max and ac.gap < 0.6 for ac in edges
         )
         # edge candidates are never reported by the certified detector
-        acs = detect_avoided_crossings(model, U1, spec, gap_ceiling=0.6, table=table)
+        acs = detect_avoided_crossings(table, gap_ceiling=0.6)
         for ac in acs:
             assert spec.lambda_min < ac.lambda_star < spec.lambda_max
