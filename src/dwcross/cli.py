@@ -482,6 +482,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         command, merged = _collect(argv)
         cfg = _merge_config(merged)
+        if command != "sweep" and (cfg.svg or cfg.effective):
+            raise ConfigError(f"svg and effective apply to sweep only, not {command}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

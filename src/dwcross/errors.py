@@ -9,10 +9,6 @@ class DomainError(DwcrossError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class PoleProximityError(DomainError):
-    """Evaluation point is too close to a gamma-function pole."""
-
-
 class NonConvergenceError(DwcrossError):
     """An iterative search exhausted its budget without converging."""
 

@@ -192,11 +192,11 @@ class ModelParams:
         """Positions of the hard walls; None for the harmonic pairs."""
         return None
 
-    def domain(self, e_top: float, margin: float, units: UnitsConfig) -> tuple[float, float]:
+    def domain(self, e_top: float, units: UnitsConfig) -> tuple[float, float]:
         """Ends (left, right) of the oracle's grid: the walls of a box
         variant, whatever the energy.  A harmonic pair truncates each arm
-        where V >= 4 e_top, and at least `margin` classical turning points
-        of e_top from its well's center."""
+        two classical turning points of e_top from its well's center
+        (_TURNING_POINT_MARGIN), which is exactly where V = 4 e_top."""
         return self.walls
 
 
@@ -367,11 +367,15 @@ def _harmonic_orders(
     return nu1, nu2, alpha1, alpha2
 
 
-def _harmonic_reach(e_top: float, hw: float, u: float, margin: float) -> float:
-    """Distance from a harmonic well's center beyond which V >= 4 e_top
-    (and at least `margin` classical turning points of e_top)."""
+# Harmonic oracle grids end this many classical turning points of the
+# sizing energy e_top from each well's center: at two, V = 4 e_top there.
+_TURNING_POINT_MARGIN = 2.0
+
+
+def _harmonic_reach(e_top: float, hw: float, u: float) -> float:
+    """Distance from a harmonic well's center to its end of the oracle grid."""
     x_turn = 2.0 * math.sqrt(e_top / u) / hw
-    return max(margin, 2.0) * x_turn
+    return _TURNING_POINT_MARGIN * x_turn
 
 
 def _harmonic_window(hw1: float, hw2: float, n_levels: int) -> float:
@@ -534,10 +538,10 @@ class M3Params(ModelParams):
     def level_window(self, units: UnitsConfig, n_levels: int) -> float:
         return _harmonic_window(self.hw1, self.hw2, n_levels)
 
-    def domain(self, e_top: float, margin: float, units: UnitsConfig) -> tuple[float, float]:
+    def domain(self, e_top: float, units: UnitsConfig) -> tuple[float, float]:
         return (
-            -_harmonic_reach(e_top, self.hw1, units.u, margin),
-            _harmonic_reach(e_top, self.hw2, units.u, margin),
+            -_harmonic_reach(e_top, self.hw1, units.u),
+            _harmonic_reach(e_top, self.hw2, units.u),
         )
 
     @property
@@ -629,11 +633,11 @@ class M4Params(ModelParams):
         top = _harmonic_window(self.hw1, self.hw2, n_levels)
         return top + min(0.5 * self.v0, (n_levels + 2) * max(self.hw1, self.hw2))
 
-    def domain(self, e_top: float, margin: float, units: UnitsConfig) -> tuple[float, float]:
+    def domain(self, e_top: float, units: UnitsConfig) -> tuple[float, float]:
         # the wells are centred on the barrier edges -a and a
         return (
-            -self.a - _harmonic_reach(e_top, self.hw1, units.u, margin),
-            self.a + _harmonic_reach(e_top, self.hw2, units.u, margin),
+            -self.a - _harmonic_reach(e_top, self.hw1, units.u),
+            self.a + _harmonic_reach(e_top, self.hw2, units.u),
         )
 
     @property

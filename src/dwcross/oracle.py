@@ -39,11 +39,6 @@ _PROBES_PER_LEVEL = 8
 # temporaries to a fixed size on the finest grids.
 _ASSEMBLY_BLOCK = 4096
 
-# Harmonic domains extend at least this multiple of the classical turning
-# point of the sizing energy (and always far enough that V at the walls is
-# >= 4x the sizing energy).
-_TURNING_POINT_MARGIN = 2.0
-
 # Multisection width of each eigenvalue in oracle_levels.
 _LEVEL_TOL = 1e-11
 
@@ -132,7 +127,7 @@ def _grid_spec(
     box = model.walls is not None
     if not box and (e_top is None or not e_top > 0.0):
         raise ConfigError("harmonic models need a positive sizing energy e_top")
-    left, right = model.domain(e_top, _TURNING_POINT_MARGIN, units)
+    left, right = model.domain(e_top, units)
     if model.delta_strength is None:
         return _GridSpec(left, (right - left) / (n_target + 1), n_target, None)
     if box:

@@ -210,6 +210,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "m1" in err
 
+    @pytest.mark.parametrize("command", ["solve", "detect", "compare"])
+    @pytest.mark.parametrize("option", [["--svg", "chart.svg"], ["--effective"]],
+                             ids=["svg", "effective"])
+    def test_sweep_only_option_elsewhere_is_config_error(
+        self, tmp_path, monkeypatch, capsys, command, option
+    ):
+        # outside sweep these would be ignored with exit code 0: no chart,
+        # no effective columns
+        argv = [command, "--preset", "fig3", *option, "--out", "bad.csv"]
+        assert run_cli(tmp_path, monkeypatch, argv) == 1
+        assert list(tmp_path.iterdir()) == []
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "sweep only" in err
+
     @pytest.mark.parametrize(
         "argv,message",
         [

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dwcross import oracle
+from dwcross import models
 from dwcross.errors import ConfigError, DomainError
 from dwcross.models import M1Params, M2Params, M3Params, M4Params, UnitsConfig
 from dwcross.oracle import (
@@ -187,9 +187,9 @@ class TestOracleLevels:
         # wall truncation error is exponentially small: doubling the
         # turning-point margin must not move the levels
         m = M4Params(10.0, 2.0, 1.0, 0.5)
-        monkeypatch.setattr(oracle, "_TURNING_POINT_MARGIN", 2.0)
+        monkeypatch.setattr(models, "_TURNING_POINT_MARGIN", 2.0)
         tight = oracle_levels(m, U1, 3, OracleConfig(n_points=4000))
-        monkeypatch.setattr(oracle, "_TURNING_POINT_MARGIN", 4.0)
+        monkeypatch.setattr(models, "_TURNING_POINT_MARGIN", 4.0)
         wide = oracle_levels(m, U1, 3, OracleConfig(n_points=8000))
         assert np.allclose(tight, wide, atol=5e-6)
 
