@@ -23,15 +23,22 @@ the reciprocal-gamma and barrier factors, a signed log and a rescaled
 signed-exponential sum).  `char` evaluates it at one energy with
 _SCALAR, the math-module primitives, and returns a float; `char_values`
 evaluates it on a 1-D array of energies with _ARRAY, the numpy
-primitives, with each branch an np.where over the block.  The bracket
-scan evaluates whole grids through `char_values`.  Root refinement stays
-on `char` (through characteristic_fn): it makes one evaluation per step,
-and a numpy call on one element costs several times the math-module
-arithmetic, so the primitives stay dual while the formulas are shared.
-numpy's exp, log, cos, cosh and sinh may round differently from math's
-in the last place, and the array sum adds its terms in order where the
-scalar one uses fsum, so the two forms agree to a few ulp; signs agree
-away from the roots.
+primitives, with each branch an np.where over the block.  Root
+refinement stays on `char` (through characteristic_fn): a numpy call on
+one element costs several times the math-module arithmetic.  The two
+forms agree to a few ulp (numpy may round exp, log, cos, cosh and sinh
+differently, and adds in order where the scalar sum uses fsum); signs
+agree away from the roots.
+
+With _ARRAY, `_char` also returns N(E), the exact number of levels
+strictly below each energy, from F's own values.  By the Sturm
+oscillation theorem piece by piece, with the line split at x0 (the delta,
+or the barrier's left edge), N = P_L + P_R + [G < 0]: P_L and P_R count
+the levels of the pieces walled at x0, and G = psi_L'/psi_L -
+psi_R'/psi_R (+ u v0 for a delta) falls between its poles and has the
+sign of F psi_L(x0) psi_R(x0) (of minus that for m3, whose F carries a
+leading minus).  Each piece's count steps exactly where the sign of its
+psi(x0), as F computes it, changes.
 
 Each characteristic function is written in a pole-free, spurious-root-free
 form: gamma ratios are cleared into reciprocal-gamma products (entire in E,
@@ -116,8 +123,8 @@ class ModelParams:
             raise ValueError(f"{self.kind} requires v0 >= 0 (repulsive in-barrier)")
 
     def _char(self, e: float | np.ndarray, u: float, ops: _Ops) -> float | np.ndarray:
-        """The level condition F at e, a float (ops = _SCALAR) or a 1-D
-        array of energies (ops = _ARRAY); e is positive and finite."""
+        """F at e, a float (ops = _SCALAR), or (F, N) on a 1-D array of
+        energies (ops = _ARRAY); e is positive and finite."""
         raise NotImplementedError
 
     def char(self, energy: float, units: UnitsConfig) -> float:
@@ -130,9 +137,11 @@ class ModelParams:
         _require_positive_energy(energy)
         return self._char(energy, units.u, _SCALAR)
 
-    def char_values(self, energies: np.ndarray, units: UnitsConfig) -> np.ndarray:
-        """`char` at every energy of a 1-D array, in one pass of array
-        operations (see the module docstring).
+    def char_values(
+        self, energies: np.ndarray, units: UnitsConfig
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(F, N) at every energy of a 1-D array, in one pass of array
+        operations: `char` and the level count (see the module docstring).
 
         Raises:
             DomainError: some energy is not positive and finite.
@@ -163,14 +172,15 @@ class ModelParams:
         return self.potential(units, x)
 
     def level_window(self, units: UnitsConfig, n_levels: int) -> float:
-        """Upper-bound estimate for the n-th level, for initial scan windows
-        and oracle domain sizing.  Kept tight on purpose: scan cells scale
-        with the window, and near-degenerate pairs are easiest to resolve on
-        fine grids.  Callers auto-expand if it ever falls short.
+        """Upper bound on the n-th level, for initial scan windows and
+        oracle domain sizing.  Kept tight on purpose: the scan's cells and
+        the oracle's grid scale with it.  solve_levels grows the window if
+        the count ever says it falls short.
 
         Bounds used: a positive delta spike is a rank-one perturbation, so
         E_n(v0) <= E_{n+1}(v0=0) (interlacing); a rectangular barrier is
-        dominated by lifting the whole box floor to v0.
+        dominated both by lifting the whole box floor to v0 and by hard
+        walls at its edges (min-max).
         """
         raise NotImplementedError
 
@@ -332,6 +342,44 @@ def _signed_log_values(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.sign(x), np.log(np.abs(x))
 
 
+def _box_count(q: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Levels strictly below E of a box piece of width d, from q = k d / pi
+    and s = sin(k d) as F computes it: floor(q), moved by one where rounding
+    puts q and s on different sides of a pole, so that the count steps
+    exactly where s changes sign."""
+    n = np.floor(q)
+    agree = (s < 0.0) == (n % 2.0 == 1.0)
+    return np.where(agree | (s == 0.0), n, np.where(q - n > 0.5, n + 1.0, n - 1.0))
+
+
+def _harmonic_count(x: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """Levels strictly below E of a half-harmonic piece walled at its
+    center: the poles 0, -1, -2, ... of Gamma at or above x = 1/2 - nu/2.
+    A pole counts as reached where sign, that of 1/Gamma(x), is 0 (within
+    POLE_TOLERANCE), so the count steps exactly where the sign changes."""
+    return np.where(sign == 0.0, 1.0 - np.rint(x), np.floor(-x) + 1.0)
+
+
+def _barrier_count(
+    w: np.ndarray, half_width: float, start: np.ndarray, slope: np.ndarray, end: np.ndarray
+) -> np.ndarray:
+    """Zeros inside a rectangular barrier of a piece's solution that enters
+    it with signs start and slope (value, outward derivative) and leaves it
+    with sign end.  Below the top (w >= 0) it changes sign at most once;
+    above, it turns by 2Lp, p = sqrt(-w), and each of the n0 = floor(2Lp/pi)
+    half-turns adds a zero and flips its sign, so one more zero lies in the
+    rest where (-1)^n0 end differs from the entry sign (the slope's at a
+    zero), or is 0 after a nonzero start.  n0 and end change together."""
+    turns = np.floor(2.0 * half_width * np.sqrt(np.maximum(-w, 0.0)) / math.pi)
+    end = np.where(turns % 2.0 == 1.0, -end, end) * np.where(start == 0.0, slope, start)
+    return turns + ((end < 0.0) | ((end == 0.0) & (start != 0.0)))
+
+
+def _sum_sign(s1: np.ndarray, l1: np.ndarray, s2: np.ndarray, l2: np.ndarray) -> np.ndarray:
+    """Sign of s1 exp(l1) + s2 exp(l2), from the logs, with no exponential."""
+    return np.where(l1 > l2, s1, np.where(l1 < l2, s2, 0.5 * (s1 + s2)))
+
+
 class _Ops(NamedTuple):
     """The primitives a level condition is built from, for one input form."""
 
@@ -342,6 +390,7 @@ class _Ops(NamedTuple):
     barrier_factors: Callable
     signed_log: Callable
     signed_exp_sum: Callable
+    counts: bool  # _char returns (F, N), not F
 
 
 # _gamma_factors looks recip_gamma_log up in this module's globals at each
@@ -349,11 +398,12 @@ class _Ops(NamedTuple):
 # recip_gamma_log itself must not go into the table.
 _SCALAR = _Ops(
     math.sqrt, math.sin, math.cos,
-    _gamma_factors, _barrier_factors, _signed_log, _signed_exp_sum,
+    _gamma_factors, _barrier_factors, _signed_log, _signed_exp_sum, False,
 )
 _ARRAY = _Ops(
     np.sqrt, np.sin, np.cos,
     _gamma_factor_values, _barrier_factor_values, _signed_log_values, _signed_exp_sum_values,
+    True,
 )
 
 
@@ -406,12 +456,17 @@ class M1Params(ModelParams):
 
         The leading k restores dimensional consistency and reproduces the
         symmetric reduction k cot(ka) = -u v0 / 2 at a = b.  F is entire in E
-        and its zeros on (0, inf) are exactly the spectrum.
+        and its zeros on (0, inf) are exactly the spectrum.  sin(k(a+b)) is
+        expanded so that F changes sign where sin(ka) and sin(kb) vanish together.
         """
         k = ops.sqrt(u * e)
-        return k * ops.sin(k * (self.a + self.b)) + u * self.v0 * ops.sin(
-            k * self.a
-        ) * ops.sin(k * self.b)
+        s_a, s_b = ops.sin(k * self.a), ops.sin(k * self.b)
+        f = k * (s_a * ops.cos(k * self.b) + ops.cos(k * self.a) * s_b) + u * self.v0 * (s_a * s_b)
+        if not ops.counts:
+            return f
+        n_left = _box_count(k * (self.a / math.pi), s_a)
+        n_right = _box_count(k * (self.b / math.pi), s_b)
+        return f, n_left + n_right + (f * np.sign(s_a) * np.sign(s_b) < 0.0)
 
     def potential(self, units: UnitsConfig, x: np.ndarray) -> np.ndarray:
         return np.zeros_like(x)
@@ -466,11 +521,21 @@ class M2Params(ModelParams):
         d2 = self.c - self.b
         s1 = ops.sin(k * d1)
         s2 = ops.sin(k * d2)
-        c_fac, s_fac = ops.barrier_factors(u * (self.v0 - e), self.b)
+        w = u * (self.v0 - e)
+        c_fac, s_fac = ops.barrier_factors(w, self.b)
         kd = k * (d1 + d2)
         # s1*s2 grouped so that swapping the two wells gives a bitwise
         # identical value (float multiplication commutes but not associates)
-        return k * ops.sin(kd) * c_fac + (k * k * ops.cos(kd) + u * self.v0 * (s1 * s2)) * s_fac
+        f = k * ops.sin(kd) * c_fac + (k * k * ops.cos(kd) + u * self.v0 * (s1 * s2)) * s_fac
+        if not ops.counts:
+            return f
+        # the right piece's solution sin(k(c - x)) from b through the barrier
+        c2 = np.cos(k * d2)
+        end = np.sign(c_fac * s2 + s_fac * (k * c2))
+        n_right = _box_count(k * (d2 / math.pi), s2)
+        n_right += _barrier_count(w, self.b, np.sign(s2), np.sign(c2), end)
+        n_left = _box_count(k * (d1 / math.pi), s1)
+        return f, n_left + n_right + (f * np.sign(s1) * end < 0.0)
 
     def potential(self, units: UnitsConfig, x: np.ndarray) -> np.ndarray:
         return np.where(np.abs(x) <= self.b, self.v0, 0.0)
@@ -481,7 +546,11 @@ class M2Params(ModelParams):
         return self.v0 * np.maximum(0.0, hi - lo) / h
 
     def level_window(self, units: UnitsConfig, n_levels: int) -> float:
-        return ((n_levels + 2) * math.pi / (self.a + self.c)) ** 2 / units.u + self.v0 + 1.0
+        # walls at -b and b only raise the levels, to at most the wider
+        # well's box levels, whatever v0 is
+        lifted = ((n_levels + 2) * math.pi / (self.a + self.c)) ** 2 / units.u + self.v0
+        walled = (n_levels * math.pi / max(self.a - self.b, self.c - self.b)) ** 2 / units.u
+        return min(lifted, walled) + 1.0
 
     @property
     def breakpoints(self) -> list[float]:
@@ -529,7 +598,12 @@ class M3Params(ModelParams):
         ]
         if self.v0 > 0.0:
             terms.append((sj1 * sj2, math.log(u * self.v0) + lj1 + lj2))
-        return -ops.signed_exp_sum(terms)
+        f = -ops.signed_exp_sum(terms)
+        if not ops.counts:
+            return f
+        n_left = _harmonic_count(0.5 - 0.5 * nu1, sj1)
+        n_right = _harmonic_count(0.5 - 0.5 * nu2, sj2)
+        return f, n_left + n_right + (f * sj1 * sj2 > 0.0)
 
     def potential(self, units: UnitsConfig, x: np.ndarray) -> np.ndarray:
         curv = np.where(x < 0.0, self.hw1, self.hw2)
@@ -604,7 +678,18 @@ class M4Params(ModelParams):
             (sh1 * sh2 * sign_s, math.log(2.0 * alpha1 * alpha2) + lh1 + lh2 + log_s),
             (sign_w * sj1 * sj2 * sign_s, log_w + lj1 + lj2 + log_s),
         ]
-        return ops.signed_exp_sum(terms)
+        f = ops.signed_exp_sum(terms)
+        if not ops.counts:
+            return f
+        # as in M2Params._char, with D_nu2 (value ~ j2, slope ~ h2) in
+        # place of the right box
+        end = _sum_sign(
+            sign_c * sj2, log_c + lj2, sign_s * sh2, log_s + _LN_SQRT2 + math.log(alpha2) + lh2
+        )
+        n_right = _harmonic_count(0.5 - 0.5 * nu2, sj2)
+        n_right += _barrier_count(w, self.a, sj2, sh2, end)
+        n_left = _harmonic_count(0.5 - 0.5 * nu1, sj1)
+        return f, n_left + n_right + (f * sj1 * end < 0.0)
 
     def potential(self, units: UnitsConfig, x: np.ndarray) -> np.ndarray:
         u = units.u

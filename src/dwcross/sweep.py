@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, ModelMismatchError, NonConvergenceError
 from .models import ModelParams, UnitsConfig, characteristic_fn
-from .rootfind import RootfindConfig, refine_root, scan_brackets, solve_levels
+from .rootfind import RootfindConfig, refine_levels, scan_brackets, solve_levels
 
 __all__ = [
     "SweepSpec",
@@ -140,17 +140,16 @@ def _gap_at(
 ) -> tuple[float, float]:
     """(gap, mid-energy) between level columns col and col+1 at lambda=lam.
 
-    Solves inside a focused window expected to contain exactly the two
-    target roots; falls back to a full level solve when the window
-    disagrees (e.g. a third root drifted in during refinement).
+    Scans a focused window and takes its first two levels when the count
+    certifies them as levels col+1 and col+2 (1-based): exactly col levels
+    below the window and at least two in it.  Otherwise (a level drifted
+    out of the window during refinement) it falls back to a full solve.
     """
     varied = model.at(lam)
-    f = characteristic_fn(varied, units)
     local = dataclasses.replace(cfg, e_min=max(e_lo, cfg.e_min), e_max=e_hi, coarse_steps=256)
-    brackets = scan_brackets(partial(varied.char_values, units=units), local)
-    if len(brackets) == 2:
-        lo_root = refine_root(f, brackets[0], local)
-        hi_root = refine_root(f, brackets[1], local)
+    scan = scan_brackets(partial(varied.char_values, units=units), local)
+    if scan.below == col and len(scan.levels) >= 2:
+        lo_root, hi_root = refine_levels(characteristic_fn(varied, units), scan.levels[:2], local)
     else:
         levels = solve_levels(varied, units, col + 2, cfg)
         lo_root, hi_root = levels[col], levels[col + 1]
@@ -180,10 +179,10 @@ def detect_avoided_crossings(
 
     Each interior local minimum of a gap curve below gap_ceiling (default:
     20% of the sweep's median gap) is refined by golden-section search on
-    the gap over its flanking grid cells; every crossing certifies a
-    strictly positive refined gap.  Boundary minima are excluded (see
-    edge_candidates).  cfg is the root-finding configuration the table
-    was solved with.
+    the gap over its flanking grid cells.  The count certifies every
+    probe's two levels as levels level_index and level_index + 1.
+    Boundary minima are excluded (see edge_candidates).  cfg is the
+    root-finding configuration the table was solved with.
     """
     model, units = table.model, table.units
     base = cfg if cfg is not None else RootfindConfig()

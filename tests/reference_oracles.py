@@ -1,23 +1,20 @@
 """Independent reference computations shared by the test modules.
 
 Everything here deliberately avoids the library's own root-finding and
-discretization paths: plain bisection on one-variable closed-form
-conditions only, and the parabolic-cylinder boundary values D_nu(0),
-D'_nu(0) from math.gamma, which shares nothing with the library's
-Lanczos series.  The one exception is scan_brackets, the bracket scan
-as it was before it evaluated whole grids at once: one scalar call of f
-per node, both subdivision triggers as loops.  It is kept verbatim as
-the reference the array scan must reproduce node for node.
+level counts: plain bisection on one-variable closed-form conditions,
+the parabolic-cylinder boundary values D_nu(0), D'_nu(0) from math.gamma
+(the library works with signed log|Gamma| from math.lgamma instead), and
+the Sturm count of the finite-difference oracle's matrix, which shares
+no formula with the analytic level conditions.
 """
 
 import math
-from statistics import median
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from dwcross.errors import NonConvergenceError
-from dwcross.rootfind import _MAX_SUBDIVISION_DEPTH, Bracket, RootfindConfig
+from dwcross import oracle
+from dwcross._kernels import sturm_counts
 
 
 def bisect(f, lo, hi, tol=1e-12):
@@ -125,120 +122,21 @@ def isolated_well_level(v0, width, u, tol=1e-13):
     return bisect(f, lo, hi, tol)
 
 
-def _nudged_value(f: Callable[[float], float], x: float, cell: float) -> tuple[float, float]:
-    """Move a node that evaluates to exactly 0.0 off the root."""
-    for delta in (1e-9 * cell, -1e-9 * cell, 1e-6 * cell, -1e-6 * cell):
-        fx = f(x + delta)
-        if fx != 0.0:
-            return x + delta, fx
-    raise NonConvergenceError(f"characteristic function is identically zero near E={x}")
-
-
-def _sign_change(fa: float, fb: float) -> bool:
-    return (fa < 0.0 < fb) or (fb < 0.0 < fa)
-
-
-def _parabola_predicts_root(
-    x0: float, x1: float, x2: float,
-    f0: float, f1: float, f2: float,
-    lo: float, hi: float,
-) -> bool:
-    """True when the quadratic through three nodes has a real root inside
-    [lo, hi]: the signature of a sub-grid root pair hiding in a cell whose
-    dip is not deep enough for the absolute-threshold trigger (scale
-    free)."""
-    scale = max(abs(f0), abs(f1), abs(f2))
-    if scale == 0.0 or not math.isfinite(scale):
-        return False
-    f0, f1, f2 = f0 / scale, f1 / scale, f2 / scale
-    d01 = (f1 - f0) / (x1 - x0)
-    d12 = (f2 - f1) / (x2 - x1)
-    curv = (d12 - d01) / (x2 - x0)
-    slope = d01 + curv * (x1 - x0)  # p'(x1)
-    disc = slope * slope - 4.0 * curv * f1
-    if disc < 0.0:
-        return False
-    root = math.sqrt(disc)
-    if curv == 0.0:
-        if slope == 0.0:
-            return False
-        candidates = [-f1 / slope]
-    else:
-        candidates = [(-slope - root) / (2.0 * curv), (-slope + root) / (2.0 * curv)]
-    return any(lo <= x1 + xi <= hi for xi in candidates)
-
-
-def scan_brackets(f: Callable[[float], float], cfg: RootfindConfig) -> list[Bracket]:
-    """Disjoint, sorted sign-change brackets of f on [e_min, e_max].
-
-    Two triggers mark a cell as possibly hiding a sub-grid root pair (the
-    throat of an avoided crossing), and such cells are subdivided down to
-    coarse_cell / 2^_MAX_SUBDIVISION_DEPTH: a node where |f| has a local
-    minimum below 1e-3 times the running median of |f| with no adjacent
-    sign change, and, scale-free, a quadratic through either node triple
-    flanking a sign-preserving cell predicting a real root inside it.
-    """
-    if cfg.e_max is None:
-        raise ValueError("scan_brackets needs cfg.e_max")
-    xs = list(np.linspace(cfg.e_min, cfg.e_max, cfg.coarse_steps + 1))
-    coarse_cell = (cfg.e_max - cfg.e_min) / cfg.coarse_steps
-    min_cell = coarse_cell / 2**_MAX_SUBDIVISION_DEPTH
-    fs = []
-    for i, x in enumerate(xs):
-        fx = f(x)
-        if fx == 0.0:
-            xs[i], fx = _nudged_value(f, x, coarse_cell)
-        fs.append(fx)
-
-    def run_subdivision() -> None:
-        for _ in range(_MAX_SUBDIVISION_DEPTH + 1):
-            abs_fs = [abs(v) for v in fs]
-            threshold = 1e-3 * median(abs_fs)
-            n = len(xs)
-            split_cells: set[int] = set()
-            # Deep-dip rule: cells flanking a sub-threshold local minimum
-            # of |f| that has no adjacent sign change.
-            for i in range(1, n - 1):
-                if abs_fs[i] >= threshold:
-                    continue
-                if abs_fs[i] > abs_fs[i - 1] or abs_fs[i] > abs_fs[i + 1]:
-                    continue
-                if _sign_change(fs[i - 1], fs[i]) or _sign_change(fs[i], fs[i + 1]):
-                    continue
-                split_cells.update((i - 1, i))
-            # Scale-free rule: a quadratic through either flanking node
-            # triple predicts a root inside a sign-preserving cell.
-            for i in range(n - 1):
-                if i in split_cells or _sign_change(fs[i], fs[i + 1]):
-                    continue
-                lo, hi = xs[i], xs[i + 1]
-                left_triple = i >= 1 and _parabola_predicts_root(
-                    xs[i - 1], xs[i], xs[i + 1], fs[i - 1], fs[i], fs[i + 1], lo, hi
-                )
-                if left_triple or (
-                    i + 2 < n
-                    and _parabola_predicts_root(
-                        xs[i], xs[i + 1], xs[i + 2], fs[i], fs[i + 1], fs[i + 2], lo, hi
-                    )
-                ):
-                    split_cells.add(i)
-            inserts = [
-                (i + 1, 0.5 * (xs[i] + xs[i + 1]))
-                for i in sorted(split_cells)
-                if xs[i + 1] - xs[i] > min_cell
-            ]
-            if not inserts:
-                return
-            for pos, x in sorted(inserts, reverse=True):
-                fx = f(x)
-                if fx == 0.0:
-                    x, fx = _nudged_value(f, x, min_cell)
-                xs.insert(pos, x)
-                fs.insert(pos, fx)
-
-    run_subdivision()
-    return [
-        Bracket(xs[i], xs[i + 1], fs[i], fs[i + 1])
-        for i in range(len(xs) - 1)
-        if _sign_change(fs[i], fs[i + 1])
-    ]
+def sturm_backing(model, units, levels, tol, e_top):
+    """Oracle Sturm counts N(E - tol) and N(E + tol) at each level, on a
+    finite-difference grid fine enough that its O(h^2) level error
+    u S^2 h^2 / 12 stays below tol / 4 up to e_top (capped at 30000
+    points), where S^2 = E^2 + E sqrt(v0 / u) also covers the decay
+    constant inside a rectangular barrier."""
+    v0 = model.v0 if model.kind in ("m2", "m4") else 0.0
+    scale = math.sqrt(e_top * e_top + e_top * math.sqrt(v0 / units.u))
+    T = oracle.build_hamiltonian(model, units, oracle.OracleConfig(), e_top=3.0 * e_top)
+    h_need = math.sqrt(3.0 * tol / units.u) / scale
+    points = min(30000, max(T.size, math.ceil((T.size + 1) * T.h / h_need)))
+    if points > T.size:
+        T = oracle.build_hamiltonian(
+            model, units, oracle.OracleConfig(n_points=points), e_top=3.0 * e_top
+        )
+    shifts = np.array([e + s for e in levels for s in (-tol, tol)])
+    counts = sturm_counts(T.diag, T.offdiag, shifts).tolist()
+    return list(zip(counts[0::2], counts[1::2]))

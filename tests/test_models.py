@@ -21,6 +21,7 @@ from dwcross.models import (
     model_kind,
 )
 from dwcross.rootfind import solve_levels
+from dwcross import oracle
 from reference_oracles import bisect, pcf_at_zero, symmetric_delta_box_levels
 
 U1 = UnitsConfig(1.0)
@@ -300,7 +301,7 @@ class TestCharValues:
         energies = np.concatenate(
             [np.linspace(1e-6, top, 257), [e for e in _branch_energies(model) if e <= top]]
         )
-        got = model.char_values(energies, U1)
+        got, _ = model.char_values(energies, U1)
         want = np.array([model.char(float(e), U1) for e in energies])
         scale = float(np.max(np.abs(want)))
         resolved = np.abs(want) > 1e-12 * scale
@@ -310,12 +311,104 @@ class TestCharValues:
     def test_exact_poles_and_barrier_top(self):
         # odd levels of the symmetric oscillator sit exactly on gamma poles
         m = M3Params(0.0, 2.0, 2.0)
-        assert np.all(m.char_values(np.array([3.0, 7.0, 11.0]), U1) == 0.0)
+        assert np.all(m.char_values(np.array([3.0, 7.0, 11.0]), U1)[0] == 0.0)
         m4 = M4Params(10.0, 2.0, 1.5, 0.5)
         e = np.array([10.0])
-        assert m4.char_values(e, U1)[0] == pytest.approx(m4.char(10.0, U1), rel=1e-13)
+        assert m4.char_values(e, U1)[0][0] == pytest.approx(m4.char(10.0, U1), rel=1e-13)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
     def test_domain_error(self, bad):
         with pytest.raises(DomainError):
             M2Params(10.0, 2.0, 1.0, 3.0).char_values(np.array([1.0, bad]), U1)
+
+
+def _count_models(kind):
+    """Strategy for models of one variant for the level count: about a
+    third exactly symmetric, v0 = 0 or log-uniform in [0.1, 1e3] eV (so
+    the 8-level window reaches above low barriers), m4 widths a = 0."""
+    v0 = st.one_of(st.just(0.0), st.floats(-1.0, 3.0).map(lambda x: 10.0**x))
+    length = st.floats(0.3, 3.0)
+    hw = st.floats(0.3, 4.0)
+    symmetric = st.integers(0, 2).map(lambda i: i == 0)
+    if kind == "m1":
+        return st.builds(lambda v, a, b, sym: M1Params(v, a, a if sym else b),
+                         v0, length, length, symmetric)
+    if kind == "m2":
+        return st.builds(
+            lambda v, b, d1, d2, sym: M2Params(v, b + d1, b, b + (d1 if sym else d2)),
+            v0, st.floats(0.1, 1.5), length, length, symmetric,
+        )
+    if kind == "m3":
+        return st.builds(lambda v, h1, h2, sym: M3Params(v, h1, h1 if sym else h2),
+                         v0, hw, hw, symmetric)
+    return st.builds(
+        lambda v, h1, h2, a, sym: M4Params(v, h1, h1 if sym else h2, a),
+        v0, hw, hw, st.one_of(st.just(0.0), st.floats(0.05, 1.5)), symmetric,
+    )
+
+
+def _pole_energies(model, top):
+    """Energies below top where a piece of the count has a pole: sin(k d)
+    = 0 for each well width d of a box variant, odd nu of each harmonic
+    arm, and E = v0 for a rectangular barrier; each with its two float
+    neighbours."""
+    poles = []
+    if model.kind in ("m1", "m2"):
+        widths = (model.a, model.b) if model.kind == "m1" else (
+            model.a - model.b, model.c - model.b)
+        for d in widths:
+            top_j = int(d * math.sqrt(top) / math.pi)
+            poles += [(j * math.pi / d) ** 2 for j in range(1, top_j + 1)]
+    else:
+        for hw in (model.hw1, model.hw2):
+            poles += [hw * (2 * m + 1.5) for m in range(int(top / (2.0 * hw)) + 1)]
+    if model.kind in ("m2", "m4") and model.v0 > 0.0:
+        poles.append(model.v0)
+    poles = np.array([e for e in poles if 0.0 < e <= top])
+    return np.concatenate([poles, np.nextafter(poles, 0.0), np.nextafter(poles, np.inf)])
+
+
+class TestLevelCount:
+    """N(E), the count char_values returns, against the oracle's Sturm count."""
+
+    @pytest.mark.parametrize("kind", list(VARIANTS))
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_matches_oracle_between_levels(self, kind, data):
+        # at the midpoint of every gap wider than 1e-2 eV between the
+        # oracle's lowest ten levels, N is the number of levels below
+        model = data.draw(_count_models(kind))
+        top = model.level_window(U1, 8)
+        T = oracle.build_hamiltonian(model, U1, oracle.OracleConfig(n_points=4000), e_top=top)
+        levels = oracle.lowest_eigenvalues(T, 10, tol=1e-7)
+        gaps = [(0.0, levels[0])] + list(zip(levels[:-1], levels[1:]))
+        probes = [(j, 0.5 * (lo + hi)) for j, (lo, hi) in enumerate(gaps) if hi - lo > 1e-2]
+        _, counts = model.char_values(np.array([e for _, e in probes]), U1)
+        assert counts.tolist() == [j for j, _ in probes]
+
+    @pytest.mark.parametrize("kind", list(VARIANTS))
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_never_decreases_through_poles(self, kind, data):
+        model = data.draw(_count_models(kind))
+        top = model.level_window(U1, 8)
+        energies = np.unique(
+            np.concatenate([np.linspace(1e-6, top, 2001), _pole_energies(model, top)])
+        )
+        _, counts = model.char_values(energies, U1)
+        assert np.all(np.diff(counts) >= 0.0)
+
+    @pytest.mark.parametrize("kind", list(VARIANTS))
+    @given(data=st.data(), n=st.integers(1, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_level_window_holds_n_levels(self, kind, data, n):
+        model = data.draw(_count_models(kind))
+        top = model.level_window(U1, n)
+        _, counts = model.char_values(np.array([top]), U1)
+        assert counts[0] >= n
+
+    def test_opaque_window_is_tens_of_ev(self):
+        # hard walls at the barrier edges bound the levels whatever v0 is
+        model = M2Params(1e6, 2.0, 1.0, 2.5)
+        assert model.level_window(U1, 4) < 100.0
+        assert model.char_values(np.array([model.level_window(U1, 4)]), U1)[1][0] >= 4

@@ -1,4 +1,4 @@
-"""Bracket scanning, root refinement, and level solving."""
+"""Count-driven level isolation, root refinement, and level solving."""
 
 import dataclasses
 import math
@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import reference_oracles
-from dwcross.cli import PRESETS
+from dwcross import rootfind
+from dwcross.cli import _GATE_TOLERANCE, PRESETS
 from dwcross.errors import NonConvergenceError
 from dwcross.models import (
     VARIANTS,
@@ -25,13 +26,13 @@ U1 = UnitsConfig(1.0)
 
 
 def values_fn(model, units=U1):
-    """The array form of the model's characteristic function."""
+    """The counted array form of the model's characteristic function."""
     return lambda e: model.char_values(e, units)
 
 
 def sin_sqrt(e):
-    # sin(pi sqrt(E)) vanishes at E = 1, 4, 9
-    return np.sin(np.pi * np.sqrt(e))
+    # sin(pi sqrt(E)) vanishes at E = 1, 4, 9; floor(sqrt(E)) counts them
+    return np.sin(np.pi * np.sqrt(e)), np.floor(np.sqrt(e))
 
 
 class TestConfig:
@@ -57,7 +58,9 @@ class TestScanBrackets:
     def test_known_zeros_of_sin_sqrt(self):
         f = sin_sqrt
         cfg = RootfindConfig(e_min=0.5, e_max=9.5, coarse_steps=64)
-        brackets = scan_brackets(f, cfg)
+        scan = scan_brackets(f, cfg)
+        assert scan.below == 0
+        brackets = scan.levels
         assert len(brackets) == 3
         for b, root in zip(brackets, (1.0, 4.0, 9.0)):
             assert b.lo < root < b.hi
@@ -66,7 +69,7 @@ class TestScanBrackets:
     def test_brackets_sorted_and_disjoint(self):
         f = sin_sqrt
         cfg = RootfindConfig(e_min=0.5, e_max=9.5, coarse_steps=64)
-        brackets = scan_brackets(f, cfg)
+        brackets = scan_brackets(f, cfg).levels
         for left, right in zip(brackets[:-1], brackets[1:]):
             assert left.hi <= right.lo
 
@@ -76,7 +79,7 @@ class TestScanBrackets:
         m = M2Params(10.0, 2.0, 1.0, 3.3553)
         f = characteristic_fn(m, U1)
         cfg = RootfindConfig(e_min=1e-9, e_max=16.0, coarse_steps=64)
-        brackets = scan_brackets(values_fn(m), cfg)
+        brackets = scan_brackets(values_fn(m), cfg).levels
         assert len(brackets) == 5
         pair = [b for b in brackets if 5.0 < b.lo < 5.6]
         assert len(pair) == 2
@@ -87,11 +90,12 @@ class TestScanBrackets:
         assert roots[1] - roots[0] < (16.0 / 64)
 
     def test_subgrid_doublet_found_without_count_hint(self):
-        # the scale-free dip rule alone must separate the pair
+        # the model's own count, with no level count from the caller, must
+        # split the pair that shares one coarse cell
         m = M2Params(10.0, 2.0, 1.0, 2.0003)
         f = characteristic_fn(m, U1)
         cfg = RootfindConfig(e_min=1e-9, e_max=16.0, coarse_steps=64)
-        brackets = scan_brackets(values_fn(m), cfg)
+        brackets = scan_brackets(values_fn(m), cfg).levels
         assert len(brackets) == 3
         roots = [refine_root(f, b, cfg) for b in brackets]
         assert roots[0] == pytest.approx(5.33282, abs=1e-3)
@@ -108,7 +112,7 @@ class TestScanBrackets:
         expected = sturm_count(T, 12.0)
         assert expected == 4
         cfg = RootfindConfig(e_min=1e-9, e_max=12.0, coarse_steps=128)
-        brackets = scan_brackets(values_fn(m), cfg)
+        brackets = scan_brackets(values_fn(m), cfg).levels
         assert len(brackets) == expected
 
     def test_requires_e_max(self):
@@ -117,28 +121,68 @@ class TestScanBrackets:
 
     def test_exact_grid_zero_handled(self):
         # a root exactly on a scan node must still produce one bracket
-        f = lambda e: e - 5.0  # noqa: E731
+        f = lambda e: (e - 5.0, 1.0 * (e > 5.0))  # noqa: E731
         cfg = RootfindConfig(e_min=2.5, e_max=7.5, coarse_steps=80)
         assert 5.0 in np.linspace(cfg.e_min, cfg.e_max, cfg.coarse_steps + 1)
-        brackets = scan_brackets(f, cfg)
+        brackets = scan_brackets(f, cfg).levels
         assert len(brackets) == 1
         lo, hi, f_lo, f_hi = brackets[0]
         assert lo <= 5.0 <= hi
-        # the node moves off the root with its value: both ends hold F
-        assert (f_lo, f_hi) == (f(lo), f(hi))
+        # a zero end brackets the root, and both ends hold F
+        assert (f_lo, f_hi) == (lo - 5.0, hi - 5.0)
+        assert refine_root(lambda e: e - 5.0, brackets[0], cfg) == 5.0
 
     def test_non_finite_value_raises(self):
         # a NaN never counts as a sign change, so it could hide a root
         def f(e):
-            return np.where(e > 5.3, np.nan, sin_sqrt(e))
+            values, counts = sin_sqrt(e)
+            return np.where(e > 5.3, np.nan, values), counts
 
         cfg = RootfindConfig(e_min=0.5, e_max=9.5, coarse_steps=64)
-        message = r"not finite at E=5\.421875 in the scan window \[0\.5, 9\.5\]"
+        message = r"^scan: F is not finite at E=5\.421875 in the window \[0\.5, 9\.5\] eV$"
         with pytest.raises(NonConvergenceError, match=message):
             scan_brackets(f, cfg)
 
+    def test_falling_count_raises(self):
+        def f(e):
+            values, counts = sin_sqrt(e)
+            return values, np.where(e > 5.3, 0.0, counts)
+
+        cfg = RootfindConfig(e_min=0.5, e_max=9.5, coarse_steps=64)
+        message = (
+            r"^count: N = 2 at E=5\.28125 and 0 at E=5\.421875 is not one level per sign "
+            r"change of F in the window \[0\.5, 9\.5\] eV$"
+        )
+        with pytest.raises(NonConvergenceError, match=message):
+            scan_brackets(f, cfg)
+
+    def test_unsplit_wide_cell_raises(self):
+        # the count puts one level in the cell [5.0, 5.078125] where F keeps
+        # its sign, and its midpoint counts more than the cell's top: the
+        # untrusted midpoint stops the splitting at full width
+        def f(e):
+            return np.ones_like(e), 1.0 * (e > 5.04) + 2.0 * (np.abs(e - 5.0390625) < 1e-3)
+
+        cfg = RootfindConfig(e_min=2.5, e_max=7.5, coarse_steps=64)
+        message = r"^count: N = 0 at E=5\.0 and 1 at E=5\.078125 is not one level per sign change"
+        with pytest.raises(NonConvergenceError, match=message):
+            scan_brackets(f, cfg)
+
+    def test_unresolved_doublet_at_midpoint(self):
+        # a count that rises by two at a point where F only touches zero:
+        # both levels come back at the midpoint of the narrowest cell
+        def f(e):
+            return (e - 5.0) ** 2 + 1.0, 2.0 * (e > 5.0)
+
+        for tol_abs in (1e-10, 1e-3):
+            cfg = RootfindConfig(e_min=2.5, e_max=7.5, coarse_steps=64, tol_abs=tol_abs)
+            levels = scan_brackets(f, cfg).levels
+            assert len(levels) == 2 and levels[0] == levels[1]
+            assert type(levels[0]) is float
+            assert abs(levels[0] - 5.0) <= cfg.tol_abs
+
     def test_evaluations_in_bounded_blocks(self):
-        # the widest window solve_levels builds (16384 cells) is evaluated
+        # a wide grid (16384 cells, as --coarse-steps allows) is evaluated
         # in blocks of at most 2048 energies
         sizes = []
 
@@ -147,13 +191,13 @@ class TestScanBrackets:
             return sin_sqrt(e)
 
         cfg = RootfindConfig(e_min=0.5, e_max=9.5, coarse_steps=16384)
-        assert len(scan_brackets(f, cfg)) == 3
+        assert len(scan_brackets(f, cfg).levels) == 3
         assert sum(sizes) >= 16385 and max(sizes) <= 2048
 
     def test_brackets_are_python_floats(self):
         m = M2Params(10.0, 2.0, 1.0, 3.0)
         cfg = RootfindConfig(e_min=1e-9, e_max=16.0, coarse_steps=64)
-        for b in scan_brackets(values_fn(m), cfg):
+        for b in scan_brackets(values_fn(m), cfg).levels:
             assert all(type(v) is float for v in b)
         assert all(type(e) is float for e in solve_levels(m, U1, 3))
 
@@ -193,14 +237,39 @@ SCAN_CASES = list(_scan_cases())
     "name,model,units,n", SCAN_CASES, ids=[case[0] for case in SCAN_CASES]
 )
 def test_array_scan_matches_scalar_reference(name, model, units, n):
-    # the array scan must bracket on exactly the nodes the one-call-per-node
-    # scan chose, with the same values where F is computed the same way
+    # the levels the array scan isolates match the reference count, one
+    # Sturm count of the oracle's matrix per level: each sits where that
+    # count steps, at the compare gate's tolerance; and the scan reports
+    # as many levels as the model's own count puts in its window
+    levels = solve_levels(model, units, n)
+    tol = _GATE_TOLERANCE[model.kind]
+    backing = reference_oracles.sturm_backing(model, units, levels, tol, max(levels[-1], 1.0))
+    for j, (below, above) in enumerate(backing, start=1):
+        assert below <= j - 1 and above >= j, (j, levels[j - 1], below, above)
     cfg = RootfindConfig(e_max=model.level_window(units, n))
-    got = scan_brackets(values_fn(model, units), cfg)
-    want = reference_oracles.scan_brackets(characteristic_fn(model, units), cfg)
-    assert [(b.lo, b.hi) for b in got] == [(b.lo, b.hi) for b in want]
-    if model.kind == "m1":
-        assert got == want
+    scan = scan_brackets(values_fn(model, units), cfg)
+    _, counts = model.char_values(np.array([cfg.e_min, cfg.e_max]), units)
+    assert scan.below == counts[0]
+    assert len(scan.levels) == counts[1] - counts[0] >= n
+
+
+# Models on which solve_levels returned wrong levels with exit 0 while
+# the scan guessed where close pairs hide, with the oracle's levels.
+CLOSE_PAIR_CASES = [
+    (M2Params(100.0, 2.0, 1.0, 2.0), [8.13585, 8.13585, 32.2534, 32.2534]),
+    (M2Params(1e6, 2.0, 1.0, 2.5), [4.38065, 9.84989, 17.52259, 39.39958]),
+    (M4Params(1000.0, 2.0, 2.0, 0.5), [2.92938, 2.92938, 6.89363, 6.89363]),
+]
+
+
+@pytest.mark.parametrize("model,want", CLOSE_PAIR_CASES, ids=["m2-doublets", "m2-opaque", "m4"])
+def test_unresolvable_doublets_and_opaque_barrier(model, want):
+    got = solve_levels(model, U1, 4)
+    tol = _GATE_TOLERANCE[model.kind]
+    assert got == pytest.approx(want, abs=tol)
+    backing = reference_oracles.sturm_backing(model, U1, got, tol, max(got[-1], 1.0))
+    for j, (below, above) in enumerate(backing, start=1):
+        assert below <= j - 1 and above >= j
 
 
 class TestRefineRoot:
@@ -236,10 +305,14 @@ class TestRefineRoot:
         f = characteristic_fn(m, U1)
         g = lambda e: 1000.0 * f(e)  # noqa: E731
         f_values = values_fn(m)
-        g_values = lambda e: 1000.0 * f_values(e)  # noqa: E731
+
+        def g_values(e):
+            values, counts = f_values(e)
+            return 1000.0 * values, counts
+
         cfg = RootfindConfig(e_min=1e-9, e_max=16.0, coarse_steps=256)
-        roots_f = [refine_root(f, b, cfg) for b in scan_brackets(f_values, cfg)]
-        roots_g = [refine_root(g, b, cfg) for b in scan_brackets(g_values, cfg)]
+        roots_f = [refine_root(f, b, cfg) for b in scan_brackets(f_values, cfg).levels]
+        roots_g = [refine_root(g, b, cfg) for b in scan_brackets(g_values, cfg).levels]
         assert roots_f == roots_g  # bitwise: refinement uses only f-ratios
 
 
@@ -272,6 +345,62 @@ class TestSolveLevels:
             solve_levels(M1Params(0.0, 1.0, 1.0), U1, 0)
 
     def test_cap_raises(self):
-        # a well so narrow that 3 levels exceed the expansion cap
-        with pytest.raises(NonConvergenceError):
-            solve_levels(M1Params(0.0, 0.02, 0.02), U1, 3, RootfindConfig(e_max=5.0))
+        # a well so narrow that 4 levels exceed the expansion cap
+        model = M1Params(0.0, 0.02, 0.02)
+        message = (
+            r"^M1Params\(v0=0\.0, a=0\.02, b=0\.02\): window growth: only 1 levels "
+            r"in the window \[1e-09, 10000\.0\] eV, which reaches the 10000\.0 eV cap$"
+        )
+        with pytest.raises(NonConvergenceError, match=message):
+            solve_levels(model, U1, 4, RootfindConfig(e_max=20.0))
+
+    def test_e_min_past_cap_raises(self):
+        message = r"^M1Params\(v0=1\.0, a=2\.0, b=2\.0\): window growth: e_min=20000\.0"
+        with pytest.raises(NonConvergenceError, match=message):
+            solve_levels(M1Params(1.0, 2.0, 2.0), U1, 2, RootfindConfig(e_min=2e4))
+
+    def test_refine_failure_names_model_and_window(self, monkeypatch):
+        def fail(f, bracket, cfg):
+            raise NonConvergenceError("refine: budget")
+
+        monkeypatch.setattr(rootfind, "refine_root", fail)
+        message = r"^M1Params\(v0=10\.0, a=2\.0, b=3\.0\): refine: budget$"
+        with pytest.raises(NonConvergenceError, match=message):
+            solve_levels(M1Params(10.0, 2.0, 3.0), U1, 2)
+
+
+class _NonFinite(M1Params):
+    """F is NaN above 5 eV."""
+
+    def char_values(self, energies, units):
+        values, counts = super().char_values(energies, units)
+        return np.where(energies > 5.0, np.nan, values), counts
+
+
+class _FallingCount(M1Params):
+    """The count drops to 0 above 5 eV."""
+
+    def char_values(self, energies, units):
+        values, counts = super().char_values(energies, units)
+        return values, np.where(energies > 5.0, 0.0, counts)
+
+
+class _UnsplitCell(M1Params):
+    """A level F does not show, in a cell whose midpoint is not trusted
+    (see TestScanBrackets.test_unsplit_wide_cell_raises)."""
+
+    def char_values(self, energies, units):
+        e = np.asarray(energies)
+        return np.ones_like(e), 1.0 * (e > 5.04) + 2.0 * (np.abs(e - 5.0390625) < 1e-3)
+
+
+@pytest.mark.parametrize(
+    "cls,stage",
+    [(_NonFinite, "scan: F is not finite"), (_FallingCount, r"count: N = \d+ at"),
+     (_UnsplitCell, r"count: N = 0 at E=5\.0 and 1 at")],
+)
+def test_scan_failures_name_model_stage_and_window(cls, stage):
+    cfg = RootfindConfig(e_min=2.5, e_max=7.5, coarse_steps=64)
+    message = rf"^_?\w+\(v0=10\.0, a=2\.0, b=2\.0\): {stage}.* in the window \[2\.5, 7\.5\] eV$"
+    with pytest.raises(NonConvergenceError, match=message):
+        solve_levels(cls(10.0, 2.0, 2.0), U1, 1, cfg)

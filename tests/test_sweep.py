@@ -187,8 +187,8 @@ class TestDetection:
 class TestGapProbe:
     def test_focused_window_and_fallback_agree(self):
         # the refinement probe solves two roots in a focused window; when
-        # the window captures the wrong number of roots it falls back to a
-        # full level solve, and both routes must give the same gap
+        # the count does not certify them as levels col+1 and col+2 it
+        # falls back to a full level solve, and both routes must agree
         from dwcross.rootfind import RootfindConfig
         from dwcross.sweep import _gap_at
 
@@ -196,7 +196,7 @@ class TestGapProbe:
         cfg = RootfindConfig()
         lam = 3.3553
         focused = _gap_at(model, U1, lam, 1, cfg, 4.8, 6.2)
-        # a window spanning three roots forces the fallback path
+        # a window starting below level col forces the fallback path
         fallback = _gap_at(model, U1, lam, 1, cfg, 0.5, 11.5)
         assert focused[0] == pytest.approx(fallback[0], abs=1e-8)
         assert focused[1] == pytest.approx(fallback[1], abs=1e-8)
