@@ -67,7 +67,7 @@ _FLOAT_KEYS = {
     "u", "v0", "a", "b", "c", "hw1", "hw2",
     "lambda_min", "lambda_max", "tolerance", "gap_ceiling", "e_min", "e_max",
 }
-_INT_KEYS = {"steps", "levels", "oracle_points", "coarse_steps"}
+_INT_KEYS = {"steps", "levels", "oracle_points"}
 _BOOL_KEYS = {"effective", "richardson"}
 _STR_KEYS = {"model", "preset", "out", "svg"}
 _ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _BOOL_KEYS | _STR_KEYS
@@ -98,7 +98,6 @@ class RunConfig:
     gap_ceiling: float | None = None
     e_min: float | None = None
     e_max: float | None = None
-    coarse_steps: int | None = None
 
     def build_model(self) -> ModelParams:
         if self.model is None:
@@ -143,8 +142,6 @@ class RunConfig:
             overrides["e_min"] = self.e_min
         if self.e_max is not None:
             overrides["e_max"] = self.e_max
-        if self.coarse_steps is not None:
-            overrides["coarse_steps"] = self.coarse_steps
         if not overrides:
             return None
         try:
@@ -236,7 +233,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gap-ceiling", dest="gap_ceiling", type=float)
         p.add_argument("--e-min", dest="e_min", type=float)
         p.add_argument("--e-max", dest="e_max", type=float)
-        p.add_argument("--coarse-steps", dest="coarse_steps", type=int)
     return parser
 
 

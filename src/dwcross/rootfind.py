@@ -1,12 +1,13 @@
-"""Isolate every level of a model by its count, then refine it.
+"""Find a model's levels by their count, then refine them.
 
 A model's char_values returns, with F, the exact count N(E) of its levels
-strictly below each energy (see dwcross.models).  scan_brackets halves,
-one array call per round, every cell whose count says it holds more
-levels than F's sign shows.  A cell whose count rises by one across a
-sign change of F brackets one level.  A cell that still holds levels when
-it is too narrow to halve is an unresolved doublet, which double
-precision cannot split: each of its levels is its midpoint.
+strictly below each energy (see dwcross.models).  scan_brackets sizes
+its grid by the number of levels wanted, then halves, one array call per
+round, every wanted level's cell whose count says it holds more levels
+than F's sign shows.  A cell whose count rises by one across a sign
+change of F brackets one level.  A cell that still holds levels when it
+is too narrow to halve is an unresolved doublet, which double precision
+cannot split: each of its levels is its midpoint.
 
 Refinement is a guarded bisection with inverse-quadratic acceleration
 that never leaves its bracket.  It takes the scalar form of F (through
@@ -29,7 +30,6 @@ from .models import ModelParams, UnitsConfig, characteristic_fn
 
 __all__ = [
     "Bracket",
-    "Scan",
     "RootfindConfig",
     "scan_brackets",
     "refine_root",
@@ -37,11 +37,15 @@ __all__ = [
     "solve_levels",
 ]
 
-# Hard ceiling for automatic window expansion in solve_levels.
+# Hard ceiling for automatic window expansion.
 _E_MAX_CAP = 1e4
 
-# Window growth factor when the window holds fewer than the requested levels.
+# Window growth factor when the window holds fewer than the wanted levels.
 _EXPAND = 1.6
+
+# Grid cells per wanted level in each trial window.  16 and 32 measured
+# alike on the solve-mix and figures decks.
+_CELLS_PER_LEVEL = 32
 
 # A counted array form of f: 1-D energies to (F, N) there.
 CountedFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -56,24 +60,16 @@ class Bracket(NamedTuple):
     f_hi: float
 
 
-class Scan(NamedTuple):
-    """N(e_min); the window's levels: each a Bracket or a doublet's midpoint."""
-
-    below: int
-    levels: list[Bracket | float]
-
-
 @dataclass(frozen=True)
 class RootfindConfig:
-    """Scan window and refinement tolerances.
+    """Count origin, starting window top and refinement tolerance.
 
-    e_max may be left None when the caller (solve_levels) chooses and
-    expands the window itself.
+    e_max may be left None when the caller (solve_levels) chooses the
+    starting window itself.
     """
 
     e_min: float = 1e-9
     e_max: float | None = None
-    coarse_steps: int = 512
     tol_abs: float = 1e-10
 
     def __post_init__(self) -> None:
@@ -85,21 +81,15 @@ class RootfindConfig:
             raise ValueError(f"e_min must be positive, got {self.e_min}")
         if self.e_max is not None and not (self.e_min < self.e_max):
             raise ValueError(f"need e_min < e_max, got [{self.e_min}, {self.e_max}]")
-        if self.coarse_steps < 64:
-            raise ValueError(f"coarse_steps must be >= 64, got {self.coarse_steps}")
         if not self.tol_abs > 0.0:
             raise ValueError("tol_abs must be positive")
-
-
-def _window(cfg: RootfindConfig) -> str:
-    return f"in the window [{cfg.e_min}, {cfg.e_max}] eV"
 
 
 # Energies per array evaluation of f: bounds the temporaries of wide grids.
 _EVAL_BLOCK = 2048
 
 
-def _evaluate(f: CountedFn, xs: np.ndarray, cfg: RootfindConfig) -> tuple[np.ndarray, np.ndarray]:
+def _evaluate(f: CountedFn, xs: np.ndarray, window: str) -> tuple[np.ndarray, np.ndarray]:
     """F and N on xs, in blocks of at most _EVAL_BLOCK energies.
 
     Raises:
@@ -113,50 +103,76 @@ def _evaluate(f: CountedFn, xs: np.ndarray, cfg: RootfindConfig) -> tuple[np.nda
         finite = np.isfinite(values)
         if not finite.all():
             raise NonConvergenceError(
-                f"scan: F is not finite at E={float(block[~finite][0])!r} {_window(cfg)}"
+                f"scan: F is not finite at E={float(block[~finite][0])!r} {window}"
             )
         fs[start : start + block.size] = values
         ns[start : start + block.size] = counts
     return fs, ns
 
 
-def _sign_changes(fs: np.ndarray) -> np.ndarray:
-    """Per cell of the node values fs: opposite signs, or a 0 at an end."""
-    signs = np.sign(fs)
-    return signs[:-1] * signs[1:] <= 0.0
-
-
-def scan_brackets(f: CountedFn, cfg: RootfindConfig) -> Scan:
-    """Every level of f on [e_min, e_max], isolated by its count.
+def scan_brackets(
+    f: CountedFn, cfg: RootfindConfig, n: int, first: int = 0, e_lo: float = 0.0
+) -> list[Bracket | float]:
+    """Levels first+1 ... first+n of f counted from cfg.e_min, ascending:
+    each a Bracket or a doublet's midpoint.
 
     f maps a 1-D array of energies to (F, N) there (for a model, its
-    char_values).  The grid of cfg.coarse_steps cells is evaluated in one
-    pass and each round's midpoints in another.  Each round halves every
-    cell whose count rises by 2 or more, or by 1 with no sign change of
-    F, down to max(tol_abs, 4 eps |E|).  A midpoint whose count falls
-    outside its cell's end counts is not trusted, and that cell stops.
+    char_values).  Each trial window, from [max(e_lo, e_min), e_max] on,
+    is one pass over _CELLS_PER_LEVEL * n cells, plus e_min when the
+    window starts above it.  While its end counts miss a wanted level,
+    its bottom drops to e_min or its top grows 1.6-fold, up to 1e4 eV.
+    Then each round halves, in one pass, every cell holding a wanted level
+    whose count rises by 2 or more, or by 1 with no sign change of F,
+    down to max(tol_abs, 4 eps |E|).  A midpoint whose count falls outside
+    its cell's end counts is not trusted, and that cell stops.
 
     Raises:
         NonConvergenceError: F is not finite (stage "scan"); the count
-            falls from one node to the next, or holds levels F does not
-            separate in a cell wider than tol_abs and 1e-6 max(1, |E|) eV
-            (stage "count").
+            falls from one node to the next, or holds wanted levels F does
+            not separate in a cell wider than tol_abs and 1e-6 max(1, |E|)
+            eV (stage "count"); the window reaches 1e4 eV and still misses
+            a wanted level (stage "window growth").
     """
     if cfg.e_max is None:
         raise ValueError("scan_brackets needs cfg.e_max")
-    xs = np.linspace(cfg.e_min, cfg.e_max, cfg.coarse_steps + 1)
-    fs, ns = _evaluate(f, xs, cfg)
+    lo, hi = max(e_lo, cfg.e_min), cfg.e_max
+    while True:
+        window = f"in the window [{lo}, {hi}] eV"
+        xs = np.linspace(lo, hi, _CELLS_PER_LEVEL * n + 1)
+        if lo > cfg.e_min:
+            xs = np.concatenate(([cfg.e_min], xs))
+        fs, ns = _evaluate(f, xs, window)
+        want_lo = ns[0] + first
+        want_hi = want_lo + n
+        low = ns[int(lo > cfg.e_min)] > want_lo
+        short = ns[-1] < want_hi
+        # a falling count makes the end counts meaningless: the check
+        # after the halving reports it
+        if not (low or short) or (ns[1:] < ns[:-1]).any():
+            break
+        if low:
+            lo = cfg.e_min
+        if short:
+            if hi >= _E_MAX_CAP:
+                raise NonConvergenceError(
+                    f"window growth: only {ns[-1] - ns[0]:.0f} levels {window}, "
+                    f"which reaches the {_E_MAX_CAP} eV cap"
+                )
+            hi = min(hi * _EXPAND, _E_MAX_CAP)
+
     stopped = np.zeros(xs.size, dtype=bool)  # per cell, at its left node
     while True:
+        held = np.minimum(ns[1:], want_hi) - np.maximum(ns[:-1], want_lo)
         rise = ns[1:] - ns[:-1]
-        split = (rise >= 2.0) | ((rise == 1.0) & ~_sign_changes(fs))
-        split &= ~stopped[:-1]
+        signs = np.sign(fs)
+        changes = signs[:-1] * signs[1:] <= 0.0  # opposite signs, or a 0 at an end
+        split = (held > 0.0) & ~stopped[:-1] & ((rise >= 2.0) | ((rise == 1.0) & ~changes))
         split &= xs[1:] - xs[:-1] > np.maximum(cfg.tol_abs, 4.0 * 2.22e-16 * np.abs(xs[1:]))
         cells = np.flatnonzero(split)
         if not cells.size:
             break
         mids = 0.5 * (xs[cells] + xs[cells + 1])
-        fm, nm = _evaluate(f, mids, cfg)
+        fm, nm = _evaluate(f, mids, window)
         trusted = (ns[cells] <= nm) & (nm <= ns[cells + 1])
         stopped[cells[~trusted]] = True
         at = cells[trusted] + 1
@@ -165,22 +181,22 @@ def scan_brackets(f: CountedFn, cfg: RootfindConfig) -> Scan:
         ns = np.insert(ns, at, nm[trusted])
         stopped = np.insert(stopped, at, False)
 
-    bracket = (rise == 1.0) & _sign_changes(fs)
+    bracket = (rise == 1.0) & changes
     narrow = xs[1:] - xs[:-1] <= np.maximum(cfg.tol_abs, 1e-6 * np.maximum(1.0, np.abs(xs[1:])))
-    bad = np.flatnonzero((rise < 0.0) | ((rise > 0.0) & ~bracket & ~narrow))
+    bad = np.flatnonzero((rise < 0.0) | ((held > 0.0) & ~bracket & ~narrow))
     if bad.size:
         i = int(bad[0])
         raise NonConvergenceError(
             f"count: N = {ns[i]:.0f} at E={float(xs[i])!r} and {ns[i + 1]:.0f} at "
-            f"E={float(xs[i + 1])!r} is not one level per sign change of F {_window(cfg)}"
+            f"E={float(xs[i + 1])!r} is not one level per sign change of F {window}"
         )
     levels: list[Bracket | float] = []
-    for c in np.flatnonzero(rise > 0.0).tolist():
+    for c in np.flatnonzero(held > 0.0).tolist():
         if bracket[c]:
             levels.append(Bracket(*(float(v) for v in (xs[c], xs[c + 1], fs[c], fs[c + 1]))))
         else:
-            levels += [float(0.5 * (xs[c] + xs[c + 1]))] * int(rise[c])
-    return Scan(int(ns[0]), levels)
+            levels += [float(0.5 * (xs[c] + xs[c + 1]))] * int(held[c])
+    return levels
 
 
 def refine_root(f: Callable[[float], float], bracket: Bracket, cfg: RootfindConfig) -> float:
@@ -242,8 +258,7 @@ def refine_root(f: Callable[[float], float], bracket: Bracket, cfg: RootfindConf
             a, b, fa, fb = b, c, fb, fc
             c, fc = a, fa
     raise NonConvergenceError(
-        f"refine: the root on [{bracket.lo!r}, {bracket.hi!r}] exceeded its iteration "
-        f"budget {_window(cfg)}"
+        f"refine: the root on [{bracket.lo!r}, {bracket.hi!r}] exceeded its iteration budget"
     )
 
 
@@ -262,16 +277,15 @@ def solve_levels(
 ) -> list[float]:
     """First n_levels levels of the model above cfg.e_min, ascending.
 
-    The scan window starts at the model's level_window (or cfg.e_max) and
-    grows geometrically, rescanning, while its count holds fewer than
-    n_levels levels, up to 1e4 eV.  An e_min past the estimate shifts the
+    The scan starts on the model's level_window (or cfg.e_max) and grows
+    it as scan_brackets does.  An e_min past the estimate shifts the
     estimated window up to start there.  Levels that double precision
     cannot split come back as equal values (see scan_brackets).
 
     Raises:
-        NonConvergenceError: the scan, the count, the refinement or the
-            window growth failed; the message starts with the model's repr
-            and names the stage and the window.
+        NonConvergenceError: the scan, the count, the window growth or the
+            refinement failed; the message starts with the model's repr
+            and names the stage and the window or bracket.
     """
     if n_levels < 1:
         raise ValueError(f"n_levels must be >= 1, got {n_levels}")
@@ -284,16 +298,8 @@ def solve_levels(
             raise NonConvergenceError(
                 f"window growth: e_min={base.e_min} leaves no window below the {_E_MAX_CAP} eV cap"
             )
-        while True:
-            local = dataclasses.replace(base, e_max=e_max)
-            levels = scan_brackets(partial(model.char_values, units=units), local).levels
-            if len(levels) >= n_levels:
-                return refine_levels(characteristic_fn(model, units), levels[:n_levels], local)
-            if e_max >= _E_MAX_CAP:
-                raise NonConvergenceError(
-                    f"window growth: only {len(levels)} levels {_window(local)}, "
-                    f"which reaches the {_E_MAX_CAP} eV cap"
-                )
-            e_max = min(e_max * _EXPAND, _E_MAX_CAP)
+        local = dataclasses.replace(base, e_max=e_max)
+        levels = scan_brackets(partial(model.char_values, units=units), local, n_levels)
+        return refine_levels(characteristic_fn(model, units), levels, local)
     except NonConvergenceError as exc:
         raise NonConvergenceError(f"{model!r}: {exc}") from exc

@@ -5,7 +5,8 @@ Every grid point is solved independently (no continuation seeding): since
 1D bound levels never cross, ascending order at each point is already the
 adiabatic labeling, and independent solves cannot mislabel levels near a
 throat.  Detected gap minima are refined by golden-section search on the
-gap, re-solving the two flanking levels at every probe.
+gap.  Each probe finds the two flanking levels by their count indices,
+starting from the table's energy window around them.
 """
 
 from __future__ import annotations
@@ -140,19 +141,15 @@ def _gap_at(
 ) -> tuple[float, float]:
     """(gap, mid-energy) between level columns col and col+1 at lambda=lam.
 
-    Scans a focused window and takes its first two levels when the count
-    certifies them as levels col+1 and col+2 (1-based): exactly col levels
-    below the window and at least two in it.  Otherwise (a level drifted
-    out of the window during refinement) it falls back to a full solve.
+    The two levels are the ones with count indices N(e_min)+col+1 and
+    N(e_min)+col+2, the labels of the table's columns.  The scan starts on
+    the table's window [e_lo, e_hi] around them and widens it only when
+    the count says a level left it.
     """
     varied = model.at(lam)
-    local = dataclasses.replace(cfg, e_min=max(e_lo, cfg.e_min), e_max=e_hi, coarse_steps=256)
-    scan = scan_brackets(partial(varied.char_values, units=units), local)
-    if scan.below == col and len(scan.levels) >= 2:
-        lo_root, hi_root = refine_levels(characteristic_fn(varied, units), scan.levels[:2], local)
-    else:
-        levels = solve_levels(varied, units, col + 2, cfg)
-        lo_root, hi_root = levels[col], levels[col + 1]
+    local = dataclasses.replace(cfg, e_max=e_hi)
+    levels = scan_brackets(partial(varied.char_values, units=units), local, 2, col, e_lo)
+    lo_root, hi_root = refine_levels(characteristic_fn(varied, units), levels, cfg)
     return hi_root - lo_root, 0.5 * (lo_root + hi_root)
 
 

@@ -45,10 +45,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="e_min must be positive"):
             RootfindConfig(e_min=e_min)
 
-    def test_minimum_steps(self):
-        with pytest.raises(ValueError):
-            RootfindConfig(coarse_steps=32)
-
     def test_positive_tolerance(self):
         with pytest.raises(ValueError):
             RootfindConfig(tol_abs=0.0)
@@ -57,45 +53,47 @@ class TestConfig:
 class TestScanBrackets:
     def test_known_zeros_of_sin_sqrt(self):
         f = sin_sqrt
-        cfg = RootfindConfig(e_min=0.5, e_max=9.5, coarse_steps=64)
-        scan = scan_brackets(f, cfg)
-        assert scan.below == 0
-        brackets = scan.levels
+        cfg = RootfindConfig(e_min=0.5, e_max=9.5)
+        brackets = scan_brackets(f, cfg, 3)
         assert len(brackets) == 3
         for b, root in zip(brackets, (1.0, 4.0, 9.0)):
             assert b.lo < root < b.hi
             assert b.f_lo * b.f_hi < 0
+        # count indices start above e_min: first=1 skips the level at 1
+        [second] = scan_brackets(f, cfg, 1, first=1)
+        assert second.lo < 4.0 < second.hi
 
     def test_brackets_sorted_and_disjoint(self):
         f = sin_sqrt
-        cfg = RootfindConfig(e_min=0.5, e_max=9.5, coarse_steps=64)
-        brackets = scan_brackets(f, cfg).levels
+        cfg = RootfindConfig(e_min=0.5, e_max=9.5)
+        brackets = scan_brackets(f, cfg, 3)
         for left, right in zip(brackets[:-1], brackets[1:]):
             assert left.hi <= right.lo
 
     def test_subgrid_doublet_resolved(self):
-        # two roots 0.062 apart inside one 0.25-wide coarse cell: a
-        # near-crossing tunneling pair of the rectangular double well
+        # two roots 0.062 apart inside one 0.25-wide grid cell (5 levels,
+        # 32 cells each, over 40 eV): a near-crossing tunneling pair of the
+        # rectangular double well
         m = M2Params(10.0, 2.0, 1.0, 3.3553)
         f = characteristic_fn(m, U1)
-        cfg = RootfindConfig(e_min=1e-9, e_max=16.0, coarse_steps=64)
-        brackets = scan_brackets(values_fn(m), cfg).levels
+        cfg = RootfindConfig(e_min=1e-9, e_max=40.0)
+        brackets = scan_brackets(values_fn(m), cfg, 5)
         assert len(brackets) == 5
         pair = [b for b in brackets if 5.0 < b.lo < 5.6]
         assert len(pair) == 2
         roots = sorted(refine_root(f, b, cfg) for b in pair)
         assert roots[0] == pytest.approx(5.34486, abs=1e-3)
         assert roots[1] == pytest.approx(5.40655, abs=1e-3)
-        # both inside what was a single coarse cell
-        assert roots[1] - roots[0] < (16.0 / 64)
+        # both inside what was a single grid cell
+        assert roots[1] - roots[0] < (40.0 / (5 * rootfind._CELLS_PER_LEVEL))
 
     def test_subgrid_doublet_found_without_count_hint(self):
-        # the model's own count, with no level count from the caller, must
-        # split the pair that shares one coarse cell
+        # the model's own count must split the pair that shares one
+        # 0.25-wide grid cell (3 levels, 32 cells each, over 24 eV)
         m = M2Params(10.0, 2.0, 1.0, 2.0003)
         f = characteristic_fn(m, U1)
-        cfg = RootfindConfig(e_min=1e-9, e_max=16.0, coarse_steps=64)
-        brackets = scan_brackets(values_fn(m), cfg).levels
+        cfg = RootfindConfig(e_min=1e-9, e_max=24.0)
+        brackets = scan_brackets(values_fn(m), cfg, 3)
         assert len(brackets) == 3
         roots = [refine_root(f, b, cfg) for b in brackets]
         assert roots[0] == pytest.approx(5.33282, abs=1e-3)
@@ -103,28 +101,31 @@ class TestScanBrackets:
         assert roots[2] == pytest.approx(12.04674, abs=1e-3)
 
     def test_expected_count_from_oracle_sturm(self):
-        # the scan finds as many brackets as the independent
-        # finite-difference Sturm count at the window top
+        # the scan finds as many brackets below the window top as the
+        # independent finite-difference Sturm count there, and no more
         from dwcross.oracle import OracleConfig, build_hamiltonian, sturm_count
 
         m = M1Params(10.0, 2.0, 2.0)
         T = build_hamiltonian(m, U1, OracleConfig(n_points=2000))
         expected = sturm_count(T, 12.0)
         assert expected == 4
-        cfg = RootfindConfig(e_min=1e-9, e_max=12.0, coarse_steps=128)
-        brackets = scan_brackets(values_fn(m), cfg).levels
+        cfg = RootfindConfig(e_min=1e-9, e_max=12.0)
+        brackets = scan_brackets(values_fn(m), cfg, expected)
         assert len(brackets) == expected
+        assert all(b.hi <= 12.0 for b in brackets)
+        *_, extra = scan_brackets(values_fn(m), cfg, expected + 1)
+        assert refine_root(characteristic_fn(m, U1), extra, cfg) > 12.0
 
     def test_requires_e_max(self):
         with pytest.raises(ValueError):
-            scan_brackets(lambda e: e, RootfindConfig())
+            scan_brackets(lambda e: e, RootfindConfig(), 1)
 
     def test_exact_grid_zero_handled(self):
         # a root exactly on a scan node must still produce one bracket
         f = lambda e: (e - 5.0, 1.0 * (e > 5.0))  # noqa: E731
-        cfg = RootfindConfig(e_min=2.5, e_max=7.5, coarse_steps=80)
-        assert 5.0 in np.linspace(cfg.e_min, cfg.e_max, cfg.coarse_steps + 1)
-        brackets = scan_brackets(f, cfg).levels
+        cfg = RootfindConfig(e_min=2.5, e_max=7.5)
+        assert 5.0 in np.linspace(cfg.e_min, cfg.e_max, rootfind._CELLS_PER_LEVEL + 1)
+        brackets = scan_brackets(f, cfg, 1)
         assert len(brackets) == 1
         lo, hi, f_lo, f_hi = brackets[0]
         assert lo <= 5.0 <= hi
@@ -138,35 +139,39 @@ class TestScanBrackets:
             values, counts = sin_sqrt(e)
             return np.where(e > 5.3, np.nan, values), counts
 
-        cfg = RootfindConfig(e_min=0.5, e_max=9.5, coarse_steps=64)
+        cfg = RootfindConfig(e_min=0.5, e_max=9.5)
         message = r"^scan: F is not finite at E=5\.421875 in the window \[0\.5, 9\.5\] eV$"
         with pytest.raises(NonConvergenceError, match=message):
-            scan_brackets(f, cfg)
+            scan_brackets(f, cfg, 2)
 
     def test_falling_count_raises(self):
         def f(e):
             values, counts = sin_sqrt(e)
             return values, np.where(e > 5.3, 0.0, counts)
 
-        cfg = RootfindConfig(e_min=0.5, e_max=9.5, coarse_steps=64)
-        message = (
-            r"^count: N = 2 at E=5\.28125 and 0 at E=5\.421875 is not one level per sign "
-            r"change of F in the window \[0\.5, 9\.5\] eV$"
-        )
-        with pytest.raises(NonConvergenceError, match=message):
-            scan_brackets(f, cfg)
+        # the count falls on 5.3: above the last wanted level (at 1 or 4),
+        # in a cell never halved, or below the wanted level at 9, where the
+        # end counts would grow the window
+        cfg = RootfindConfig(e_min=0.5, e_max=9.5)
+        for n, top in ((1, r"5\.5625"), (2, r"5\.421875"), (3, r"5\.375")):
+            message = (
+                rf"^count: N = 2 at E=5\.28125 and 0 at E={top} is not one level per sign "
+                r"change of F in the window \[0\.5, 9\.5\] eV$"
+            )
+            with pytest.raises(NonConvergenceError, match=message):
+                scan_brackets(f, cfg, n)
 
     def test_unsplit_wide_cell_raises(self):
         # the count puts one level in the cell [5.0, 5.078125] where F keeps
         # its sign, and its midpoint counts more than the cell's top: the
-        # untrusted midpoint stops the splitting at full width
+        # untrusted midpoint stops the splitting of that cell
         def f(e):
             return np.ones_like(e), 1.0 * (e > 5.04) + 2.0 * (np.abs(e - 5.0390625) < 1e-3)
 
-        cfg = RootfindConfig(e_min=2.5, e_max=7.5, coarse_steps=64)
+        cfg = RootfindConfig(e_min=2.5, e_max=7.5)
         message = r"^count: N = 0 at E=5\.0 and 1 at E=5\.078125 is not one level per sign change"
         with pytest.raises(NonConvergenceError, match=message):
-            scan_brackets(f, cfg)
+            scan_brackets(f, cfg, 1)
 
     def test_unresolved_doublet_at_midpoint(self):
         # a count that rises by two at a point where F only touches zero:
@@ -175,29 +180,30 @@ class TestScanBrackets:
             return (e - 5.0) ** 2 + 1.0, 2.0 * (e > 5.0)
 
         for tol_abs in (1e-10, 1e-3):
-            cfg = RootfindConfig(e_min=2.5, e_max=7.5, coarse_steps=64, tol_abs=tol_abs)
-            levels = scan_brackets(f, cfg).levels
+            cfg = RootfindConfig(e_min=2.5, e_max=7.5, tol_abs=tol_abs)
+            levels = scan_brackets(f, cfg, 2)
             assert len(levels) == 2 and levels[0] == levels[1]
             assert type(levels[0]) is float
             assert abs(levels[0] - 5.0) <= cfg.tol_abs
 
     def test_evaluations_in_bounded_blocks(self):
-        # a wide grid (16384 cells, as --coarse-steps allows) is evaluated
-        # in blocks of at most 2048 energies
+        # many wanted levels make a wide grid (512 levels, 16384 cells),
+        # which is evaluated in blocks of at most 2048 energies
         sizes = []
 
         def f(e):
+            # sin(pi E) vanishes at E = 1, 2, ...; floor(E) counts them
             sizes.append(e.size)
-            return sin_sqrt(e)
+            return np.sin(np.pi * e), np.floor(e)
 
-        cfg = RootfindConfig(e_min=0.5, e_max=9.5, coarse_steps=16384)
-        assert len(scan_brackets(f, cfg).levels) == 3
+        cfg = RootfindConfig(e_min=0.5, e_max=512.5)
+        assert len(scan_brackets(f, cfg, 512)) == 512
         assert sum(sizes) >= 16385 and max(sizes) <= 2048
 
     def test_brackets_are_python_floats(self):
         m = M2Params(10.0, 2.0, 1.0, 3.0)
-        cfg = RootfindConfig(e_min=1e-9, e_max=16.0, coarse_steps=64)
-        for b in scan_brackets(values_fn(m), cfg).levels:
+        cfg = RootfindConfig(e_min=1e-9, e_max=16.0)
+        for b in scan_brackets(values_fn(m), cfg, 5):
             assert all(type(v) is float for v in b)
         assert all(type(e) is float for e in solve_levels(m, U1, 3))
 
@@ -240,17 +246,19 @@ def test_array_scan_matches_scalar_reference(name, model, units, n):
     # the levels the array scan isolates match the reference count, one
     # Sturm count of the oracle's matrix per level: each sits where that
     # count steps, at the compare gate's tolerance; and the scan reports
-    # as many levels as the model's own count puts in its window
+    # as many levels as the model's own count puts in its window, all
+    # inside it
     levels = solve_levels(model, units, n)
     tol = _GATE_TOLERANCE[model.kind]
     backing = reference_oracles.sturm_backing(model, units, levels, tol, max(levels[-1], 1.0))
     for j, (below, above) in enumerate(backing, start=1):
         assert below <= j - 1 and above >= j, (j, levels[j - 1], below, above)
     cfg = RootfindConfig(e_max=model.level_window(units, n))
-    scan = scan_brackets(values_fn(model, units), cfg)
     _, counts = model.char_values(np.array([cfg.e_min, cfg.e_max]), units)
-    assert scan.below == counts[0]
-    assert len(scan.levels) == counts[1] - counts[0] >= n
+    held = int(counts[1] - counts[0])
+    scan = scan_brackets(values_fn(model, units), cfg, held)
+    assert len(scan) == held >= n
+    assert all((x.hi if isinstance(x, Bracket) else x) <= cfg.e_max for x in scan)
 
 
 # Models on which solve_levels returned wrong levels with exit 0 while
@@ -310,9 +318,9 @@ class TestRefineRoot:
             values, counts = f_values(e)
             return 1000.0 * values, counts
 
-        cfg = RootfindConfig(e_min=1e-9, e_max=16.0, coarse_steps=256)
-        roots_f = [refine_root(f, b, cfg) for b in scan_brackets(f_values, cfg).levels]
-        roots_g = [refine_root(g, b, cfg) for b in scan_brackets(g_values, cfg).levels]
+        cfg = RootfindConfig(e_min=1e-9, e_max=16.0)
+        roots_f = [refine_root(f, b, cfg) for b in scan_brackets(f_values, cfg, 5)]
+        roots_g = [refine_root(g, b, cfg) for b in scan_brackets(g_values, cfg, 5)]
         assert roots_f == roots_g  # bitwise: refinement uses only f-ratios
 
 
@@ -333,6 +341,34 @@ class TestSolveLevels:
         cfg = RootfindConfig(e_max=1.5)
         levels = solve_levels(M3Params(0.0, 2.0, 2.0), U1, 4, cfg)
         assert np.allclose(levels, [1.0, 3.0, 5.0, 7.0], atol=1e-8)
+
+    @pytest.mark.parametrize(
+        "model,e_max,tops",
+        [(M3Params(0.0, 2.0, 2.0), 1.5, 5), (M2Params(100.0, 2.0, 1.0, 2.0), 9.0, 4)],
+        ids=["oscillator", "m2-doublets"],
+    )
+    def test_window_growth_by_the_count(self, monkeypatch, model, e_max, tops):
+        # each trial top costs one grid of 32 cells per wanted level, and
+        # cells are halved only in the final window, at most one cell per
+        # wanted level per round, down to tol_abs
+        calls = []
+        char_values = type(model).char_values
+
+        def counted(self, energies, units):
+            calls.append(np.array(energies))
+            return char_values(self, energies, units)
+
+        monkeypatch.setattr(type(model), "char_values", counted)
+        cfg = RootfindConfig(e_max=e_max)
+        solve_levels(model, U1, 4, cfg)
+        grid = 4 * rootfind._CELLS_PER_LEVEL + 1
+        top = e_max * 1.6 ** (tops - 1)
+        assert [c.size for c in calls[:tops]] == [grid] * tops
+        assert [c[-1] for c in calls[:tops]] == pytest.approx(e_max * 1.6 ** np.arange(tops))
+        halving = calls[tops:]
+        assert all(c.size <= 4 and cfg.e_min < c.min() and c.max() < top for c in halving)
+        rounds = math.ceil(math.log2(top / (grid - 1) / cfg.tol_abs))
+        assert sum(c.size for c in calls) <= tops * grid + 4 * rounds
 
     def test_determinism(self):
         m = M2Params(10.0, 2.0, 1.0, 3.3553)
@@ -400,7 +436,7 @@ class _UnsplitCell(M1Params):
      (_UnsplitCell, r"count: N = 0 at E=5\.0 and 1 at")],
 )
 def test_scan_failures_name_model_stage_and_window(cls, stage):
-    cfg = RootfindConfig(e_min=2.5, e_max=7.5, coarse_steps=64)
+    cfg = RootfindConfig(e_min=2.5, e_max=7.5)
     message = rf"^_?\w+\(v0=10\.0, a=2\.0, b=2\.0\): {stage}.* in the window \[2\.5, 7\.5\] eV$"
     with pytest.raises(NonConvergenceError, match=message):
         solve_levels(cls(10.0, 2.0, 2.0), U1, 1, cfg)

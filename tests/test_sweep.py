@@ -185,22 +185,46 @@ class TestDetection:
 
 
 class TestGapProbe:
-    def test_focused_window_and_fallback_agree(self):
-        # the refinement probe solves two roots in a focused window; when
-        # the count does not certify them as levels col+1 and col+2 it
-        # falls back to a full level solve, and both routes must agree
-        from dwcross.rootfind import RootfindConfig
+    def test_focused_and_wide_windows_agree(self):
+        # the refinement probe labels its two roots by count indices, so a
+        # window starting below level col, or between the pair (which the
+        # probe lowers to e_min), gives the same pair as a focused one
         from dwcross.sweep import _gap_at
 
         model = M2Params(10.0, 2.0, 1.0, 2.0)
         cfg = RootfindConfig()
         lam = 3.3553
         focused = _gap_at(model, U1, lam, 1, cfg, 4.8, 6.2)
-        # a window starting below level col forces the fallback path
-        fallback = _gap_at(model, U1, lam, 1, cfg, 0.5, 11.5)
-        assert focused[0] == pytest.approx(fallback[0], abs=1e-8)
-        assert focused[1] == pytest.approx(fallback[1], abs=1e-8)
+        for e_lo, e_hi in ((0.5, 11.5), (5.38, 6.2)):
+            other = _gap_at(model, U1, lam, 1, cfg, e_lo, e_hi)
+            assert focused[0] == pytest.approx(other[0], abs=1e-8)
+            assert focused[1] == pytest.approx(other[1], abs=1e-8)
         assert focused[0] == pytest.approx(0.0617, abs=1e-3)
+
+    def test_probe_labels_by_count_above_e_min(self, monkeypatch):
+        # with e_min above the ground state over part of the fig3 sweep,
+        # column col holds count index N(e_min)+col+1: every probe finds its
+        # pair by that label, with no full solve, and each crossing matches
+        # a full solve at its lambda_star
+        from dwcross import sweep
+        from dwcross.cli import parse_config
+
+        run = parse_config(["detect", "--preset", "fig3", "--e-min", "1.0"])
+        cfg = run.build_rootfind()
+        table = sweep_levels(run.build_model(), run.build_units(), run.build_sweep_spec(), cfg)
+        solves = []
+        solve_levels = sweep.solve_levels
+        monkeypatch.setattr(sweep, "solve_levels", lambda *a: solves.append(a) or solve_levels(*a))
+        acs = detect_avoided_crossings(table, cfg, run.gap_ceiling)
+        monkeypatch.undo()
+        assert acs and solves == []
+        for ac in acs:
+            levels = solve_levels(
+                table.model.at(ac.lambda_star), table.units, ac.level_index + 1, cfg
+            )
+            lo, hi = levels[-2:]
+            assert ac.gap == pytest.approx(hi - lo, abs=2.0 * cfg.tol_abs)
+            assert ac.e_mid == pytest.approx(0.5 * (lo + hi), abs=2.0 * cfg.tol_abs)
 
 
 class TestEdgeCandidates:
