@@ -10,7 +10,15 @@ class DomainError(DwcrossError, ValueError):
 
 
 class NonConvergenceError(DwcrossError):
-    """An iterative search exhausted its budget without converging."""
+    """An iterative search exhausted its budget without converging.
+
+    row is the index of the row that failed when many independent rows
+    were solved together (see rootfind.scan_brackets), else None.
+    """
+
+    def __init__(self, message: str, row: int | None = None) -> None:
+        super().__init__(message)
+        self.row = row
 
 
 class ModelMismatchError(DwcrossError, ValueError):

@@ -138,15 +138,24 @@ class ModelParams:
         return self._char(energy, units.u, _SCALAR)
 
     def char_values(
-        self, energies: np.ndarray, units: UnitsConfig
+        self, energies: np.ndarray, units: UnitsConfig, at: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """(F, N) at every energy of a 1-D array, in one pass of array
         operations: `char` and the level count (see the module docstring).
 
+        at, when given, is the sweep parameter at each energy (a 1-D array
+        aligned with energies): then each (F, N) is that of self.at(value),
+        bit for bit, with every model of a sweep in one call.  The values
+        are not checked here; the caller builds those models.
+
         Raises:
             DomainError: some energy is not positive and finite.
         """
-        return self._char(_positive_energies(energies), units.u, _ARRAY)
+        model = self
+        if at is not None:
+            model = object.__new__(type(self))
+            model.__dict__.update(vars(self), **{self.sweep_param: np.asarray(at, dtype=float)})
+        return model._char(_positive_energies(energies), units.u, _ARRAY)
 
     def at(self, value: float) -> ModelParams:
         """The same model with its sweep parameter set to value (validated)."""
@@ -320,13 +329,11 @@ def _gamma_factors(nu1: float, nu2: float):
 
 
 def _gamma_factor_values(nu1: np.ndarray, nu2: np.ndarray):
-    """_gamma_factors on arrays of orders."""
-    return (
-        recip_gamma_log_values(-0.5 * nu1),
-        recip_gamma_log_values(-0.5 * nu2),
-        recip_gamma_log_values(0.5 - 0.5 * nu1),
-        recip_gamma_log_values(0.5 - 0.5 * nu2),
-    )
+    """_gamma_factors on arrays of orders, with one recip_gamma_log_values
+    call over the four arguments stacked."""
+    args = np.concatenate((-0.5 * nu1, -0.5 * nu2, 0.5 - 0.5 * nu1, 0.5 - 0.5 * nu2))
+    signs, logs = recip_gamma_log_values(args)
+    return tuple(zip(np.split(signs, 4), np.split(logs, 4)))
 
 
 def _signed_log(x: float) -> tuple[int, float]:
@@ -380,6 +387,17 @@ def _sum_sign(s1: np.ndarray, l1: np.ndarray, s2: np.ndarray, l2: np.ndarray) ->
     return np.where(l1 > l2, s1, np.where(l1 < l2, s2, 0.5 * (s1 + s2)))
 
 
+def _param_log(x):
+    """math.log of a number, or of each element of an array: np.log may
+    round differently.  An array is taken once per run of equal values, as
+    a sweep parameter repeats along each row of energies."""
+    if not isinstance(x, np.ndarray):
+        return math.log(x)
+    starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
+    logs = np.fromiter(map(math.log, x[starts].tolist()), float, starts.size)
+    return np.repeat(logs, np.diff(np.append(starts, x.size)))
+
+
 class _Ops(NamedTuple):
     """The primitives a level condition is built from, for one input form."""
 
@@ -390,6 +408,7 @@ class _Ops(NamedTuple):
     barrier_factors: Callable
     signed_log: Callable
     signed_exp_sum: Callable
+    log: Callable  # of the parameter terms, which `at` may make arrays
     counts: bool  # _char returns (F, N), not F
 
 
@@ -398,22 +417,22 @@ class _Ops(NamedTuple):
 # recip_gamma_log itself must not go into the table.
 _SCALAR = _Ops(
     math.sqrt, math.sin, math.cos,
-    _gamma_factors, _barrier_factors, _signed_log, _signed_exp_sum, False,
+    _gamma_factors, _barrier_factors, _signed_log, _signed_exp_sum, math.log, False,
 )
 _ARRAY = _Ops(
     np.sqrt, np.sin, np.cos,
     _gamma_factor_values, _barrier_factor_values, _signed_log_values, _signed_exp_sum_values,
-    True,
+    _param_log, True,
 )
 
 
-def _harmonic_orders(
-    energy: float, hw1: float, hw2: float, u: float
-) -> tuple[float, float, float, float]:
+def _harmonic_orders(energy, hw1: float, hw2, u: float):
+    """(nu1, nu2, alpha1, alpha2); hw2, the sweep parameter, may be an
+    array aligned with the energies."""
     nu1 = energy / hw1 - 0.5
     nu2 = energy / hw2 - 0.5
     alpha1 = math.sqrt(u * hw1)
-    alpha2 = math.sqrt(u * hw2)
+    alpha2 = np.sqrt(u * hw2) if isinstance(hw2, np.ndarray) else math.sqrt(u * hw2)
     return nu1, nu2, alpha1, alpha2
 
 
@@ -593,7 +612,7 @@ class M3Params(ModelParams):
         nu1, nu2, alpha1, alpha2 = _harmonic_orders(e, self.hw1, self.hw2, u)
         (sh1, lh1), (sh2, lh2), (sj1, lj1), (sj2, lj2) = ops.gamma_factors(nu1, nu2)
         terms = [
-            (sh2 * sj1, _LN_SQRT2 + math.log(alpha2) + lh2 + lj1),
+            (sh2 * sj1, _LN_SQRT2 + ops.log(alpha2) + lh2 + lj1),
             (sh1 * sj2, _LN_SQRT2 + math.log(alpha1) + lh1 + lj2),
         ]
         if self.v0 > 0.0:
@@ -674,8 +693,8 @@ class M4Params(ModelParams):
         sign_w, log_w = ops.signed_log(w)
         terms = [
             (sh1 * sj2 * sign_c, _LN_SQRT2 + math.log(alpha1) + lh1 + lj2 + log_c),
-            (sh2 * sj1 * sign_c, _LN_SQRT2 + math.log(alpha2) + lh2 + lj1 + log_c),
-            (sh1 * sh2 * sign_s, math.log(2.0 * alpha1 * alpha2) + lh1 + lh2 + log_s),
+            (sh2 * sj1 * sign_c, _LN_SQRT2 + ops.log(alpha2) + lh2 + lj1 + log_c),
+            (sh1 * sh2 * sign_s, ops.log(2.0 * alpha1 * alpha2) + lh1 + lh2 + log_s),
             (sign_w * sj1 * sj2 * sign_s, log_w + lj1 + lj2 + log_s),
         ]
         f = ops.signed_exp_sum(terms)
@@ -684,7 +703,7 @@ class M4Params(ModelParams):
         # as in M2Params._char, with D_nu2 (value ~ j2, slope ~ h2) in
         # place of the right box
         end = _sum_sign(
-            sign_c * sj2, log_c + lj2, sign_s * sh2, log_s + _LN_SQRT2 + math.log(alpha2) + lh2
+            sign_c * sj2, log_c + lj2, sign_s * sh2, log_s + _LN_SQRT2 + ops.log(alpha2) + lh2
         )
         n_right = _harmonic_count(0.5 - 0.5 * nu2, sj2)
         n_right += _barrier_count(w, self.a, sj2, sh2, end)

@@ -9,6 +9,13 @@ change of F brackets one level.  A cell that still holds levels when it
 is too narrow to halve is an unresolved doublet, which double precision
 cannot split: each of its levels is its midpoint.
 
+A scan may hold many independent rows (the points of a sweep, or the
+probes of its crossing search), each with its own window and count
+origin.  Their grids share each array call, which costs mostly a fixed
+amount whatever its length, but no row reads another's values: each
+comes out as it would if scanned alone.  solve_rows solves many models
+of one family so.
+
 Refinement is a guarded bisection with inverse-quadratic acceleration
 that never leaves its bracket.  It takes the scalar form of F (through
 models.characteristic_fn): each step needs one new value, and a numpy
@@ -17,7 +24,6 @@ call on one element costs more than the math-module arithmetic.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -35,6 +41,7 @@ __all__ = [
     "refine_root",
     "refine_levels",
     "solve_levels",
+    "solve_rows",
 ]
 
 # Hard ceiling for automatic window expansion.
@@ -49,6 +56,9 @@ _CELLS_PER_LEVEL = 32
 
 # A counted array form of f: 1-D energies to (F, N) there.
 CountedFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+# The same for many rows: (energies, the row of each) to (F, N).
+RowsFn = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 class Bracket(NamedTuple):
@@ -86,116 +96,223 @@ class RootfindConfig:
 
 
 # Energies per array evaluation of f: bounds the temporaries of wide grids.
+# It also sizes the groups of rows that solve_rows scans together.
 _EVAL_BLOCK = 2048
 
 
-def _evaluate(f: CountedFn, xs: np.ndarray, window: str) -> tuple[np.ndarray, np.ndarray]:
-    """F and N on xs, in blocks of at most _EVAL_BLOCK energies.
+def _evaluate(
+    f: RowsFn, xs: np.ndarray, rows: np.ndarray, window: Callable[[int], str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """F and N on xs, rows[i] being the row of xs[i], in blocks of at most
+    _EVAL_BLOCK energies.
 
     Raises:
-        NonConvergenceError: F is NaN or infinite somewhere.
+        NonConvergenceError: F is NaN or infinite somewhere; the first such
+            energy of the lowest row is named.
     """
-    fs = np.empty_like(xs)
-    ns = np.empty_like(xs)
+    parts = []
     for start in range(0, xs.size, _EVAL_BLOCK):
-        block = xs[start : start + _EVAL_BLOCK]
-        values, counts = f(block)
+        block = slice(start, start + _EVAL_BLOCK)
+        values, counts = f(xs[block], rows[block])
         finite = np.isfinite(values)
         if not finite.all():
+            bad = (~finite).nonzero()[0] + start
+            i = int(bad[np.argmin(rows[bad])])
             raise NonConvergenceError(
-                f"scan: F is not finite at E={float(block[~finite][0])!r} {window}"
+                f"scan: F is not finite at E={float(xs[i])!r} {window(rows[i])}", row=int(rows[i])
             )
-        fs[start : start + block.size] = values
-        ns[start : start + block.size] = counts
-    return fs, ns
+        parts.append((values, counts))
+    if len(parts) == 1:
+        return parts[0]
+    values, counts = zip(*parts)
+    return np.concatenate(values), np.concatenate(counts)
 
 
 def scan_brackets(
-    f: CountedFn, cfg: RootfindConfig, n: int, first: int = 0, e_lo: float = 0.0
-) -> list[Bracket | float]:
-    """Levels first+1 ... first+n of f counted from cfg.e_min, ascending:
-    each a Bracket or a doublet's midpoint.
+    f: CountedFn | RowsFn,
+    cfg: RootfindConfig,
+    n: int,
+    first: int | np.ndarray = 0,
+    e_lo: float | np.ndarray = 0.0,
+    e_hi: float | np.ndarray | None = None,
+) -> list[Bracket | float] | list[list[Bracket | float]]:
+    """Levels first+1 ... first+n of f counted from cfg.e_min, ascending,
+    of one row or of many independent rows: each a Bracket or a doublet's
+    midpoint.
 
-    f maps a 1-D array of energies to (F, N) there (for a model, its
-    char_values).  Each trial window, from [max(e_lo, e_min), e_max] on,
-    is one pass over _CELLS_PER_LEVEL * n cells, plus e_min when the
-    window starts above it.  While its end counts miss a wanted level,
-    its bottom drops to e_min or its top grows 1.6-fold, up to 1e4 eV.
-    Then each round halves, in one pass, every cell holding a wanted level
-    whose count rises by 2 or more, or by 1 with no sign change of F,
-    down to max(tol_abs, 4 eps |E|).  A midpoint whose count falls outside
-    its cell's end counts is not trusted, and that cell stops.
+    One row: first, e_lo and e_hi are numbers, f maps a 1-D array of
+    energies to (F, N) there (for a model, its char_values), and the
+    result is the row's levels.  Many rows: first, e_lo or e_hi is a 1-D
+    array with one entry per row (the others broadcast), f maps (energies,
+    rows) to (F, N), rows[i] being the row of energies[i], and the result
+    is one list of levels per row.  The rows share one array call per
+    round (in blocks of at most _EVAL_BLOCK energies); every row keeps its
+    own window, count origin and growth, and comes out as it would alone.
+
+    Each row's trial window, from [max(e_lo, e_min), e_hi] on (e_hi
+    defaults to cfg.e_max), is one pass over _CELLS_PER_LEVEL * n cells,
+    plus e_min when the window starts above it.  While its end counts miss
+    a wanted level, its bottom drops to e_min or its top grows 1.6-fold,
+    up to 1e4 eV.  Then each round halves, in one pass, every cell holding
+    a wanted level whose count rises by 2 or more, or by 1 with no sign
+    change of F, down to max(tol_abs, 4 eps |E|).  A midpoint whose count
+    falls outside its cell's end counts is not trusted, and that cell
+    stops.
 
     Raises:
         NonConvergenceError: F is not finite (stage "scan"); the count
             falls from one node to the next, or holds wanted levels F does
             not separate in a cell wider than tol_abs and 1e-6 max(1, |E|)
             eV (stage "count"); the window reaches 1e4 eV and still misses
-            a wanted level (stage "window growth").
+            a wanted level (stage "window growth").  The message names the
+            failed row's window and its row attribute the row.  Of many
+            failing rows, the first met is named: the rounds go in turn
+            (window search, halving, then the count check), and within one
+            round the lowest row fails first.
     """
-    if cfg.e_max is None:
-        raise ValueError("scan_brackets needs cfg.e_max")
-    lo, hi = max(e_lo, cfg.e_min), cfg.e_max
-    while True:
-        window = f"in the window [{lo}, {hi}] eV"
-        xs = np.linspace(lo, hi, _CELLS_PER_LEVEL * n + 1)
-        if lo > cfg.e_min:
-            xs = np.concatenate(([cfg.e_min], xs))
-        fs, ns = _evaluate(f, xs, window)
-        want_lo = ns[0] + first
-        want_hi = want_lo + n
-        low = ns[int(lo > cfg.e_min)] > want_lo
-        short = ns[-1] < want_hi
-        # a falling count makes the end counts meaningless: the check
-        # after the halving reports it
-        if not (low or short) or (ns[1:] < ns[:-1]).any():
-            break
-        if low:
-            lo = cfg.e_min
-        if short:
-            if hi >= _E_MAX_CAP:
-                raise NonConvergenceError(
-                    f"window growth: only {ns[-1] - ns[0]:.0f} levels {window}, "
-                    f"which reaches the {_E_MAX_CAP} eV cap"
-                )
-            hi = min(hi * _EXPAND, _E_MAX_CAP)
+    top = cfg.e_max if e_hi is None else e_hi
+    if top is None:
+        raise ValueError("scan_brackets needs cfg.e_max or e_hi")
+    if not any(isinstance(v, np.ndarray) for v in (first, e_lo, e_hi)):
+        return _scan_rows(
+            lambda e, rows: f(e), cfg, n,
+            np.array([first], dtype=float), np.array([max(e_lo, cfg.e_min)]), np.array([top]),
+        )[0]
+    firsts, los, his = (np.array(v, dtype=float) for v in np.broadcast_arrays(first, e_lo, top))
+    return _scan_rows(f, cfg, n, firsts, np.maximum(los, cfg.e_min), his)
 
-    stopped = np.zeros(xs.size, dtype=bool)  # per cell, at its left node
+
+# Rows of _scan_rows's halving state, one column per node: the node's
+# energy, F there, its count less its row's lowest wanted count (so that
+# its row's wanted levels are the counts 0 < R <= n), its row, and whether
+# the cell the node starts may be halved (0.0), is stopped (1.0), or is
+# none, the node being its row's last (2.0).
+_X, _F, _R, _ROW, _STOP = range(5)
+
+
+def _scan_rows(
+    f: RowsFn, cfg: RootfindConfig, n: int, first: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> list[list[Bracket | float]]:
+    """scan_brackets on rows 0 ... lo.size - 1; lo and hi are updated in
+    place as the windows grow."""
+
+    def window(row: int) -> str:
+        return f"in the window [{float(lo[row])}, {float(hi[row])}] eV"
+
+    e_min = cfg.e_min
+    nodes = _CELLS_PER_LEVEL * n + 1  # of a trial grid
+    steps = np.arange(float(nodes))
+    todo = np.arange(lo.size)  # rows whose window is still searched
     while True:
-        held = np.minimum(ns[1:], want_hi) - np.maximum(ns[:-1], want_lo)
-        rise = ns[1:] - ns[:-1]
+        bottom, top = lo[todo], hi[todo]
+        # np.linspace's arithmetic, row by row
+        x = steps * ((top - bottom) / (nodes - 1.0))[:, None] + bottom[:, None]
+        x[:, -1] = top
+        # rows starting above e_min count from it too: their e_min nodes
+        # come first, then every row's grid
+        below = bottom > e_min
+        starts = below.nonzero()[0]
+        energies, rows = x.ravel(), todo.repeat(nodes)
+        if starts.size:
+            energies = np.concatenate((np.full(starts.size, e_min), energies))
+            rows = np.concatenate((todo[starts], rows))
+        values, counts = _evaluate(f, energies, rows, window)
+        fx = values[starts.size :].reshape(x.shape)
+        nx = counts[starts.size :].reshape(x.shape)
+        fx_min, nx_min = fx[:, 0].copy(), nx[:, 0].copy()  # F and N at e_min
+        fx_min[starts], nx_min[starts] = values[: starts.size], counts[: starts.size]
+        if todo.size == lo.size:
+            xs, fs, ns, f_min, n_min, above = x, fx, nx, fx_min, nx_min, below
+        else:
+            xs[todo], fs[todo], ns[todo] = x, fx, nx
+            f_min[todo], n_min[todo], above[todo] = fx_min, nx_min, below
+        want = nx_min + first[todo]
+        low = nx[:, 0] > want
+        short = nx[:, -1] < want + n
+        grow = low | short
+        if grow.any():
+            # a falling count makes the end counts meaningless: the check
+            # after the halving reports it
+            grow &= ~((nx[:, 1:] < nx[:, :-1]).any(axis=1) | (nx[:, 0] < nx_min))
+        if not grow.any():
+            break
+        capped = (grow & short & (top >= _E_MAX_CAP)).nonzero()[0]
+        if capped.size:
+            i = int(capped[0])
+            raise NonConvergenceError(
+                f"window growth: only {nx[i, -1] - nx_min[i]:.0f} levels "
+                f"{window(todo[i])}, which reaches the {_E_MAX_CAP} eV cap",
+                row=int(todo[i]),
+            )
+        todo = todo[grow]
+        lo[todo] = np.where(low[grow], e_min, bottom[grow])
+        hi[todo] = np.where(short[grow], np.minimum(top[grow] * _EXPAND, _E_MAX_CAP), top[grow])
+
+    want = n_min + first
+    state = np.empty((5, xs.size))
+    state[_X] = xs.ravel()
+    state[_F] = fs.ravel()
+    state[_R] = (ns - want[:, None]).ravel()
+    state[_ROW] = np.arange(lo.size).repeat(nodes)
+    state[_STOP] = 0.0
+    state[_STOP, nodes - 1 :: nodes] = 2.0
+    starts = above.nonzero()[0]
+    if starts.size:  # each of these rows starts with its e_min node
+        heads = [np.full(starts.size, e_min), f_min[starts], n_min[starts] - want[starts], starts]
+        state = np.insert(state, starts * nodes, heads + [np.zeros(starts.size)], axis=1)
+    while True:
+        xs, fs, rs, row, stopped = state
+        held = np.minimum(rs[1:], n) - np.maximum(rs[:-1], 0.0)
+        rise = rs[1:] - rs[:-1]
         signs = np.sign(fs)
         changes = signs[:-1] * signs[1:] <= 0.0  # opposite signs, or a 0 at an end
-        split = (held > 0.0) & ~stopped[:-1] & ((rise >= 2.0) | ((rise == 1.0) & ~changes))
-        split &= xs[1:] - xs[:-1] > np.maximum(cfg.tol_abs, 4.0 * 2.22e-16 * np.abs(xs[1:]))
-        cells = np.flatnonzero(split)
+        split = (held > 0.0) & (stopped[:-1] == 0.0) & ((rise >= 2.0) | ((rise == 1.0) & ~changes))
+        cells = split.nonzero()[0]
+        if cells.size:
+            width = xs[cells + 1] - xs[cells]
+            cells = cells[width > np.maximum(cfg.tol_abs, 4.0 * 2.22e-16 * np.abs(xs[cells + 1]))]
         if not cells.size:
             break
-        mids = 0.5 * (xs[cells] + xs[cells + 1])
-        fm, nm = _evaluate(f, mids, window)
-        trusted = (ns[cells] <= nm) & (nm <= ns[cells + 1])
-        stopped[cells[~trusted]] = True
-        at = cells[trusted] + 1
-        xs = np.insert(xs, at, mids[trusted])
-        fs = np.insert(fs, at, fm[trusted])
-        ns = np.insert(ns, at, nm[trusted])
-        stopped = np.insert(stopped, at, False)
+        mids = state[:, cells]  # each midpoint's row is its cell's
+        mids[_X] = 0.5 * (xs[cells] + xs[cells + 1])
+        rows = mids[_ROW].astype(int)
+        mids[_F], counts = _evaluate(f, mids[_X], rows, window)
+        mids[_R] = counts - want[rows]
+        trusted = (rs[cells] <= mids[_R]) & (mids[_R] <= rs[cells + 1])
+        stopped[cells[~trusted]] = 1.0
+        mids[_STOP] = 0.0
+        state = np.insert(state, cells[trusted] + 1, mids[:, trusted], axis=1)
 
     bracket = (rise == 1.0) & changes
-    narrow = xs[1:] - xs[:-1] <= np.maximum(cfg.tol_abs, 1e-6 * np.maximum(1.0, np.abs(xs[1:])))
-    bad = np.flatnonzero((rise < 0.0) | ((held > 0.0) & ~bracket & ~narrow))
-    if bad.size:
-        i = int(bad[0])
-        raise NonConvergenceError(
-            f"count: N = {ns[i]:.0f} at E={float(xs[i])!r} and {ns[i + 1]:.0f} at "
-            f"E={float(xs[i + 1])!r} is not one level per sign change of F {window}"
-        )
-    levels: list[Bracket | float] = []
-    for c in np.flatnonzero(held > 0.0).tolist():
-        if bracket[c]:
-            levels.append(Bracket(*(float(v) for v in (xs[c], xs[c + 1], fs[c], fs[c + 1]))))
+    odd = ((rise < 0.0) | ((held > 0.0) & ~bracket)) & (stopped[:-1] != 2.0)
+    if odd.any():
+        cells = odd.nonzero()[0]
+        width = xs[cells + 1] - xs[cells]
+        narrow = width <= np.maximum(cfg.tol_abs, 1e-6 * np.maximum(1.0, np.abs(xs[cells + 1])))
+        bad = cells[(rise[cells] < 0.0) | ~narrow]
+        if bad.size:
+            i = int(bad[0])
+            r = int(row[i])
+            n_lo, n_hi = rs[i : i + 2] + want[r]
+            raise NonConvergenceError(
+                f"count: N = {n_lo:.0f} at E={float(xs[i])!r} and {n_hi:.0f} at "
+                f"E={float(xs[i + 1])!r} is not one level per sign change of F {window(r)}",
+                row=r,
+            )
+    # a cell across two rows holds no wanted level: the first row's top
+    # count reaches its wanted levels
+    cells = (held > 0.0).nonzero()[0]
+    levels: list[list[Bracket | float]] = [[] for _ in range(lo.size)]
+    for r, whole, x0, x1, f0, f1, m in zip(
+        *(v.tolist() for v in (
+            row[cells].astype(int), bracket[cells], xs[cells], xs[cells + 1], fs[cells],
+            fs[cells + 1], held[cells],
+        ))
+    ):
+        if whole:
+            levels[r].append(Bracket(x0, x1, f0, f1))
         else:
-            levels += [float(0.5 * (xs[c] + xs[c + 1]))] * int(held[c])
+            levels[r] += [0.5 * (x0 + x1)] * int(m)
     return levels
 
 
@@ -269,6 +386,23 @@ def refine_levels(
     return [refine_root(f, x, cfg) if isinstance(x, Bracket) else x for x in levels]
 
 
+def _start_top(model: ModelParams, units: UnitsConfig, n_levels: int, cfg: RootfindConfig) -> float:
+    """Top of the first scan window: cfg.e_max, else the model's
+    level_window, shifted up to start at an e_min past it.
+
+    Raises:
+        NonConvergenceError: no window is left below the 1e4 eV cap.
+    """
+    e_max = cfg.e_max if cfg.e_max is not None else model.level_window(units, n_levels)
+    if e_max <= cfg.e_min:
+        e_max = min(cfg.e_min + e_max, _E_MAX_CAP)
+    if e_max <= cfg.e_min:
+        raise NonConvergenceError(
+            f"window growth: e_min={cfg.e_min} leaves no window below the {_E_MAX_CAP} eV cap"
+        )
+    return e_max
+
+
 def solve_levels(
     model: ModelParams,
     units: UnitsConfig,
@@ -290,16 +424,51 @@ def solve_levels(
     if n_levels < 1:
         raise ValueError(f"n_levels must be >= 1, got {n_levels}")
     base = cfg if cfg is not None else RootfindConfig()
-    e_max = base.e_max if base.e_max is not None else model.level_window(units, n_levels)
-    if e_max <= base.e_min:
-        e_max = min(base.e_min + e_max, _E_MAX_CAP)
     try:
-        if e_max <= base.e_min:
-            raise NonConvergenceError(
-                f"window growth: e_min={base.e_min} leaves no window below the {_E_MAX_CAP} eV cap"
-            )
-        local = dataclasses.replace(base, e_max=e_max)
-        levels = scan_brackets(partial(model.char_values, units=units), local, n_levels)
-        return refine_levels(characteristic_fn(model, units), levels, local)
+        top = _start_top(model, units, n_levels, base)
+        levels = scan_brackets(partial(model.char_values, units=units), base, n_levels, e_hi=top)
+        return refine_levels(characteristic_fn(model, units), levels, base)
     except NonConvergenceError as exc:
         raise NonConvergenceError(f"{model!r}: {exc}") from exc
+
+
+def solve_rows(
+    f: RowsFn,
+    models: list[ModelParams],
+    units: UnitsConfig,
+    n_levels: int,
+    cfg: RootfindConfig | None = None,
+) -> list[list[float]]:
+    """solve_levels on many models at once, one row each.  f maps
+    (energies, rows) to (F, N) there, each energy's from its row's model
+    (for a family of models, char_values with `at`).  The rows go in
+    groups whose trial grids fill one evaluation block: one scan_brackets
+    call per group, then its refinement.  Each row is scanned and refined
+    as solve_levels would alone, and comes out the same.
+
+    Raises:
+        NonConvergenceError: as solve_levels, for the first row to fail:
+            in the first group with a failure, the one scan_brackets names,
+            else the lowest row whose refinement failed.  Its row
+            attribute is that row.
+    """
+    base = cfg if cfg is not None else RootfindConfig()
+    size = max(1, _EVAL_BLOCK // (_CELLS_PER_LEVEL * n_levels + 2))
+    levels: list[list[float]] = []
+    row = 0  # the row at work, named if it fails; None while a group scans
+    try:
+        for start in range(0, len(models), size):
+            group = models[start : start + size]
+            tops = []
+            for row, model in enumerate(group, start):
+                tops.append(_start_top(model, units, n_levels, base))
+            row = None
+            scans = scan_brackets(
+                lambda e, rows: f(e, rows + start), base, n_levels, e_hi=np.array(tops)
+            )
+            for row, (model, found) in enumerate(zip(group, scans), start):
+                levels.append(refine_levels(characteristic_fn(model, units), found, base))
+        return levels
+    except NonConvergenceError as exc:
+        row = start + exc.row if row is None else row
+        raise NonConvergenceError(f"{models[row]!r}: {exc}", row=row) from exc

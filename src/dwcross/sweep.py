@@ -4,24 +4,28 @@ gap minima where adjacent eigenvalue curves repel (avoided crossings).
 Every grid point is solved independently (no continuation seeding): since
 1D bound levels never cross, ascending order at each point is already the
 adiabatic labeling, and independent solves cannot mislabel levels near a
-throat.  Detected gap minima are refined by golden-section search on the
-gap.  Each probe finds the two flanking levels by their count indices,
-starting from the table's energy window around them.
+throat.  The points are independent rows of one scan (rootfind.solve_rows):
+scanned together, so that each array call of the characteristic function
+serves many points, but each with its own window and count, and each
+comes out as a solve of that point alone would.  Detected gap minima are
+refined by golden-section search on the gap, all crossings in lockstep:
+each round probes every crossing still open with one scan.  Each probe
+finds the two flanking levels by their count indices, starting from the
+table's energy window around them.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
-from functools import partial
 from statistics import median
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, ModelMismatchError, NonConvergenceError
 from .models import ModelParams, UnitsConfig, characteristic_fn
-from .rootfind import RootfindConfig, refine_levels, scan_brackets, solve_levels
+from .rootfind import RootfindConfig, refine_levels, scan_brackets, solve_rows
 
 __all__ = [
     "SweepSpec",
@@ -92,12 +96,17 @@ def sweep_levels(
     cfg: RootfindConfig | None = None,
 ) -> SpectrumTable:
     """Solve the first n_levels at every grid point of the model's sweep
-    parameter.
+    parameter: each row as solve_levels at that point gives it, the rows
+    scanned together (rootfind.solve_rows).
 
     Every grid point's model is built (and so validated) before the first
     solve: a point outside the model's valid range raises ConfigError.
-    Any per-point solver failure aborts the sweep with NonConvergenceError.
-    Both name the offending grid index (partial tables are never returned).
+    A solver failure aborts the sweep with NonConvergenceError.  Both name
+    the offending grid index (partial tables are never returned).  When
+    several points fail, the one named lies in the first group of rows,
+    in grid order, that holds a failure: the point its scan fails on first
+    (the window search, then the halving, then the count check; the lowest
+    index within one round), else the lowest index whose refinement failed.
     """
     lambdas = spec.grid()
     name = model.sweep_param
@@ -107,14 +116,17 @@ def sweep_levels(
             varied.append(model.at(lam))
         except ValueError as exc:
             raise ConfigError(f"sweep grid index {i} ({name}={lam}): {exc}") from exc
-    rows = []
-    for i, point in enumerate(varied):
-        try:
-            rows.append(solve_levels(point, units, spec.n_levels, cfg))
-        except Exception as exc:
-            raise NonConvergenceError(
-                f"sweep failed at grid index {i} ({name}={float(lambdas[i])}): {exc}"
-            ) from exc
+
+    def values(energies: np.ndarray, rows: np.ndarray):
+        return model.char_values(energies, units, at=lambdas[rows])
+
+    try:
+        rows = solve_rows(values, varied, units, spec.n_levels, cfg)
+    except NonConvergenceError as exc:
+        i = exc.row
+        raise NonConvergenceError(
+            f"sweep failed at grid index {i} ({name}={float(lambdas[i])}): {exc}", row=i
+        ) from exc
     return SpectrumTable(
         lambdas=lambdas, levels=np.array(rows, dtype=np.float64), model=model, units=units
     )
@@ -130,26 +142,31 @@ def default_gap_ceiling(table: SpectrumTable) -> float:
     return 0.2 * float(median(gap_curves(table).ravel().tolist()))
 
 
-def _gap_at(
+def _gaps_at(
     model: ModelParams,
     units: UnitsConfig,
-    lam: float,
-    col: int,
+    lams: np.ndarray,
+    cols: np.ndarray,
     cfg: RootfindConfig,
-    e_lo: float,
-    e_hi: float,
-) -> tuple[float, float]:
-    """(gap, mid-energy) between level columns col and col+1 at lambda=lam.
+    e_lo: np.ndarray,
+    e_hi: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(gaps, mid-energies) between level columns cols[k] and cols[k]+1 at
+    lambda = lams[k], one probe per k, all in one scan.
 
     The two levels are the ones with count indices N(e_min)+col+1 and
-    N(e_min)+col+2, the labels of the table's columns.  The scan starts on
-    the table's window [e_lo, e_hi] around them and widens it only when
-    the count says a level left it.
+    N(e_min)+col+2, the labels of the table's columns.  Each probe's scan
+    starts on the table's window [e_lo[k], e_hi[k]] around them and widens
+    it only when the count says a level left it.
     """
-    varied = model.at(lam)
-    local = dataclasses.replace(cfg, e_max=e_hi)
-    levels = scan_brackets(partial(varied.char_values, units=units), local, 2, col, e_lo)
-    lo_root, hi_root = refine_levels(characteristic_fn(varied, units), levels, cfg)
+    varied = [model.at(lam) for lam in lams.tolist()]
+
+    def values(energies: np.ndarray, rows: np.ndarray):
+        return model.char_values(energies, units, at=lams[rows])
+
+    scans = scan_brackets(values, cfg, 2, cols, e_lo, e_hi)
+    pairs = [refine_levels(characteristic_fn(v, units), x, cfg) for v, x in zip(varied, scans)]
+    lo_root, hi_root = np.array(pairs).T
     return hi_root - lo_root, 0.5 * (lo_root + hi_root)
 
 
@@ -188,19 +205,22 @@ def detect_avoided_crossings(
     # linspace stores both window ends exactly
     lam_tol = float(table.lambdas[-1] - table.lambdas[0]) * _LAMBDA_TOL_FRACTION
 
-    found = []
-    for row, col in _interior_minima(gaps, ceiling):
-        e_lo, e_hi = _energy_window(table, row, col)
+    minima = _interior_minima(gaps, ceiling)
+    if not minima:
+        return []
+    rows, cols = np.array(minima).T
+    e_lo, e_hi = np.array([_energy_window(table, row, col) for row, col in minima]).T
 
-        def gap_fn(lam: float, col: int = col, e_lo: float = e_lo, e_hi: float = e_hi):
-            return _gap_at(model, units, lam, col, base, e_lo, e_hi)
+    def probe(k: np.ndarray, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _gaps_at(model, units, lams, cols[k], base, e_lo[k], e_hi[k])
 
-        lam_star, gap, e_mid = _golden_min(
-            gap_fn, float(table.lambdas[row - 1]), float(table.lambdas[row + 1]), lam_tol
-        )
-        found.append(
-            AvoidedCrossing(level_index=col + 1, lambda_star=lam_star, gap=gap, e_mid=e_mid)
-        )
+    lam_star, gap, e_mid = _golden_lockstep(
+        probe, table.lambdas[rows - 1], table.lambdas[rows + 1], lam_tol
+    )
+    found = [
+        AvoidedCrossing(level_index=col + 1, lambda_star=lam, gap=g, e_mid=mid)
+        for col, lam, g, mid in zip(cols.tolist(), lam_star.tolist(), gap.tolist(), e_mid.tolist())
+    ]
     return sorted(found, key=lambda ac: ac.lambda_star)
 
 
@@ -220,23 +240,38 @@ def _energy_window(table: SpectrumTable, row: int, col: int) -> tuple[float, flo
     return lo, hi
 
 
-def _golden_min(gap_fn, lam_lo: float, lam_hi: float, tol: float) -> tuple[float, float, float]:
-    a, b = lam_lo, lam_hi
+# probe(k, lams): the (gaps, mid-energies) of crossings k at lambdas lams.
+GapProbe = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
+def _golden_lockstep(
+    probe: GapProbe, lo: np.ndarray, hi: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lambda*, gap, mid-energy) of a golden-section search for the gap
+    minimum of each crossing k on [lo[k], hi[k]], down to width tol.
+
+    The searches run in lockstep: the first probe takes both interior
+    points of every crossing, each round one new point of every crossing
+    still wider than tol, and the last the midpoints.  Each crossing's
+    points, and so its result, are those of its search alone.
+    """
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc, _ = gap_fn(c)
-    fd, _ = gap_fn(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc, _ = gap_fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd, _ = gap_fn(d)
+    every = np.arange(a.size)
+    fc, fd = np.split(probe(np.concatenate((every, every)), np.concatenate((c, d)))[0], 2)
+    while (k := np.flatnonzero(b - a > tol)).size:
+        left = fc[k] < fd[k]  # the minimum lies in [a, d]
+        kl, kr = k[left], k[~left]
+        b[kl], d[kl], fd[kl] = d[kl], c[kl], fc[kl]
+        c[kl] = b[kl] - _INVPHI * (b[kl] - a[kl])
+        a[kr], c[kr], fc[kr] = c[kr], d[kr], fd[kr]
+        d[kr] = a[kr] + _INVPHI * (b[kr] - a[kr])
+        gaps, _ = probe(k, np.where(left, c[k], d[k]))
+        fc[kl] = gaps[left]
+        fd[kr] = gaps[~left]
     lam_star = 0.5 * (a + b)
-    gap, e_mid = gap_fn(lam_star)
+    gap, e_mid = probe(every, lam_star)
     return lam_star, gap, e_mid
 
 

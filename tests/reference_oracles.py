@@ -140,3 +140,29 @@ def sturm_backing(model, units, levels, tol, e_top):
     shifts = np.array([e + s for e in levels for s in (-tol, tol)])
     counts = sturm_counts(T.diag, T.offdiag, shifts).tolist()
     return list(zip(counts[0::2], counts[1::2]))
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_min(gap_fn, lam_lo, lam_hi, tol):
+    """Scalar golden-section search for the minimum of gap_fn(lam)[0] on
+    [lam_lo, lam_hi], down to width tol: (lam*, gap, mid) at the midpoint
+    of the last interval, where gap_fn returns (gap, mid)."""
+    a, b = lam_lo, lam_hi
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, _ = gap_fn(c)
+    fd, _ = gap_fn(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc, _ = gap_fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd, _ = gap_fn(d)
+    lam_star = 0.5 * (a + b)
+    gap, mid = gap_fn(lam_star)
+    return lam_star, gap, mid

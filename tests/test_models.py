@@ -322,6 +322,77 @@ class TestCharValues:
             M2Params(10.0, 2.0, 1.0, 3.0).char_values(np.array([1.0, bad]), U1)
 
 
+def _swept_models(kind, rng):
+    """A seeded model of one variant and values of its sweep parameter:
+    runs of equal values, as along the rows of a sweep, and lone ones."""
+    v0 = float(rng.choice([0.0, rng.uniform(0.1, 50.0)]))
+    if kind == "m1":
+        model, low, high = M1Params(v0, rng.uniform(0.3, 3.0), 1.0), 0.3, 3.0
+    elif kind == "m2":
+        b = rng.uniform(0.1, 1.5)
+        model, low, high = M2Params(v0, b + rng.uniform(0.3, 3.0), b, b + 1.0), b + 0.3, b + 3.0
+    elif kind == "m3":
+        model, low, high = M3Params(v0, rng.uniform(0.3, 4.0), 1.0), 0.3, 4.0
+    else:
+        a = float(rng.choice([0.0, rng.uniform(0.05, 1.5)]))
+        model, low, high = M4Params(v0, rng.uniform(0.3, 4.0), 1.0, a), 0.3, 4.0
+    values = np.concatenate([np.full(40, rng.uniform(low, high)), rng.uniform(low, high, 60)])
+    return model, np.concatenate([values, np.full(30, rng.uniform(low, high))])
+
+
+class TestSweepParameterArray:
+    @pytest.mark.parametrize("kind", list(VARIANTS))
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_per_point_models(self, kind, seed):
+        # each (F, N) of char_values(at=values) is that of model.at(value),
+        # bit for bit, at the harmonic variants' exact gamma poles too
+        rng = np.random.default_rng(seed)
+        model, values = _swept_models(kind, rng)
+        points = [model.at(v) for v in values.tolist()]
+        top = max(p.level_window(U1, 8) for p in points)
+        energies = rng.uniform(1e-6, top, values.size)
+        if kind in ("m3", "m4"):
+            energies[::7] = values[::7] * (2 * rng.integers(0, 6, energies[::7].size) + 0.5)
+        got_f, got_n = model.char_values(energies, U1, at=values)
+        for e, point, f, n in zip(energies.tolist(), points, got_f.tolist(), got_n.tolist()):
+            want_f, want_n = point.char_values(np.array([e]), U1)
+            assert (f, n) == (want_f[0], want_n[0])
+            assert math.copysign(1.0, f) == math.copysign(1.0, want_f[0])
+
+    def test_model_unchanged(self):
+        model = M3Params(10.0, 2.0, 2.0)
+        model.char_values(np.array([1.0, 2.0]), U1, at=np.array([1.5, 2.5]))
+        assert model == M3Params(10.0, 2.0, 2.0) and type(model.hw2) is float
+
+
+class TestGammaFactors:
+    def test_stacked_call_matches_four_calls(self):
+        # orders whose arguments -nu/2 and 1/2 - nu/2 sit exactly on the
+        # poles 0, -1, -2, ..., just inside and outside the pole
+        # tolerance, and seeded ones
+        from dwcross.models import _gamma_factor_values
+        from dwcross.specfun import POLE_TOLERANCE, recip_gamma_log_values
+
+        whole = np.arange(0.0, 60.0)
+        nu = np.concatenate([
+            whole, whole + POLE_TOLERANCE, whole - 3.0 * POLE_TOLERANCE,
+            np.random.default_rng(5).uniform(-5.0, 400.0, 500),
+        ])
+        nu1, nu2 = nu, np.random.default_rng(6).permutation(nu)
+        separate = (
+            recip_gamma_log_values(-0.5 * nu1),
+            recip_gamma_log_values(-0.5 * nu2),
+            recip_gamma_log_values(0.5 - 0.5 * nu1),
+            recip_gamma_log_values(0.5 - 0.5 * nu2),
+        )
+        stacked = _gamma_factor_values(nu1, nu2)
+        assert len(stacked) == 4
+        for (sign, log), (want_sign, want_log) in zip(stacked, separate):
+            assert sign.tobytes() == want_sign.tobytes()
+            assert log.tobytes() == want_log.tobytes()
+        assert any((sign == 0.0).any() for sign, _ in stacked)
+
+
 def _count_models(kind):
     """Strategy for models of one variant for the level count: about a
     third exactly symmetric, v0 = 0 or log-uniform in [0.1, 1e3] eV (so

@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from dwcross.errors import ModelMismatchError, NonConvergenceError
+import reference_oracles
+from dwcross import rootfind, sweep
+from dwcross.cli import PRESETS, parse_config
+from dwcross.errors import ConfigError, ModelMismatchError, NonConvergenceError
 from dwcross.models import M1Params, M2Params, M3Params, UnitsConfig
-from dwcross.rootfind import RootfindConfig
+from dwcross.rootfind import RootfindConfig, solve_levels
 from dwcross.sweep import (
     SweepSpec,
     default_gap_ceiling,
@@ -38,6 +41,32 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match=r"grid index 0 \(c=0.5\)"):
             sweep_levels(M2Params(10.0, 2.0, 1.0, 2.0), U1, spec)
 
+    def test_invalid_grid_point_rejected_before_any_solve(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(M2Params, "char_values", lambda *a, **k: calls.append(a))
+        spec = SweepSpec(0.8, 3.0, 12, 2)
+        with pytest.raises(ConfigError, match=r"^sweep grid index 0 \(c=0\.8\): m2 requires c > b"):
+            sweep_levels(M2Params(10.0, 2.0, 1.0, 2.0), U1, spec)
+        assert calls == []
+
+
+class _NonFiniteAtOnePoint(M1Params):
+    """F is NaN above 5 eV where b = 2.0."""
+
+    def char_values(self, energies, units, at=None):
+        values, counts = super().char_values(energies, units, at)
+        hit = (np.asarray(self.b if at is None else at) == 2.0) & (energies > 5.0)
+        return np.where(hit, np.nan, values), counts
+
+
+class _FallingCountAtOnePoint(M1Params):
+    """The count drops to 0 above 5 eV where b = 2.0."""
+
+    def char_values(self, energies, units, at=None):
+        values, counts = super().char_values(energies, units, at)
+        hit = (np.asarray(self.b if at is None else at) == 2.0) & (energies > 5.0)
+        return values, np.where(hit, 0.0, counts)
+
 
 class TestSweepLevels:
     def test_free_well_closed_form(self):
@@ -60,6 +89,36 @@ class TestSweepLevels:
         cfg = RootfindConfig(e_max=20.0)
         with pytest.raises(NonConvergenceError, match="grid index"):
             sweep_levels(M1Params(0.0, 0.02, 0.02), U1, spec, cfg)
+
+    @pytest.mark.parametrize(
+        "cls,stage",
+        [(_NonFiniteAtOnePoint, r"scan: F is not finite at E=\S+"),
+         (_FallingCountAtOnePoint, r"count: N = \d+ at E=\S+ and \d+ at E=\S+ is not one "
+                                   r"level per sign change of F")],
+    )
+    def test_middle_row_failure_names_its_index(self, cls, stage):
+        # only the point b = 2.0, grid index 4 of 9, fails; the other rows
+        # of its group scan on
+        spec = SweepSpec(1.0, 3.0, 9, 3)
+        model = cls(10.0, 2.0, 2.0)
+        top = M1Params(10.0, 2.0, 2.0).level_window(U1, 3)
+        message = (
+            rf"^sweep failed at grid index 4 \(b=2\.0\): {cls.__name__}\(v0=10\.0, a=2\.0, "
+            rf"b=2\.0\): {stage} in the window \[1e-09, {top}\] eV$"
+        )
+        with pytest.raises(NonConvergenceError, match=message) as info:
+            sweep_levels(model, U1, spec)
+        assert info.value.row == 4
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_rows_equal_single_solves(self, preset):
+        # every row, bit for bit, as solve_levels gives it at that point
+        run = parse_config(["sweep", "--preset", preset])
+        model, units, cfg = run.build_model(), run.build_units(), run.build_rootfind()
+        spec = run.build_sweep_spec()
+        table = sweep_levels(model, units, spec, cfg)
+        for lam, row in zip(table.lambdas.tolist(), table.levels.tolist()):
+            assert row == solve_levels(model.at(lam), units, spec.n_levels, cfg)
 
 
 class TestGapCurves:
@@ -189,14 +248,21 @@ class TestGapProbe:
         # the refinement probe labels its two roots by count indices, so a
         # window starting below level col, or between the pair (which the
         # probe lowers to e_min), gives the same pair as a focused one
-        from dwcross.sweep import _gap_at
+        from dwcross.sweep import _gaps_at
+
+        def gap_at(lam, col, e_lo, e_hi):
+            gaps, mids = _gaps_at(
+                model, U1, np.array([lam]), np.array([col]), cfg,
+                np.array([e_lo]), np.array([e_hi]),
+            )
+            return float(gaps[0]), float(mids[0])
 
         model = M2Params(10.0, 2.0, 1.0, 2.0)
         cfg = RootfindConfig()
         lam = 3.3553
-        focused = _gap_at(model, U1, lam, 1, cfg, 4.8, 6.2)
+        focused = gap_at(lam, 1, 4.8, 6.2)
         for e_lo, e_hi in ((0.5, 11.5), (5.38, 6.2)):
-            other = _gap_at(model, U1, lam, 1, cfg, e_lo, e_hi)
+            other = gap_at(lam, 1, e_lo, e_hi)
             assert focused[0] == pytest.approx(other[0], abs=1e-8)
             assert focused[1] == pytest.approx(other[1], abs=1e-8)
         assert focused[0] == pytest.approx(0.0617, abs=1e-3)
@@ -213,11 +279,11 @@ class TestGapProbe:
         cfg = run.build_rootfind()
         table = sweep_levels(run.build_model(), run.build_units(), run.build_sweep_spec(), cfg)
         solves = []
-        solve_levels = sweep.solve_levels
-        monkeypatch.setattr(sweep, "solve_levels", lambda *a: solves.append(a) or solve_levels(*a))
+        solve_rows = sweep.solve_rows
+        monkeypatch.setattr(sweep, "solve_rows", lambda *a: solves.append(a) or solve_rows(*a))
         acs = detect_avoided_crossings(table, cfg, run.gap_ceiling)
         monkeypatch.undo()
-        assert acs and solves == []
+        assert acs and solves == [] and not hasattr(sweep, "solve_levels")
         for ac in acs:
             levels = solve_levels(
                 table.model.at(ac.lambda_star), table.units, ac.level_index + 1, cfg
@@ -241,3 +307,78 @@ class TestEdgeCandidates:
         acs = detect_avoided_crossings(table, gap_ceiling=0.6)
         for ac in acs:
             assert spec.lambda_min < ac.lambda_star < spec.lambda_max
+
+
+class TestGoldenLockstep:
+    def test_each_crossing_as_alone(self):
+        # parabolic gaps in brackets of different widths: the narrow ones
+        # close rounds before the wide ones, and each crossing still gives
+        # the (lambda*, gap, mid) of its own scalar search
+        centers = np.array([0.3, 2.2, 5.05, -1.0])
+        depths = np.array([0.1, 0.02, 0.5, 1.0])
+        lo = np.array([0.0, 2.0, 5.0, -4.0])
+        hi = np.array([1.0, 2.5, 5.1, 0.0])
+        tol = 1e-6
+        probed = []
+
+        def probe(k, lams):
+            probed.append(k.tolist())
+            return (lams - centers[k]) * (lams - centers[k]) + depths[k], lams + 10.0
+
+        got = sweep._golden_lockstep(probe, lo, hi, tol)
+        for i in range(4):
+            def gap(lam, c=float(centers[i]), d=float(depths[i])):
+                return (lam - c) * (lam - c) + d, lam + 10.0
+
+            want = reference_oracles.golden_min(gap, float(lo[i]), float(hi[i]), tol)
+            assert tuple(float(v[i]) for v in got) == want
+        # the first probe takes both interior points of every crossing, the
+        # last every midpoint; in between, crossings drop out as they close
+        assert probed[0] == [0, 1, 2, 3] * 2 and probed[-1] == [0, 1, 2, 3]
+        rounds = [sum(i in k for k in probed[1:-1]) for i in range(4)]
+        assert len(set(rounds)) > 1
+        open_counts = [len(k) for k in probed[1:-1]]
+        assert open_counts == sorted(open_counts, reverse=True)
+
+
+class TestWorkCounts:
+    """Array calls per sweep and scans per detection on fig3, whose
+    per-point sweep made 200 char_values calls and whose detection made
+    one scan per probe (72)."""
+
+    def _fig3(self):
+        run = parse_config(["detect", "--preset", "fig3"])
+        spec, cfg = run.build_sweep_spec(), run.build_rootfind()
+        return run, run.build_model(), run.build_units(), spec, cfg
+
+    def test_sweep_calls_per_block_of_rows(self, monkeypatch):
+        run, model, units, spec, cfg = self._fig3()
+        sizes = []
+        char_values = M1Params.char_values
+
+        def counted(self, energies, units, at=None):
+            sizes.append(np.size(energies))
+            return char_values(self, energies, units, at)
+
+        monkeypatch.setattr(M1Params, "char_values", counted)
+        sweep_levels(model, units, spec, cfg)
+        # a row's trial grid plus e_min at most; whole rows per block cost
+        # at most one more call, and no fig3 row needs a halving round
+        nodes = rootfind._CELLS_PER_LEVEL * spec.n_levels + 2
+        blocks = math.ceil(spec.steps * nodes / rootfind._EVAL_BLOCK)
+        assert len(sizes) <= blocks + 1
+        assert max(sizes) <= rootfind._EVAL_BLOCK
+
+    def test_detect_scans_once_per_golden_round(self, monkeypatch):
+        run, model, units, spec, cfg = self._fig3()
+        table = sweep_levels(model, units, spec, cfg)
+        calls = []
+        scan = sweep.scan_brackets
+        monkeypatch.setattr(
+            sweep, "scan_brackets", lambda *a, **k: calls.append(a) or scan(*a, **k)
+        )
+        acs = detect_avoided_crossings(table, cfg, run.gap_ceiling)
+        width = 2.0 * (spec.lambda_max - spec.lambda_min) / (spec.steps - 1)
+        tol = (spec.lambda_max - spec.lambda_min) * sweep._LAMBDA_TOL_FRACTION
+        rounds = math.ceil(math.log(tol / width) / math.log(sweep._INVPHI))
+        assert len(acs) >= 2 and len(calls) <= rounds + 3
