@@ -16,10 +16,16 @@ amount whatever its length, but no row reads another's values: each
 comes out as it would if scanned alone.  solve_rows solves many models
 of one family so.
 
-Refinement is a guarded bisection with inverse-quadratic acceleration
-that never leaves its bracket.  It takes the scalar form of F (through
-models.characteristic_fn): each step needs one new value, and a numpy
-call on one element costs more than the math-module arithmetic.
+Refinement never leaves its bracket, and comes in two forms, each used
+where it was measured to pay.  refine_rows refines every bracket of many
+rows in lockstep, one array call per round over the brackets still open
+(regula falsi with the Illinois rule, bisecting a bracket that stalls).
+solve_rows uses it, so a sweep's 800 to 1200 brackets share each call's
+fixed cost.  refine_root, a guarded bisection with inverse-quadratic
+acceleration, takes the scalar form of F (through models.characteristic_fn).
+solve_levels and the sweep's golden-section probes use it: they hold one
+to a dozen brackets, and a numpy call on so few costs more than the
+math-module arithmetic of a scalar step.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ __all__ = [
     "scan_brackets",
     "refine_root",
     "refine_levels",
+    "refine_rows",
     "solve_levels",
     "solve_rows",
 ]
@@ -101,14 +108,15 @@ _EVAL_BLOCK = 2048
 
 
 def _evaluate(
-    f: RowsFn, xs: np.ndarray, rows: np.ndarray, window: Callable[[int], str]
+    f: RowsFn, xs: np.ndarray, rows: np.ndarray, stage: str, place: Callable[[int], str]
 ) -> tuple[np.ndarray, np.ndarray]:
     """F and N on xs, rows[i] being the row of xs[i], in blocks of at most
     _EVAL_BLOCK energies.
 
     Raises:
         NonConvergenceError: F is NaN or infinite somewhere; the first such
-            energy of the lowest row is named.
+            energy of the lowest row is named, with the stage and place(i),
+            i being its index in xs.
     """
     parts = []
     for start in range(0, xs.size, _EVAL_BLOCK):
@@ -119,7 +127,7 @@ def _evaluate(
             bad = (~finite).nonzero()[0] + start
             i = int(bad[np.argmin(rows[bad])])
             raise NonConvergenceError(
-                f"scan: F is not finite at E={float(xs[i])!r} {window(rows[i])}", row=int(rows[i])
+                f"{stage}: F is not finite at E={float(xs[i])!r} {place(i)}", row=int(rows[i])
             )
         parts.append((values, counts))
     if len(parts) == 1:
@@ -216,7 +224,7 @@ def _scan_rows(
         if starts.size:
             energies = np.concatenate((np.full(starts.size, e_min), energies))
             rows = np.concatenate((todo[starts], rows))
-        values, counts = _evaluate(f, energies, rows, window)
+        values, counts = _evaluate(f, energies, rows, "scan", lambda i: window(rows[i]))
         fx = values[starts.size :].reshape(x.shape)
         nx = counts[starts.size :].reshape(x.shape)
         fx_min, nx_min = fx[:, 0].copy(), nx[:, 0].copy()  # F and N at e_min
@@ -276,7 +284,7 @@ def _scan_rows(
         mids = state[:, cells]  # each midpoint's row is its cell's
         mids[_X] = 0.5 * (xs[cells] + xs[cells + 1])
         rows = mids[_ROW].astype(int)
-        mids[_F], counts = _evaluate(f, mids[_X], rows, window)
+        mids[_F], counts = _evaluate(f, mids[_X], rows, "scan", lambda i: window(rows[i]))
         mids[_R] = counts - want[rows]
         trusted = (rs[cells] <= mids[_R]) & (mids[_R] <= rs[cells + 1])
         stopped[cells[~trusted]] = 1.0
@@ -386,6 +394,92 @@ def refine_levels(
     return [refine_root(f, x, cfg) if isinstance(x, Bracket) else x for x in levels]
 
 
+# Steps a bracket may take without halving its width before it bisects.
+_STALL_STEPS = 4
+
+
+def refine_rows(
+    f: RowsFn, levels: list[list[Bracket | float]], cfg: RootfindConfig
+) -> list[list[float]]:
+    """Many rows' scan results as energies, as refine_levels gives one
+    row's: each Bracket of row r refined on f(energies, rows), rows[i]
+    being the row of energies[i] (the f the rows were scanned with).
+
+    A bracket stops, as refine_root does, at an exact zero or at width
+    tol = max(tol_abs, 4 eps |E|), with the end of smaller |F|.  Every
+    other bracket of every row takes one step per round, and each round
+    makes one array call over them (in blocks of at most _EVAL_BLOCK
+    energies).  A step is regula falsi with the Illinois rule (Dowell and
+    Jarratt, 1971): the value at an end kept twice running is halved.  It
+    is held at least tol/2 inside its bracket, so a root within tol/2 of
+    an end closes the bracket; and a bracket that 4 steps have not halved
+    bisects.  The first step uses the scan's f_lo and f_hi.  Each
+    bracket's steps depend on its own values only, so each row comes out
+    as it would if refined alone.
+
+    Raises:
+        NonConvergenceError: F is not finite at a step, or a bracket exceeds
+            the budget of 300 steps (stage "refine").  The message names
+            the bracket and the row attribute its row: of many, the lowest
+            row failing in the earliest round.
+    """
+    out: list[list[float]] = [list(row) for row in levels]
+    slots = [
+        (r, j) for r, row in enumerate(levels) for j, x in enumerate(row) if isinstance(x, Bracket)
+    ]
+    if not slots:
+        return out
+    brackets = np.array([levels[r][j] for r, j in slots], dtype=float).T
+    lo, hi, f_lo, f_hi = brackets
+    if not ((lo < hi) & (f_lo * np.sign(f_hi) <= 0.0)).all():
+        raise ValueError("invalid bracket among the rows")
+    # one column per open bracket: its ends and F there, the values its
+    # secant uses (F, the one at an end kept twice running halved), the end
+    # its last step kept (-1 lo, 1 hi, 0 none), its width when it last
+    # halved, the steps since then, its row, and its index in slots
+    zeros = np.zeros(len(slots))
+    state = np.vstack(
+        (brackets, f_lo, f_hi, zeros, hi - lo, zeros, [r for r, _ in slots], np.arange(len(slots)))
+    )
+    roots = np.empty(len(slots))
+
+    def named(k: float) -> str:
+        return f"[{float(lo[int(k)])!r}, {float(hi[int(k)])!r}]"
+
+    for _ in range(300):
+        a, b, fa, fb = state[:4]
+        best = np.where(np.abs(fa) < np.abs(fb), a, b)
+        tol = np.maximum(cfg.tol_abs, 4.0 * 2.22e-16 * np.abs(best))
+        done = (fa == 0.0) | (fb == 0.0) | (b - a <= tol)
+        roots[state[-1, done].astype(int)] = best[done]
+        if done.all():
+            break
+        a, b, fa, fb, wa, wb, kept, ref, stalls, row, slot = state[:, ~done]
+        inset = 0.5 * tol[~done]
+        x = np.where(stalls >= _STALL_STEPS, 0.5 * (a + b), a + (b - a) * (wa / (wa - wb)))
+        x = np.minimum(np.maximum(x, a + inset), b - inset)
+        fx, _ = _evaluate(
+            f, x, row.astype(int), "refine", lambda i: f"in the bracket {named(slot[i])} eV"
+        )
+        # x replaces the end whose F has its sign; an exact 0 replaces b
+        left = fx * np.sign(fa) > 0.0
+        keep = np.where(left, 1.0, -1.0)
+        halve = np.where(keep == kept, 0.5, 1.0)
+        a, fa, wa = np.where(left, x, a), np.where(left, fx, fa), np.where(left, fx, wa * halve)
+        b, fb, wb = np.where(left, b, x), np.where(left, fb, fx), np.where(left, wb * halve, fx)
+        halved = b - a <= 0.5 * ref
+        ref = np.where(halved, b - a, ref)
+        stalls = np.where(halved, 0.0, stalls + 1.0)
+        state = np.array((a, b, fa, fb, wa, wb, keep, ref, stalls, row, slot))
+    else:
+        raise NonConvergenceError(
+            f"refine: the root on {named(slot[0])} exceeded its iteration budget", row=int(row[0])
+        )
+    for (r, j), root in zip(slots, roots.tolist()):
+        out[r][j] = root
+    return out
+
+
 def _start_top(model: ModelParams, units: UnitsConfig, n_levels: int, cfg: RootfindConfig) -> float:
     """Top of the first scan window: cfg.e_max, else the model's
     level_window, shifted up to start at an e_min past it.
@@ -441,34 +535,35 @@ def solve_rows(
 ) -> list[list[float]]:
     """solve_levels on many models at once, one row each.  f maps
     (energies, rows) to (F, N) there, each energy's from its row's model
-    (for a family of models, char_values with `at`).  The rows go in
-    groups whose trial grids fill one evaluation block: one scan_brackets
-    call per group, then its refinement.  Each row is scanned and refined
-    as solve_levels would alone, and comes out the same.
+    (for a family of models, char_values with `at`).  The rows are scanned
+    in groups whose trial grids fill one evaluation block, one
+    scan_brackets call per group; then one refine_rows call refines the
+    brackets of every row in lockstep.  Each row is scanned and refined as
+    it would be alone: it comes out bit for bit as solve_rows on its model
+    alone, and within 2 max(tol_abs, 4 eps |E|) of solve_levels, which
+    refines on the scalar F.
 
     Raises:
         NonConvergenceError: as solve_levels, for the first row to fail:
-            in the first group with a failure, the one scan_brackets names,
-            else the lowest row whose refinement failed.  Its row
-            attribute is that row.
+            the lowest row whose window cannot start, else the one
+            scan_brackets names in the first group with a scan failure,
+            else the one refine_rows names.  Its row attribute is that row.
     """
     base = cfg if cfg is not None else RootfindConfig()
     size = max(1, _EVAL_BLOCK // (_CELLS_PER_LEVEL * n_levels + 2))
-    levels: list[list[float]] = []
-    row = 0  # the row at work, named if it fails; None while a group scans
+    found: list[list[Bracket | float]] = []
+    offset = 0  # the failed row, less the row the error names if it does
     try:
-        for start in range(0, len(models), size):
-            group = models[start : start + size]
-            tops = []
-            for row, model in enumerate(group, start):
-                tops.append(_start_top(model, units, n_levels, base))
-            row = None
-            scans = scan_brackets(
-                lambda e, rows: f(e, rows + start), base, n_levels, e_hi=np.array(tops)
+        tops = []
+        for offset, model in enumerate(models):
+            tops.append(_start_top(model, units, n_levels, base))
+        for offset in range(0, len(models), size):
+            found += scan_brackets(
+                lambda e, rows: f(e, rows + offset), base, n_levels,
+                e_hi=np.array(tops[offset : offset + size]),
             )
-            for row, (model, found) in enumerate(zip(group, scans), start):
-                levels.append(refine_levels(characteristic_fn(model, units), found, base))
-        return levels
+        offset = 0
+        return refine_rows(f, found, base)
     except NonConvergenceError as exc:
-        row = start + exc.row if row is None else row
+        row = offset + (exc.row or 0)
         raise NonConvergenceError(f"{models[row]!r}: {exc}", row=row) from exc

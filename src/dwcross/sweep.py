@@ -4,14 +4,15 @@ gap minima where adjacent eigenvalue curves repel (avoided crossings).
 Every grid point is solved independently (no continuation seeding): since
 1D bound levels never cross, ascending order at each point is already the
 adiabatic labeling, and independent solves cannot mislabel levels near a
-throat.  The points are independent rows of one scan (rootfind.solve_rows):
-scanned together, so that each array call of the characteristic function
-serves many points, but each with its own window and count, and each
-comes out as a solve of that point alone would.  Detected gap minima are
-refined by golden-section search on the gap, all crossings in lockstep:
-each round probes every crossing still open with one scan.  Each probe
-finds the two flanking levels by their count indices, starting from the
-table's energy window around them.
+throat.  The points are independent rows of one solve (rootfind.solve_rows):
+scanned together and then refined together, so that each array call of
+the characteristic function serves many points, but each with its own
+window, count and brackets, and each comes out as that point solved
+alone by solve_rows would.  Detected gap minima are refined by
+golden-section search on the gap, all crossings in lockstep: each round
+probes every crossing still open with one scan.  Each probe finds the two
+flanking levels by their count indices, starting from the table's energy
+window around them, and refines them on the scalar F (see rootfind).
 """
 
 from __future__ import annotations
@@ -96,17 +97,21 @@ def sweep_levels(
     cfg: RootfindConfig | None = None,
 ) -> SpectrumTable:
     """Solve the first n_levels at every grid point of the model's sweep
-    parameter: each row as solve_levels at that point gives it, the rows
-    scanned together (rootfind.solve_rows).
+    parameter, the rows scanned and refined together (rootfind.solve_rows):
+    each row as solve_rows gives it on that point alone, and within
+    2 max(tol_abs, 4 eps |E|) of solve_levels there, which refines on the
+    scalar F.
 
     Every grid point's model is built (and so validated) before the first
     solve: a point outside the model's valid range raises ConfigError.
     A solver failure aborts the sweep with NonConvergenceError.  Both name
     the offending grid index (partial tables are never returned).  When
-    several points fail, the one named lies in the first group of rows,
-    in grid order, that holds a failure: the point its scan fails on first
-    (the window search, then the halving, then the count check; the lowest
-    index within one round), else the lowest index whose refinement failed.
+    several points fail, the scan's failures come first: the one named
+    lies in the first group of rows, in grid order, that holds a scan
+    failure, and is the point that group's scan fails on first (the window
+    search, then the halving, then the count check; the lowest index
+    within one round).  Else it is the lowest index whose refinement
+    failed in the earliest round.
     """
     lambdas = spec.grid()
     name = model.sweep_param

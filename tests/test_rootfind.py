@@ -20,7 +20,14 @@ from dwcross.models import (
     UnitsConfig,
     characteristic_fn,
 )
-from dwcross.rootfind import Bracket, RootfindConfig, refine_root, scan_brackets, solve_levels
+from dwcross.rootfind import (
+    Bracket,
+    RootfindConfig,
+    refine_root,
+    refine_rows,
+    scan_brackets,
+    solve_levels,
+)
 
 U1 = UnitsConfig(1.0)
 
@@ -322,6 +329,86 @@ class TestRefineRoot:
         roots_f = [refine_root(f, b, cfg) for b in scan_brackets(f_values, cfg, 5)]
         roots_g = [refine_root(g, b, cfg) for b in scan_brackets(g_values, cfg, 5)]
         assert roots_f == roots_g  # bitwise: refinement uses only f-ratios
+
+
+# F of row r, its bracket and its root: each bracket needs a different
+# number of steps.
+_ROWS = [
+    (lambda e: np.expm1(40.0 * (e - 1.3)), 0.5, 2.5, 1.3),  # steep: F(hi) is e^48
+    (lambda e: (e - 2.2) ** 3, 1.0, 4.0, 2.2),  # flat: a triple root
+    (lambda e: e - 3.0, 3.0, 3.5, 3.0),  # an exact zero at an end
+    (lambda e: e - 5.0, 4.0, 6.0, 5.0),  # the first step lands on the root
+]
+
+
+def _rows_fn(calls, offset=0):
+    """f(energies, rows) of _ROWS, its rows shifted by offset; records the
+    energies of each call."""
+
+    def f(e, rows):
+        calls.append(e.size)
+        values = np.empty_like(e)
+        for r, (g, *_) in enumerate(_ROWS):
+            values[rows + offset == r] = g(e[rows + offset == r])
+        return values, np.zeros_like(e)
+
+    return f
+
+
+def _bracket(g, lo, hi):
+    return Bracket(lo, hi, float(g(np.float64(lo))), float(g(np.float64(hi))))
+
+
+class TestRefineRows:
+    def test_each_root_as_refine_root_and_as_alone(self):
+        levels = [[_bracket(g, lo, hi)] for g, lo, hi, _ in _ROWS]
+        levels[0].append(0.25)  # a doublet's midpoint passes through
+        cfg = RootfindConfig()
+        got = refine_rows(_rows_fn([]), levels, cfg)
+        assert got[0][1] == 0.25
+        for r, (g, lo, hi, root) in enumerate(_ROWS):
+            x = got[r][0]
+            scalar = refine_root(lambda e: float(g(np.float64(e))), levels[r][0], cfg)
+            assert abs(x - root) <= cfg.tol_abs and abs(x - scalar) <= cfg.tol_abs
+            calls = []
+            assert refine_rows(_rows_fn(calls, r), [[levels[r][0]]], cfg) == [[x]]
+            if r == 2:  # an exact zero at an end costs no evaluation
+                assert x == 3.0 and calls == []
+            if r == 3:
+                assert x == 5.0 and calls == [1]
+
+    def test_bisection_bounds_the_rounds(self):
+        # a bracket bisects when _STALL_STEPS steps have not halved it, so
+        # it halves at least once every _STALL_STEPS + 1 rounds
+        levels = [[_bracket(g, lo, hi)] for g, lo, hi, _ in _ROWS]
+        cfg = RootfindConfig()
+        calls = []
+        refine_rows(_rows_fn(calls), levels, cfg)
+
+        def halvings(lo, hi):
+            return math.ceil(math.log2((hi - lo) / cfg.tol_abs))
+
+        widest = max(halvings(lo, hi) for lo, hi, _, _ in (row[0] for row in levels))
+        assert len(calls) <= (rootfind._STALL_STEPS + 1) * widest
+        # every call spans the brackets still open, which only drop out
+        assert calls[0] == 3 and calls == sorted(calls, reverse=True)
+        # the steep root stalls regula falsi, Illinois rule or not (94
+        # rounds without the bisections); with them it beats bisection alone
+        steep = []
+        refine_rows(_rows_fn(steep), levels[:1], cfg)
+        assert len(steep) < halvings(*levels[0][0][:2])
+
+    def test_budget_and_bad_brackets(self):
+        # a triple root near 2e-9 in [1e-9, 1e4] needs about 93 halvings
+        # at tol_abs = 1e-300, more than 300 steps allow
+        g = lambda e: (e - 2e-9) ** 3  # noqa: E731
+        levels = [[1.0], [_bracket(g, 1e-9, 1e4)]]
+        message = r"^refine: the root on \[1e-09, 10000\.0\] exceeded its iteration budget$"
+        with pytest.raises(NonConvergenceError, match=message) as info:
+            refine_rows(lambda e, rows: (g(e), e), levels, RootfindConfig(tol_abs=1e-300))
+        assert info.value.row == 1
+        with pytest.raises(ValueError):
+            refine_rows(_rows_fn([]), [[Bracket(1.0, 2.0, 1.0, 2.0)]], RootfindConfig())
 
 
 class TestSolveLevels:

@@ -1,6 +1,7 @@
 """Parameter sweeps, gap curves, and avoided-crossing detection."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from dwcross import rootfind, sweep
 from dwcross.cli import PRESETS, parse_config
 from dwcross.errors import ConfigError, ModelMismatchError, NonConvergenceError
 from dwcross.models import M1Params, M2Params, M3Params, UnitsConfig
-from dwcross.rootfind import RootfindConfig, solve_levels
+from dwcross.rootfind import RootfindConfig, solve_levels, solve_rows
 from dwcross.sweep import (
     SweepSpec,
     default_gap_ceiling,
@@ -68,6 +69,18 @@ class _FallingCountAtOnePoint(M1Params):
         return values, np.where(hit, 0.0, counts)
 
 
+class _NonFiniteInBracket(M1Params):
+    """F is NaN strictly inside (lo, hi) = inside where b = 2.0."""
+
+    inside = (0.0, 0.0)
+
+    def char_values(self, energies, units, at=None):
+        values, counts = super().char_values(energies, units, at)
+        lo, hi = self.inside
+        hit = (np.asarray(self.b if at is None else at) == 2.0) & (lo < energies) & (energies < hi)
+        return np.where(hit, np.nan, values), counts
+
+
 class TestSweepLevels:
     def test_free_well_closed_form(self):
         spec = SweepSpec(0.5, 3.0, 11, 3)
@@ -110,15 +123,57 @@ class TestSweepLevels:
             sweep_levels(model, U1, spec)
         assert info.value.row == 4
 
-    @pytest.mark.parametrize("preset", sorted(PRESETS))
-    def test_rows_equal_single_solves(self, preset):
-        # every row, bit for bit, as solve_levels gives it at that point
+    def test_refine_failure_names_its_index(self, monkeypatch):
+        # F is NaN only inside the lowest bracket of the point b = 2.0,
+        # grid index 4 of 9: its scan passes, and its refinement fails
+        spec = SweepSpec(1.0, 3.0, 9, 3)
+        model = _NonFiniteInBracket(10.0, 2.0, 2.0)
+        top = M1Params(10.0, 2.0, 2.0).level_window(U1, 3)
+        lo, hi, _, _ = rootfind.scan_brackets(
+            lambda e: M1Params.char_values(model, e, U1, at=np.full(e.size, 2.0)),
+            RootfindConfig(), 3, e_hi=top,
+        )[0]
+        monkeypatch.setattr(_NonFiniteInBracket, "inside", (lo, hi))
+        message = (
+            r"^sweep failed at grid index 4 \(b=2\.0\): _NonFiniteInBracket\(v0=10\.0, "
+            rf"a=2\.0, b=2\.0\): refine: F is not finite at E=\S+ in the bracket "
+            rf"\[{re.escape(repr(lo))}, {re.escape(repr(hi))}\] eV$"
+        )
+        with pytest.raises(NonConvergenceError, match=message) as info:
+            sweep_levels(model, U1, spec)
+        assert info.value.row == 4
+
+    @staticmethod
+    def _preset_sweep(preset):
         run = parse_config(["sweep", "--preset", preset])
         model, units, cfg = run.build_model(), run.build_units(), run.build_rootfind()
         spec = run.build_sweep_spec()
-        table = sweep_levels(model, units, spec, cfg)
+        return model, units, cfg, spec, sweep_levels(model, units, spec, cfg)
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_rows_equal_single_solves(self, preset):
+        # every row, bit for bit, as solve_rows gives it on that grid point
+        # alone: no row reads another's values
+        model, units, cfg, spec, table = self._preset_sweep(preset)
         for lam, row in zip(table.lambdas.tolist(), table.levels.tolist()):
-            assert row == solve_levels(model.at(lam), units, spec.n_levels, cfg)
+            at = np.array([lam])
+
+            def values(energies, rows, at=at):
+                return model.char_values(energies, units, at=at[rows])
+
+            assert [row] == solve_rows(values, [model.at(lam)], units, spec.n_levels, cfg)
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_rows_match_solve_levels(self, preset):
+        # the lockstep refinement runs on the array form of F, solve_levels
+        # on the scalar one: they round differently, so the levels agree
+        # to two refinement tolerances, not bit for bit
+        model, units, cfg, spec, table = self._preset_sweep(preset)
+        tol_abs = (cfg or RootfindConfig()).tol_abs
+        for lam, row in zip(table.lambdas.tolist(), table.levels.tolist()):
+            single = solve_levels(model.at(lam), units, spec.n_levels, cfg)
+            for got, want in zip(row, single):
+                assert abs(got - want) <= 2.0 * max(tol_abs, 4.0 * 2.22e-16 * abs(want))
 
 
 class TestGapCurves:
@@ -343,8 +398,9 @@ class TestGoldenLockstep:
 
 class TestWorkCounts:
     """Array calls per sweep and scans per detection on fig3, whose
-    per-point sweep made 200 char_values calls and whose detection made
-    one scan per probe (72)."""
+    per-point sweep made 200 char_values calls and refined its 800 levels
+    one scalar step at a time, and whose detection made one scan per probe
+    (72)."""
 
     def _fig3(self):
         run = parse_config(["detect", "--preset", "fig3"])
@@ -353,21 +409,31 @@ class TestWorkCounts:
 
     def test_sweep_calls_per_block_of_rows(self, monkeypatch):
         run, model, units, spec, cfg = self._fig3()
-        sizes = []
+        sizes = {"scan": [], "refine": []}
+        stage = ["scan"]
         char_values = M1Params.char_values
+        refine_rows = rootfind.refine_rows
 
         def counted(self, energies, units, at=None):
-            sizes.append(np.size(energies))
+            sizes[stage[0]].append(np.size(energies))
             return char_values(self, energies, units, at)
 
+        def refining(*args):
+            stage[0] = "refine"
+            return refine_rows(*args)
+
         monkeypatch.setattr(M1Params, "char_values", counted)
+        monkeypatch.setattr(rootfind, "refine_rows", refining)
         sweep_levels(model, units, spec, cfg)
         # a row's trial grid plus e_min at most; whole rows per block cost
         # at most one more call, and no fig3 row needs a halving round
         nodes = rootfind._CELLS_PER_LEVEL * spec.n_levels + 2
         blocks = math.ceil(spec.steps * nodes / rootfind._EVAL_BLOCK)
-        assert len(sizes) <= blocks + 1
-        assert max(sizes) <= rootfind._EVAL_BLOCK
+        assert len(sizes["scan"]) <= blocks + 1
+        # one call per refinement round over every open bracket of every
+        # row (fig3's 800 levels), and 8 rounds close them all
+        assert sizes["refine"][0] == spec.steps * spec.n_levels and len(sizes["refine"]) <= 8
+        assert max(sizes["scan"] + sizes["refine"]) <= rootfind._EVAL_BLOCK
 
     def test_detect_scans_once_per_golden_round(self, monkeypatch):
         run, model, units, spec, cfg = self._fig3()
