@@ -1,16 +1,26 @@
-"""Hot numerical kernels of the oracle, in numpy and plain Python.
+"""Hot numerical kernels of the oracle, in numpy.
 
-sturm_counts counts eigenvalues of a symmetric tridiagonal matrix below
-a batch of shifts; integrate_schrodinger is the RK4 shooting step loop,
-which steps forward over the samples it is given with a signed step.
+sturm_counts counts the eigenvalues of a symmetric tridiagonal matrix
+below a batch of shifts: the pivot recurrence of the shifted LDL^T
+factorization steps row by row, each row one array operation across all
+shifts.  integrate_schrodinger is RK4 shooting across one smooth span with
+a signed step.  The equation is linear, so each step is a 2x2 matrix; the
+span's matrices are built by array operations and chained as a blocked
+prefix product, one array operation per step within a block across all
+blocks and one scalar loop over the blocks, not one Python iteration per
+node.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _SAFMIN = 2.2250738585072014e-308
-_RENORM_LIMIT = 1e100
+_LOG_RENORM_LIMIT = math.log(1e100)
+_BLOCK_STEPS = 64  # RK4 steps per block of the prefix product
+_RESCALE_EVERY = 8  # steps between rescalings of a block's running product
 _BLOCK_ROWS = 512  # rows of the pivot recurrence held in memory at once
 
 
@@ -84,49 +94,149 @@ def integrate_schrodinger(
     v_half holds the potential on the half-step grid (2*(n-1)+1 values for
     n nodes) in integration order; it must be smooth over the span (callers
     split at potential steps and delta spikes and chain the returned
-    endpoint state).  The running solution is renormalized when it grows
-    past 1e100; each stored (psi, dpsi) node pair shares one scale, so
-    same-node bilinear products of two solutions stay scale-consistent.
+    endpoint state).  The stored solution is renormalized as a sequential
+    integration renormalizes its running solution: divided by its
+    magnitude max(|psi|, |dpsi|) at each node where that has passed 1e100
+    since the last such node.  Each stored (psi, dpsi) node pair shares one
+    scale, so same-node bilinear products of two solutions stay
+    scale-consistent.
+
+    The equation is linear, so each RK4 step is a 2x2 matrix, and all of
+    them are built at once (_step_matrices).  The steps are cut into blocks
+    of _BLOCK_STEPS; the running products within the blocks advance one
+    step at a time across all blocks together, rescaled every
+    _RESCALE_EVERY steps with the scale kept as a log, and one scalar loop
+    carries the state from block to block.
 
     Returns (psi, dpsi) over the n nodes in integration order.
     """
-    vh = np.ascontiguousarray(v_half, dtype=np.float64).tolist()
-    n_nodes = (len(vh) - 1) // 2 + 1
-    psi = np.empty(n_nodes, dtype=np.float64)
-    dpsi = np.empty(n_nodes, dtype=np.float64)
-    ue = u * energy
-    y1, y2 = y_start, dy_start
-    psi[0] = y1
-    dpsi[0] = y2
-    for node in range(1, n_nodes):
-        base = 2 * (node - 1)
-        g0 = u * vh[base] - ue
-        gm = u * vh[base + 1] - ue
-        g1 = u * vh[base + 2] - ue
-        y1, y2 = _rk4_step(y1, y2, h, g0, gm, g1)
+    # each temporary is deleted once spent: at its peak the kernel holds
+    # about 8 arrays of the span's length
+    g = np.asarray(v_half, dtype=np.float64)
+    steps = (g.shape[0] - 1) // 2
+    width = min(_BLOCK_STEPS, max(steps, 1))
+    blocks = -(-steps // width)
+    # u (V - E) on the half-step grid; the padding past the last node only
+    # feeds products that are never read
+    padded = np.zeros(2 * blocks * width + 1)
+    np.subtract(u * g[: 2 * steps + 1], u * energy, out=padded[: 2 * steps + 1])
+    # step j of block i sits at [j, i]: one row holds a step of every block
+    g0, gm, g1 = (
+        np.ascontiguousarray(padded[k : k + 2 * blocks * width : 2].reshape(blocks, width).T)
+        for k in (0, 1, 2)
+    )
+    del padded
+    # mats[:, :, j, i] is step j of block i, then the product of steps 0..j
+    mats = np.empty((2, 2, width, blocks))
+    _step_matrices(h, g0, gm, g1, mats)
+    del g0, gm, g1
+    logs = _block_products(mats)
+
+    # the state at each block's first node, of magnitude 1 past the first
+    # block, and its log scale
+    s1, s2, s_log = [], [], []
+    y1, y2, y_log = float(y_start), float(dy_start), 0.0
+    ends = zip(*(part.tolist() for part in (*mats[:, :, -1].reshape(4, blocks), logs[-1])))
+    for ta, tb, tc, td, t_log in ends:
+        s1.append(y1)
+        s2.append(y2)
+        s_log.append(y_log)
+        y1, y2 = ta * y1 + tb * y2, tc * y1 + td * y2
         mag = max(abs(y1), abs(y2))
-        if mag > _RENORM_LIMIT:
-            y1 /= mag
-            y2 /= mag
-        psi[node] = y1
-        dpsi[node] = y2
+        if mag > 0.0:
+            y1, y2 = y1 / mag, y2 / mag
+            y_log += t_log + math.log(mag)
+
+    # every node: its block's product applied to the block's first state,
+    # written through views that lay the nodes out as mats does
+    psi = np.empty(blocks * width + 1)
+    dpsi = np.empty(blocks * width + 1)
+    psi[0], dpsi[0] = y_start, dy_start
+    for out, (first, second) in ((psi, mats[0]), (dpsi, mats[1])):
+        first *= s1
+        second *= s2
+        np.add(first, second, out=out[1:].reshape(blocks, width).T)
+    del mats, first, second
+    logs += s_log
+    node_log = logs.T.reshape(-1)[:steps]
+    del logs
+    psi, dpsi = psi[: steps + 1], dpsi[: steps + 1]
+
+    # the sequential schedule: the first node past 1e100 times the divisor
+    # (1 at the start) becomes the divisor
+    true_log = np.maximum(np.abs(psi[1:]), np.abs(dpsi[1:]))
+    with np.errstate(divide="ignore"):
+        np.log(true_log, out=true_log)
+    true_log += node_log
+    peak = np.maximum.accumulate(true_log)
+    level = 0.0
+    while True:
+        node = int(np.searchsorted(peak, level + _LOG_RENORM_LIMIT, side="right"))
+        if node >= steps:
+            break
+        node_log[node:] -= float(true_log[node]) - level
+        level = float(true_log[node])
+    del true_log, peak
+    np.exp(node_log, out=node_log)
+    psi[1:] *= node_log
+    dpsi[1:] *= node_log
     return psi, dpsi
 
 
-def _rk4_step(
-    y1: float, y2: float, s: float, g0: float, gm: float, g1: float
-) -> tuple[float, float]:
-    half = 0.5 * s
-    k1_1 = y2
-    k1_2 = g0 * y1
-    k2_1 = y2 + half * k1_2
-    k2_2 = gm * (y1 + half * k1_1)
-    k3_1 = y2 + half * k2_2
-    k3_2 = gm * (y1 + half * k2_1)
-    k4_1 = y2 + s * k3_2
-    k4_2 = g1 * (y1 + s * k3_1)
-    sixth = s / 6.0
-    return (
-        y1 + sixth * (k1_1 + 2.0 * (k2_1 + k3_1) + k4_1),
-        y2 + sixth * (k1_2 + 2.0 * (k2_2 + k3_2) + k4_2),
-    )
+def _block_products(mats: np.ndarray) -> np.ndarray:
+    """Overwrite mats[:, :, j], the matrices of every block's step j, with
+    the product of the block's steps 0..j divided by exp(logs[j]); the
+    divisor is each block's largest entry, taken every _RESCALE_EVERY
+    steps.  Returns logs."""
+    _, _, width, blocks = mats.shape
+    logs = np.zeros((width, blocks))
+    product = np.empty((2, 2, blocks))
+    for j in range(1, width):
+        np.einsum("ikb,klb->ilb", mats[:, :, j], mats[:, :, j - 1], out=product)
+        if j % _RESCALE_EVERY == 0:
+            mag = np.abs(product).max(axis=(0, 1))
+            product /= mag
+            np.log(mag, out=logs[j])
+        mats[:, :, j] = product
+    return np.cumsum(logs, axis=0, out=logs)
+
+
+def _step_matrices(
+    s: float, g0: np.ndarray, gm: np.ndarray, g1: np.ndarray, out: np.ndarray
+) -> None:
+    """Write into out[0, 0], out[0, 1], out[1, 0] and out[1, 1] the entries
+    [[a, b], [c, d]] of the RK4 step (psi, psi') -> M (psi, psi') of
+    psi'' = g psi with step s, where g0, gm and g1 are g at the step's
+    start, middle and end.  The classical stages applied to (1, 0) give
+    (a, c) and applied to (0, 1) give (b, d); with q = s^2/6,
+
+        a = 1 + q (g0 + 2 gm) + 1.5 q^2 g0 gm,   b = s (1 + q gm),
+        c = s/6 (g0 + 4 gm + g1) + s q/2 gm (g0 + g1),
+        d = 1 + q (2 gm + g1) + 1.5 q^2 gm g1.
+    """
+    (a, b), (c, d) = out
+    q = s * s / 6.0
+    term = g0 * gm
+    term *= 1.5 * q * q
+    np.add(gm, gm, out=c)
+    np.add(g0, c, out=a)
+    a *= q
+    a += 1.0
+    a += term
+    np.multiply(gm, g1, out=term)
+    term *= 1.5 * q * q
+    np.add(g1, c, out=d)
+    d *= q
+    d += 1.0
+    d += term
+    np.multiply(gm, q, out=b)
+    b += 1.0
+    b *= s
+    c += c
+    c += g0
+    c += g1
+    c *= s / 6.0
+    np.add(g0, g1, out=term)
+    term *= gm
+    term *= 0.5 * s * q
+    c += term

@@ -42,6 +42,16 @@ _ASSEMBLY_BLOCK = 4096
 # Multisection width of each eigenvalue in oracle_levels.
 _LEVEL_TOL = 1e-11
 
+# Rungs lo + (hi - lo) 2^-k, k = 1.._LADDER_RUNGS, of the count pass that
+# starts lowest_eigenvalues: the lowest sits 2^-60 (hi - lo) above the
+# Gershgorin bound lo, under the level tolerance of any grid here.
+_LADDER_RUNGS = 60
+
+# Relative margin by which oracle_levels' top level may pass the sizing
+# bound before the domain grows: far above the levels' own error, so a top
+# level equal to the sizing level does not redo the solve on a rounding.
+_SIZING_SLACK = 1e-6
+
 
 @dataclass(frozen=True)
 class OracleConfig:
@@ -188,25 +198,102 @@ def sturm_count(T: TridiagonalHamiltonian, energy: float) -> int:
     return int(_kernels.sturm_counts(T.diag, T.offdiag, np.array([energy]))[0])
 
 
-def lowest_eigenvalues(T: TridiagonalHamiltonian, n: int, tol: float = 1e-10) -> list[float]:
+def lowest_eigenvalues(
+    T: TridiagonalHamiltonian,
+    n: int,
+    tol: float = 1e-10,
+    *,
+    _seeds: list[float] | None = None,
+) -> list[float]:
     """First n eigenvalues, each bracketed by Sturm-count multisection to
-    an interval of width <= tol; deterministic."""
+    an interval of width <= tol; deterministic.
+
+    The brackets start from one count pass over the ladder
+    lo + (hi - lo) 2^-k, k = 1..60, under the Gershgorin interval [lo, hi]:
+    a level at E then starts in a bracket about E - lo wide, not hi - lo.
+
+    _seeds (internal to oracle_levels): the n levels of the same model on
+    the grid of twice T's step.  Level E of that grid sits below or above
+    T's by 3/4 of its O(h^2) error, (E - lo)^2 u h^2 / 16 for a free
+    particle (0.07-1.1 times that on the five figure presets), so each
+    bracket starts 4x as wide on either side, (E - lo)^2 / -T.offdiag[0]
+    (the grid's u (h/2)^2 is -1 / offdiag), and widens until the count
+    confirms it.
+    """
     if n < 1 or n > T.size:
         raise ValueError(f"need 1 <= n <= {T.size}, got {n}")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
+    if _seeds is None:
+        return _multisect(T, *_ladder_brackets(T, n), tol)
+    seeds = np.array(_seeds, dtype=np.float64)
+    if seeds.shape != (n,):
+        raise ValueError(f"need {n} seeds, got {seeds.size}")
+    lo, _ = _gershgorin(T)
+    width = np.maximum((seeds - lo) ** 2 / -T.offdiag[0], tol)
+    return _multisect(T, *_seeded_brackets(T, seeds, width), tol)
 
+
+def _gershgorin(T: TridiagonalHamiltonian) -> tuple[float, float]:
+    """(lo, hi) with no eigenvalue below lo and every one strictly below hi."""
     d = T.diag
     e = np.abs(T.offdiag)
     radius = np.zeros_like(d)
     radius[:-1] += e
     radius[1:] += e
-    lo0 = float(np.min(d - radius))
-    hi0 = float(np.max(d + radius))
-    hi0 += max(1.0, abs(hi0)) * 1e-12  # strict count must include the top eigenvalue
+    lo = float(np.min(d - radius))
+    hi = float(np.max(d + radius))
+    return lo, hi + max(1.0, abs(hi)) * 1e-12  # strict count must include the top
 
-    los = np.full(n, lo0)
-    his = np.full(n, hi0)
+
+def _ladder_brackets(T: TridiagonalHamiltonian, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Brackets of levels j < n between adjacent rungs of one counted
+    ladder, the lowest falling back on lo and the highest on hi."""
+    lo, hi = _gershgorin(T)
+    ladder = lo + (hi - lo) * np.exp2(-np.arange(_LADDER_RUNGS, 0, -1.0))
+    counts = _kernels.sturm_counts(T.diag, T.offdiag, ladder)
+    # rung first[j] is the lowest that counts level j in
+    first = np.searchsorted(counts, np.arange(1, n + 1), side="left")
+    ends = np.concatenate([[lo], ladder, [hi]])
+    return ends[first], ends[first + 1]
+
+
+def _seeded_brackets(
+    T: TridiagonalHamiltonian, seeds: np.ndarray, width: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Brackets seeds[j] -/+ width[j] of levels j, each confirmed by the
+    count: N(seed - width) <= j < N(seed + width).  The width of a level
+    that fails is quadrupled and tried again, ends clamped to the
+    Gershgorin interval, where the check always holds."""
+    lo, hi = _gershgorin(T)
+    los = np.empty(seeds.size)
+    his = np.empty(seeds.size)
+    todo = np.arange(seeds.size)
+    width = np.array(width, dtype=np.float64)
+    while todo.size:
+        # a bracket as wide as [lo, hi] needs no check
+        wide = ~(width[todo] < hi - lo)
+        los[todo[wide]] = lo
+        his[todo[wide]] = hi
+        todo = todo[~wide]
+        left = np.maximum(seeds[todo] - width[todo], lo)
+        right = np.minimum(seeds[todo] + width[todo], hi)
+        counts = _kernels.sturm_counts(T.diag, T.offdiag, np.concatenate([left, right]))
+        ok = (counts[: todo.size] <= todo) & (counts[todo.size :] > todo)
+        los[todo[ok]] = left[ok]
+        his[todo[ok]] = right[ok]
+        todo = todo[~ok]
+        width[todo] *= 4.0
+    return los, his
+
+
+def _multisect(
+    T: TridiagonalHamiltonian, los: np.ndarray, his: np.ndarray, tol: float
+) -> list[float]:
+    """Shrink each level's bracket, N(los[j]) <= j < N(his[j]), to width
+    <= tol by multisection; the sorted midpoints."""
+    los = np.array(los, dtype=np.float64)
+    his = np.array(his, dtype=np.float64)
     fractions = np.arange(1, _PROBES_PER_LEVEL) / _PROBES_PER_LEVEL
 
     for _ in range(300):
@@ -229,7 +316,7 @@ def lowest_eigenvalues(T: TridiagonalHamiltonian, n: int, tol: float = 1e-10) ->
                 his[j] = probes[row, first]
     else:
         raise NonConvergenceError("eigenvalue multisection did not converge")
-    return sorted(0.5 * (los[j] + his[j]) for j in range(n))
+    return sorted(0.5 * (los[j] + his[j]) for j in range(los.size))
 
 
 def oracle_levels(
@@ -261,11 +348,12 @@ def oracle_levels(
             )
         coarse = lowest_eigenvalues(_assemble(model, units, spec), n, _LEVEL_TOL)
         if cfg.richardson:
-            fine = lowest_eigenvalues(_assemble(model, units, spec.refined()), n, _LEVEL_TOL)
+            fine_grid = _assemble(model, units, spec.refined())
+            fine = lowest_eigenvalues(fine_grid, n, _LEVEL_TOL, _seeds=coarse)
             levels = [(4.0 * f - c) / 3.0 for c, f in zip(coarse, fine)]
         else:
             levels = coarse
-        if box_model or levels[-1] * 1.5 <= sizing:
+        if box_model or levels[-1] * 1.5 <= sizing * (1.0 + _SIZING_SLACK):
             return levels
         sizing = levels[-1] * 2.0
     raise NonConvergenceError("oracle domain sizing did not stabilize")

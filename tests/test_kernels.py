@@ -1,12 +1,15 @@
 """Kernel correctness: Sturm counts against the scalar recurrence and
-closed forms, RK4 shooting against analytic solutions."""
+closed forms, RK4 shooting against analytic solutions and the sequential
+step loop, and the kernel signatures the benchmark tracer relies on."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 from dwcross import _kernels
+from reference_oracles import sequential_rk4
 
 
 def scalar_sturm_count(diag, off, shift):
@@ -101,3 +104,90 @@ class TestShootingKernel:
         ratio = dpsi[1:] / psi[1:]
         want = 1.0 / np.tanh(x)  # kappa = 1
         assert np.allclose(ratio[-100:], want[-100:], rtol=1e-8)
+
+
+def _span(kind, n_nodes):
+    """(v_half, h, u, energy, y_start, dy_start) of a test span."""
+    m = n_nodes - 1
+    if kind == "flat":  # allowed: sin(k x) / k
+        return np.zeros(2 * m + 1), 4.0 / m, 1.0, 2.31, 0.0, 1.0
+    if kind == "forbidden":  # the 600-unit span of the renormalization test
+        return np.full(2 * m + 1, 2.0), 600.0 / m, 1.0, 1.0, 0.0, 1.0
+    if kind == "steep":  # ~4e6 growth per step: a block overflows unless rescaled
+        return np.full(2 * m + 1, 4.0e4), 0.5, 1.0, 0.0, 0.0, 1.0
+    x = np.linspace(-3.0, 3.0, 2 * m + 1)
+    if kind == "harmonic":  # two turning points, tails forbidden
+        return 3.0 * x * x, 6.0 / m, 1.0, 1.7, 0.0, 1.0
+    if kind == "reversed":  # leftward from the right wall of a skewed well
+        v = 3.0 * x * x + x
+        return v[::-1], -6.0 / m, 0.8, 2.2, 0.0, -1.0
+    raise ValueError(kind)
+
+
+class TestShootingAgainstSequentialLoop:
+    """The blocked transfer-matrix kernel against the node-by-node loop:
+    per-node direction (psi, dpsi)/|.| and magnitude, which pins the
+    renormalization schedule, to 1e-9."""
+
+    BLOCK = _kernels._BLOCK_STEPS
+
+    @pytest.mark.parametrize("kind", ["flat", "forbidden", "harmonic", "reversed", "steep"])
+    @pytest.mark.parametrize(
+        "n_nodes",
+        [2, 5, BLOCK + 1, BLOCK + 2, 4 * BLOCK + 7],
+        ids=["2", "5", "one-block", "one-block-plus-1", "over-3-blocks"],
+    )
+    def test_matches_reference(self, kind, n_nodes):
+        args = _span(kind, n_nodes)
+        psi, dpsi = _kernels.integrate_schrodinger(*args)
+        ref_psi, ref_dpsi = sequential_rk4(*args)
+        assert psi.shape == dpsi.shape == (n_nodes,)
+        norm = np.hypot(psi, dpsi)
+        ref_norm = np.hypot(ref_psi, ref_dpsi)
+        drift = np.hypot(psi / norm - ref_psi / ref_norm, dpsi / norm - ref_dpsi / ref_norm)
+        assert np.max(drift) <= 1e-9
+        assert np.allclose(norm, ref_norm, rtol=1e-9, atol=0.0)
+        assert np.max(np.maximum(np.abs(psi), np.abs(dpsi))) <= 1e100 * (1.0 + 1e-12)
+
+    def test_long_span_renormalizes_where_the_loop_does(self):
+        # e^600 passes 1e100 twice: the nodes stored at magnitude 1 are
+        # the renormalization points, the same in both
+        args = _span("forbidden", 3001)
+        psi, dpsi = _kernels.integrate_schrodinger(*args)
+        ref_psi, ref_dpsi = sequential_rk4(*args)
+        mag = np.maximum(np.abs(psi), np.abs(dpsi))
+        ref_mag = np.maximum(np.abs(ref_psi), np.abs(ref_dpsi))
+        resets = np.nonzero(mag[1:] < mag[:-1])[0]
+        assert resets.size == 2
+        assert resets.tolist() == np.nonzero(ref_mag[1:] < ref_mag[:-1])[0].tolist()
+
+    def test_single_node_returns_start(self):
+        psi, dpsi = _kernels.integrate_schrodinger(np.array([1.0]), 0.1, 1.0, 0.5, 0.3, -2.0)
+        assert psi.tolist() == [0.3] and dpsi.tolist() == [-2.0]
+
+
+class TestTracerContract:
+    """perfbench/tracer.py wraps both kernels by name and reads their
+    work from positional arguments: len(args[0]) half-step samples of
+    integrate_schrodinger, and np.size(args[2]) shifts and len(args[0])
+    rows of sturm_counts."""
+
+    def test_signatures(self):
+        rk4 = inspect.signature(_kernels.integrate_schrodinger)
+        assert list(rk4.parameters) == ["v_half", "h", "u", "energy", "y_start", "dy_start"]
+        sturm = inspect.signature(_kernels.sturm_counts)
+        assert list(sturm.parameters) == ["diag", "offdiag", "shifts"]
+        for sig in (rk4, sturm):
+            assert all(
+                p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD and p.default is p.empty
+                for p in sig.parameters.values()
+            )
+
+    def test_work_read_from_arguments(self):
+        v_half = np.zeros(2 * 40 + 1)
+        psi, _ = _kernels.integrate_schrodinger(v_half, 0.01, 1.0, 1.0, 0.0, 1.0)
+        assert psi.size == (len(v_half) - 1) // 2 + 1
+        diag = np.full(7, 2.0)
+        shifts = np.linspace(0.0, 4.0, 5)
+        counts = _kernels.sturm_counts(diag, np.full(6, -1.0), shifts)
+        assert counts.size == np.size(shifts)

@@ -8,14 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dwcross import models
+from dwcross import _kernels, cli, models, oracle
 from dwcross.errors import ConfigError, DomainError
 from dwcross.models import M1Params, M2Params, M3Params, M4Params, UnitsConfig
 from dwcross.oracle import (
     OracleConfig,
     TridiagonalHamiltonian,
     _assemble,
+    _gershgorin,
     _grid_spec,
+    _multisect,
+    _seeded_brackets,
     build_hamiltonian,
     lowest_eigenvalues,
     oracle_levels,
@@ -160,6 +163,105 @@ class TestLowestEigenvalues:
         levels = lowest_eigenvalues(T, 6, tol=1e-11)
         diffs = np.diff(levels)
         assert np.all(diffs > 1e-9)
+
+
+def cold_levels(T, n, tol):
+    """Multisection from the whole Gershgorin interval for every level."""
+    lo, hi = _gershgorin(T)
+    return _multisect(T, np.full(n, lo), np.full(n, hi), tol)
+
+
+def assert_count_verified(T, los, his):
+    # N(lo_j) <= j < N(hi_j): level j lies in [lo_j, hi_j)
+    counts = _kernels.sturm_counts(T.diag, T.offdiag, np.concatenate([los, his]))
+    n = len(los)
+    j = np.arange(n)
+    assert np.all(counts[:n] <= j) and np.all(counts[n:] > j)
+
+
+def random_tridiagonals():
+    rng = np.random.default_rng(5)
+    for _ in range(12):
+        size = int(rng.integers(8, 80))
+        yield tridiag(rng.normal(size=size) * 3.0, rng.normal(size=size - 1))
+    # two uncoupled copies of one block: every level an exact doublet
+    block_diag = rng.normal(size=9) * 2.0
+    block_off = rng.normal(size=8)
+    yield tridiag(
+        np.concatenate([block_diag, block_diag]), np.concatenate([block_off, [0.0], block_off])
+    )
+
+
+class TestSeededBrackets:
+    """lowest_eigenvalues starts from a counted ladder, or for the h/2 grid
+    from seeds; both paths must give the levels of a cold start from the
+    whole Gershgorin interval."""
+
+    TOL = 1e-10
+
+    @pytest.mark.parametrize("index", range(13))
+    def test_ladder_and_seeded_paths_match_cold_start(self, index):
+        T = list(random_tridiagonals())[index]
+        n = min(6, T.size - 1)
+        cold = np.array(cold_levels(T, n + 1, self.TOL))
+        assert np.allclose(cold, np.linalg.eigvalsh(dense(T))[: n + 1], rtol=0.0, atol=1e-9)
+        got = lowest_eigenvalues(T, n, self.TOL)
+        assert np.allclose(got, cold[:n], rtol=0.0, atol=self.TOL)
+        # seeds near their levels, and seeds a whole level spacing off:
+        # seed j at level j + 1, the top one past it by the top spacing
+        near = cold[:n] + 1e-7
+        off = cold[1:] + (cold[-1] - cold[-2]) * (np.arange(n) == n - 1)
+        for seeds in (near, off):
+            got = lowest_eigenvalues(T, n, self.TOL, _seeds=list(seeds))
+            assert np.allclose(got, cold[:n], rtol=0.0, atol=self.TOL)
+            # a width far under the spacing: the count rejects the off
+            # seeds, and the widths grow until each bracket holds its level
+            los, his = _seeded_brackets(T, seeds, np.full(n, 1e-9))
+            assert_count_verified(T, los, his)
+            got = _multisect(T, los, his, self.TOL)
+            assert np.allclose(got, cold[:n], rtol=0.0, atol=self.TOL)
+
+    def test_seeded_fine_grid_matches_cold_start(self):
+        m = M4Params(10.0, 2.0, 2.0, 1.0)
+        spec = _grid_spec(m, U1, OracleConfig(n_points=1000), 12.0)
+        coarse = lowest_eigenvalues(_assemble(m, U1, spec), 4, 1e-11)
+        fine_T = _assemble(m, U1, spec.refined())
+        got = lowest_eigenvalues(fine_T, 4, 1e-11, _seeds=coarse)
+        assert np.allclose(got, cold_levels(fine_T, 4, 1e-11), rtol=0.0, atol=1e-11)
+
+
+def dense(T):
+    return np.diag(T.diag) + np.diag(T.offdiag, 1) + np.diag(T.offdiag, -1)
+
+
+class TestOracleRegrowth:
+    def count_assemblies(self, monkeypatch):
+        grids = []
+        assemble = oracle._assemble
+
+        def counted(*args):
+            grids.append(args[2])
+            return assemble(*args)
+
+        monkeypatch.setattr(oracle, "_assemble", counted)
+        return grids
+
+    def test_compare_solves_one_richardson_pair(self, tmp_path, monkeypatch):
+        # fig6a's oracle top level lands within 1e-11 of 1.5x the sizing
+        # level it was sized from; that is no reason to grow the domain
+        grids = self.count_assemblies(monkeypatch)
+        out = tmp_path / "fig6a.csv"
+        assert cli.main(["compare", "--preset", "fig6a", "--out", str(out)]) == 0
+        assert len(grids) == 2
+        assert grids[1] == grids[0].refined()
+
+    def test_small_e_top_still_regrows(self, monkeypatch):
+        m = M3Params(0.0, 2.0, 2.0)  # levels 1, 3, 5
+        grids = self.count_assemblies(monkeypatch)
+        got = oracle_levels(m, U1, 3, OracleConfig(n_points=1000), e_top=2.0)
+        assert len(grids) >= 4
+        assert grids[-2].x_min < grids[0].x_min
+        assert np.allclose(got, [1.0, 3.0, 5.0], atol=1e-6)
 
 
 class TestOracleLevels:
