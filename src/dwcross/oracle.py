@@ -391,6 +391,7 @@ def _shoot(
     model: ModelParams,
     units: UnitsConfig,
     segments: list[tuple[float, float, int]],
+    v_halves: list[np.ndarray],
     energy: float,
     from_left: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -407,9 +408,8 @@ def _shoot(
     y1, y2 = 0.0, float(way)
     for k in range(len(segments))[::way]:
         s, e, m = segments[k]
-        v_half = _segment_v_half(model, units, s, e, m)
         h_seg = (e - s) / m
-        p, d = _kernels.integrate_schrodinger(v_half[::way], way * h_seg, u, energy, y1, y2)
+        p, d = _kernels.integrate_schrodinger(v_halves[k][::way], way * h_seg, u, energy, y1, y2)
         y1, y2 = float(p[-1]), float(d[-1])
         if v0 != 0.0 and (e if from_left else s) == 0.0:
             y2 += way * u * v0 * y1  # derivative jump across the delta at 0
@@ -444,8 +444,11 @@ def wronskian_constancy(
     if not math.isfinite(energy):
         raise DomainError(f"{model.kind} shooting check needs a finite energy, got {energy!r}")
     segments = _shooting_segments(model, units, cfg, energy)
-    psi_l, dpsi_l = _shoot(model, units, segments, energy, True)
-    psi_r, dpsi_r = _shoot(model, units, segments, energy, False)
+    # both directions integrate over the same samples
+    v_halves = [_segment_v_half(model, units, s, e, m) for s, e, m in segments]
+    psi_l, dpsi_l = _shoot(model, units, segments, v_halves, energy, True)
+    psi_r, dpsi_r = _shoot(model, units, segments, v_halves, energy, False)
+    del v_halves  # the residual below makes four more arrays of the grid's length
     cross_lr = (psi_l * dpsi_r)[1:-1]
     cross_rl = (psi_r * dpsi_l)[1:-1]
     wronskian = np.abs(cross_lr - cross_rl)

@@ -23,9 +23,12 @@ rows in lockstep, one array call per round over the brackets still open
 solve_rows uses it, so a sweep's 800 to 1200 brackets share each call's
 fixed cost.  refine_root, a guarded bisection with inverse-quadratic
 acceleration, takes the scalar form of F (through models.characteristic_fn).
-solve_levels and the sweep's golden-section probes use it: they hold one
-to a dozen brackets, and a numpy call on so few costs more than the
-math-module arithmetic of a scalar step.
+solve_levels and the probes of the sweep's crossing search use it: they
+hold one to a dozen brackets, and a numpy call on so few costs more than
+the math-module arithmetic of a scalar step.
+
+Each caller chooses its scan's grid density: 32 cells per wanted level
+for a single solve or a probe, 8 for solve_rows (see _CELLS_PER_LEVEL).
 """
 
 from __future__ import annotations
@@ -57,9 +60,14 @@ _E_MAX_CAP = 1e4
 # Window growth factor when the window holds fewer than the wanted levels.
 _EXPAND = 1.6
 
-# Grid cells per wanted level in each trial window.  16 and 32 measured
-# alike on the solve-mix and figures decks.
+# Grid cells per wanted level in each trial window, chosen by the caller.
+# A single solve (and a crossing probe) scans at 32: there an array call's
+# fixed cost dominates, so a denser grid costs little and saves halving
+# rounds.  solve_rows scans at 8: its calls are long, so its cost grows
+# with the energies it asks for (fig6b's sweep scans 10 001 energies at 8
+# cells against 38 641 at 32, and refines 9 377 against 7 913).
 _CELLS_PER_LEVEL = 32
+_ROWS_CELLS_PER_LEVEL = 8
 
 # A counted array form of f: 1-D energies to (F, N) there.
 CountedFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -143,6 +151,8 @@ def scan_brackets(
     first: int | np.ndarray = 0,
     e_lo: float | np.ndarray = 0.0,
     e_hi: float | np.ndarray | None = None,
+    *,
+    cells_per_level: int = _CELLS_PER_LEVEL,
 ) -> list[Bracket | float] | list[list[Bracket | float]]:
     """Levels first+1 ... first+n of f counted from cfg.e_min, ascending,
     of one row or of many independent rows: each a Bracket or a doublet's
@@ -158,7 +168,7 @@ def scan_brackets(
     own window, count origin and growth, and comes out as it would alone.
 
     Each row's trial window, from [max(e_lo, e_min), e_hi] on (e_hi
-    defaults to cfg.e_max), is one pass over _CELLS_PER_LEVEL * n cells,
+    defaults to cfg.e_max), is one pass over cells_per_level * n cells,
     plus e_min when the window starts above it.  While its end counts miss
     a wanted level, its bottom drops to e_min or its top grows 1.6-fold,
     up to 1e4 eV.  Then each round halves, in one pass, every cell holding
@@ -183,11 +193,11 @@ def scan_brackets(
         raise ValueError("scan_brackets needs cfg.e_max or e_hi")
     if not any(isinstance(v, np.ndarray) for v in (first, e_lo, e_hi)):
         return _scan_rows(
-            lambda e, rows: f(e), cfg, n,
+            lambda e, rows: f(e), cfg, n, cells_per_level,
             np.array([first], dtype=float), np.array([max(e_lo, cfg.e_min)]), np.array([top]),
         )[0]
     firsts, los, his = (np.array(v, dtype=float) for v in np.broadcast_arrays(first, e_lo, top))
-    return _scan_rows(f, cfg, n, firsts, np.maximum(los, cfg.e_min), his)
+    return _scan_rows(f, cfg, n, cells_per_level, firsts, np.maximum(los, cfg.e_min), his)
 
 
 # Rows of _scan_rows's halving state, one column per node: the node's
@@ -199,7 +209,13 @@ _X, _F, _R, _ROW, _STOP = range(5)
 
 
 def _scan_rows(
-    f: RowsFn, cfg: RootfindConfig, n: int, first: np.ndarray, lo: np.ndarray, hi: np.ndarray
+    f: RowsFn,
+    cfg: RootfindConfig,
+    n: int,
+    cells_per_level: int,
+    first: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
 ) -> list[list[Bracket | float]]:
     """scan_brackets on rows 0 ... lo.size - 1; lo and hi are updated in
     place as the windows grow."""
@@ -208,7 +224,7 @@ def _scan_rows(
         return f"in the window [{float(lo[row])}, {float(hi[row])}] eV"
 
     e_min = cfg.e_min
-    nodes = _CELLS_PER_LEVEL * n + 1  # of a trial grid
+    nodes = cells_per_level * n + 1  # of a trial grid
     steps = np.arange(float(nodes))
     todo = np.arange(lo.size)  # rows whose window is still searched
     while True:
@@ -536,12 +552,13 @@ def solve_rows(
     """solve_levels on many models at once, one row each.  f maps
     (energies, rows) to (F, N) there, each energy's from its row's model
     (for a family of models, char_values with `at`).  The rows are scanned
-    in groups whose trial grids fill one evaluation block, one
-    scan_brackets call per group; then one refine_rows call refines the
-    brackets of every row in lockstep.  Each row is scanned and refined as
-    it would be alone: it comes out bit for bit as solve_rows on its model
-    alone, and within 2 max(tol_abs, 4 eps |E|) of solve_levels, which
-    refines on the scalar F.
+    at 8 cells per wanted level (solve_levels scans at 32), in groups whose
+    trial grids fill one evaluation block, one scan_brackets call per
+    group; then one refine_rows call refines the brackets of every row in
+    lockstep.  Each row is scanned and refined as it would be alone: it
+    comes out bit for bit as solve_rows on its model alone, and within
+    2 max(tol_abs, 4 eps |E|) of solve_levels, which refines on the scalar
+    F.
 
     Raises:
         NonConvergenceError: as solve_levels, for the first row to fail:
@@ -550,7 +567,7 @@ def solve_rows(
             else the one refine_rows names.  Its row attribute is that row.
     """
     base = cfg if cfg is not None else RootfindConfig()
-    size = max(1, _EVAL_BLOCK // (_CELLS_PER_LEVEL * n_levels + 2))
+    size = max(1, _EVAL_BLOCK // (_ROWS_CELLS_PER_LEVEL * n_levels + 2))
     found: list[list[Bracket | float]] = []
     offset = 0  # the failed row, less the row the error names if it does
     try:
@@ -561,6 +578,7 @@ def solve_rows(
             found += scan_brackets(
                 lambda e, rows: f(e, rows + offset), base, n_levels,
                 e_hi=np.array(tops[offset : offset + size]),
+                cells_per_level=_ROWS_CELLS_PER_LEVEL,
             )
         offset = 0
         return refine_rows(f, found, base)

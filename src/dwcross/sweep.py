@@ -8,11 +8,12 @@ throat.  The points are independent rows of one solve (rootfind.solve_rows):
 scanned together and then refined together, so that each array call of
 the characteristic function serves many points, but each with its own
 window, count and brackets, and each comes out as that point solved
-alone by solve_rows would.  Detected gap minima are refined by
-golden-section search on the gap, all crossings in lockstep: each round
-probes every crossing still open with one scan.  Each probe finds the two
-flanking levels by their count indices, starting from the table's energy
-window around them, and refines them on the scalar F (see rootfind).
+alone by solve_rows would.  Detected gap minima are refined by Brent's
+minimiser on the squared gap, which near an avoided crossing is a parabola
+in the swept parameter, all crossings in lockstep: each round probes every
+crossing still open with one scan.  Each probe finds the two flanking
+levels by their count indices, starting from the table's energy window
+around them, and refines them on the scalar F (see rootfind).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import median
-from typing import Callable
+from typing import Callable, Generator
 
 import numpy as np
 
@@ -40,11 +41,9 @@ __all__ = [
     "default_gap_ceiling",
 ]
 
-# Golden-section refinement shrinks the lambda interval to this fraction
-# of the full sweep window.
+# The search for a gap minimum shrinks its lambda interval to this
+# fraction of the full sweep window.
 _LAMBDA_TOL_FRACTION = 1e-5
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -197,11 +196,13 @@ def detect_avoided_crossings(
     """Certified avoided crossings of a sweep, sorted by lambda_star.
 
     Each interior local minimum of a gap curve below gap_ceiling (default:
-    20% of the sweep's median gap) is refined by golden-section search on
-    the gap over its flanking grid cells.  The count certifies every
-    probe's two levels as levels level_index and level_index + 1.
-    Boundary minima are excluded (see edge_candidates).  cfg is the
-    root-finding configuration the table was solved with.
+    20% of the sweep's median gap) is refined by Brent's minimiser on the
+    squared gap over its flanking grid cells, down to 1e-5 of the sweep
+    window; its lambda_star, gap and e_mid are those of the best point
+    probed.  The count certifies every probe's two levels as levels
+    level_index and level_index + 1.  Boundary minima are excluded (see
+    edge_candidates).  cfg is the root-finding configuration the table was
+    solved with.
     """
     model, units = table.model, table.units
     base = cfg if cfg is not None else RootfindConfig()
@@ -219,12 +220,10 @@ def detect_avoided_crossings(
     def probe(k: np.ndarray, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _gaps_at(model, units, lams, cols[k], base, e_lo[k], e_hi[k])
 
-    lam_star, gap, e_mid = _golden_lockstep(
-        probe, table.lambdas[rows - 1], table.lambdas[rows + 1], lam_tol
-    )
+    searched = _brent_lockstep(probe, table.lambdas[rows - 1], table.lambdas[rows + 1], lam_tol)
     found = [
         AvoidedCrossing(level_index=col + 1, lambda_star=lam, gap=g, e_mid=mid)
-        for col, lam, g, mid in zip(cols.tolist(), lam_star.tolist(), gap.tolist(), e_mid.tolist())
+        for col, (lam, g, mid) in zip(cols.tolist(), searched)
     ]
     return sorted(found, key=lambda ac: ac.lambda_star)
 
@@ -248,36 +247,100 @@ def _energy_window(table: SpectrumTable, row: int, col: int) -> tuple[float, flo
 # probe(k, lams): the (gaps, mid-energies) of crossings k at lambdas lams.
 GapProbe = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
+# The share of the larger part of its interval that a golden-section step
+# of Brent's search takes.
+_GOLDEN = (3.0 - math.sqrt(5.0)) / 2.0
 
-def _golden_lockstep(
+# One crossing's search: it yields each lambda to probe and is sent the
+# (gap, mid-energy) there; it returns (lambda*, gap, mid-energy).
+Search = Generator[float, tuple[float, float], tuple[float, float, float]]
+
+
+def _localmin(a: float, b: float, tol: float) -> Search:
+    """Brent's localmin (Brent 1973, ch. 5) of gap^2 on [a, b], which near
+    an avoided crossing is the parabola Delta^2 + kappa^2 (lambda - lambda*)^2.
+
+    The search stops once its best point x lies within tol/2 of both ends
+    of its interval, which is then no wider than tol; its smallest step is
+    tol/4.  (Brent adds sqrt(eps) |x| to both, so that no step falls below
+    the rounding of the minimised function; at detect's tol, 1e-5 of the
+    sweep window, it would add under 0.2% on the presets, and is left out.)
+    The result is x with its gap and mid-energy, as probed.
+    """
+    t1, t2 = 0.25 * tol, 0.5 * tol
+    x = w = v = a + _GOLDEN * (b - a)
+    gap, mid = yield x
+    fx = fw = fv = gap * gap
+    best = (x, gap, mid)
+    d = e = 0.0
+    while True:
+        m = 0.5 * (a + b)
+        if abs(x - m) <= t2 - 0.5 * (b - a):
+            return best
+        p = q = r = 0.0
+        if abs(e) > t1:  # fit a parabola through x, w and v
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            else:
+                q = -q
+            r, e = e, d
+        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+            d = p / q  # its vertex; within t2 of an end, t1 toward the middle
+            if x + d - a < t2 or b - (x + d) < t2:
+                d = t1 if x < m else -t1
+        else:  # a golden-section step into the larger part
+            e = (b if x < m else a) - x
+            d = _GOLDEN * e
+        u = x + (d if abs(d) >= t1 else (t1 if d > 0.0 else -t1))
+        gap, mid = yield u
+        fu = gap * gap
+        if fu <= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+            best = (u, gap, mid)
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+
+
+def _brent_lockstep(
     probe: GapProbe, lo: np.ndarray, hi: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lambda*, gap, mid-energy) of a golden-section search for the gap
+) -> list[tuple[float, float, float]]:
+    """(lambda*, gap, mid-energy) of Brent's search (_localmin) for the gap
     minimum of each crossing k on [lo[k], hi[k]], down to width tol.
 
-    The searches run in lockstep: the first probe takes both interior
-    points of every crossing, each round one new point of every crossing
-    still wider than tol, and the last the midpoints.  Each crossing's
-    points, and so its result, are those of its search alone.
+    The searches run in lockstep: each round probes the next point of every
+    crossing still open with one probe call.  Each crossing's points, and
+    so its result, are those of its search alone.
     """
-    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    every = np.arange(a.size)
-    fc, fd = np.split(probe(np.concatenate((every, every)), np.concatenate((c, d)))[0], 2)
-    while (k := np.flatnonzero(b - a > tol)).size:
-        left = fc[k] < fd[k]  # the minimum lies in [a, d]
-        kl, kr = k[left], k[~left]
-        b[kl], d[kl], fd[kl] = d[kl], c[kl], fc[kl]
-        c[kl] = b[kl] - _INVPHI * (b[kl] - a[kl])
-        a[kr], c[kr], fc[kr] = c[kr], d[kr], fd[kr]
-        d[kr] = a[kr] + _INVPHI * (b[kr] - a[kr])
-        gaps, _ = probe(k, np.where(left, c[k], d[k]))
-        fc[kl] = gaps[left]
-        fd[kr] = gaps[~left]
-    lam_star = 0.5 * (a + b)
-    gap, e_mid = probe(every, lam_star)
-    return lam_star, gap, e_mid
+    searches = [_localmin(a, b, tol) for a, b in zip(lo.tolist(), hi.tolist())]
+    lams = [next(search) for search in searches]
+    k = np.arange(len(searches))
+    found: list = [None] * len(searches)
+    while k.size:
+        gaps, mids = probe(k, np.array(lams))
+        still, lams = [], []
+        for i, gap, mid in zip(k.tolist(), gaps.tolist(), mids.tolist()):
+            try:
+                lams.append(searches[i].send((gap, mid)))
+                still.append(i)
+            except StopIteration as stop:
+                found[i] = stop.value
+        k = np.array(still, dtype=int)
+    return found
 
 
 def edge_candidates(

@@ -169,6 +169,71 @@ def golden_min(gap_fn, lam_lo, lam_hi, tol):
     return lam_star, gap, mid
 
 
+def brent_min(gap_fn, lam_lo, lam_hi, tol):
+    """Scalar Brent localmin (Brent 1973, ch. 5) of gap_fn(lam)[0] ** 2 on
+    [lam_lo, lam_hi], with the absolute tolerance tol / 4 only: it stops
+    once the best point lies within tol / 2 of both interval ends.  Returns
+    (lam*, gap, mid) at the best point probed, where gap_fn returns
+    (gap, mid)."""
+    golden = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lam_lo, lam_hi
+    tol1, tol2 = tol / 4.0, tol / 2.0
+    v = a + golden * (b - a)
+    w = x = v
+    gap, mid = gap_fn(x)
+    fv = fw = fx = gap * gap
+    result = (x, gap, mid)
+    d = e = 0.0
+    while True:
+        xm = 0.5 * (a + b)
+        if abs(x - xm) <= tol2 - 0.5 * (b - a):
+            return result
+        parabolic = False
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            etemp = e
+            e = d
+            parabolic = abs(p) < abs(0.5 * q * etemp) and p > q * (a - x) and p < q * (b - x)
+        if parabolic:
+            d = p / q
+            u = x + d
+            if u - a < tol2 or b - u < tol2:
+                d = math.copysign(tol1, xm - x) if x != xm else -tol1
+        else:
+            e = a - x if x >= xm else b - x
+            d = golden * e
+        if abs(d) >= tol1:
+            u = x + d
+        else:
+            u = x + math.copysign(tol1, d) if d != 0.0 else x - tol1
+        gap, mid = gap_fn(u)
+        fu = gap * gap
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, w, x = w, x, u
+            fv, fw, fx = fw, fx, fu
+            result = (u, gap, mid)
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, w = w, u
+                fv, fw = fw, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+
+
 def sequential_rk4(v_half, h, u, energy, y_start, dy_start):
     """integrate_schrodinger's contract, one RK4 step per loop iteration:
     the running solution is divided by its magnitude max(|psi|, |dpsi|)

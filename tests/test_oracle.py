@@ -385,3 +385,16 @@ class TestWronskianConstancy:
         # a NaN residual would pass both "> bound" and "< bound" checks
         with pytest.raises(DomainError, match=rf"{model.kind}.*{energy!r}"):
             wronskian_constancy(model, U1, energy, OracleConfig())
+
+    def test_potential_sampled_once_per_span(self, monkeypatch):
+        # both directions integrate over the same samples: one potential
+        # call per span of the shooting grid, not one per span and side
+        model = M4Params(10.0, 2.0, 2.0, 1.0)
+        spans = len(oracle._shooting_segments(model, U1, OracleConfig(), 3.0))
+        calls = []
+        potential = M4Params.potential
+        monkeypatch.setattr(
+            M4Params, "potential", lambda self, *a: calls.append(1) or potential(self, *a)
+        )
+        wronskian_constancy(model, U1, 3.0, OracleConfig())
+        assert spans > 1 and len(calls) == spans

@@ -131,7 +131,7 @@ class TestSweepLevels:
         top = M1Params(10.0, 2.0, 2.0).level_window(U1, 3)
         lo, hi, _, _ = rootfind.scan_brackets(
             lambda e: M1Params.char_values(model, e, U1, at=np.full(e.size, 2.0)),
-            RootfindConfig(), 3, e_hi=top,
+            RootfindConfig(), 3, e_hi=top, cells_per_level=rootfind._ROWS_CELLS_PER_LEVEL,
         )[0]
         monkeypatch.setattr(_NonFiniteInBracket, "inside", (lo, hi))
         message = (
@@ -364,43 +364,94 @@ class TestEdgeCandidates:
             assert spec.lambda_min < ac.lambda_star < spec.lambda_max
 
 
-class TestGoldenLockstep:
-    def test_each_crossing_as_alone(self):
-        # parabolic gaps in brackets of different widths: the narrow ones
-        # close rounds before the wide ones, and each crossing still gives
-        # the (lambda*, gap, mid) of its own scalar search
-        centers = np.array([0.3, 2.2, 5.05, -1.0])
-        depths = np.array([0.1, 0.02, 0.5, 1.0])
-        lo = np.array([0.0, 2.0, 5.0, -4.0])
-        hi = np.array([1.0, 2.5, 5.1, 0.0])
-        tol = 1e-6
+class TestBrentLockstep:
+    # (gap, bracket, location of the minimum or None where float64 cannot
+    # resolve it) of each crossing
+    _GAPS = [
+        (lambda lam: (lam - 0.3) ** 2 + 0.1, (0.0, 1.0), 0.3),
+        (lambda lam: (lam - 2.2) ** 2 + 0.02, (2.0, 2.5), 2.2),
+        (lambda lam: (lam - 5.05) ** 2 + 0.5, (5.0, 5.1), 5.05),
+        # flat bottoms, where the parabolic steps slow down
+        (lambda lam: (lam + 1.0) ** 4 + 1.0, (-4.0, 0.0), None),
+        (lambda lam: (lam + 1.0) ** 4, (-4.0, 0.0), -1.0),
+        # the hyperbola of a two-level crossing
+        (lambda lam: math.sqrt(0.03**2 + 4.0 * (lam - 7.3) ** 2), (7.0, 8.0), 7.3),
+        # a kink, and a wavy gap
+        (lambda lam: abs(lam - 0.7) + 0.1, (0.0, 1.0), 0.7),
+        (lambda lam: math.sqrt(0.01 + (lam - 0.61) ** 2) + 0.3 * math.sin(3.0 * lam),
+         (0.0, 1.5), None),
+    ]
+
+    @pytest.mark.parametrize("tol", [1e-2, 1e-3, 1e-6])
+    def test_each_crossing_as_alone(self, tol):
+        # gaps in brackets of different widths: the narrow ones close rounds
+        # before the wide ones, and each crossing still gives the
+        # (lambda*, gap, mid) of its own scalar search
+        gaps = [gap for gap, _, _ in self._GAPS]
+        lo, hi = np.array([bracket for _, bracket, _ in self._GAPS]).T
         probed = []
 
         def probe(k, lams):
             probed.append(k.tolist())
-            return (lams - centers[k]) * (lams - centers[k]) + depths[k], lams + 10.0
+            values = [gaps[i](lam) for i, lam in zip(k.tolist(), lams.tolist())]
+            return np.array(values), lams + 10.0
 
-        got = sweep._golden_lockstep(probe, lo, hi, tol)
-        for i in range(4):
-            def gap(lam, c=float(centers[i]), d=float(depths[i])):
-                return (lam - c) * (lam - c) + d, lam + 10.0
-
-            want = reference_oracles.golden_min(gap, float(lo[i]), float(hi[i]), tol)
-            assert tuple(float(v[i]) for v in got) == want
-        # the first probe takes both interior points of every crossing, the
-        # last every midpoint; in between, crossings drop out as they close
-        assert probed[0] == [0, 1, 2, 3] * 2 and probed[-1] == [0, 1, 2, 3]
-        rounds = [sum(i in k for k in probed[1:-1]) for i in range(4)]
+        got = sweep._brent_lockstep(probe, lo, hi, tol)
+        for i, (gap, (a, b), at) in enumerate(self._GAPS):
+            want = reference_oracles.brent_min(lambda x, gap=gap: (gap(x), x + 10.0), a, b, tol)
+            assert got[i] == want
+            assert at is None or abs(got[i][0] - at) <= tol
+        # every round probes every crossing still open, once; crossings
+        # drop out as they close, in different rounds
+        assert probed[0] == list(range(len(gaps)))
+        assert all(k == sorted(set(k)) for k in probed)
+        rounds = [sum(i in k for k in probed) for i in range(len(gaps))]
         assert len(set(rounds)) > 1
-        open_counts = [len(k) for k in probed[1:-1]]
+        open_counts = [len(k) for k in probed]
         assert open_counts == sorted(open_counts, reverse=True)
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--preset", p] for p in sorted(PRESETS)] + [["--preset", "fig3", "--e-min", "1.0"]],
+        ids=lambda args: " ".join(args[1:]),
+    )
+    def test_crossings_match_golden_section(self, args):
+        # each crossing's scalar golden-section search on the same bracket,
+        # with the same probe, lands within lam_tol of Brent's lambda*
+        run = parse_config(["detect"] + args)
+        cfg = run.build_rootfind() or RootfindConfig()
+        table = sweep_levels(run.build_model(), run.build_units(), run.build_sweep_spec(), cfg)
+        acs = detect_avoided_crossings(table, cfg, run.gap_ceiling)
+        ceiling = run.gap_ceiling if run.gap_ceiling is not None else default_gap_ceiling(table)
+        minima = sweep._interior_minima(gap_curves(table), ceiling)
+        assert len(acs) == len(minima)
+        lam_tol = float(table.lambdas[-1] - table.lambdas[0]) * sweep._LAMBDA_TOL_FRACTION
+        golden = []
+        for row, col in minima:
+            e_lo, e_hi = sweep._energy_window(table, row, col)
+
+            def gap_fn(lam, col=col, e_lo=e_lo, e_hi=e_hi):
+                gaps, mids = sweep._gaps_at(
+                    table.model, table.units, np.array([lam]), np.array([col]), cfg,
+                    np.array([e_lo]), np.array([e_hi]),
+                )
+                return float(gaps[0]), float(mids[0])
+
+            lam, gap, _ = reference_oracles.golden_min(
+                gap_fn, float(table.lambdas[row - 1]), float(table.lambdas[row + 1]), lam_tol
+            )
+            golden.append((col + 1, lam, gap))
+        for ac, (index, lam, gap) in zip(acs, sorted(golden, key=lambda g: g[1])):
+            assert ac.level_index == index
+            assert abs(ac.lambda_star - lam) <= lam_tol
+            assert ac.gap == pytest.approx(gap, rel=1e-5)
 
 
 class TestWorkCounts:
     """Array calls per sweep and scans per detection on fig3, whose
     per-point sweep made 200 char_values calls and refined its 800 levels
     one scalar step at a time, and whose detection made one scan per probe
-    (72)."""
+    (72), then one per golden-section round (17)."""
 
     def _fig3(self):
         run = parse_config(["detect", "--preset", "fig3"])
@@ -425,17 +476,23 @@ class TestWorkCounts:
         monkeypatch.setattr(M1Params, "char_values", counted)
         monkeypatch.setattr(rootfind, "refine_rows", refining)
         sweep_levels(model, units, spec, cfg)
-        # a row's trial grid plus e_min at most; whole rows per block cost
-        # at most one more call, and no fig3 row needs a halving round
-        nodes = rootfind._CELLS_PER_LEVEL * spec.n_levels + 2
+        # a row's trial grid, at the sweep's density, plus e_min at most;
+        # whole rows per block and fig3's one halving round (one group's)
+        # cost at most one more call
+        nodes = rootfind._ROWS_CELLS_PER_LEVEL * spec.n_levels + 2
         blocks = math.ceil(spec.steps * nodes / rootfind._EVAL_BLOCK)
         assert len(sizes["scan"]) <= blocks + 1
         # one call per refinement round over every open bracket of every
-        # row (fig3's 800 levels), and 8 rounds close them all
-        assert sizes["refine"][0] == spec.steps * spec.n_levels and len(sizes["refine"]) <= 8
+        # row (fig3's 800 levels); the sparser scan leaves wider brackets,
+        # and scan plus refinement ask for at most 15 000 energies (30 525
+        # at 32 cells per level)
+        assert sizes["refine"][0] == spec.steps * spec.n_levels
+        assert sum(sizes["scan"]) + sum(sizes["refine"]) <= 15_000
         assert max(sizes["scan"] + sizes["refine"]) <= rootfind._EVAL_BLOCK
 
-    def test_detect_scans_once_per_golden_round(self, monkeypatch):
+    def test_detect_scans_once_per_brent_round(self, monkeypatch):
+        # one scan per round of the lockstep searches; on the parabolic
+        # gap^2 of a crossing, Brent's steps close fig3's in at most 8
         run, model, units, spec, cfg = self._fig3()
         table = sweep_levels(model, units, spec, cfg)
         calls = []
@@ -444,7 +501,27 @@ class TestWorkCounts:
             sweep, "scan_brackets", lambda *a, **k: calls.append(a) or scan(*a, **k)
         )
         acs = detect_avoided_crossings(table, cfg, run.gap_ceiling)
-        width = 2.0 * (spec.lambda_max - spec.lambda_min) / (spec.steps - 1)
-        tol = (spec.lambda_max - spec.lambda_min) * sweep._LAMBDA_TOL_FRACTION
-        rounds = math.ceil(math.log(tol / width) / math.log(sweep._INVPHI))
-        assert len(acs) >= 2 and len(calls) <= rounds + 3
+        assert len(acs) >= 2 and len(calls) <= 8
+
+    def test_single_solves_and_probes_keep_32_cells(self, monkeypatch):
+        # only solve_rows scans at the sweep's density: solve_levels' first
+        # trial grid has 32 cells per level, and a crossing probe's (two
+        # levels, its e_min node aside) 64
+        run, model, units, _, _ = self._fig3()
+        cfg = RootfindConfig()
+        firsts = []
+        char_values = M1Params.char_values
+
+        def counted(self, energies, units, at=None):
+            firsts.append(np.asarray(energies).copy())
+            return char_values(self, energies, units, at)
+
+        monkeypatch.setattr(M1Params, "char_values", counted)
+        solve_levels(model, units, 5, cfg)
+        assert firsts[0].size == 32 * 5 + 1 and firsts[0][0] == cfg.e_min
+        firsts.clear()
+        sweep._gaps_at(
+            model, units, np.array([2.0]), np.array([1]), cfg, np.array([2.0]), np.array([6.0])
+        )
+        assert firsts[0].size == 1 + 64 + 1 and firsts[0][0] == cfg.e_min
+        assert firsts[0][1] == 2.0 and firsts[0][-1] == 6.0
