@@ -23,7 +23,6 @@ __all__ = [
     "OracleConfig",
     "TridiagonalHamiltonian",
     "build_hamiltonian",
-    "sturm_count",
     "lowest_eigenvalues",
     "oracle_levels",
     "wronskian_constancy",
@@ -191,11 +190,6 @@ def build_hamiltonian(
     if e_top is None:
         e_top = model.level_window(units, 6)
     return _assemble(model, units, _grid_spec(model, units, cfg, e_top))
-
-
-def sturm_count(T: TridiagonalHamiltonian, energy: float) -> int:
-    """Number of eigenvalues of T strictly below `energy`."""
-    return int(_kernels.sturm_counts(T.diag, T.offdiag, np.array([energy]))[0])
 
 
 def lowest_eigenvalues(

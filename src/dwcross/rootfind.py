@@ -16,13 +16,13 @@ amount whatever its length, but no row reads another's values: each
 comes out as it would if scanned alone.  solve_rows solves many models
 of one family so.
 
-Refinement never leaves its bracket, and comes in two forms, each used
-where it was measured to pay.  refine_rows refines every bracket of many
-rows in lockstep, one array call per round over the brackets still open
-(regula falsi with the Illinois rule, bisecting a bracket that stalls).
-solve_rows uses it, so a sweep's 800 to 1200 brackets share each call's
-fixed cost.  refine_root, a guarded bisection with inverse-quadratic
-acceleration, takes the scalar form of F (through models.characteristic_fn).
+Refinement never leaves its bracket.  Its one rule, regula falsi with
+Anderson and Bjorck's end scaling and a bisection where a bracket stalls,
+comes in two forms that give the same root bit for bit on the same F.
+refine_rows refines every bracket of many rows in lockstep, one array
+call per round over the brackets still open.  solve_rows uses it, so a
+sweep's 800 to 1200 brackets share each call's fixed cost.  refine_root
+refines one bracket on the scalar form of F (models.characteristic_fn).
 solve_levels and the probes of the sweep's crossing search use it: they
 hold one to a dozen brackets, and a numpy call on so few costs more than
 the math-module arithmetic of a scalar step.
@@ -340,66 +340,59 @@ def _scan_rows(
     return levels
 
 
-def refine_root(f: Callable[[float], float], bracket: Bracket, cfg: RootfindConfig) -> float:
-    """Root inside the bracket, to width max(tol_abs, 4 eps |E|).
+# Steps a bracket may take without halving its width before it bisects.
+_STALL_STEPS = 4
 
-    Bisection with inverse-quadratic/secant acceleration; every iterate
-    stays inside the original bracket, so convergence is guaranteed and
-    deterministic.
+
+def refine_root(f: Callable[[float], float], bracket: Bracket, cfg: RootfindConfig) -> float:
+    """Root inside the bracket, to width max(tol_abs, 4 eps |E|): refine_rows'
+    rule on one bracket and the scalar f, with the same arithmetic in the
+    same order, so that on the same F both give the same root bit for bit
+    after as many steps.
+
+    Raises:
+        NonConvergenceError: as refine_rows, F is not finite at a step or
+            the bracket exceeds its 300 steps (stage "refine").
     """
     a, b, fa, fb = bracket
     if not (a < b) or (fa > 0.0 and fb > 0.0) or (fa < 0.0 and fb < 0.0):
         raise ValueError(f"invalid bracket {bracket}")
-    # b tracks the best (smallest |f|) endpoint, c its counterpart.
-    if abs(fa) < abs(fb):
-        a, b, fa, fb = b, a, fb, fa
-    c, fc = a, fa
-    e = d = b - a
+    # as refine_rows' state: the secant's values, whether the last step
+    # replaced a (None before the first), the width at the last halving and
+    # the steps since
+    tol_abs = cfg.tol_abs
+    wa, wb, kept, ref, stalls = fa, fb, None, b - a, 0
     for _ in range(300):
-        if fb == 0.0:
-            return b
-        tol = 0.5 * max(cfg.tol_abs, 4.0 * 2.22e-16 * abs(b))
-        m = 0.5 * (c - b)
-        if abs(m) <= tol:
-            return b
-        if abs(e) < tol or abs(fa) <= abs(fb):
-            e = d = m
+        best = a if abs(fa) < abs(fb) else b
+        tol = 4.0 * 2.22e-16 * abs(best)
+        tol = tol if tol > tol_abs else tol_abs
+        if fa == 0.0 or fb == 0.0 or b - a <= tol:
+            return best
+        x = 0.5 * (a + b) if stalls >= _STALL_STEPS else a + (b - a) * (wa / (wa - wb))
+        lo, hi = a + 0.5 * tol, b - 0.5 * tol
+        x = lo if x < lo else x  # as refine_rows' np.maximum, then np.minimum
+        x = hi if x > hi else x
+        fx = f(x)
+        if not math.isfinite(fx):
+            raise NonConvergenceError(
+                f"refine: F is not finite at E={x!r} in the bracket {list(bracket[:2])} eV"
+            )
+        left = fx > 0.0 if fa > 0.0 else fx < 0.0
+        scale = 1.0
+        if left == kept:
+            m = 1.0 - fx / (fa if left else fb)
+            scale = m if m > 0.0 else 0.5
+        kept = left
+        if left:
+            a, fa, wa, wb = x, fx, fx, wb * scale
         else:
-            s = fb / fa
-            if a == c:
-                p = 2.0 * m * s
-                q = 1.0 - s
-            else:
-                q = fa / fc
-                r = fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            else:
-                p = -p
-            s = e
-            e = d
-            if 2.0 * p < 3.0 * m * q - abs(tol * q) and p < abs(0.5 * s * q):
-                d = p / q
-            else:
-                e = d = m
-        a, fa = b, fb
-        if abs(d) > tol:
-            b += d
-        elif m > 0.0:
-            b += tol
+            b, fb, wb, wa = x, fx, fx, wa * scale
+        if b - a <= 0.5 * ref:
+            ref, stalls = b - a, 0
         else:
-            b -= tol
-        fb = f(b)
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            e = d = b - a
-        if abs(fc) < abs(fb):
-            a, b, fa, fb = b, c, fb, fc
-            c, fc = a, fa
+            stalls += 1
     raise NonConvergenceError(
-        f"refine: the root on [{bracket.lo!r}, {bracket.hi!r}] exceeded its iteration budget"
+        f"refine: the root on {list(bracket[:2])} exceeded its iteration budget"
     )
 
 
@@ -408,10 +401,6 @@ def refine_levels(
 ) -> list[float]:
     """A scan's levels as energies: each Bracket refined on f."""
     return [refine_root(f, x, cfg) if isinstance(x, Bracket) else x for x in levels]
-
-
-# Steps a bracket may take without halving its width before it bisects.
-_STALL_STEPS = 4
 
 
 def refine_rows(
@@ -425,13 +414,14 @@ def refine_rows(
     tol = max(tol_abs, 4 eps |E|), with the end of smaller |F|.  Every
     other bracket of every row takes one step per round, and each round
     makes one array call over them (in blocks of at most _EVAL_BLOCK
-    energies).  A step is regula falsi with the Illinois rule (Dowell and
-    Jarratt, 1971): the value at an end kept twice running is halved.  It
+    energies).  A step is regula falsi with Anderson and Bjorck's end
+    scaling (BIT 13, 1973): the secant value at an end kept twice running
+    is scaled by m = 1 - F(x)/F(replaced end), or halved where m <= 0.  It
     is held at least tol/2 inside its bracket, so a root within tol/2 of
     an end closes the bracket; and a bracket that 4 steps have not halved
     bisects.  The first step uses the scan's f_lo and f_hi.  Each
     bracket's steps depend on its own values only, so each row comes out
-    as it would if refined alone.
+    as it would if refined alone, and as refine_root gives it.
 
     Raises:
         NonConvergenceError: F is not finite at a step, or a bracket exceeds
@@ -450,7 +440,7 @@ def refine_rows(
     if not ((lo < hi) & (f_lo * np.sign(f_hi) <= 0.0)).all():
         raise ValueError("invalid bracket among the rows")
     # one column per open bracket: its ends and F there, the values its
-    # secant uses (F, the one at an end kept twice running halved), the end
+    # secant uses (F, the one at an end kept twice running scaled), the end
     # its last step kept (-1 lo, 1 hi, 0 none), its width when it last
     # halved, the steps since then, its row, and its index in slots
     zeros = np.zeros(len(slots))
@@ -480,9 +470,10 @@ def refine_rows(
         # x replaces the end whose F has its sign; an exact 0 replaces b
         left = fx * np.sign(fa) > 0.0
         keep = np.where(left, 1.0, -1.0)
-        halve = np.where(keep == kept, 0.5, 1.0)
-        a, fa, wa = np.where(left, x, a), np.where(left, fx, fa), np.where(left, fx, wa * halve)
-        b, fb, wb = np.where(left, b, x), np.where(left, fb, fx), np.where(left, wb * halve, fx)
+        m = 1.0 - fx / np.where(left, fa, fb)
+        scale = np.where(keep == kept, np.where(m > 0.0, m, 0.5), 1.0)
+        a, fa, wa = np.where(left, x, a), np.where(left, fx, fa), np.where(left, fx, wa * scale)
+        b, fb, wb = np.where(left, b, x), np.where(left, fb, fx), np.where(left, wb * scale, fx)
         halved = b - a <= 0.5 * ref
         ref = np.where(halved, b - a, ref)
         stalls = np.where(halved, 0.0, stalls + 1.0)

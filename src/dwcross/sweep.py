@@ -200,9 +200,11 @@ def detect_avoided_crossings(
     squared gap over its flanking grid cells, down to 1e-5 of the sweep
     window; its lambda_star, gap and e_mid are those of the best point
     probed.  The count certifies every probe's two levels as levels
-    level_index and level_index + 1.  Boundary minima are excluded (see
-    edge_candidates).  cfg is the root-finding configuration the table was
-    solved with.
+    level_index and level_index + 1.  A minimum whose two flanking grid
+    rows hold different numbers of levels below cfg.e_min is a relabelling
+    of the table's columns, not a crossing, and is dropped.  Boundary
+    minima are excluded (see edge_candidates).  cfg is the root-finding
+    configuration the table was solved with.
     """
     model, units = table.model, table.units
     base = cfg if cfg is not None else RootfindConfig()
@@ -216,6 +218,12 @@ def detect_avoided_crossings(
         return []
     rows, cols = np.array(minima).T
     e_lo, e_hi = np.array([_energy_window(table, row, col) for row, col in minima]).T
+    # a level passing e_min relabels the columns above it: their gap curves
+    # jump where the flanking rows count differently below e_min
+    lams = table.lambdas[np.concatenate((rows - 1, rows + 1))]
+    _, counts = model.char_values(np.full(lams.size, base.e_min), units, at=lams)
+    same = counts[: rows.size] == counts[rows.size :]
+    rows, cols, e_lo, e_hi = rows[same], cols[same], e_lo[same], e_hi[same]
 
     def probe(k: np.ndarray, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _gaps_at(model, units, lams, cols[k], base, e_lo[k], e_hi[k])

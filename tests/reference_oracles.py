@@ -123,6 +123,11 @@ def isolated_well_level(v0, width, u, tol=1e-13):
     return bisect(f, lo, hi, tol)
 
 
+def sturm_count(T, energy):
+    """Number of eigenvalues of the oracle's matrix T strictly below energy."""
+    return int(sturm_counts(T.diag, T.offdiag, np.array([energy]))[0])
+
+
 def sturm_backing(model, units, levels, tol, e_top):
     """Oracle Sturm counts N(E - tol) and N(E + tol) at each level, on a
     finite-difference grid fine enough that its O(h^2) level error

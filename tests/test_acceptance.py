@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reference_oracles import sturm_count
 from dwcross.cli import PRESETS, main
 from dwcross.models import (
     M1Params,
@@ -29,7 +30,6 @@ from dwcross.oracle import (
     build_hamiltonian,
     lowest_eigenvalues,
     oracle_levels,
-    sturm_count,
     wronskian_constancy,
 )
 from dwcross.rootfind import RootfindConfig, solve_levels

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_oracles import sturm_count
 from dwcross import _kernels, cli, models, oracle
 from dwcross.errors import ConfigError, DomainError
 from dwcross.models import M1Params, M2Params, M3Params, M4Params, UnitsConfig
@@ -22,7 +23,6 @@ from dwcross.oracle import (
     build_hamiltonian,
     lowest_eigenvalues,
     oracle_levels,
-    sturm_count,
     wronskian_constancy,
 )
 from dwcross.rootfind import RootfindConfig, solve_levels

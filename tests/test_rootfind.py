@@ -110,11 +110,11 @@ class TestScanBrackets:
     def test_expected_count_from_oracle_sturm(self):
         # the scan finds as many brackets below the window top as the
         # independent finite-difference Sturm count there, and no more
-        from dwcross.oracle import OracleConfig, build_hamiltonian, sturm_count
+        from dwcross.oracle import OracleConfig, build_hamiltonian
 
         m = M1Params(10.0, 2.0, 2.0)
         T = build_hamiltonian(m, U1, OracleConfig(n_points=2000))
-        expected = sturm_count(T, 12.0)
+        expected = reference_oracles.sturm_count(T, 12.0)
         assert expected == 4
         cfg = RootfindConfig(e_min=1e-9, e_max=12.0)
         brackets = scan_brackets(values_fn(m), cfg, expected)
@@ -359,8 +359,20 @@ def _bracket(g, lo, hi):
     return Bracket(lo, hi, float(g(np.float64(lo))), float(g(np.float64(hi))))
 
 
+def _counted(g, counts):
+    """g on Python floats, counting its evaluations in counts[0]."""
+
+    def f(e):
+        counts[0] += 1
+        return g(e)
+
+    return f
+
+
 class TestRefineRows:
     def test_each_root_as_refine_root_and_as_alone(self):
+        # one rule in two forms: the same root bit for bit, after the same
+        # number of evaluations
         levels = [[_bracket(g, lo, hi)] for g, lo, hi, _ in _ROWS]
         levels[0].append(0.25)  # a doublet's midpoint passes through
         cfg = RootfindConfig()
@@ -368,14 +380,47 @@ class TestRefineRows:
         assert got[0][1] == 0.25
         for r, (g, lo, hi, root) in enumerate(_ROWS):
             x = got[r][0]
-            scalar = refine_root(lambda e: float(g(np.float64(e))), levels[r][0], cfg)
-            assert abs(x - root) <= cfg.tol_abs and abs(x - scalar) <= cfg.tol_abs
+            evals = [0]
+            scalar_g = _counted(lambda e: float(g(np.float64(e))), evals)
+            scalar = refine_root(scalar_g, levels[r][0], cfg)
+            assert abs(x - root) <= cfg.tol_abs and x == scalar
             calls = []
             assert refine_rows(_rows_fn(calls, r), [[levels[r][0]]], cfg) == [[x]]
+            assert sum(calls) == evals[0]
             if r == 2:  # an exact zero at an end costs no evaluation
                 assert x == 3.0 and calls == []
             if r == 3:
                 assert x == 5.0 and calls == [1]
+
+    @pytest.mark.parametrize(
+        "model,n",
+        [
+            (M2Params(10.0, 2.0, 1.0, 3.0), 6),
+            (M3Params(50.0, 1.5, 2.5), 6),
+            # levels 5 and 6 lie within 8e-8 eV of 9.56355 eV, where F and N
+            # go back and forth
+            (M4Params(130.3175284899192, 1.7959721417898837, 1.7959721417898837,
+                      1.1405624060483137), 8),
+        ],
+        ids=["m2", "m3", "m4-flat"],
+    )
+    def test_model_brackets_as_refine_root(self, model, n):
+        # the rows form on the scalar F, elementwise, gives every root of a
+        # model's scan as refine_root does, after as many evaluations
+        cfg = RootfindConfig(e_max=model.level_window(U1, n))
+        brackets = [x for x in scan_brackets(values_fn(model), cfg, n) if isinstance(x, Bracket)]
+        assert len(brackets) == n
+        scalar_f = characteristic_fn(model, U1)
+        energies = []
+
+        def f(e, rows):
+            energies.append(e.size)
+            return np.array([scalar_f(x) for x in e.tolist()]), np.zeros_like(e)
+
+        evals = [0]
+        scalar = [refine_root(_counted(scalar_f, evals), x, cfg) for x in brackets]
+        assert refine_rows(f, [[x] for x in brackets], cfg) == [[x] for x in scalar]
+        assert sum(energies) == evals[0]
 
     def test_bisection_bounds_the_rounds(self):
         # a bracket bisects when _STALL_STEPS steps have not halved it, so
@@ -392,8 +437,9 @@ class TestRefineRows:
         assert len(calls) <= (rootfind._STALL_STEPS + 1) * widest
         # every call spans the brackets still open, which only drop out
         assert calls[0] == 3 and calls == sorted(calls, reverse=True)
-        # the steep root stalls regula falsi, Illinois rule or not (94
-        # rounds without the bisections); with them it beats bisection alone
+        # the steep root stalls regula falsi: without the bisections it
+        # exceeds the 300-step budget (the Illinois rule's constant 1/2
+        # took 94 rounds); with them it takes 26, fewer than bisection alone
         steep = []
         refine_rows(_rows_fn(steep), levels[:1], cfg)
         assert len(steep) < halvings(*levels[0][0][:2])
@@ -407,6 +453,15 @@ class TestRefineRows:
         with pytest.raises(NonConvergenceError, match=message) as info:
             refine_rows(lambda e, rows: (g(e), e), levels, RootfindConfig(tol_abs=1e-300))
         assert info.value.row == 1
+        with pytest.raises(NonConvergenceError, match=message):
+            refine_root(g, levels[1][0], RootfindConfig(tol_abs=1e-300))
+        # F not finite at the first step, E = 1.5
+        message = r"^refine: F is not finite at E=1\.5 in the bracket \[1\.0, 2\.0\] eV$"
+        bracket = Bracket(1.0, 2.0, -1.0, 1.0)
+        with pytest.raises(NonConvergenceError, match=message):
+            refine_rows(lambda e, rows: (np.full_like(e, np.nan), e), [[bracket]], RootfindConfig())
+        with pytest.raises(NonConvergenceError, match=message):
+            refine_root(lambda e: math.nan, bracket, RootfindConfig())
         with pytest.raises(ValueError):
             refine_rows(_rows_fn([]), [[Bracket(1.0, 2.0, 1.0, 2.0)]], RootfindConfig())
 

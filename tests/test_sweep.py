@@ -236,6 +236,12 @@ class TestEffectiveLevels:
             assert abs(raw_star - eff_star) <= 2.0 * cell
 
 
+def _count_below(table, row, energy):
+    """The number of levels below energy at grid row `row` of the table."""
+    model = table.model.at(float(table.lambdas[row]))
+    return int(model.char_values(np.array([energy]), table.units)[1][0])
+
+
 class TestDetection:
     def test_symmetric_point_crossing(self):
         # the b ~ 2 avoided crossing of the delta-in-box family
@@ -287,6 +293,23 @@ class TestDetection:
         stars = [ac.lambda_star for ac in acs]
         assert stars == sorted(stars)
         assert len(acs) == 2  # the c ~ 2.0 and c ~ 3.36 crossings
+
+    def test_label_jump_at_e_min_is_not_a_crossing(self):
+        # with e_min = 1.0 eV, E1 passes e_min near b = 3.0372 on fig3: the
+        # columns above it relabel there, and gap 2's curve jumps from 1.8
+        # to 4.4 eV, a grid minimum that is no crossing
+        run = parse_config(["detect", "--preset", "fig3", "--e-min", "1.0"])
+        cfg = run.build_rootfind()
+        table = sweep_levels(run.build_model(), run.build_units(), run.build_sweep_spec(), cfg)
+        jumps = [
+            (row, col) for row, col in sweep._interior_minima(gap_curves(table), run.gap_ceiling)
+            if _count_below(table, row - 1, 1.0) != _count_below(table, row + 1, 1.0)
+        ]
+        assert len(jumps) == 1 and jumps[0][1] == 1
+        assert table.lambdas[jumps[0][0] - 1] < 3.0372 < table.lambdas[jumps[0][0] + 1]
+        acs = detect_avoided_crossings(table, cfg, run.gap_ceiling)
+        assert [ac.level_index for ac in acs] == [2, 3, 1, 3, 1]
+        assert all(abs(ac.lambda_star - 3.0372) > 0.01 for ac in acs)
 
     def test_default_ceiling_is_fifth_of_median(self):
         model = M1Params(10.0, 2.0, 2.0)
@@ -423,7 +446,10 @@ class TestBrentLockstep:
         table = sweep_levels(run.build_model(), run.build_units(), run.build_sweep_spec(), cfg)
         acs = detect_avoided_crossings(table, cfg, run.gap_ceiling)
         ceiling = run.gap_ceiling if run.gap_ceiling is not None else default_gap_ceiling(table)
-        minima = sweep._interior_minima(gap_curves(table), ceiling)
+        minima = [
+            (row, col) for row, col in sweep._interior_minima(gap_curves(table), ceiling)
+            if _count_below(table, row - 1, cfg.e_min) == _count_below(table, row + 1, cfg.e_min)
+        ]
         assert len(acs) == len(minima)
         lam_tol = float(table.lambdas[-1] - table.lambdas[0]) * sweep._LAMBDA_TOL_FRACTION
         golden = []
