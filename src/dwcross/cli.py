@@ -201,38 +201,36 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="dwcross",
         description="Bound-state spectra and avoided crossings of 1D double wells",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("solve", "solve the first N levels at a fixed parameter point"),
-        ("sweep", "sweep the well parameter and tabulate the level curves"),
-        ("detect", "sweep, then locate and refine avoided crossings"),
-        ("compare", "gate the analytic levels against the finite-difference oracle"),
-    ):
-        p = sub.add_parser(name, help=text)
-        p.add_argument("--config", type=Path, help="key=value configuration file")
-        p.add_argument("--preset", choices=sorted(PRESETS), help="bundled figure configuration")
-        p.add_argument("--model", choices=list(VARIANTS))
-        p.add_argument("--u", type=float, help="units constant 2*mu/hbar^2 in 1/(eV A^2)")
-        p.add_argument("--v0", type=float, help="barrier height (eV) or delta strength (eV*A)")
-        p.add_argument("--a", type=float)
-        p.add_argument("--b", type=float)
-        p.add_argument("--c", type=float)
-        p.add_argument("--hw1", type=float)
-        p.add_argument("--hw2", type=float)
-        p.add_argument("--lambda-min", dest="lambda_min", type=float)
-        p.add_argument("--lambda-max", dest="lambda_max", type=float)
-        p.add_argument("--lambda-steps", dest="steps", type=int)
-        p.add_argument("--levels", type=int)
-        p.add_argument("--out", type=Path)
-        p.add_argument("--svg", type=Path, help="also emit a line chart (sweep only)")
-        p.add_argument("--effective", action="store_true", default=None,
-                       help="append width-scaled levels u*(a+b)^2*E (m1 sweeps)")
-        p.add_argument("--tolerance", type=float, help="compare gate tolerance in eV")
-        p.add_argument("--oracle-points", dest="oracle_points", type=int)
-        p.add_argument("--no-richardson", dest="richardson", action="store_false", default=None)
-        p.add_argument("--gap-ceiling", dest="gap_ceiling", type=float)
-        p.add_argument("--e-min", dest="e_min", type=float)
-        p.add_argument("--e-max", dest="e_max", type=float)
+    parser.add_argument(
+        "command", choices=list(_COMMANDS),
+        help="solve: the first N levels at a fixed parameter point; sweep: the level "
+        "curves over the well parameter; detect: sweep, then locate and refine avoided "
+        "crossings; compare: gate the analytic levels against the finite-difference oracle",
+    )
+    parser.add_argument("--config", type=Path, help="key=value configuration file")
+    parser.add_argument("--preset", choices=sorted(PRESETS), help="bundled figure configuration")
+    parser.add_argument("--model", choices=list(VARIANTS))
+    parser.add_argument("--u", type=float, help="units constant 2*mu/hbar^2 in 1/(eV A^2)")
+    parser.add_argument("--v0", type=float, help="barrier height (eV) or delta strength (eV*A)")
+    parser.add_argument("--a", type=float)
+    parser.add_argument("--b", type=float)
+    parser.add_argument("--c", type=float)
+    parser.add_argument("--hw1", type=float)
+    parser.add_argument("--hw2", type=float)
+    parser.add_argument("--lambda-min", dest="lambda_min", type=float)
+    parser.add_argument("--lambda-max", dest="lambda_max", type=float)
+    parser.add_argument("--lambda-steps", dest="steps", type=int)
+    parser.add_argument("--levels", type=int)
+    parser.add_argument("--out", type=Path)
+    parser.add_argument("--svg", type=Path, help="also emit a line chart (sweep only)")
+    parser.add_argument("--effective", action="store_true", default=None,
+                        help="append width-scaled levels u*(a+b)^2*E (m1 sweeps)")
+    parser.add_argument("--tolerance", type=float, help="compare gate tolerance in eV")
+    parser.add_argument("--oracle-points", dest="oracle_points", type=int)
+    parser.add_argument("--no-richardson", dest="richardson", action="store_false", default=None)
+    parser.add_argument("--gap-ceiling", dest="gap_ceiling", type=float)
+    parser.add_argument("--e-min", dest="e_min", type=float)
+    parser.add_argument("--e-max", dest="e_max", type=float)
     return parser
 
 
@@ -258,17 +256,17 @@ def _expand_preset(values: dict) -> dict:
 
 
 def _collect(argv: list[str]) -> tuple[str, dict]:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-    merged: dict = {}
-    if ns.preset:
-        merged.update(PRESETS[ns.preset])
+    ns = _build_parser().parse_args(argv)
+    values: dict = {}
     if ns.config:
         try:
             text = Path(ns.config).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {ns.config}: {exc}") from exc
-        merged.update(_expand_preset(parse_config_text(text)))
+        values = parse_config_text(text)
+    if ns.preset:  # the flag's preset, else the file's
+        values["preset"] = ns.preset
+    merged = _expand_preset(values)
     for f in fields(RunConfig):
         value = getattr(ns, f.name, None)
         if value is not None:

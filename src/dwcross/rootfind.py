@@ -9,12 +9,13 @@ change of F brackets one level.  A cell that still holds levels when it
 is too narrow to halve is an unresolved doublet, which double precision
 cannot split: each of its levels is its midpoint.
 
-A scan may hold many independent rows (the points of a sweep, or the
-probes of its crossing search), each with its own window and count
-origin.  Their grids share each array call, which costs mostly a fixed
-amount whatever its length, but no row reads another's values: each
-comes out as it would if scanned alone.  solve_rows solves many models
-of one family so.
+Every trial grid starts at e_min, so its first node gives the count
+origin N(e_min), and a window grows only at its top.  A scan may hold
+many independent rows (the points of a sweep, or the probes of its
+crossing search), each with its own window top and count origin.  Their
+grids share each array call, which costs mostly a fixed amount whatever
+its length, but no row reads another's values: each comes out as it
+would if scanned alone.  solve_rows solves many models of one family so.
 
 Refinement never leaves its bracket.  Its one rule, regula falsi with
 Anderson and Bjorck's end scaling and a bisection where a bracket stalls,
@@ -149,7 +150,6 @@ def scan_brackets(
     cfg: RootfindConfig,
     n: int,
     first: int | np.ndarray = 0,
-    e_lo: float | np.ndarray = 0.0,
     e_hi: float | np.ndarray | None = None,
     *,
     cells_per_level: int = _CELLS_PER_LEVEL,
@@ -158,24 +158,23 @@ def scan_brackets(
     of one row or of many independent rows: each a Bracket or a doublet's
     midpoint.
 
-    One row: first, e_lo and e_hi are numbers, f maps a 1-D array of
-    energies to (F, N) there (for a model, its char_values), and the
-    result is the row's levels.  Many rows: first, e_lo or e_hi is a 1-D
-    array with one entry per row (the others broadcast), f maps (energies,
-    rows) to (F, N), rows[i] being the row of energies[i], and the result
-    is one list of levels per row.  The rows share one array call per
-    round (in blocks of at most _EVAL_BLOCK energies); every row keeps its
-    own window, count origin and growth, and comes out as it would alone.
+    One row: first and e_hi are numbers, f maps a 1-D array of energies to
+    (F, N) there (for a model, its char_values), and the result is the
+    row's levels.  Many rows: first or e_hi is a 1-D array with one entry
+    per row (the other broadcasts), f maps (energies, rows) to (F, N),
+    rows[i] being the row of energies[i], and the result is one list of
+    levels per row.  The rows share one array call per round (in blocks of
+    at most _EVAL_BLOCK energies); every row keeps its own window top,
+    count origin and growth, and comes out as it would alone.
 
-    Each row's trial window, from [max(e_lo, e_min), e_hi] on (e_hi
-    defaults to cfg.e_max), is one pass over cells_per_level * n cells,
-    plus e_min when the window starts above it.  While its end counts miss
-    a wanted level, its bottom drops to e_min or its top grows 1.6-fold,
-    up to 1e4 eV.  Then each round halves, in one pass, every cell holding
-    a wanted level whose count rises by 2 or more, or by 1 with no sign
-    change of F, down to max(tol_abs, 4 eps |E|).  A midpoint whose count
-    falls outside its cell's end counts is not trusted, and that cell
-    stops.
+    Each row's trial window, from [e_min, e_hi] on (e_hi defaults to
+    cfg.e_max), is one pass over cells_per_level * n cells, whose first
+    node gives the count origin N(e_min).  While its top counts fewer than
+    the wanted levels, the top grows 1.6-fold, up to 1e4 eV.  Then each
+    round halves, in one pass, every cell holding a wanted level whose
+    count rises by 2 or more, or by 1 with no sign change of F, down to
+    max(tol_abs, 4 eps |E|).  A midpoint whose count falls outside its
+    cell's end counts is not trusted, and that cell stops.
 
     Raises:
         NonConvergenceError: F is not finite (stage "scan"); the count
@@ -191,13 +190,13 @@ def scan_brackets(
     top = cfg.e_max if e_hi is None else e_hi
     if top is None:
         raise ValueError("scan_brackets needs cfg.e_max or e_hi")
-    if not any(isinstance(v, np.ndarray) for v in (first, e_lo, e_hi)):
+    if not any(isinstance(v, np.ndarray) for v in (first, e_hi)):
         return _scan_rows(
             lambda e, rows: f(e), cfg, n, cells_per_level,
-            np.array([first], dtype=float), np.array([max(e_lo, cfg.e_min)]), np.array([top]),
+            np.array([first], dtype=float), np.array([top], dtype=float),
         )[0]
-    firsts, los, his = (np.array(v, dtype=float) for v in np.broadcast_arrays(first, e_lo, top))
-    return _scan_rows(f, cfg, n, cells_per_level, firsts, np.maximum(los, cfg.e_min), his)
+    firsts, tops = (np.array(v, dtype=float) for v in np.broadcast_arrays(first, top))
+    return _scan_rows(f, cfg, n, cells_per_level, firsts, tops)
 
 
 # Rows of _scan_rows's halving state, one column per node: the node's
@@ -214,76 +213,54 @@ def _scan_rows(
     n: int,
     cells_per_level: int,
     first: np.ndarray,
-    lo: np.ndarray,
     hi: np.ndarray,
 ) -> list[list[Bracket | float]]:
-    """scan_brackets on rows 0 ... lo.size - 1; lo and hi are updated in
-    place as the windows grow."""
+    """scan_brackets on rows 0 ... hi.size - 1; hi is updated in place as
+    the windows grow."""
 
     def window(row: int) -> str:
-        return f"in the window [{float(lo[row])}, {float(hi[row])}] eV"
+        return f"in the window [{float(e_min)}, {float(hi[row])}] eV"
 
     e_min = cfg.e_min
     nodes = cells_per_level * n + 1  # of a trial grid
     steps = np.arange(float(nodes))
-    todo = np.arange(lo.size)  # rows whose window is still searched
+    xs, fs, ns = (np.empty((hi.size, nodes)) for _ in range(3))
+    todo = np.arange(hi.size)  # rows whose window is still searched
     while True:
-        bottom, top = lo[todo], hi[todo]
+        top = hi[todo]
         # np.linspace's arithmetic, row by row
-        x = steps * ((top - bottom) / (nodes - 1.0))[:, None] + bottom[:, None]
+        x = steps * ((top - e_min) / (nodes - 1.0))[:, None] + e_min
         x[:, -1] = top
-        # rows starting above e_min count from it too: their e_min nodes
-        # come first, then every row's grid
-        below = bottom > e_min
-        starts = below.nonzero()[0]
-        energies, rows = x.ravel(), todo.repeat(nodes)
-        if starts.size:
-            energies = np.concatenate((np.full(starts.size, e_min), energies))
-            rows = np.concatenate((todo[starts], rows))
-        values, counts = _evaluate(f, energies, rows, "scan", lambda i: window(rows[i]))
-        fx = values[starts.size :].reshape(x.shape)
-        nx = counts[starts.size :].reshape(x.shape)
-        fx_min, nx_min = fx[:, 0].copy(), nx[:, 0].copy()  # F and N at e_min
-        fx_min[starts], nx_min[starts] = values[: starts.size], counts[: starts.size]
-        if todo.size == lo.size:
-            xs, fs, ns, f_min, n_min, above = x, fx, nx, fx_min, nx_min, below
-        else:
-            xs[todo], fs[todo], ns[todo] = x, fx, nx
-            f_min[todo], n_min[todo], above[todo] = fx_min, nx_min, below
-        want = nx_min + first[todo]
-        low = nx[:, 0] > want
-        short = nx[:, -1] < want + n
-        grow = low | short
+        rows = todo.repeat(nodes)
+        values, counts = _evaluate(f, x.ravel(), rows, "scan", lambda i: window(rows[i]))
+        nx = counts.reshape(x.shape)
+        xs[todo], fs[todo], ns[todo] = x, values.reshape(x.shape), nx
+        grow = nx[:, -1] < nx[:, 0] + first[todo] + n
         if grow.any():
             # a falling count makes the end counts meaningless: the check
             # after the halving reports it
-            grow &= ~((nx[:, 1:] < nx[:, :-1]).any(axis=1) | (nx[:, 0] < nx_min))
+            grow &= ~(nx[:, 1:] < nx[:, :-1]).any(axis=1)
         if not grow.any():
             break
-        capped = (grow & short & (top >= _E_MAX_CAP)).nonzero()[0]
+        capped = (grow & (top >= _E_MAX_CAP)).nonzero()[0]
         if capped.size:
             i = int(capped[0])
             raise NonConvergenceError(
-                f"window growth: only {nx[i, -1] - nx_min[i]:.0f} levels "
+                f"window growth: only {nx[i, -1] - nx[i, 0]:.0f} levels "
                 f"{window(todo[i])}, which reaches the {_E_MAX_CAP} eV cap",
                 row=int(todo[i]),
             )
         todo = todo[grow]
-        lo[todo] = np.where(low[grow], e_min, bottom[grow])
-        hi[todo] = np.where(short[grow], np.minimum(top[grow] * _EXPAND, _E_MAX_CAP), top[grow])
+        hi[todo] = np.minimum(top[grow] * _EXPAND, _E_MAX_CAP)
 
-    want = n_min + first
+    want = ns[:, 0] + first
     state = np.empty((5, xs.size))
     state[_X] = xs.ravel()
     state[_F] = fs.ravel()
     state[_R] = (ns - want[:, None]).ravel()
-    state[_ROW] = np.arange(lo.size).repeat(nodes)
+    state[_ROW] = np.arange(hi.size).repeat(nodes)
     state[_STOP] = 0.0
     state[_STOP, nodes - 1 :: nodes] = 2.0
-    starts = above.nonzero()[0]
-    if starts.size:  # each of these rows starts with its e_min node
-        heads = [np.full(starts.size, e_min), f_min[starts], n_min[starts] - want[starts], starts]
-        state = np.insert(state, starts * nodes, heads + [np.zeros(starts.size)], axis=1)
     while True:
         xs, fs, rs, row, stopped = state
         held = np.minimum(rs[1:], n) - np.maximum(rs[:-1], 0.0)
@@ -326,7 +303,7 @@ def _scan_rows(
     # a cell across two rows holds no wanted level: the first row's top
     # count reaches its wanted levels
     cells = (held > 0.0).nonzero()[0]
-    levels: list[list[Bracket | float]] = [[] for _ in range(lo.size)]
+    levels: list[list[Bracket | float]] = [[] for _ in range(hi.size)]
     for r, whole, x0, x1, f0, f1, m in zip(
         *(v.tolist() for v in (
             row[cells].astype(int), bracket[cells], xs[cells], xs[cells + 1], fs[cells],
@@ -558,7 +535,7 @@ def solve_rows(
             else the one refine_rows names.  Its row attribute is that row.
     """
     base = cfg if cfg is not None else RootfindConfig()
-    size = max(1, _EVAL_BLOCK // (_ROWS_CELLS_PER_LEVEL * n_levels + 2))
+    size = max(1, _EVAL_BLOCK // (_ROWS_CELLS_PER_LEVEL * n_levels + 1))
     found: list[list[Bracket | float]] = []
     offset = 0  # the failed row, less the row the error names if it does
     try:

@@ -31,9 +31,6 @@ __all__ = [
 # Distance to a non-positive integer below which Gamma is treated as at a pole.
 POLE_TOLERANCE = 1e-12
 
-# Points per chunk of recip_gamma_log_values.
-_CHUNK = 2048
-
 
 def _log_abs_gamma(x: float) -> float:
     """math.lgamma(x), or +inf where log|Gamma(x)| itself overflows (x above
@@ -70,8 +67,7 @@ def recip_gamma_log_values(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """recip_gamma_log on a 1-D array: (signs, logs), the signs as floats
     -1.0, 0.0 and 1.0.  Elementwise the same pole rule (nearest integer
     rounded half to even), parity sign and math.lgamma call, so signs and
-    logs equal the scalar ones exactly.  Long arrays go _CHUNK points at a
-    time, which bounds the temporaries.
+    logs equal the scalar ones exactly.
 
     Raises:
         DomainError: some x is not finite.
@@ -80,16 +76,6 @@ def recip_gamma_log_values(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(x).all():
         bad = float(x[~np.isfinite(x)][0])
         raise DomainError(f"recip_gamma_log_values requires finite x, got {bad!r}")
-    if x.size <= _CHUNK:
-        return _recip_gamma_log_chunk(x)
-    signs, logs = np.empty_like(x), np.empty_like(x)
-    for start in range(0, x.size, _CHUNK):
-        part = slice(start, start + _CHUNK)
-        signs[part], logs[part] = _recip_gamma_log_chunk(x[part])
-    return signs, logs
-
-
-def _recip_gamma_log_chunk(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     nearest = np.rint(x)
     live = ~((nearest <= 0.0) & (np.abs(x - nearest) < POLE_TOLERANCE))
     points = x[live].tolist()

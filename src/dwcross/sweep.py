@@ -12,8 +12,8 @@ alone by solve_rows would.  Detected gap minima are refined by Brent's
 minimiser on the squared gap, which near an avoided crossing is a parabola
 in the swept parameter, all crossings in lockstep: each round probes every
 crossing still open with one scan.  Each probe finds the two flanking
-levels by their count indices, starting from the table's energy window
-around them, and refines them on the scalar F (see rootfind).
+levels by their count indices, scanning from e_min up to a top taken
+from the table, and refines them on the scalar F (see rootfind).
 """
 
 from __future__ import annotations
@@ -152,23 +152,22 @@ def _gaps_at(
     lams: np.ndarray,
     cols: np.ndarray,
     cfg: RootfindConfig,
-    e_lo: np.ndarray,
     e_hi: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(gaps, mid-energies) between level columns cols[k] and cols[k]+1 at
     lambda = lams[k], one probe per k, all in one scan.
 
     The two levels are the ones with count indices N(e_min)+col+1 and
-    N(e_min)+col+2, the labels of the table's columns.  Each probe's scan
-    starts on the table's window [e_lo[k], e_hi[k]] around them and widens
-    it only when the count says a level left it.
+    N(e_min)+col+2, the labels of the table's columns.  Each probe scans
+    [e_min, e_hi[k]], the top taken from the table above the pair, and
+    raises the top only when the count says a level lies above it.
     """
     varied = [model.at(lam) for lam in lams.tolist()]
 
     def values(energies: np.ndarray, rows: np.ndarray):
         return model.char_values(energies, units, at=lams[rows])
 
-    scans = scan_brackets(values, cfg, 2, cols, e_lo, e_hi)
+    scans = scan_brackets(values, cfg, 2, cols, e_hi)
     pairs = [refine_levels(characteristic_fn(v, units), x, cfg) for v, x in zip(varied, scans)]
     lo_root, hi_root = np.array(pairs).T
     return hi_root - lo_root, 0.5 * (lo_root + hi_root)
@@ -217,16 +216,16 @@ def detect_avoided_crossings(
     if not minima:
         return []
     rows, cols = np.array(minima).T
-    e_lo, e_hi = np.array([_energy_window(table, row, col) for row, col in minima]).T
+    e_hi = np.array([_energy_top(table, row, col) for row, col in minima])
     # a level passing e_min relabels the columns above it: their gap curves
     # jump where the flanking rows count differently below e_min
     lams = table.lambdas[np.concatenate((rows - 1, rows + 1))]
     _, counts = model.char_values(np.full(lams.size, base.e_min), units, at=lams)
     same = counts[: rows.size] == counts[rows.size :]
-    rows, cols, e_lo, e_hi = rows[same], cols[same], e_lo[same], e_hi[same]
+    rows, cols, e_hi = rows[same], cols[same], e_hi[same]
 
     def probe(k: np.ndarray, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _gaps_at(model, units, lams, cols[k], base, e_lo[k], e_hi[k])
+        return _gaps_at(model, units, lams, cols[k], base, e_hi[k])
 
     searched = _brent_lockstep(probe, table.lambdas[rows - 1], table.lambdas[rows + 1], lam_tol)
     found = [
@@ -236,20 +235,15 @@ def detect_avoided_crossings(
     return sorted(found, key=lambda ac: ac.lambda_star)
 
 
-def _energy_window(table: SpectrumTable, row: int, col: int) -> tuple[float, float]:
-    """Energy window around levels (col, col+1) at the coarse minimum that
-    excludes the neighboring levels across the three flanking rows."""
+def _energy_top(table: SpectrumTable, row: int, col: int) -> float:
+    """Top of a probe window for levels (col, col+1) at the coarse minimum:
+    above the pair and, where the table holds one, below the next level,
+    across the three flanking rows."""
     rows = table.levels[max(0, row - 1) : row + 2]
-    lo_pair = float(np.min(rows[:, col]))
     hi_pair = float(np.max(rows[:, col + 1]))
-    below = float(np.max(rows[:, col - 1])) if col > 0 else 0.0
-    lo = 0.5 * (below + lo_pair) if col > 0 else max(1e-9, lo_pair - 0.5 * (hi_pair - lo_pair))
     if col + 2 < table.levels.shape[1]:
-        above = float(np.min(rows[:, col + 2]))
-        hi = 0.5 * (hi_pair + above)
-    else:
-        hi = hi_pair + 0.75 * (hi_pair - lo_pair) + 1e-6
-    return lo, hi
+        return 0.5 * (hi_pair + float(np.min(rows[:, col + 2])))
+    return hi_pair + 0.75 * (hi_pair - float(np.min(rows[:, col]))) + 1e-6
 
 
 # probe(k, lams): the (gaps, mid-energies) of crossings k at lambdas lams.

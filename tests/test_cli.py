@@ -1,6 +1,5 @@
 """Command-line surface: config parsing, presets, CSV/SVG output, exit codes."""
 
-import argparse
 import dataclasses
 import math
 import os
@@ -105,18 +104,38 @@ class TestPresets:
         assert cfg.build_model().b == 1.5  # file overrides preset
         assert cfg.levels == 3  # flag overrides file
 
+    def test_preset_flag_overrides_file_preset(self, tmp_path):
+        # the flag's preset replaces the file's, and still sits below the
+        # file's other keys; a later --model mixes with fig5's values only
+        path = tmp_path / "run.cfg"
+        path.write_text("preset=fig3\nlevels=2\n", encoding="utf-8")
+        cfg = parse_config(["detect", "--preset", "fig5", "--config", str(path)])
+        assert cfg.build_model() == M2Params(v0=10.0, a=2.0, b=1.0, c=2.0)
+        assert (cfg.lambda_min, cfg.levels, cfg.gap_ceiling) == (1.05, 2, None)
+        cfg = parse_config(["solve", "--preset", "fig5", "--config", str(path), "--model", "m2"])
+        assert cfg.build_model() == M2Params(v0=10.0, a=2.0, b=1.0, c=2.0)
+
+    def test_file_preset_below_file_keys_and_flags(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("preset=fig3\nb=1.5\n", encoding="utf-8")
+        cfg = parse_config(["solve", "--config", str(path), "--levels", "3"])
+        assert cfg.build_model() == M1Params(v0=10.0, a=2.0, b=1.5)
+        assert (cfg.levels, cfg.gap_ceiling) == (3, 2.5)
+
+    def test_flags_before_the_command(self):
+        before = parse_config(["--preset", "fig3", "--levels", "3", "detect", "--b", "1.5"])
+        after = parse_config(["detect", "--preset", "fig3", "--levels", "3", "--b", "1.5"])
+        assert before == after and before.levels == 3 and before.b == 1.5
+
 
 def test_settings_views_agree():
     # a setting is a RunConfig field, a config key and a flag destination
     # alike; a knob removed from one view and left in another fails here
     # (preset and config only select where settings come from)
-    parser = _build_parser()
-    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     fields = {f.name for f in dataclasses.fields(RunConfig)}
     assert _ALL_KEYS - {"preset"} == fields
-    for name, sub in commands.choices.items():
-        dests = {a.dest for a in sub._actions if a.dest != "help"}
-        assert dests - {"config", "preset"} == fields, name
+    dests = {a.dest for a in _build_parser()._actions if a.dest != "help"}
+    assert dests - {"command", "config", "preset"} == fields
 
 
 def run_cli(tmp_path, monkeypatch, args):

@@ -324,23 +324,22 @@ class TestDetection:
 class TestGapProbe:
     def test_focused_and_wide_windows_agree(self):
         # the refinement probe labels its two roots by count indices, so a
-        # window starting below level col, or between the pair (which the
-        # probe lowers to e_min), gives the same pair as a focused one
+        # window top far above the pair, or between the pair (which the
+        # probe raises), gives the same pair as a focused one
         from dwcross.sweep import _gaps_at
 
-        def gap_at(lam, col, e_lo, e_hi):
+        def gap_at(lam, col, e_hi):
             gaps, mids = _gaps_at(
-                model, U1, np.array([lam]), np.array([col]), cfg,
-                np.array([e_lo]), np.array([e_hi]),
+                model, U1, np.array([lam]), np.array([col]), cfg, np.array([e_hi])
             )
             return float(gaps[0]), float(mids[0])
 
         model = M2Params(10.0, 2.0, 1.0, 2.0)
         cfg = RootfindConfig()
         lam = 3.3553
-        focused = gap_at(lam, 1, 4.8, 6.2)
-        for e_lo, e_hi in ((0.5, 11.5), (5.38, 6.2)):
-            other = gap_at(lam, 1, e_lo, e_hi)
+        focused = gap_at(lam, 1, 6.2)
+        for e_hi in (11.5, 5.38):
+            other = gap_at(lam, 1, e_hi)
             assert focused[0] == pytest.approx(other[0], abs=1e-8)
             assert focused[1] == pytest.approx(other[1], abs=1e-8)
         assert focused[0] == pytest.approx(0.0617, abs=1e-3)
@@ -454,12 +453,12 @@ class TestBrentLockstep:
         lam_tol = float(table.lambdas[-1] - table.lambdas[0]) * sweep._LAMBDA_TOL_FRACTION
         golden = []
         for row, col in minima:
-            e_lo, e_hi = sweep._energy_window(table, row, col)
+            e_hi = sweep._energy_top(table, row, col)
 
-            def gap_fn(lam, col=col, e_lo=e_lo, e_hi=e_hi):
+            def gap_fn(lam, col=col, e_hi=e_hi):
                 gaps, mids = sweep._gaps_at(
                     table.model, table.units, np.array([lam]), np.array([col]), cfg,
-                    np.array([e_lo]), np.array([e_hi]),
+                    np.array([e_hi]),
                 )
                 return float(gaps[0]), float(mids[0])
 
@@ -502,10 +501,10 @@ class TestWorkCounts:
         monkeypatch.setattr(M1Params, "char_values", counted)
         monkeypatch.setattr(rootfind, "refine_rows", refining)
         sweep_levels(model, units, spec, cfg)
-        # a row's trial grid, at the sweep's density, plus e_min at most;
-        # whole rows per block and fig3's one halving round (one group's)
-        # cost at most one more call
-        nodes = rootfind._ROWS_CELLS_PER_LEVEL * spec.n_levels + 2
+        # a row's trial grid, at the sweep's density, from e_min; whole
+        # rows per block and fig3's one halving round (one group's) cost at
+        # most one more call
+        nodes = rootfind._ROWS_CELLS_PER_LEVEL * spec.n_levels + 1
         blocks = math.ceil(spec.steps * nodes / rootfind._EVAL_BLOCK)
         assert len(sizes["scan"]) <= blocks + 1
         # one call per refinement round over every open bracket of every
@@ -532,7 +531,7 @@ class TestWorkCounts:
     def test_single_solves_and_probes_keep_32_cells(self, monkeypatch):
         # only solve_rows scans at the sweep's density: solve_levels' first
         # trial grid has 32 cells per level, and a crossing probe's (two
-        # levels, its e_min node aside) 64
+        # levels, from e_min up) 64
         run, model, units, _, _ = self._fig3()
         cfg = RootfindConfig()
         firsts = []
@@ -546,8 +545,5 @@ class TestWorkCounts:
         solve_levels(model, units, 5, cfg)
         assert firsts[0].size == 32 * 5 + 1 and firsts[0][0] == cfg.e_min
         firsts.clear()
-        sweep._gaps_at(
-            model, units, np.array([2.0]), np.array([1]), cfg, np.array([2.0]), np.array([6.0])
-        )
-        assert firsts[0].size == 1 + 64 + 1 and firsts[0][0] == cfg.e_min
-        assert firsts[0][1] == 2.0 and firsts[0][-1] == 6.0
+        sweep._gaps_at(model, units, np.array([2.0]), np.array([1]), cfg, np.array([6.0]))
+        assert firsts[0].size == 64 + 1 and firsts[0][0] == cfg.e_min and firsts[0][-1] == 6.0
