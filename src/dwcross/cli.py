@@ -136,14 +136,12 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def build_rootfind(self) -> RootfindConfig | None:
+    def build_rootfind(self) -> RootfindConfig:
         overrides = {}
         if self.e_min is not None:
             overrides["e_min"] = self.e_min
         if self.e_max is not None:
             overrides["e_max"] = self.e_max
-        if not overrides:
-            return None
         try:
             return RootfindConfig(**overrides)
         except ValueError as exc:

@@ -387,17 +387,6 @@ def _sum_sign(s1: np.ndarray, l1: np.ndarray, s2: np.ndarray, l2: np.ndarray) ->
     return np.where(l1 > l2, s1, np.where(l1 < l2, s2, 0.5 * (s1 + s2)))
 
 
-def _param_log(x):
-    """math.log of a number, or of each element of an array: np.log may
-    round differently.  An array is taken once per run of equal values, as
-    a sweep parameter repeats along each row of energies."""
-    if not isinstance(x, np.ndarray):
-        return math.log(x)
-    starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))
-    logs = np.fromiter(map(math.log, x[starts].tolist()), float, starts.size)
-    return np.repeat(logs, np.diff(np.append(starts, x.size)))
-
-
 class _Ops(NamedTuple):
     """The primitives a level condition is built from, for one input form."""
 
@@ -422,17 +411,17 @@ _SCALAR = _Ops(
 _ARRAY = _Ops(
     np.sqrt, np.sin, np.cos,
     _gamma_factor_values, _barrier_factor_values, _signed_log_values, _signed_exp_sum_values,
-    _param_log, True,
+    np.log, True,
 )
 
 
-def _harmonic_orders(energy, hw1: float, hw2, u: float):
+def _harmonic_orders(energy, hw1: float, hw2, u: float, ops: _Ops):
     """(nu1, nu2, alpha1, alpha2); hw2, the sweep parameter, may be an
     array aligned with the energies."""
     nu1 = energy / hw1 - 0.5
     nu2 = energy / hw2 - 0.5
     alpha1 = math.sqrt(u * hw1)
-    alpha2 = np.sqrt(u * hw2) if isinstance(hw2, np.ndarray) else math.sqrt(u * hw2)
+    alpha2 = ops.sqrt(u * hw2)
     return nu1, nu2, alpha1, alpha2
 
 
@@ -609,7 +598,7 @@ class M3Params(ModelParams):
         roots at hw1 = hw2 where D_nu(0) = 0 (there all three products vanish
         through the exact zeros of j).  Terms are combined in log space.
         """
-        nu1, nu2, alpha1, alpha2 = _harmonic_orders(e, self.hw1, self.hw2, u)
+        nu1, nu2, alpha1, alpha2 = _harmonic_orders(e, self.hw1, self.hw2, u, ops)
         (sh1, lh1), (sh2, lh2), (sj1, lj1), (sj2, lj2) = ops.gamma_factors(nu1, nu2)
         terms = [
             (sh2 * sj1, _LN_SQRT2 + ops.log(alpha2) + lh2 + lj1),
@@ -684,7 +673,7 @@ class M4Params(ModelParams):
         (sign, log) pair; a zero factor, or w = 0, has sign 0 and leaves its
         term dead.
         """
-        nu1, nu2, alpha1, alpha2 = _harmonic_orders(e, self.hw1, self.hw2, u)
+        nu1, nu2, alpha1, alpha2 = _harmonic_orders(e, self.hw1, self.hw2, u, ops)
         (sh1, lh1), (sh2, lh2), (sj1, lj1), (sj2, lj2) = ops.gamma_factors(nu1, nu2)
         w = u * (self.v0 - e)
         c_fac, s_fac = ops.barrier_factors(w, self.a)

@@ -295,19 +295,14 @@ def _multisect(
         if open_levels.size == 0:
             break
         probes = los[open_levels, None] + (his - los)[open_levels, None] * fractions[None, :]
-        counts = _kernels.sturm_counts(T.diag, T.offdiag, probes.ravel())
-        counts = counts.reshape(probes.shape)
-        for row, j in enumerate(open_levels):
-            want = j + 1
-            below = counts[row] >= want
-            first = int(np.argmax(below)) if below.any() else None
-            if first is None:
-                los[j] = probes[row, -1]
-            elif first == 0:
-                his[j] = probes[row, 0]
-            else:
-                los[j] = probes[row, first - 1]
-                his[j] = probes[row, first]
+        counts = _kernels.sturm_counts(T.diag, T.offdiag, probes.ravel()).reshape(probes.shape)
+        # each open level's new bracket is the cell of (lo, probes, hi) that
+        # ends at the first probe counting the level in, or at hi if none does
+        below = counts >= open_levels[:, None] + 1
+        first = np.where(below.any(axis=1), np.argmax(below, axis=1), probes.shape[1])
+        ends = np.column_stack((los[open_levels], probes, his[open_levels]))
+        rows = np.arange(open_levels.size)
+        los[open_levels], his[open_levels] = ends[rows, first], ends[rows, first + 1]
     else:
         raise NonConvergenceError("eigenvalue multisection did not converge")
     return sorted(0.5 * (los[j] + his[j]) for j in range(los.size))

@@ -13,9 +13,10 @@ Every trial grid starts at e_min, so its first node gives the count
 origin N(e_min), and a window grows only at its top.  A scan may hold
 many independent rows (the points of a sweep, or the probes of its
 crossing search), each with its own window top and count origin.  Their
-grids share each array call, which costs mostly a fixed amount whatever
-its length, but no row reads another's values: each comes out as it
-would if scanned alone.  solve_rows solves many models of one family so.
+grids share each round's array call (in blocks of at most _EVAL_BLOCK
+energies), which costs mostly a fixed amount whatever its length, but no
+row reads another's values: each comes out as it would if scanned alone.
+solve_rows solves many models of one family so, all in one scan.
 
 Refinement never leaves its bracket.  Its one rule, regula falsi with
 Anderson and Bjorck's end scaling and a bisection where a bracket stalls,
@@ -112,7 +113,6 @@ class RootfindConfig:
 
 
 # Energies per array evaluation of f: bounds the temporaries of wide grids.
-# It also sizes the groups of rows that solve_rows scans together.
 _EVAL_BLOCK = 2048
 
 
@@ -127,22 +127,18 @@ def _evaluate(
             energy of the lowest row is named, with the stage and place(i),
             i being its index in xs.
     """
-    parts = []
+    values, counts = np.empty(xs.size), np.empty(xs.size)
     for start in range(0, xs.size, _EVAL_BLOCK):
         block = slice(start, start + _EVAL_BLOCK)
-        values, counts = f(xs[block], rows[block])
-        finite = np.isfinite(values)
+        values[block], counts[block] = f(xs[block], rows[block])
+        finite = np.isfinite(values[block])
         if not finite.all():
             bad = (~finite).nonzero()[0] + start
             i = int(bad[np.argmin(rows[bad])])
             raise NonConvergenceError(
                 f"{stage}: F is not finite at E={float(xs[i])!r} {place(i)}", row=int(rows[i])
             )
-        parts.append((values, counts))
-    if len(parts) == 1:
-        return parts[0]
-    values, counts = zip(*parts)
-    return np.concatenate(values), np.concatenate(counts)
+    return values, counts
 
 
 def scan_brackets(
@@ -224,7 +220,9 @@ def _scan_rows(
     e_min = cfg.e_min
     nodes = cells_per_level * n + 1  # of a trial grid
     steps = np.arange(float(nodes))
-    xs, fs, ns = (np.empty((hi.size, nodes)) for _ in range(3))
+    state = np.empty((5, hi.size * nodes))
+    grids = state.reshape(5, hi.size, nodes)  # a view: one trial grid per row
+    want = np.empty(hi.size)
     todo = np.arange(hi.size)  # rows whose window is still searched
     while True:
         top = hi[todo]
@@ -234,8 +232,10 @@ def _scan_rows(
         rows = todo.repeat(nodes)
         values, counts = _evaluate(f, x.ravel(), rows, "scan", lambda i: window(rows[i]))
         nx = counts.reshape(x.shape)
-        xs[todo], fs[todo], ns[todo] = x, values.reshape(x.shape), nx
-        grow = nx[:, -1] < nx[:, 0] + first[todo] + n
+        want[todo] = nx[:, 0] + first[todo]
+        grids[_X, todo], grids[_F, todo] = x, values.reshape(x.shape)
+        grids[_R, todo] = nx - want[todo, None]
+        grow = nx[:, -1] < want[todo] + n
         if grow.any():
             # a falling count makes the end counts meaningless: the check
             # after the halving reports it
@@ -253,11 +253,6 @@ def _scan_rows(
         todo = todo[grow]
         hi[todo] = np.minimum(top[grow] * _EXPAND, _E_MAX_CAP)
 
-    want = ns[:, 0] + first
-    state = np.empty((5, xs.size))
-    state[_X] = xs.ravel()
-    state[_F] = fs.ravel()
-    state[_R] = (ns - want[:, None]).ravel()
     state[_ROW] = np.arange(hi.size).repeat(nodes)
     state[_STOP] = 0.0
     state[_STOP, nodes - 1 :: nodes] = 2.0
@@ -485,7 +480,7 @@ def solve_levels(
     model: ModelParams,
     units: UnitsConfig,
     n_levels: int,
-    cfg: RootfindConfig | None = None,
+    cfg: RootfindConfig = RootfindConfig(),
 ) -> list[float]:
     """First n_levels levels of the model above cfg.e_min, ascending.
 
@@ -501,11 +496,10 @@ def solve_levels(
     """
     if n_levels < 1:
         raise ValueError(f"n_levels must be >= 1, got {n_levels}")
-    base = cfg if cfg is not None else RootfindConfig()
     try:
-        top = _start_top(model, units, n_levels, base)
-        levels = scan_brackets(partial(model.char_values, units=units), base, n_levels, e_hi=top)
-        return refine_levels(characteristic_fn(model, units), levels, base)
+        top = _start_top(model, units, n_levels, cfg)
+        levels = scan_brackets(partial(model.char_values, units=units), cfg, n_levels, e_hi=top)
+        return refine_levels(characteristic_fn(model, units), levels, cfg)
     except NonConvergenceError as exc:
         raise NonConvergenceError(f"{model!r}: {exc}") from exc
 
@@ -515,41 +509,32 @@ def solve_rows(
     models: list[ModelParams],
     units: UnitsConfig,
     n_levels: int,
-    cfg: RootfindConfig | None = None,
+    cfg: RootfindConfig = RootfindConfig(),
 ) -> list[list[float]]:
     """solve_levels on many models at once, one row each.  f maps
     (energies, rows) to (F, N) there, each energy's from its row's model
-    (for a family of models, char_values with `at`).  The rows are scanned
-    at 8 cells per wanted level (solve_levels scans at 32), in groups whose
-    trial grids fill one evaluation block, one scan_brackets call per
-    group; then one refine_rows call refines the brackets of every row in
+    (for a family of models, char_values with `at`).  One scan_brackets
+    call scans every row, at 8 cells per wanted level (solve_levels scans
+    at 32); then one refine_rows call refines the brackets of every row in
     lockstep.  Each row is scanned and refined as it would be alone: it
     comes out bit for bit as solve_rows on its model alone, and within
     2 max(tol_abs, 4 eps |E|) of solve_levels, which refines on the scalar
     F.
 
     Raises:
-        NonConvergenceError: as solve_levels, for the first row to fail:
-            the lowest row whose window cannot start, else the one
-            scan_brackets names in the first group with a scan failure,
-            else the one refine_rows names.  Its row attribute is that row.
+        NonConvergenceError: as solve_levels, for the first row to fail.
+            The rounds go in turn: the window start (in row order), then
+            the scan's window search, its halving and its count check, then
+            the refinement; within one round the lowest row fails first.
+            The row attribute is the row named.
     """
-    base = cfg if cfg is not None else RootfindConfig()
-    size = max(1, _EVAL_BLOCK // (_ROWS_CELLS_PER_LEVEL * n_levels + 1))
-    found: list[list[Bracket | float]] = []
-    offset = 0  # the failed row, less the row the error names if it does
+    tops = np.empty(len(models))
+    row = 0
     try:
-        tops = []
-        for offset, model in enumerate(models):
-            tops.append(_start_top(model, units, n_levels, base))
-        for offset in range(0, len(models), size):
-            found += scan_brackets(
-                lambda e, rows: f(e, rows + offset), base, n_levels,
-                e_hi=np.array(tops[offset : offset + size]),
-                cells_per_level=_ROWS_CELLS_PER_LEVEL,
-            )
-        offset = 0
-        return refine_rows(f, found, base)
+        for row, model in enumerate(models):
+            tops[row] = _start_top(model, units, n_levels, cfg)
+        levels = scan_brackets(f, cfg, n_levels, e_hi=tops, cells_per_level=_ROWS_CELLS_PER_LEVEL)
+        return refine_rows(f, levels, cfg)
     except NonConvergenceError as exc:
-        row = offset + (exc.row or 0)
+        row = row if exc.row is None else exc.row
         raise NonConvergenceError(f"{models[row]!r}: {exc}", row=row) from exc

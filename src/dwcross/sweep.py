@@ -93,7 +93,7 @@ def sweep_levels(
     model: ModelParams,
     units: UnitsConfig,
     spec: SweepSpec,
-    cfg: RootfindConfig | None = None,
+    cfg: RootfindConfig = RootfindConfig(),
 ) -> SpectrumTable:
     """Solve the first n_levels at every grid point of the model's sweep
     parameter, the rows scanned and refined together (rootfind.solve_rows):
@@ -105,12 +105,10 @@ def sweep_levels(
     solve: a point outside the model's valid range raises ConfigError.
     A solver failure aborts the sweep with NonConvergenceError.  Both name
     the offending grid index (partial tables are never returned).  When
-    several points fail, the scan's failures come first: the one named
-    lies in the first group of rows, in grid order, that holds a scan
-    failure, and is the point that group's scan fails on first (the window
-    search, then the halving, then the count check; the lowest index
-    within one round).  Else it is the lowest index whose refinement
-    failed in the earliest round.
+    several points fail, the one named fails in the earliest round (the
+    window start, the scan's window search, its halving, its count check,
+    then the refinement), and has the lowest index of those failing in
+    that round.
     """
     lambdas = spec.grid()
     name = model.sweep_param
@@ -189,7 +187,7 @@ def _interior_minima(gaps: np.ndarray, ceiling: float) -> list[tuple[int, int]]:
 
 def detect_avoided_crossings(
     table: SpectrumTable,
-    cfg: RootfindConfig | None = None,
+    cfg: RootfindConfig = RootfindConfig(),
     gap_ceiling: float | None = None,
 ) -> list[AvoidedCrossing]:
     """Certified avoided crossings of a sweep, sorted by lambda_star.
@@ -206,7 +204,6 @@ def detect_avoided_crossings(
     configuration the table was solved with.
     """
     model, units = table.model, table.units
-    base = cfg if cfg is not None else RootfindConfig()
     gaps = gap_curves(table)
     ceiling = gap_ceiling if gap_ceiling is not None else default_gap_ceiling(table)
     # linspace stores both window ends exactly
@@ -220,12 +217,12 @@ def detect_avoided_crossings(
     # a level passing e_min relabels the columns above it: their gap curves
     # jump where the flanking rows count differently below e_min
     lams = table.lambdas[np.concatenate((rows - 1, rows + 1))]
-    _, counts = model.char_values(np.full(lams.size, base.e_min), units, at=lams)
+    _, counts = model.char_values(np.full(lams.size, cfg.e_min), units, at=lams)
     same = counts[: rows.size] == counts[rows.size :]
     rows, cols, e_hi = rows[same], cols[same], e_hi[same]
 
     def probe(k: np.ndarray, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _gaps_at(model, units, lams, cols[k], base, e_hi[k])
+        return _gaps_at(model, units, lams, cols[k], cfg, e_hi[k])
 
     searched = _brent_lockstep(probe, table.lambdas[rows - 1], table.lambdas[rows + 1], lam_tol)
     found = [

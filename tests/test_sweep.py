@@ -81,6 +81,22 @@ class _NonFiniteInBracket(M1Params):
         return np.where(hit, np.nan, values), counts
 
 
+class _TwoFailingPoints(M1Params):
+    """Above 5 eV the count drops to 0 where b = falling, and F is NaN
+    where b = nan."""
+
+    falling = nan = None
+
+    def char_values(self, energies, units, at=None):
+        values, counts = super().char_values(energies, units, at)
+        b = np.asarray(self.b if at is None else at)
+        high = energies > 5.0
+        return (
+            np.where((b == self.nan) & high, np.nan, values),
+            np.where((b == self.falling) & high, 0.0, counts),
+        )
+
+
 class TestSweepLevels:
     def test_free_well_closed_form(self):
         spec = SweepSpec(0.5, 3.0, 11, 3)
@@ -111,7 +127,7 @@ class TestSweepLevels:
     )
     def test_middle_row_failure_names_its_index(self, cls, stage):
         # only the point b = 2.0, grid index 4 of 9, fails; the other rows
-        # of its group scan on
+        # share the sweep's one scan and go on
         spec = SweepSpec(1.0, 3.0, 9, 3)
         model = cls(10.0, 2.0, 2.0)
         top = M1Params(10.0, 2.0, 2.0).level_window(U1, 3)
@@ -122,6 +138,22 @@ class TestSweepLevels:
         with pytest.raises(NonConvergenceError, match=message) as info:
             sweep_levels(model, U1, spec)
         assert info.value.row == 4
+
+    def test_earliest_round_failure_is_named(self, monkeypatch):
+        # the count falls at grid index 10 and F is NaN at index 150: the
+        # NaN fails the window search, the count only the check after the
+        # halving, so index 150 is named though index 10 comes first
+        spec = SweepSpec(1.0, 3.0, 201, 3)
+        lams = spec.grid()
+        monkeypatch.setattr(_TwoFailingPoints, "falling", lams[10])
+        monkeypatch.setattr(_TwoFailingPoints, "nan", lams[150])
+        message = (
+            r"^sweep failed at grid index 150 \(b=2\.5\): _TwoFailingPoints\(v0=10\.0, a=2\.0, "
+            r"b=2\.5\): scan: F is not finite at E=\S+ in the window "
+        )
+        with pytest.raises(NonConvergenceError, match=message) as info:
+            sweep_levels(_TwoFailingPoints(10.0, 2.0, 2.0), U1, spec)
+        assert info.value.row == 150
 
     def test_refine_failure_names_its_index(self, monkeypatch):
         # F is NaN only inside the lowest bracket of the point b = 2.0,
@@ -169,7 +201,7 @@ class TestSweepLevels:
         # on the scalar one: they round differently, so the levels agree
         # to two refinement tolerances, not bit for bit
         model, units, cfg, spec, table = self._preset_sweep(preset)
-        tol_abs = (cfg or RootfindConfig()).tol_abs
+        tol_abs = cfg.tol_abs
         for lam, row in zip(table.lambdas.tolist(), table.levels.tolist()):
             single = solve_levels(model.at(lam), units, spec.n_levels, cfg)
             for got, want in zip(row, single):
@@ -441,7 +473,7 @@ class TestBrentLockstep:
         # each crossing's scalar golden-section search on the same bracket,
         # with the same probe, lands within lam_tol of Brent's lambda*
         run = parse_config(["detect"] + args)
-        cfg = run.build_rootfind() or RootfindConfig()
+        cfg = run.build_rootfind()
         table = sweep_levels(run.build_model(), run.build_units(), run.build_sweep_spec(), cfg)
         acs = detect_avoided_crossings(table, cfg, run.gap_ceiling)
         ceiling = run.gap_ceiling if run.gap_ceiling is not None else default_gap_ceiling(table)
@@ -502,7 +534,7 @@ class TestWorkCounts:
         monkeypatch.setattr(rootfind, "refine_rows", refining)
         sweep_levels(model, units, spec, cfg)
         # a row's trial grid, at the sweep's density, from e_min; whole
-        # rows per block and fig3's one halving round (one group's) cost at
+        # rows per block and fig3's one halving round over all rows cost at
         # most one more call
         nodes = rootfind._ROWS_CELLS_PER_LEVEL * spec.n_levels + 1
         blocks = math.ceil(spec.steps * nodes / rootfind._EVAL_BLOCK)
@@ -514,6 +546,17 @@ class TestWorkCounts:
         assert sizes["refine"][0] == spec.steps * spec.n_levels
         assert sum(sizes["scan"]) + sum(sizes["refine"]) <= 15_000
         assert max(sizes["scan"] + sizes["refine"]) <= rootfind._EVAL_BLOCK
+
+    def test_sweep_scans_once(self, monkeypatch):
+        # one scan_brackets call over every row of the sweep
+        _, model, units, spec, cfg = self._fig3()
+        calls = []
+        scan = rootfind.scan_brackets
+        monkeypatch.setattr(
+            rootfind, "scan_brackets", lambda *a, **k: calls.append(a) or scan(*a, **k)
+        )
+        sweep_levels(model, units, spec, cfg)
+        assert len(calls) == 1
 
     def test_detect_scans_once_per_brent_round(self, monkeypatch):
         # one scan per round of the lockstep searches; on the parabolic
