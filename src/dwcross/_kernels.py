@@ -70,6 +70,18 @@ def _pivots(
     and q is the row of pivots before the block (None at row 0).  With
     pivmin given, pivots with |q| < pivmin are clamped to -pivmin."""
     ratio = np.empty_like(block[0])
+    if pivmin is None:
+        # the bare loop runs once per row of the grid: locals, positional
+        # out arguments and the first row peeled keep its body to two calls
+        divide, subtract = np.divide, np.subtract
+        rows = iter(block)
+        if q is None:
+            q = next(rows)  # row 0 has no coupling
+            couplings = couplings[1:]
+        for row, coupling in zip(rows, couplings):
+            subtract(row, divide(coupling, q, ratio), row)
+            q = row
+        return block
     for row, coupling in zip(block, couplings):
         if q is not None:
             np.subtract(row, np.divide(coupling, q, out=ratio), out=row)

@@ -31,8 +31,19 @@ __all__ = [
 # Interior points when OracleConfig.n_points is left unset.
 _DEFAULT_POINTS = {"m1": 4000, "m2": 4000, "m3": 6000, "m4": 6000}
 
-# Probes per unconverged level and per multisection pass.
-_PROBES_PER_LEVEL = 8
+# Shifts of one multisection pass, shared evenly among the open levels,
+# at least _MIN_PROBES per level.  A pass costs its row loop more than its
+# shifts: on a 12 001-row matrix one Sturm pass takes 8.4 ms at 8 shifts,
+# 9.2 ms at 35, 10.5 ms at 63, 14.0 ms at 140 and 21.3 ms at 280 (2.1 GHz
+# x86-64).  So a pass of 63 shifts splits one open level 64 ways where 8
+# shifts split it 8 ways, for a quarter more time.  compare's geometric
+# mean over the five presets read 109 ms at 35 shifts (7 per level),
+# 93 ms at 63, 92 ms at 127 and 137 ms at 255.
+_SHIFT_BUDGET = 63
+_MIN_PROBES = 7
+
+# Multisection passes before a bracket still open is an error.
+_MAX_PASSES = 300
 
 # Grid nodes per call of the potential's cell average: holds its
 # temporaries to a fixed size on the finest grids.
@@ -211,8 +222,9 @@ def lowest_eigenvalues(
     T's by 3/4 of its O(h^2) error, (E - lo)^2 u h^2 / 16 for a free
     particle (0.07-1.1 times that on the five figure presets), so each
     bracket starts 4x as wide on either side, (E - lo)^2 / -T.offdiag[0]
-    (the grid's u (h/2)^2 is -1 / offdiag), and widens until the count
-    confirms it.
+    (the grid's u (h/2)^2 is -1 / offdiag).  The first multisection pass
+    counts at the bracket's ends as well as inside it (see _multisect), so
+    no pass is spent on confirming the seeds alone.
     """
     if n < 1 or n > T.size:
         raise ValueError(f"need 1 <= n <= {T.size}, got {n}")
@@ -225,7 +237,7 @@ def lowest_eigenvalues(
         raise ValueError(f"need {n} seeds, got {seeds.size}")
     lo, _ = _gershgorin(T)
     width = np.maximum((seeds - lo) ** 2 / -T.offdiag[0], tol)
-    return _multisect(T, *_seeded_brackets(T, seeds, width), tol)
+    return _multisect(T, seeds - width, seeds + width, tol, checked=False)
 
 
 def _gershgorin(T: TridiagonalHamiltonian) -> tuple[float, float]:
@@ -252,60 +264,78 @@ def _ladder_brackets(T: TridiagonalHamiltonian, n: int) -> tuple[np.ndarray, np.
     return ends[first], ends[first + 1]
 
 
-def _seeded_brackets(
-    T: TridiagonalHamiltonian, seeds: np.ndarray, width: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Brackets seeds[j] -/+ width[j] of levels j, each confirmed by the
-    count: N(seed - width) <= j < N(seed + width).  The width of a level
-    that fails is quadrupled and tried again, ends clamped to the
-    Gershgorin interval, where the check always holds."""
-    lo, hi = _gershgorin(T)
-    los = np.empty(seeds.size)
-    his = np.empty(seeds.size)
-    todo = np.arange(seeds.size)
-    width = np.array(width, dtype=np.float64)
-    while todo.size:
-        # a bracket as wide as [lo, hi] needs no check
-        wide = ~(width[todo] < hi - lo)
-        los[todo[wide]] = lo
-        his[todo[wide]] = hi
-        todo = todo[~wide]
-        left = np.maximum(seeds[todo] - width[todo], lo)
-        right = np.minimum(seeds[todo] + width[todo], hi)
-        counts = _kernels.sturm_counts(T.diag, T.offdiag, np.concatenate([left, right]))
-        ok = (counts[: todo.size] <= todo) & (counts[todo.size :] > todo)
-        los[todo[ok]] = left[ok]
-        his[todo[ok]] = right[ok]
-        todo = todo[~ok]
-        width[todo] *= 4.0
-    return los, his
-
-
 def _multisect(
-    T: TridiagonalHamiltonian, los: np.ndarray, his: np.ndarray, tol: float
+    T: TridiagonalHamiltonian,
+    los: np.ndarray,
+    his: np.ndarray,
+    tol: float,
+    *,
+    checked: bool = True,
 ) -> list[float]:
-    """Shrink each level's bracket, N(los[j]) <= j < N(his[j]), to width
-    <= tol by multisection; the sorted midpoints."""
+    """Shrink each level's bracket [los[j], his[j]] to width <= tol by
+    multisection; the sorted midpoints.
+
+    Each pass makes one count over _SHIFT_BUDGET shifts, shared evenly
+    among the open levels, at least _MIN_PROBES each, spaced evenly
+    inside each bracket.  Level j's new bracket is the cell that ends at
+    the first probe counting it in, N > j.
+
+    checked: every bracket already holds its level, N(los[j]) <= j <
+    N(his[j]).  Without it, the pass that probes inside a bracket counts
+    at its two ends too, and the level takes its cell only when both end
+    counts confirm it.  A level that fails quadruples its bracket's width
+    about the midpoint and is checked again in the next pass; the widths
+    grow until every bracket holds its level, at the latest once it
+    covers the Gershgorin interval.
+
+    Raises:
+        NonConvergenceError: a bracket is still open after _MAX_PASSES
+            passes; names the grid size and the first open bracket.
+    """
     los = np.array(los, dtype=np.float64)
     his = np.array(his, dtype=np.float64)
-    fractions = np.arange(1, _PROBES_PER_LEVEL) / _PROBES_PER_LEVEL
+    unchecked = np.full(los.size, not checked)
 
-    for _ in range(300):
-        open_levels = np.nonzero(his - los > tol)[0]
-        if open_levels.size == 0:
-            break
-        probes = los[open_levels, None] + (his - los)[open_levels, None] * fractions[None, :]
-        counts = _kernels.sturm_counts(T.diag, T.offdiag, probes.ravel()).reshape(probes.shape)
-        # each open level's new bracket is the cell of (lo, probes, hi) that
-        # ends at the first probe counting the level in, or at hi if none does
-        below = counts >= open_levels[:, None] + 1
-        first = np.where(below.any(axis=1), np.argmax(below, axis=1), probes.shape[1])
-        ends = np.column_stack((los[open_levels], probes, his[open_levels]))
-        rows = np.arange(open_levels.size)
-        los[open_levels], his[open_levels] = ends[rows, first], ends[rows, first + 1]
-    else:
-        raise NonConvergenceError("eigenvalue multisection did not converge")
-    return sorted(0.5 * (los[j] + his[j]) for j in range(los.size))
+    passes = 0
+    while (open_levels := np.nonzero(unchecked | (his - los > tol))[0]).size:
+        if passes == _MAX_PASSES:
+            j = int(open_levels[0])
+            raise NonConvergenceError(
+                f"multisection: level {j} still open in "
+                f"[{float(los[j])!r}, {float(his[j])!r}] eV (tol={tol!r}) "
+                f"after {passes} passes on a {T.size}-point grid"
+            )
+        passes += 1
+        tested = np.nonzero(unchecked[open_levels])[0]
+        probes = max(_MIN_PROBES, (_SHIFT_BUDGET - 2 * tested.size) // open_levels.size)
+        # ends[i] = (lo, probes..., hi) of open level i, the probes evenly
+        # spaced strictly inside
+        lo, hi = los[open_levels], his[open_levels]
+        ends = np.empty((open_levels.size, probes + 2))
+        ends[:, 0], ends[:, -1] = lo, hi
+        ends[:, 1:-1] = lo[:, None] + (hi - lo)[:, None] * (np.arange(1, probes + 1) / (probes + 1))
+        inside = ends[:, 1:-1].ravel()
+        found = _kernels.sturm_counts(
+            T.diag, T.offdiag, np.concatenate((inside, ends[tested[:, None], [0, -1]].ravel()))
+        )
+        # a checked bracket's end counts are known: N(lo) <= j < N(hi)
+        counts = np.empty(ends.shape, dtype=np.int64)
+        counts[:, 0], counts[:, -1] = open_levels, open_levels + 1
+        counts[:, 1:-1] = found[: inside.size].reshape(-1, probes)
+        counts[tested[:, None], [0, -1]] = found[inside.size :].reshape(-1, 2)
+        # the new cell ends at the first count past j; it holds the level
+        # if that count is not the lo end's and one is found at all
+        below = counts > open_levels[:, None]
+        first = np.argmax(below, axis=1)
+        held = np.nonzero(first > 0)[0]
+        los[open_levels[held]] = ends[held, first[held] - 1]
+        his[open_levels[held]] = ends[held, first[held]]
+        unchecked[open_levels[held]] = False
+        # a level its ends failed widens fourfold about the midpoint
+        failed = open_levels[first == 0]
+        mid, half = 0.5 * (los[failed] + his[failed]), 2.0 * (his[failed] - los[failed])
+        los[failed], his[failed] = mid - half, mid + half
+    return sorted((0.5 * (los + his)).tolist())
 
 
 def oracle_levels(
@@ -325,6 +355,9 @@ def oracle_levels(
 
     Raises:
         ConfigError: the grid has fewer interior points than n.
+        NonConvergenceError: the multisection, or the domain sizing after
+            5 domains, failed; the message starts with the model's repr
+            and names the stage and the bracket or domain.
     """
     box_model = model.walls is not None
     sizing = e_top if e_top is not None else model.level_window(units, n)
@@ -335,17 +368,24 @@ def oracle_levels(
                 f"cannot resolve {n} levels on an oracle grid of {spec.n_interior} "
                 f"interior points; raise the oracle's n_points (--oracle-points) above {n}"
             )
-        coarse = lowest_eigenvalues(_assemble(model, units, spec), n, _LEVEL_TOL)
-        if cfg.richardson:
-            fine_grid = _assemble(model, units, spec.refined())
-            fine = lowest_eigenvalues(fine_grid, n, _LEVEL_TOL, _seeds=coarse)
-            levels = [(4.0 * f - c) / 3.0 for c, f in zip(coarse, fine)]
-        else:
-            levels = coarse
+        try:
+            coarse = lowest_eigenvalues(_assemble(model, units, spec), n, _LEVEL_TOL)
+            if cfg.richardson:
+                fine_grid = _assemble(model, units, spec.refined())
+                fine = lowest_eigenvalues(fine_grid, n, _LEVEL_TOL, _seeds=coarse)
+                levels = [(4.0 * f - c) / 3.0 for c, f in zip(coarse, fine)]
+            else:
+                levels = coarse
+        except NonConvergenceError as exc:
+            raise NonConvergenceError(f"{model!r}: {exc}") from exc
         if box_model or levels[-1] * 1.5 <= sizing * (1.0 + _SIZING_SLACK):
             return levels
-        sizing = levels[-1] * 2.0
-    raise NonConvergenceError("oracle domain sizing did not stabilize")
+        top, sizing = levels[-1], levels[-1] * 2.0
+    x_max = spec.x_min + (spec.n_interior + 1) * spec.h
+    raise NonConvergenceError(
+        f"{model!r}: domain sizing: the top level {top!r} eV still passed 2/3 of the sizing "
+        f"energy after 5 domains, the last x in [{spec.x_min!r}, {x_max!r}]"
+    )
 
 
 def _shooting_segments(

@@ -2,6 +2,7 @@
 convergence order, and the two-sided Wronskian check."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from reference_oracles import sturm_count
 from dwcross import _kernels, cli, models, oracle
-from dwcross.errors import ConfigError, DomainError
+from dwcross.errors import ConfigError, DomainError, NonConvergenceError
 from dwcross.models import M1Params, M2Params, M3Params, M4Params, UnitsConfig
 from dwcross.oracle import (
     OracleConfig,
@@ -19,7 +20,6 @@ from dwcross.oracle import (
     _gershgorin,
     _grid_spec,
     _multisect,
-    _seeded_brackets,
     build_hamiltonian,
     lowest_eigenvalues,
     oracle_levels,
@@ -194,8 +194,9 @@ def random_tridiagonals():
 
 class TestSeededBrackets:
     """lowest_eigenvalues starts from a counted ladder, or for the h/2 grid
-    from seeds; both paths must give the levels of a cold start from the
-    whole Gershgorin interval."""
+    from seeds whose brackets the first multisection pass checks at its
+    ends; both paths must give the levels of a cold start from the whole
+    Gershgorin interval."""
 
     TOL = 1e-10
 
@@ -208,18 +209,23 @@ class TestSeededBrackets:
         got = lowest_eigenvalues(T, n, self.TOL)
         assert np.allclose(got, cold[:n], rtol=0.0, atol=self.TOL)
         # seeds near their levels, and seeds a whole level spacing off:
-        # seed j at level j + 1, the top one past it by the top spacing
+        # seed j at level j + 1, the top one past it by the top spacing,
+        # or seed j at level j - 1, the bottom one under it by the bottom
+        # spacing.  A bracket above its level fails at its lo end, one
+        # below it at its hi end; a cell taken on either end's count
+        # alone would hold no level.
         near = cold[:n] + 1e-7
-        off = cold[1:] + (cold[-1] - cold[-2]) * (np.arange(n) == n - 1)
-        for seeds in (near, off):
+        above = cold[1:] + (cold[-1] - cold[-2]) * (np.arange(n) == n - 1)
+        under = np.concatenate([[2.0 * cold[0] - cold[1]], cold[: n - 1]])
+        for seeds in (near, above, under):
             got = lowest_eigenvalues(T, n, self.TOL, _seeds=list(seeds))
             assert np.allclose(got, cold[:n], rtol=0.0, atol=self.TOL)
-            # a width far under the spacing: the count rejects the off
-            # seeds, and the widths grow until each bracket holds its level
-            los, his = _seeded_brackets(T, seeds, np.full(n, 1e-9))
-            assert_count_verified(T, los, his)
-            got = _multisect(T, los, his, self.TOL)
+            # a width far under the spacing: the first pass's end counts
+            # reject the off seeds, and the widths grow until each
+            # bracket holds its level
+            got = np.array(_multisect(T, seeds - 1e-9, seeds + 1e-9, self.TOL, checked=False))
             assert np.allclose(got, cold[:n], rtol=0.0, atol=self.TOL)
+            assert_count_verified(T, got - self.TOL, got + self.TOL)
 
     def test_seeded_fine_grid_matches_cold_start(self):
         m = M4Params(10.0, 2.0, 2.0, 1.0)
@@ -262,6 +268,45 @@ class TestOracleRegrowth:
         assert len(grids) >= 4
         assert grids[-2].x_min < grids[0].x_min
         assert np.allclose(got, [1.0, 3.0, 5.0], atol=1e-6)
+
+
+class TestMultisectionWork:
+    def test_richardson_pair_fills_its_passes(self, tmp_path, monkeypatch):
+        # every pass shares one shift budget among the open levels, and
+        # the h/2 grid checks its seeds in its first multisection pass;
+        # 7 probes per level and a pass of its own for the seed check
+        # make fig6b's pair 15 + 10 passes
+        shifts = []
+        sturm_counts = _kernels.sturm_counts
+
+        def counted(diag, offdiag, probes):
+            shifts.append(np.size(probes))
+            return sturm_counts(diag, offdiag, probes)
+
+        monkeypatch.setattr(_kernels, "sturm_counts", counted)
+        out = tmp_path / "fig6b.csv"
+        assert cli.main(["compare", "--preset", "fig6b", "--out", str(out)]) == 0
+        assert 0 < len(shifts) <= 19
+        assert max(shifts) <= oracle._SHIFT_BUDGET
+
+
+class TestOracleErrors:
+    def test_multisection_names_stage_grid_and_bracket(self):
+        T = tridiag([2.0, 2.0, 2.0], [-1.0, -1.0])
+        message = (
+            r"^multisection: level 0 still open in \[0\.58\d*, 0\.58\d*\] eV "
+            r"\(tol=1e-300\) after 300 passes on a 3-point grid$"
+        )
+        with pytest.raises(NonConvergenceError, match=message):
+            _multisect(T, [0.0, 1.0, 3.0], [1.0, 3.0, 4.0], 1e-300)
+
+    def test_oracle_levels_names_the_model(self, monkeypatch):
+        model = M1Params(0.0, 2.0, 2.0)
+        monkeypatch.setattr(oracle, "_LEVEL_TOL", 1e-300)
+        with pytest.raises(NonConvergenceError) as info:
+            oracle_levels(model, U1, 1, OracleConfig(n_points=500))
+        assert str(info.value).startswith(f"{model!r}: multisection: level 0 still open")
+        assert re.search(r"on a \d+-point grid$", str(info.value))
 
 
 class TestOracleLevels:
