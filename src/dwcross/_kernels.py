@@ -85,8 +85,7 @@ def _pivots(
     for row, coupling in zip(block, couplings):
         if q is not None:
             np.subtract(row, np.divide(coupling, q, out=ratio), out=row)
-        if pivmin is not None:
-            row[np.abs(row) < pivmin] = -pivmin
+        row[np.abs(row) < pivmin] = -pivmin
         q = row
     return block
 

@@ -366,7 +366,7 @@ def _write_crossings(path: Path, crossings: list[AvoidedCrossing]) -> None:
 def cmd_detect(cfg: RunConfig) -> int:
     """Write refined avoided crossings plus boundary candidates."""
     table = _sweep_table(cfg, _sweep_model(cfg))
-    crossings = detect_avoided_crossings(table, cfg.build_rootfind(), cfg.gap_ceiling)
+    crossings = detect_avoided_crossings(table, cfg.gap_ceiling)
     edges = edge_candidates(table, cfg.gap_ceiling)
     out = _default_out(cfg, "detect")
     _write_crossings(out, crossings)

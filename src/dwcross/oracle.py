@@ -109,6 +109,10 @@ class _GridSpec:
     n_interior: int
     delta_index: int | None
 
+    @property
+    def x_max(self) -> float:
+        return self.x_min + (self.n_interior + 1) * self.h
+
     def refined(self) -> "_GridSpec":
         """Same domain at half the step (intervals doubled)."""
         di = None if self.delta_index is None else 2 * self.delta_index + 1
@@ -381,10 +385,9 @@ def oracle_levels(
         if box_model or levels[-1] * 1.5 <= sizing * (1.0 + _SIZING_SLACK):
             return levels
         top, sizing = levels[-1], levels[-1] * 2.0
-    x_max = spec.x_min + (spec.n_interior + 1) * spec.h
     raise NonConvergenceError(
         f"{model!r}: domain sizing: the top level {top!r} eV still passed 2/3 of the sizing "
-        f"energy after 5 domains, the last x in [{spec.x_min!r}, {x_max!r}]"
+        f"energy after 5 domains, the last x in [{spec.x_min!r}, {spec.x_max!r}]"
     )
 
 
@@ -393,8 +396,7 @@ def _shooting_segments(
 ) -> list[tuple[float, float, int]]:
     sizing = max(3.0 * energy, model.level_window(units, 1))
     spec = _grid_spec(model, units, cfg, sizing)
-    x_lo = spec.x_min
-    x_hi = spec.x_min + (spec.n_interior + 1) * spec.h
+    x_lo, x_hi = spec.x_min, spec.x_max
     cuts = [x_lo] + [b for b in model.breakpoints if x_lo < b < x_hi] + [x_hi]
     # 6x the matrix resolution: the two-sided mismatch is amplified through
     # the forbidden tails, making shooting the most step-sensitive consumer

@@ -10,12 +10,13 @@ is too narrow to halve is an unresolved doublet, which double precision
 cannot split: each of its levels is its midpoint.
 
 Every trial grid starts at e_min, so its first node gives the count
-origin N(e_min), and a window grows only at its top.  A scan may hold
-many independent rows (the points of a sweep, or the probes of its
-crossing search), each with its own window top and count origin.  Their
-grids share each round's array call (in blocks of at most _EVAL_BLOCK
-energies), which costs mostly a fixed amount whatever its length, but no
-row reads another's values: each comes out as it would if scanned alone.
+origin N(e_min), and a window grows only at its top.  A scan holds
+independent rows (a single solve's one, the points of a sweep, or the
+probes of its crossing search), each with its own window top and count
+origin.  Their grids share each round's array call (in blocks of at most
+_EVAL_BLOCK energies), which costs mostly a fixed amount whatever its
+length, but no row reads another's values: each comes out as it would if
+scanned alone.
 solve_rows solves many models of one family so, all in one scan.
 
 Refinement never leaves its bracket.  Its one rule, regula falsi with
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -71,10 +71,8 @@ _EXPAND = 1.6
 _CELLS_PER_LEVEL = 32
 _ROWS_CELLS_PER_LEVEL = 8
 
-# A counted array form of f: 1-D energies to (F, N) there.
-CountedFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-
-# The same for many rows: (energies, the row of each) to (F, N).
+# A counted array form of f over many rows: (energies, the row of each)
+# to (F, N) there.
 RowsFn = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
@@ -91,8 +89,8 @@ class Bracket(NamedTuple):
 class RootfindConfig:
     """Count origin, starting window top and refinement tolerance.
 
-    e_max may be left None when the caller (solve_levels) chooses the
-    starting window itself.
+    e_max may be left None: solve_levels and solve_rows then start on the
+    model's level_window.
     """
 
     e_min: float = 1e-9
@@ -141,36 +139,42 @@ def _evaluate(
     return values, counts
 
 
+# Rows of scan_brackets' halving state, one column per node: the node's
+# energy, F there, its count less its row's lowest wanted count (so that
+# its row's wanted levels are the counts 0 < R <= n), its row, and whether
+# the cell the node starts may be halved (0.0), is stopped (1.0), or is
+# none, the node being its row's last (2.0).
+_X, _F, _R, _ROW, _STOP = range(5)
+
+
 def scan_brackets(
-    f: CountedFn | RowsFn,
+    f: RowsFn,
     cfg: RootfindConfig,
     n: int,
-    first: int | np.ndarray = 0,
-    e_hi: float | np.ndarray | None = None,
+    first: np.ndarray,
+    tops: np.ndarray,
     *,
     cells_per_level: int = _CELLS_PER_LEVEL,
-) -> list[Bracket | float] | list[list[Bracket | float]]:
-    """Levels first+1 ... first+n of f counted from cfg.e_min, ascending,
-    of one row or of many independent rows: each a Bracket or a doublet's
+) -> list[list[Bracket | float]]:
+    """Levels first[r]+1 ... first[r]+n of each row r counted from
+    cfg.e_min, ascending, one list per row: each a Bracket or a doublet's
     midpoint.
 
-    One row: first and e_hi are numbers, f maps a 1-D array of energies to
-    (F, N) there (for a model, its char_values), and the result is the
-    row's levels.  Many rows: first or e_hi is a 1-D array with one entry
-    per row (the other broadcasts), f maps (energies, rows) to (F, N),
-    rows[i] being the row of energies[i], and the result is one list of
-    levels per row.  The rows share one array call per round (in blocks of
-    at most _EVAL_BLOCK energies); every row keeps its own window top,
-    count origin and growth, and comes out as it would alone.
+    first and tops hold one entry per row: the count of its levels to skip
+    and the top of its first window (tops is not written to).  f maps
+    (energies, rows) to (F, N) there, rows[i] being the row of energies[i].
+    The rows share one array call per round (in blocks of at most
+    _EVAL_BLOCK energies); every row keeps its own window top, count
+    origin and growth, and comes out as it would alone.
 
-    Each row's trial window, from [e_min, e_hi] on (e_hi defaults to
-    cfg.e_max), is one pass over cells_per_level * n cells, whose first
-    node gives the count origin N(e_min).  While its top counts fewer than
-    the wanted levels, the top grows 1.6-fold, up to 1e4 eV.  Then each
-    round halves, in one pass, every cell holding a wanted level whose
-    count rises by 2 or more, or by 1 with no sign change of F, down to
-    max(tol_abs, 4 eps |E|).  A midpoint whose count falls outside its
-    cell's end counts is not trusted, and that cell stops.
+    Each row's trial window, from [e_min, tops[r]] on, is one pass over
+    cells_per_level * n cells, whose first node gives the count origin
+    N(e_min).  While its top counts fewer than the wanted levels, the top
+    grows 1.6-fold, up to 1e4 eV.  Then each round halves, in one pass,
+    every cell holding a wanted level whose count rises by 2 or more, or
+    by 1 with no sign change of F, down to max(tol_abs, 4 eps |E|).  A
+    midpoint whose count falls outside its cell's end counts is not
+    trusted, and that cell stops.
 
     Raises:
         NonConvergenceError: F is not finite (stage "scan"); the count
@@ -183,36 +187,7 @@ def scan_brackets(
             (window search, halving, then the count check), and within one
             round the lowest row fails first.
     """
-    top = cfg.e_max if e_hi is None else e_hi
-    if top is None:
-        raise ValueError("scan_brackets needs cfg.e_max or e_hi")
-    if not any(isinstance(v, np.ndarray) for v in (first, e_hi)):
-        return _scan_rows(
-            lambda e, rows: f(e), cfg, n, cells_per_level,
-            np.array([first], dtype=float), np.array([top], dtype=float),
-        )[0]
-    firsts, tops = (np.array(v, dtype=float) for v in np.broadcast_arrays(first, top))
-    return _scan_rows(f, cfg, n, cells_per_level, firsts, tops)
-
-
-# Rows of _scan_rows's halving state, one column per node: the node's
-# energy, F there, its count less its row's lowest wanted count (so that
-# its row's wanted levels are the counts 0 < R <= n), its row, and whether
-# the cell the node starts may be halved (0.0), is stopped (1.0), or is
-# none, the node being its row's last (2.0).
-_X, _F, _R, _ROW, _STOP = range(5)
-
-
-def _scan_rows(
-    f: RowsFn,
-    cfg: RootfindConfig,
-    n: int,
-    cells_per_level: int,
-    first: np.ndarray,
-    hi: np.ndarray,
-) -> list[list[Bracket | float]]:
-    """scan_brackets on rows 0 ... hi.size - 1; hi is updated in place as
-    the windows grow."""
+    hi = np.array(tops, dtype=float)  # the window tops, grown in place
 
     def window(row: int) -> str:
         return f"in the window [{float(e_min)}, {float(hi[row])}] eV"
@@ -496,9 +471,13 @@ def solve_levels(
     """
     if n_levels < 1:
         raise ValueError(f"n_levels must be >= 1, got {n_levels}")
+
+    def values(energies: np.ndarray, rows: np.ndarray):
+        return model.char_values(energies, units)
+
     try:
         top = _start_top(model, units, n_levels, cfg)
-        levels = scan_brackets(partial(model.char_values, units=units), cfg, n_levels, e_hi=top)
+        [levels] = scan_brackets(values, cfg, n_levels, np.zeros(1), np.array([top]))
         return refine_levels(characteristic_fn(model, units), levels, cfg)
     except NonConvergenceError as exc:
         raise NonConvergenceError(f"{model!r}: {exc}") from exc
@@ -533,7 +512,9 @@ def solve_rows(
     try:
         for row, model in enumerate(models):
             tops[row] = _start_top(model, units, n_levels, cfg)
-        levels = scan_brackets(f, cfg, n_levels, e_hi=tops, cells_per_level=_ROWS_CELLS_PER_LEVEL)
+        levels = scan_brackets(
+            f, cfg, n_levels, np.zeros(tops.size), tops, cells_per_level=_ROWS_CELLS_PER_LEVEL
+        )
         return refine_rows(f, levels, cfg)
     except NonConvergenceError as exc:
         row = row if exc.row is None else exc.row

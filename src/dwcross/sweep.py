@@ -70,12 +70,13 @@ class SweepSpec:
 @dataclass(frozen=True)
 class SpectrumTable:
     """Levels over the sweep grid: levels[i, n] is E_{n+1} at lambdas[i],
-    a value of model.sweep_param."""
+    a value of model.sweep_param, solved with the root-finding settings cfg."""
 
     lambdas: np.ndarray
     levels: np.ndarray
     model: ModelParams
     units: UnitsConfig
+    cfg: RootfindConfig
 
 
 @dataclass(frozen=True)
@@ -129,9 +130,7 @@ def sweep_levels(
         raise NonConvergenceError(
             f"sweep failed at grid index {i} ({name}={float(lambdas[i])}): {exc}", row=i
         ) from exc
-    return SpectrumTable(
-        lambdas=lambdas, levels=np.array(rows, dtype=np.float64), model=model, units=units
-    )
+    return SpectrumTable(lambdas, np.array(rows, dtype=np.float64), model, units, cfg)
 
 
 def gap_curves(table: SpectrumTable) -> np.ndarray:
@@ -172,23 +171,16 @@ def _gaps_at(
 
 
 def _interior_minima(gaps: np.ndarray, ceiling: float) -> list[tuple[int, int]]:
-    """(row, gap column) of interior local minima below the ceiling."""
-    hits = []
-    n_rows, n_cols = gaps.shape
-    for col in range(n_cols):
-        g = gaps[:, col]
-        for i in range(1, n_rows - 1):
-            if g[i] <= g[i - 1] and g[i] <= g[i + 1] and g[i] < ceiling:
-                if g[i] == g[i - 1]:  # plateau: count only its left edge
-                    continue
-                hits.append((i, col))
-    return hits
+    """(row, gap column) of interior local minima below the ceiling, column
+    by column.  A plateau counts only at its left edge."""
+    g = gaps[1:-1]
+    hit = (g < gaps[:-2]) & (g <= gaps[2:]) & (g < ceiling)
+    cols, rows = hit.T.nonzero()
+    return list(zip((rows + 1).tolist(), cols.tolist()))
 
 
 def detect_avoided_crossings(
-    table: SpectrumTable,
-    cfg: RootfindConfig = RootfindConfig(),
-    gap_ceiling: float | None = None,
+    table: SpectrumTable, gap_ceiling: float | None = None
 ) -> list[AvoidedCrossing]:
     """Certified avoided crossings of a sweep, sorted by lambda_star.
 
@@ -197,13 +189,14 @@ def detect_avoided_crossings(
     squared gap over its flanking grid cells, down to 1e-5 of the sweep
     window; its lambda_star, gap and e_mid are those of the best point
     probed.  The count certifies every probe's two levels as levels
-    level_index and level_index + 1.  A minimum whose two flanking grid
-    rows hold different numbers of levels below cfg.e_min is a relabelling
-    of the table's columns, not a crossing, and is dropped.  Boundary
-    minima are excluded (see edge_candidates).  cfg is the root-finding
-    configuration the table was solved with.
+    level_index and level_index + 1, the labels of the table's columns:
+    the probes scan and refine with table.cfg, the settings the table was
+    solved with.  A minimum whose two flanking grid rows hold different
+    numbers of levels below cfg.e_min is a relabelling of the table's
+    columns, not a crossing, and is dropped.  Boundary minima are excluded
+    (see edge_candidates).
     """
-    model, units = table.model, table.units
+    model, units, cfg = table.model, table.units, table.cfg
     gaps = gap_curves(table)
     ceiling = gap_ceiling if gap_ceiling is not None else default_gap_ceiling(table)
     # linspace stores both window ends exactly
@@ -350,21 +343,17 @@ def edge_candidates(
     certified crossings."""
     gaps = gap_curves(table)
     ceiling = gap_ceiling if gap_ceiling is not None else default_gap_ceiling(table)
-    out = []
-    for col in range(gaps.shape[1]):
-        g = gaps[:, col]
-        for row in (0, gaps.shape[0] - 1):
-            inner = 1 if row == 0 else gaps.shape[0] - 2
-            if g[row] < g[inner] and g[row] < ceiling:
-                e_mid = 0.5 * (table.levels[row, col] + table.levels[row, col + 1])
-                out.append(
-                    AvoidedCrossing(
-                        level_index=col + 1,
-                        lambda_star=float(table.lambdas[row]),
-                        gap=float(g[row]),
-                        e_mid=float(e_mid),
-                    )
-                )
+    ends = gaps[[0, -1]]
+    hit = (ends < gaps[[1, -2]]) & (ends < ceiling)
+    cols, end = hit.T.nonzero()
+    rows = np.array([0, -1])[end]
+    e_mid = 0.5 * (table.levels[rows, cols] + table.levels[rows, cols + 1])
+    out = [
+        AvoidedCrossing(level_index=col + 1, lambda_star=lam, gap=gap, e_mid=mid)
+        for col, lam, gap, mid in zip(
+            cols.tolist(), table.lambdas[rows].tolist(), gaps[rows, cols].tolist(), e_mid.tolist()
+        )
+    ]
     return sorted(out, key=lambda ac: ac.lambda_star)
 
 

@@ -6,7 +6,8 @@ the parabolic-cylinder boundary values D_nu(0), D'_nu(0) from math.gamma
 (the library works with signed log|Gamma| from math.lgamma instead), and
 the Sturm count of the finite-difference oracle's matrix, which shares
 no formula with the analytic level conditions.  The RK4 shooting kernel
-is checked against the plain node-by-node loop it replaces.
+is checked against the plain node-by-node loop it replaces, and the
+sweep's gap-minimum searches against plain loops over each gap curve.
 """
 
 import math
@@ -16,6 +17,7 @@ import numpy as np
 
 from dwcross import oracle
 from dwcross._kernels import sturm_counts
+from dwcross.sweep import AvoidedCrossing
 
 
 def bisect(f, lo, hi, tol=1e-12):
@@ -237,6 +239,43 @@ def brent_min(gap_fn, lam_lo, lam_hi, tol):
                 fv, fw = fw, fu
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
+
+
+def interior_minima(gaps, ceiling):
+    """(row, gap column) of interior local minima below the ceiling, one
+    column at a time; a plateau counts only at its left edge."""
+    hits = []
+    n_rows, n_cols = gaps.shape
+    for col in range(n_cols):
+        g = gaps[:, col]
+        for i in range(1, n_rows - 1):
+            if g[i] <= g[i - 1] and g[i] <= g[i + 1] and g[i] < ceiling:
+                if g[i] == g[i - 1]:  # plateau: count only its left edge
+                    continue
+                hits.append((i, col))
+    return hits
+
+
+def edge_candidates(table, ceiling):
+    """Gap minima on the first or last row of the table, the gap still
+    falling into the window edge, sorted by lambda."""
+    gaps = np.diff(table.levels, axis=1)
+    out = []
+    for col in range(gaps.shape[1]):
+        g = gaps[:, col]
+        for row in (0, gaps.shape[0] - 1):
+            inner = 1 if row == 0 else gaps.shape[0] - 2
+            if g[row] < g[inner] and g[row] < ceiling:
+                e_mid = 0.5 * (table.levels[row, col] + table.levels[row, col + 1])
+                out.append(
+                    AvoidedCrossing(
+                        level_index=col + 1,
+                        lambda_star=float(table.lambdas[row]),
+                        gap=float(g[row]),
+                        e_mid=float(e_mid),
+                    )
+                )
+    return sorted(out, key=lambda ac: ac.lambda_star)
 
 
 def sequential_rk4(v_half, h, u, energy, y_start, dy_start):

@@ -37,6 +37,15 @@ def values_fn(model, units=U1):
     return lambda e: model.char_values(e, units)
 
 
+def scan_one(f, cfg, n, first=0):
+    """scan_brackets on one row, [cfg.e_min, cfg.e_max] on: f maps energies
+    to (F, N) there.  The caller's window top is left as it was."""
+    tops = np.array([cfg.e_max])
+    [levels] = scan_brackets(lambda e, rows: f(e), cfg, n, np.array([first]), tops)
+    assert tops[0] == cfg.e_max
+    return levels
+
+
 def sin_sqrt(e):
     # sin(pi sqrt(E)) vanishes at E = 1, 4, 9; floor(sqrt(E)) counts them
     return np.sin(np.pi * np.sqrt(e)), np.floor(np.sqrt(e))
@@ -61,19 +70,19 @@ class TestScanBrackets:
     def test_known_zeros_of_sin_sqrt(self):
         f = sin_sqrt
         cfg = RootfindConfig(e_min=0.5, e_max=9.5)
-        brackets = scan_brackets(f, cfg, 3)
+        brackets = scan_one(f, cfg, 3)
         assert len(brackets) == 3
         for b, root in zip(brackets, (1.0, 4.0, 9.0)):
             assert b.lo < root < b.hi
             assert b.f_lo * b.f_hi < 0
         # count indices start above e_min: first=1 skips the level at 1
-        [second] = scan_brackets(f, cfg, 1, first=1)
+        [second] = scan_one(f, cfg, 1, first=1)
         assert second.lo < 4.0 < second.hi
 
     def test_brackets_sorted_and_disjoint(self):
         f = sin_sqrt
         cfg = RootfindConfig(e_min=0.5, e_max=9.5)
-        brackets = scan_brackets(f, cfg, 3)
+        brackets = scan_one(f, cfg, 3)
         for left, right in zip(brackets[:-1], brackets[1:]):
             assert left.hi <= right.lo
 
@@ -84,7 +93,7 @@ class TestScanBrackets:
         m = M2Params(10.0, 2.0, 1.0, 3.3553)
         f = characteristic_fn(m, U1)
         cfg = RootfindConfig(e_min=1e-9, e_max=40.0)
-        brackets = scan_brackets(values_fn(m), cfg, 5)
+        brackets = scan_one(values_fn(m), cfg, 5)
         assert len(brackets) == 5
         pair = [b for b in brackets if 5.0 < b.lo < 5.6]
         assert len(pair) == 2
@@ -100,7 +109,7 @@ class TestScanBrackets:
         m = M2Params(10.0, 2.0, 1.0, 2.0003)
         f = characteristic_fn(m, U1)
         cfg = RootfindConfig(e_min=1e-9, e_max=24.0)
-        brackets = scan_brackets(values_fn(m), cfg, 3)
+        brackets = scan_one(values_fn(m), cfg, 3)
         assert len(brackets) == 3
         roots = [refine_root(f, b, cfg) for b in brackets]
         assert roots[0] == pytest.approx(5.33282, abs=1e-3)
@@ -117,22 +126,18 @@ class TestScanBrackets:
         expected = reference_oracles.sturm_count(T, 12.0)
         assert expected == 4
         cfg = RootfindConfig(e_min=1e-9, e_max=12.0)
-        brackets = scan_brackets(values_fn(m), cfg, expected)
+        brackets = scan_one(values_fn(m), cfg, expected)
         assert len(brackets) == expected
         assert all(b.hi <= 12.0 for b in brackets)
-        *_, extra = scan_brackets(values_fn(m), cfg, expected + 1)
+        *_, extra = scan_one(values_fn(m), cfg, expected + 1)
         assert refine_root(characteristic_fn(m, U1), extra, cfg) > 12.0
-
-    def test_requires_e_max(self):
-        with pytest.raises(ValueError):
-            scan_brackets(lambda e: e, RootfindConfig(), 1)
 
     def test_exact_grid_zero_handled(self):
         # a root exactly on a scan node must still produce one bracket
         f = lambda e: (e - 5.0, 1.0 * (e > 5.0))  # noqa: E731
         cfg = RootfindConfig(e_min=2.5, e_max=7.5)
         assert 5.0 in np.linspace(cfg.e_min, cfg.e_max, rootfind._CELLS_PER_LEVEL + 1)
-        brackets = scan_brackets(f, cfg, 1)
+        brackets = scan_one(f, cfg, 1)
         assert len(brackets) == 1
         lo, hi, f_lo, f_hi = brackets[0]
         assert lo <= 5.0 <= hi
@@ -149,7 +154,7 @@ class TestScanBrackets:
         cfg = RootfindConfig(e_min=0.5, e_max=9.5)
         message = r"^scan: F is not finite at E=5\.421875 in the window \[0\.5, 9\.5\] eV$"
         with pytest.raises(NonConvergenceError, match=message):
-            scan_brackets(f, cfg, 2)
+            scan_one(f, cfg, 2)
 
     def test_falling_count_raises(self):
         def f(e):
@@ -166,7 +171,7 @@ class TestScanBrackets:
                 r"change of F in the window \[0\.5, 9\.5\] eV$"
             )
             with pytest.raises(NonConvergenceError, match=message):
-                scan_brackets(f, cfg, n)
+                scan_one(f, cfg, n)
 
     def test_unsplit_wide_cell_raises(self):
         # the count puts one level in the cell [5.0, 5.078125] where F keeps
@@ -178,7 +183,7 @@ class TestScanBrackets:
         cfg = RootfindConfig(e_min=2.5, e_max=7.5)
         message = r"^count: N = 0 at E=5\.0 and 1 at E=5\.078125 is not one level per sign change"
         with pytest.raises(NonConvergenceError, match=message):
-            scan_brackets(f, cfg, 1)
+            scan_one(f, cfg, 1)
 
     def test_unresolved_doublet_at_midpoint(self):
         # a count that rises by two at a point where F only touches zero:
@@ -188,7 +193,7 @@ class TestScanBrackets:
 
         for tol_abs in (1e-10, 1e-3):
             cfg = RootfindConfig(e_min=2.5, e_max=7.5, tol_abs=tol_abs)
-            levels = scan_brackets(f, cfg, 2)
+            levels = scan_one(f, cfg, 2)
             assert len(levels) == 2 and levels[0] == levels[1]
             assert type(levels[0]) is float
             assert abs(levels[0] - 5.0) <= cfg.tol_abs
@@ -204,13 +209,13 @@ class TestScanBrackets:
             return np.sin(np.pi * e), np.floor(e)
 
         cfg = RootfindConfig(e_min=0.5, e_max=512.5)
-        assert len(scan_brackets(f, cfg, 512)) == 512
+        assert len(scan_one(f, cfg, 512)) == 512
         assert sum(sizes) >= 16385 and max(sizes) <= 2048
 
     def test_brackets_are_python_floats(self):
         m = M2Params(10.0, 2.0, 1.0, 3.0)
         cfg = RootfindConfig(e_min=1e-9, e_max=16.0)
-        for b in scan_brackets(values_fn(m), cfg, 5):
+        for b in scan_one(values_fn(m), cfg, 5):
             assert all(type(v) is float for v in b)
         assert all(type(e) is float for e in solve_levels(m, U1, 3))
 
@@ -263,7 +268,7 @@ def test_array_scan_matches_scalar_reference(name, model, units, n):
     cfg = RootfindConfig(e_max=model.level_window(units, n))
     _, counts = model.char_values(np.array([cfg.e_min, cfg.e_max]), units)
     held = int(counts[1] - counts[0])
-    scan = scan_brackets(values_fn(model, units), cfg, held)
+    scan = scan_one(values_fn(model, units), cfg, held)
     assert len(scan) == held >= n
     assert all((x.hi if isinstance(x, Bracket) else x) <= cfg.e_max for x in scan)
 
@@ -326,8 +331,8 @@ class TestRefineRoot:
             return 1000.0 * values, counts
 
         cfg = RootfindConfig(e_min=1e-9, e_max=16.0)
-        roots_f = [refine_root(f, b, cfg) for b in scan_brackets(f_values, cfg, 5)]
-        roots_g = [refine_root(g, b, cfg) for b in scan_brackets(g_values, cfg, 5)]
+        roots_f = [refine_root(f, b, cfg) for b in scan_one(f_values, cfg, 5)]
+        roots_g = [refine_root(g, b, cfg) for b in scan_one(g_values, cfg, 5)]
         assert roots_f == roots_g  # bitwise: refinement uses only f-ratios
 
 
@@ -408,7 +413,7 @@ class TestRefineRows:
         # the rows form on the scalar F, elementwise, gives every root of a
         # model's scan as refine_root does, after as many evaluations
         cfg = RootfindConfig(e_max=model.level_window(U1, n))
-        brackets = [x for x in scan_brackets(values_fn(model), cfg, n) if isinstance(x, Bracket)]
+        brackets = [x for x in scan_one(values_fn(model), cfg, n) if isinstance(x, Bracket)]
         assert len(brackets) == n
         scalar_f = characteristic_fn(model, U1)
         energies = []

@@ -8,7 +8,7 @@ import pytest
 
 import reference_oracles
 from dwcross import rootfind, sweep
-from dwcross.cli import PRESETS, parse_config
+from dwcross.cli import PRESETS, main, parse_config
 from dwcross.errors import ConfigError, ModelMismatchError, NonConvergenceError
 from dwcross.models import M1Params, M2Params, M3Params, UnitsConfig
 from dwcross.rootfind import RootfindConfig, solve_levels, solve_rows
@@ -162,9 +162,10 @@ class TestSweepLevels:
         model = _NonFiniteInBracket(10.0, 2.0, 2.0)
         top = M1Params(10.0, 2.0, 2.0).level_window(U1, 3)
         lo, hi, _, _ = rootfind.scan_brackets(
-            lambda e: M1Params.char_values(model, e, U1, at=np.full(e.size, 2.0)),
-            RootfindConfig(), 3, e_hi=top, cells_per_level=rootfind._ROWS_CELLS_PER_LEVEL,
-        )[0]
+            lambda e, rows: M1Params.char_values(model, e, U1, at=np.full(e.size, 2.0)),
+            RootfindConfig(), 3, np.zeros(1), np.array([top]),
+            cells_per_level=rootfind._ROWS_CELLS_PER_LEVEL,
+        )[0][0]
         monkeypatch.setattr(_NonFiniteInBracket, "inside", (lo, hi))
         message = (
             r"^sweep failed at grid index 4 \(b=2\.0\): _NonFiniteInBracket\(v0=10\.0, "
@@ -339,9 +340,23 @@ class TestDetection:
         ]
         assert len(jumps) == 1 and jumps[0][1] == 1
         assert table.lambdas[jumps[0][0] - 1] < 3.0372 < table.lambdas[jumps[0][0] + 1]
-        acs = detect_avoided_crossings(table, cfg, run.gap_ceiling)
+        acs = detect_avoided_crossings(table, run.gap_ceiling)
         assert [ac.level_index for ac in acs] == [2, 3, 1, 3, 1]
         assert all(abs(ac.lambda_star - 3.0372) > 0.01 for ac in acs)
+
+    def test_table_carries_its_settings(self, tmp_path):
+        # the config is given once, to the sweep: detect on the fig3 table
+        # swept with e_min = 1.0 eV probes with it, and writes the CLI's rows
+        run = parse_config(["detect", "--preset", "fig3", "--e-min", "1.0"])
+        spec = run.build_sweep_spec()
+        table = sweep_levels(run.build_model(), run.build_units(), spec, RootfindConfig(e_min=1.0))
+        acs = detect_avoided_crossings(table, gap_ceiling=run.gap_ceiling)
+        out = tmp_path / "detect.csv"
+        assert main(["detect", "--preset", "fig3", "--e-min", "1.0", "--out", str(out)]) == 0
+        rows = [
+            f"{ac.level_index},{ac.lambda_star:.12g},{ac.gap:.12g},{ac.e_mid:.12g}" for ac in acs
+        ]
+        assert len(rows) == 5 and out.read_text().splitlines()[1:] == rows
 
     def test_default_ceiling_is_fifth_of_median(self):
         model = M1Params(10.0, 2.0, 2.0)
@@ -390,7 +405,7 @@ class TestGapProbe:
         solves = []
         solve_rows = sweep.solve_rows
         monkeypatch.setattr(sweep, "solve_rows", lambda *a: solves.append(a) or solve_rows(*a))
-        acs = detect_avoided_crossings(table, cfg, run.gap_ceiling)
+        acs = detect_avoided_crossings(table, run.gap_ceiling)
         monkeypatch.undo()
         assert acs and solves == [] and not hasattr(sweep, "solve_levels")
         for ac in acs:
@@ -416,6 +431,34 @@ class TestEdgeCandidates:
         acs = detect_avoided_crossings(table, gap_ceiling=0.6)
         for ac in acs:
             assert spec.lambda_min < ac.lambda_star < spec.lambda_max
+
+
+class TestGapMinima:
+    def test_plateau_and_ceiling(self):
+        # column 0: a plateau at 1 counts at its left edge only, and a dip
+        # to the ceiling (2) is no minimum; the hits go column by column
+        gaps = np.array([[3, 2, 3, 1, 1, 2, 3], [3, 1, 2, 2, 1, 1, 4]], dtype=float).T
+        assert sweep._interior_minima(gaps, 2.0) == [(3, 0), (1, 1), (4, 1)]
+
+    def test_array_forms_match_loops(self):
+        # small integer gaps make plateaus and gaps equal to the ceiling
+        # common: both array forms give the plain loops' hits, in order
+        rng = np.random.default_rng(2015)
+        model = M1Params(10.0, 2.0, 2.0)
+        for _ in range(2000):
+            rows, cols = rng.integers(2, 9), rng.integers(1, 5)
+            gaps = rng.integers(1, 5, size=(rows, cols)).astype(float)
+            ceiling = float(rng.integers(1, 6))
+            levels = np.hstack((np.zeros((rows, 1)), np.cumsum(gaps, axis=1)))
+            table = sweep.SpectrumTable(
+                np.arange(float(rows)), levels, model, U1, RootfindConfig()
+            )
+            assert sweep._interior_minima(gaps, ceiling) == reference_oracles.interior_minima(
+                gaps, ceiling
+            )
+            assert edge_candidates(table, ceiling) == reference_oracles.edge_candidates(
+                table, ceiling
+            )
 
 
 class TestBrentLockstep:
@@ -475,7 +518,7 @@ class TestBrentLockstep:
         run = parse_config(["detect"] + args)
         cfg = run.build_rootfind()
         table = sweep_levels(run.build_model(), run.build_units(), run.build_sweep_spec(), cfg)
-        acs = detect_avoided_crossings(table, cfg, run.gap_ceiling)
+        acs = detect_avoided_crossings(table, run.gap_ceiling)
         ceiling = run.gap_ceiling if run.gap_ceiling is not None else default_gap_ceiling(table)
         minima = [
             (row, col) for row, col in sweep._interior_minima(gap_curves(table), ceiling)
@@ -568,7 +611,7 @@ class TestWorkCounts:
         monkeypatch.setattr(
             sweep, "scan_brackets", lambda *a, **k: calls.append(a) or scan(*a, **k)
         )
-        acs = detect_avoided_crossings(table, cfg, run.gap_ceiling)
+        acs = detect_avoided_crossings(table, run.gap_ceiling)
         assert len(acs) >= 2 and len(calls) <= 8
 
     def test_single_solves_and_probes_keep_32_cells(self, monkeypatch):

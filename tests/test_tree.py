@@ -1,8 +1,9 @@
-"""The source tree tracks no generated or build files, and every public
-name it exports exists."""
+"""The source tree tracks no generated or build files, every public name
+it exports exists, and the README's library example runs."""
 
 import importlib
 import pkgutil
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -43,3 +44,12 @@ def test_public_names_resolve():
         if not hasattr(module, name)
     ]
     assert missing == []
+
+
+def test_readme_library_example_runs():
+    # an API change that the README's example was not updated for fails here
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
