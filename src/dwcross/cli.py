@@ -476,10 +476,6 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _merge_config(merged)
         if command != "sweep" and (cfg.svg or cfg.effective):
             raise ConfigError(f"svg and effective apply to sweep only, not {command}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
         return _COMMANDS[command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

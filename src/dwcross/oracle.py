@@ -31,14 +31,14 @@ __all__ = [
 # Interior points when OracleConfig.n_points is left unset.
 _DEFAULT_POINTS = {"m1": 4000, "m2": 4000, "m3": 6000, "m4": 6000}
 
-# Shifts of one multisection pass, shared evenly among the open levels,
-# at least _MIN_PROBES per level.  A pass costs its row loop more than its
-# shifts: on a 12 001-row matrix one Sturm pass takes 8.4 ms at 8 shifts,
-# 9.2 ms at 35, 10.5 ms at 63, 14.0 ms at 140 and 21.3 ms at 280 (2.1 GHz
-# x86-64).  So a pass of 63 shifts splits one open level 64 ways where 8
-# shifts split it 8 ways, for a quarter more time.  compare's geometric
-# mean over the five presets read 109 ms at 35 shifts (7 per level),
-# 93 ms at 63, 92 ms at 127 and 137 ms at 255.
+# Shifts of one multisection pass, shared evenly among the distinct cells
+# still open, at least _MIN_PROBES per cell.  A pass costs its row loop
+# more than its shifts: on a 12 001-row matrix one Sturm pass takes 8.4 ms
+# at 8 shifts, 9.2 ms at 35, 10.5 ms at 63, 14.0 ms at 140 and 21.3 ms at
+# 280 (2.1 GHz x86-64).  So a pass of 63 shifts splits one open cell 64
+# ways where 8 shifts split it 8 ways, for a quarter more time.  compare's
+# geometric mean over the five presets read 109 ms at 35 shifts (7 per
+# level), 93 ms at 63, 92 ms at 127 and 137 ms at 255.
 _SHIFT_BUDGET = 63
 _MIN_PROBES = 7
 
@@ -217,31 +217,36 @@ def lowest_eigenvalues(
     """First n eigenvalues, each bracketed by Sturm-count multisection to
     an interval of width <= tol; deterministic.
 
-    The brackets start from one count pass over the ladder
-    lo + (hi - lo) 2^-k, k = 1..60, under the Gershgorin interval [lo, hi]:
-    a level at E then starts in a bracket about E - lo wide, not hi - lo.
+    The first pass counts the ladder lo + (hi - lo) 2^-k, k = 1..60, under
+    the Gershgorin interval [lo, hi]: a level at E then starts in a cell
+    about E - lo wide, not hi - lo.
 
     _seeds (internal to oracle_levels): the n levels of the same model on
     the grid of twice T's step.  Level E of that grid sits below or above
     T's by 3/4 of its O(h^2) error, (E - lo)^2 u h^2 / 16 for a free
-    particle (0.07-1.1 times that on the five figure presets), so each
-    bracket starts 4x as wide on either side, (E - lo)^2 / -T.offdiag[0]
-    (the grid's u (h/2)^2 is -1 / offdiag).  The first multisection pass
-    counts at the bracket's ends as well as inside it (see _multisect), so
-    no pass is spent on confirming the seeds alone.
+    particle (0.07-1.1 times that on the five figure presets), so the
+    first pass instead counts at the ends of and inside each bracket
+    seed +- (E - lo)^2 / -T.offdiag[0], 4x as wide on either side (the
+    grid's u (h/2)^2 is -1 / offdiag).  A level its seed's bracket misses
+    goes on from whichever counted cell holds it (see _multisect).
     """
     if n < 1 or n > T.size:
         raise ValueError(f"need 1 <= n <= {T.size}, got {n}")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
+    lo, hi = _gershgorin(T)
     if _seeds is None:
-        return _multisect(T, *_ladder_brackets(T, n), tol)
+        ladder = lo + (hi - lo) * np.exp2(-np.arange(_LADDER_RUNGS, 0, -1.0))
+        return _multisect(T, n, tol, ladder)
     seeds = np.array(_seeds, dtype=np.float64)
     if seeds.shape != (n,):
         raise ValueError(f"need {n} seeds, got {seeds.size}")
-    lo, _ = _gershgorin(T)
     width = np.maximum((seeds - lo) ** 2 / -T.offdiag[0], tol)
-    return _multisect(T, seeds - width, seeds + width, tol, checked=False)
+    # each bracket's two ends and its share of the budget inside
+    inside = max(_MIN_PROBES, _SHIFT_BUDGET // n - 2)
+    steps = np.arange(inside + 2) / (inside + 1)
+    brackets = (seeds - width)[:, None] + (2.0 * width)[:, None] * steps
+    return _multisect(T, n, tol, brackets.ravel())
 
 
 def _gershgorin(T: TridiagonalHamiltonian) -> tuple[float, float]:
@@ -256,90 +261,50 @@ def _gershgorin(T: TridiagonalHamiltonian) -> tuple[float, float]:
     return lo, hi + max(1.0, abs(hi)) * 1e-12  # strict count must include the top
 
 
-def _ladder_brackets(T: TridiagonalHamiltonian, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Brackets of levels j < n between adjacent rungs of one counted
-    ladder, the lowest falling back on lo and the highest on hi."""
-    lo, hi = _gershgorin(T)
-    ladder = lo + (hi - lo) * np.exp2(-np.arange(_LADDER_RUNGS, 0, -1.0))
-    counts = _kernels.sturm_counts(T.diag, T.offdiag, ladder)
-    # rung first[j] is the lowest that counts level j in
-    first = np.searchsorted(counts, np.arange(1, n + 1), side="left")
-    ends = np.concatenate([[lo], ladder, [hi]])
-    return ends[first], ends[first + 1]
-
-
 def _multisect(
-    T: TridiagonalHamiltonian,
-    los: np.ndarray,
-    his: np.ndarray,
-    tol: float,
-    *,
-    checked: bool = True,
+    T: TridiagonalHamiltonian, n: int, tol: float, shifts: np.ndarray
 ) -> list[float]:
-    """Shrink each level's bracket [los[j], his[j]] to width <= tol by
-    multisection; the sorted midpoints.
+    """Midpoints of the cells, each of width <= tol, that hold levels
+    j < n; the first pass counts at the given shifts.
 
-    Each pass makes one count over _SHIFT_BUDGET shifts, shared evenly
-    among the open levels, at least _MIN_PROBES each, spaced evenly
-    inside each bracket.  Level j's new bracket is the cell that ends at
-    the first probe counting it in, N > j.
-
-    checked: every bracket already holds its level, N(los[j]) <= j <
-    N(his[j]).  Without it, the pass that probes inside a bracket counts
-    at its two ends too, and the level takes its cell only when both end
-    counts confirm it.  A level that fails quadruples its bracket's width
-    about the midpoint and is checked again in the next pass; the widths
-    grow until every bracket holds its level, at the latest once it
-    covers the Gershgorin interval.
+    Every count goes into one sorted map of (shift, N), which starts as
+    the Gershgorin ends with N(lo) = 0 and N(hi) = T.size.  Level j lies
+    in the cell that ends at the first shift counting it in, N > j.  Each
+    later pass makes one count over _SHIFT_BUDGET shifts, shared evenly
+    among the distinct cells still wider than tol, at least _MIN_PROBES
+    each, spaced evenly inside each cell; levels that share a cell share
+    its probes.
 
     Raises:
-        NonConvergenceError: a bracket is still open after _MAX_PASSES
-            passes; names the grid size and the first open bracket.
+        NonConvergenceError: a cell is still open after _MAX_PASSES
+            passes; names the grid size and the first open level's cell.
     """
-    los = np.array(los, dtype=np.float64)
-    his = np.array(his, dtype=np.float64)
-    unchecked = np.full(los.size, not checked)
-
-    passes = 0
-    while (open_levels := np.nonzero(unchecked | (his - los > tol))[0]).size:
-        if passes == _MAX_PASSES:
-            j = int(open_levels[0])
-            raise NonConvergenceError(
-                f"multisection: level {j} still open in "
-                f"[{float(los[j])!r}, {float(his[j])!r}] eV (tol={tol!r}) "
-                f"after {passes} passes on a {T.size}-point grid"
-            )
-        passes += 1
-        tested = np.nonzero(unchecked[open_levels])[0]
-        probes = max(_MIN_PROBES, (_SHIFT_BUDGET - 2 * tested.size) // open_levels.size)
-        # ends[i] = (lo, probes..., hi) of open level i, the probes evenly
-        # spaced strictly inside
-        lo, hi = los[open_levels], his[open_levels]
-        ends = np.empty((open_levels.size, probes + 2))
-        ends[:, 0], ends[:, -1] = lo, hi
-        ends[:, 1:-1] = lo[:, None] + (hi - lo)[:, None] * (np.arange(1, probes + 1) / (probes + 1))
-        inside = ends[:, 1:-1].ravel()
-        found = _kernels.sturm_counts(
-            T.diag, T.offdiag, np.concatenate((inside, ends[tested[:, None], [0, -1]].ravel()))
-        )
-        # a checked bracket's end counts are known: N(lo) <= j < N(hi)
-        counts = np.empty(ends.shape, dtype=np.int64)
-        counts[:, 0], counts[:, -1] = open_levels, open_levels + 1
-        counts[:, 1:-1] = found[: inside.size].reshape(-1, probes)
-        counts[tested[:, None], [0, -1]] = found[inside.size :].reshape(-1, 2)
-        # the new cell ends at the first count past j; it holds the level
-        # if that count is not the lo end's and one is found at all
-        below = counts > open_levels[:, None]
-        first = np.argmax(below, axis=1)
-        held = np.nonzero(first > 0)[0]
-        los[open_levels[held]] = ends[held, first[held] - 1]
-        his[open_levels[held]] = ends[held, first[held]]
-        unchecked[open_levels[held]] = False
-        # a level its ends failed widens fourfold about the midpoint
-        failed = open_levels[first == 0]
-        mid, half = 0.5 * (los[failed] + his[failed]), 2.0 * (his[failed] - los[failed])
-        los[failed], his[failed] = mid - half, mid + half
-    return sorted((0.5 * (los + his)).tolist())
+    ends = np.array(_gershgorin(T))
+    counts = np.array([0, T.size])
+    levels = np.arange(n)
+    for _ in range(_MAX_PASSES):
+        ends = np.concatenate((ends, shifts))
+        order = np.argsort(ends, kind="stable")
+        ends = ends[order]
+        counts = np.concatenate((counts, _kernels.sturm_counts(T.diag, T.offdiag, shifts)))[order]
+        # level j's cell [ends[end[j] - 1], ends[end[j]]] ends at the
+        # first shift that counts it in
+        end = np.searchsorted(counts, levels, side="right")
+        wide = end[ends[end] - ends[end - 1] > tol]
+        # end is ascending, so a new cell starts wherever it steps
+        cells = wide[np.diff(wide, prepend=0) > 0]
+        if not cells.size:
+            return (0.5 * (ends[end - 1] + ends[end])).tolist()
+        probes = max(_MIN_PROBES, _SHIFT_BUDGET // cells.size)
+        lo, hi = ends[cells - 1], ends[cells]
+        steps = np.arange(1, probes + 1) / (probes + 1)
+        shifts = (lo[:, None] + (hi - lo)[:, None] * steps).ravel()
+    j = int(np.searchsorted(end, cells[0]))
+    raise NonConvergenceError(
+        f"multisection: level {j} still open in "
+        f"[{float(ends[cells[0] - 1])!r}, {float(ends[cells[0]])!r}] eV (tol={tol!r}) "
+        f"after {_MAX_PASSES} passes on a {T.size}-point grid"
+    )
 
 
 def oracle_levels(
@@ -394,9 +359,7 @@ def oracle_levels(
 def _shooting_segments(
     model: ModelParams, units: UnitsConfig, cfg: OracleConfig, energy: float
 ) -> list[tuple[float, float, int]]:
-    sizing = max(3.0 * energy, model.level_window(units, 1))
-    spec = _grid_spec(model, units, cfg, sizing)
-    x_lo, x_hi = spec.x_min, spec.x_max
+    x_lo, x_hi = model.domain(max(3.0 * energy, model.level_window(units, 1)), units)
     cuts = [x_lo] + [b for b in model.breakpoints if x_lo < b < x_hi] + [x_hi]
     # 6x the matrix resolution: the two-sided mismatch is amplified through
     # the forbidden tails, making shooting the most step-sensitive consumer

@@ -168,7 +168,7 @@ class TestLowestEigenvalues:
 def cold_levels(T, n, tol):
     """Multisection from the whole Gershgorin interval for every level."""
     lo, hi = _gershgorin(T)
-    return _multisect(T, np.full(n, lo), np.full(n, hi), tol)
+    return _multisect(T, n, tol, lo + (hi - lo) * np.arange(1, 64) / 64)
 
 
 def assert_count_verified(T, los, his):
@@ -177,6 +177,28 @@ def assert_count_verified(T, los, his):
     n = len(los)
     j = np.arange(n)
     assert np.all(counts[:n] <= j) and np.all(counts[n:] > j)
+
+
+def off_seeds(cold, n):
+    """Seeds a whole level spacing off: seed j at level j + 1, the top one
+    past it by the top spacing, or seed j at level j - 1, the bottom one
+    under it by the bottom spacing."""
+    above = cold[1:] + (cold[-1] - cold[-2]) * (np.arange(n) == n - 1)
+    under = np.concatenate([[2.0 * cold[0] - cold[1]], cold[: n - 1]])
+    return above, under
+
+
+def count_passes(monkeypatch):
+    """The shifts of every Sturm pass from here on, one array per pass."""
+    passes = []
+    sturm_counts = _kernels.sturm_counts
+
+    def counted(diag, offdiag, shifts):
+        passes.append(np.array(shifts))
+        return sturm_counts(diag, offdiag, shifts)
+
+    monkeypatch.setattr(_kernels, "sturm_counts", counted)
+    return passes
 
 
 def random_tridiagonals():
@@ -194,9 +216,9 @@ def random_tridiagonals():
 
 class TestSeededBrackets:
     """lowest_eigenvalues starts from a counted ladder, or for the h/2 grid
-    from seeds whose brackets the first multisection pass checks at its
-    ends; both paths must give the levels of a cold start from the whole
-    Gershgorin interval."""
+    from a first pass that counts at the ends of and inside each seed's
+    bracket; both paths must give the levels of a cold start from the
+    whole Gershgorin interval."""
 
     TOL = 1e-10
 
@@ -208,24 +230,27 @@ class TestSeededBrackets:
         assert np.allclose(cold, np.linalg.eigvalsh(dense(T))[: n + 1], rtol=0.0, atol=1e-9)
         got = lowest_eigenvalues(T, n, self.TOL)
         assert np.allclose(got, cold[:n], rtol=0.0, atol=self.TOL)
-        # seeds near their levels, and seeds a whole level spacing off:
-        # seed j at level j + 1, the top one past it by the top spacing,
-        # or seed j at level j - 1, the bottom one under it by the bottom
-        # spacing.  A bracket above its level fails at its lo end, one
-        # below it at its hi end; a cell taken on either end's count
-        # alone would hold no level.
-        near = cold[:n] + 1e-7
-        above = cold[1:] + (cold[-1] - cold[-2]) * (np.arange(n) == n - 1)
-        under = np.concatenate([[2.0 * cold[0] - cold[1]], cold[: n - 1]])
-        for seeds in (near, above, under):
+        for seeds in (cold[:n] + 1e-7, *off_seeds(cold, n)):
             got = lowest_eigenvalues(T, n, self.TOL, _seeds=list(seeds))
             assert np.allclose(got, cold[:n], rtol=0.0, atol=self.TOL)
-            # a width far under the spacing: the first pass's end counts
-            # reject the off seeds, and the widths grow until each
-            # bracket holds its level
-            got = np.array(_multisect(T, seeds - 1e-9, seeds + 1e-9, self.TOL, checked=False))
+            # a width far under the spacing: no level lies in its seed's
+            # bracket, and each goes on from the counted cell that holds it
+            got = np.array(_multisect(T, n, self.TOL, np.append(seeds - 1e-9, seeds + 1e-9)))
             assert np.allclose(got, cold[:n], rtol=0.0, atol=self.TOL)
             assert_count_verified(T, got - self.TOL, got + self.TOL)
+
+    @pytest.mark.parametrize("index", range(13))
+    def test_off_seeds_take_few_passes(self, index, monkeypatch):
+        # a level its seed's bracket misses goes on from the counted cell
+        # between the brackets that holds it
+        T = list(random_tridiagonals())[index]
+        n = min(6, T.size - 1)
+        cold = np.array(cold_levels(T, n + 1, self.TOL))
+        passes = count_passes(monkeypatch)
+        for seeds in off_seeds(cold, n):
+            passes.clear()
+            lowest_eigenvalues(T, n, self.TOL, _seeds=list(seeds))
+            assert len(passes) <= 12
 
     def test_seeded_fine_grid_matches_cold_start(self):
         m = M4Params(10.0, 2.0, 2.0, 1.0)
@@ -272,22 +297,23 @@ class TestOracleRegrowth:
 
 class TestMultisectionWork:
     def test_richardson_pair_fills_its_passes(self, tmp_path, monkeypatch):
-        # every pass shares one shift budget among the open levels, and
-        # the h/2 grid checks its seeds in its first multisection pass;
-        # 7 probes per level and a pass of its own for the seed check
-        # make fig6b's pair 15 + 10 passes
-        shifts = []
-        sturm_counts = _kernels.sturm_counts
-
-        def counted(diag, offdiag, probes):
-            shifts.append(np.size(probes))
-            return sturm_counts(diag, offdiag, probes)
-
-        monkeypatch.setattr(_kernels, "sturm_counts", counted)
+        # every pass shares one shift budget among the open cells, and
+        # the h/2 grid's first pass counts inside its seeds' brackets as
+        # well as at their ends
+        passes = count_passes(monkeypatch)
         out = tmp_path / "fig6b.csv"
         assert cli.main(["compare", "--preset", "fig6b", "--out", str(out)]) == 0
-        assert 0 < len(shifts) <= 19
-        assert max(shifts) <= oracle._SHIFT_BUDGET
+        assert 0 < len(passes) <= 19
+        assert max(p.size for p in passes) <= oracle._SHIFT_BUDGET
+
+    @pytest.mark.parametrize("preset", ["fig3", "fig5", "fig6b"])
+    def test_no_pass_repeats_a_shift(self, preset, tmp_path, monkeypatch):
+        # levels that share a counted cell share its probes: these presets
+        # have levels close enough to share a ladder cell
+        passes = count_passes(monkeypatch)
+        out = tmp_path / f"{preset}.csv"
+        assert cli.main(["compare", "--preset", preset, "--out", str(out)]) == 0
+        assert all(np.all(np.diff(np.sort(p)) > 0.0) for p in passes)
 
 
 class TestOracleErrors:
@@ -298,7 +324,7 @@ class TestOracleErrors:
             r"\(tol=1e-300\) after 300 passes on a 3-point grid$"
         )
         with pytest.raises(NonConvergenceError, match=message):
-            _multisect(T, [0.0, 1.0, 3.0], [1.0, 3.0, 4.0], 1e-300)
+            _multisect(T, 3, 1e-300, np.array([1.0, 3.0]))
 
     def test_oracle_levels_names_the_model(self, monkeypatch):
         model = M1Params(0.0, 2.0, 2.0)

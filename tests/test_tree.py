@@ -1,11 +1,14 @@
 """The source tree tracks no generated or build files, every public name
-it exports exists, and the README's library example runs."""
+it exports exists, the README's library example runs, and the commands
+import no more of numpy than they use."""
 
 import importlib
+import os
 import pkgutil
 import re
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -53,3 +56,22 @@ def test_readme_library_example_runs():
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def test_commands_never_import_numpy_ma(tmp_path):
+    # numpy.ma loads lazily (np.unique imports it) and adds about 1 MB to
+    # a run's heap; a fresh interpreter, since the test session has it
+    script = (
+        "import sys\n"
+        "from dwcross import cli\n"
+        "for command in ('solve', 'sweep', 'detect', 'compare'):\n"
+        "    out = sys.argv[1] + '/' + command + '.csv'\n"
+        "    assert cli.main([command, '--preset', 'fig3', '--out', out]) == 0\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
+    )
+    path = [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    run = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
