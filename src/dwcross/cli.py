@@ -384,7 +384,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     units = cfg.build_units()
     analytic = solve_levels(model, units, cfg.levels, cfg.build_rootfind())
     reference = oracle_levels(
-        model, units, cfg.levels, cfg.build_oracle(), e_top=1.5 * analytic[-1]
+        model, units, cfg.levels, cfg.build_oracle(), e_top=1.5 * analytic[-1], seeds=analytic
     )
     tolerance = cfg.tolerance if cfg.tolerance is not None else _GATE_TOLERANCE[model.kind]
     lines = ["level,analytic_ev,oracle_ev,abs_diff_ev"]

@@ -221,14 +221,27 @@ def lowest_eigenvalues(
     the Gershgorin interval [lo, hi]: a level at E then starts in a cell
     about E - lo wide, not hi - lo.
 
-    _seeds (internal to oracle_levels): the n levels of the same model on
-    the grid of twice T's step.  Level E of that grid sits below or above
-    T's by 3/4 of its O(h^2) error, (E - lo)^2 u h^2 / 16 for a free
-    particle (0.07-1.1 times that on the five figure presets), so the
-    first pass instead counts at the ends of and inside each bracket
-    seed +- (E - lo)^2 / -T.offdiag[0], 4x as wide on either side (the
-    grid's u (h/2)^2 is -1 / offdiag).  A level its seed's bracket misses
-    goes on from whichever counted cell holds it (see _multisect).
+    _seeds (internal to oracle_levels): n guesses of the levels, each
+    clipped into [lo, hi].  The first pass then counts at the ends of and
+    inside each bracket seed +- (E - lo)^2 u h^2, where u h^2 is
+    -1 / T.offdiag[0] for T's step h.  Two kinds of seed sit well inside
+    their brackets:
+      - an exact level E: T's level sits below or above it by the grid's
+        full O(h^2) error, (E - lo)^2 u h^2 / 12 for a free particle, 1/12
+        of the bracket's half-width (at most 0.09 of it for the analytic
+        levels on the five figure presets);
+      - the level of the same model on the grid of twice T's step: it
+        sits off T's by 3/4 of that grid's error, (E - lo)^2 u h^2 / 4 for
+        a free particle, 1/4 of the half-width (0.07-1.1 times that on
+        the five figure presets).
+    A seed only picks where the first pass counts: each level's cell is
+    read off the counts alone, so a level its seed's bracket misses goes
+    on from whichever counted cell holds it (see _multisect), and a wrong
+    seed costs passes, not accuracy.
+
+    Raises:
+        ValueError: n, tol or the seeds are out of range; the seeds must
+            be n finite numbers.
     """
     if n < 1 or n > T.size:
         raise ValueError(f"need 1 <= n <= {T.size}, got {n}")
@@ -239,8 +252,10 @@ def lowest_eigenvalues(
         ladder = lo + (hi - lo) * np.exp2(-np.arange(_LADDER_RUNGS, 0, -1.0))
         return _multisect(T, n, tol, ladder)
     seeds = np.array(_seeds, dtype=np.float64)
-    if seeds.shape != (n,):
-        raise ValueError(f"need {n} seeds, got {seeds.size}")
+    if seeds.shape != (n,) or not np.all(np.isfinite(seeds)):
+        raise ValueError(f"need {n} finite seeds, got {_seeds!r}")
+    # a seed outside [lo, hi] would only widen its bracket, or overflow it
+    seeds = np.clip(seeds, lo, hi)
     width = np.maximum((seeds - lo) ** 2 / -T.offdiag[0], tol)
     # each bracket's two ends and its share of the budget inside
     inside = max(_MIN_PROBES, _SHIFT_BUDGET // n - 2)
@@ -313,6 +328,8 @@ def oracle_levels(
     n: int,
     cfg: OracleConfig,
     e_top: float | None = None,
+    *,
+    seeds: list[float] | None = None,
 ) -> list[float]:
     """First n eigenvalues from the finite-difference oracle.
 
@@ -322,12 +339,25 @@ def oracle_levels(
     one); if the solved levels reach past the sizing energy, the domain is
     grown and the solve repeated.
 
+    seeds: n guesses of the levels, such as the analytic ones.  The h
+    grid's first count pass then probes a bracket about each seed instead
+    of the Gershgorin ladder; an exact level is off the grid's by the
+    grid's O(h^2) error, 1/12 of its bracket's half-width for a free
+    particle (see lowest_eigenvalues).  The h/2 grid is seeded from the h
+    grid's levels either way.  Seeds cannot change the answer beyond the
+    multisection width: each level is read off Sturm counts alone, so a
+    wrong seed only costs passes.
+
     Raises:
+        ValueError: seeds is not a list of n finite numbers; the message
+            starts with the model's repr.
         ConfigError: the grid has fewer interior points than n.
         NonConvergenceError: the multisection, or the domain sizing after
             5 domains, failed; the message starts with the model's repr
             and names the stage and the bracket or domain.
     """
+    if seeds is not None and (len(seeds) != n or not all(map(math.isfinite, seeds))):
+        raise ValueError(f"{model!r}: need {n} finite seeds, got {seeds!r}")
     box_model = model.walls is not None
     sizing = e_top if e_top is not None else model.level_window(units, n)
     for _ in range(5):
@@ -338,7 +368,7 @@ def oracle_levels(
                 f"interior points; raise the oracle's n_points (--oracle-points) above {n}"
             )
         try:
-            coarse = lowest_eigenvalues(_assemble(model, units, spec), n, _LEVEL_TOL)
+            coarse = lowest_eigenvalues(_assemble(model, units, spec), n, _LEVEL_TOL, _seeds=seeds)
             if cfg.richardson:
                 fine_grid = _assemble(model, units, spec.refined())
                 fine = lowest_eigenvalues(fine_grid, n, _LEVEL_TOL, _seeds=coarse)

@@ -298,12 +298,12 @@ class TestOracleRegrowth:
 class TestMultisectionWork:
     def test_richardson_pair_fills_its_passes(self, tmp_path, monkeypatch):
         # every pass shares one shift budget among the open cells, and
-        # the h/2 grid's first pass counts inside its seeds' brackets as
-        # well as at their ends
+        # both grids' first passes count inside their seeds' brackets as
+        # well as at their ends (a ladder start on the h grid takes 19)
         passes = count_passes(monkeypatch)
         out = tmp_path / "fig6b.csv"
         assert cli.main(["compare", "--preset", "fig6b", "--out", str(out)]) == 0
-        assert 0 < len(passes) <= 19
+        assert 0 < len(passes) <= 15
         assert max(p.size for p in passes) <= oracle._SHIFT_BUDGET
 
     @pytest.mark.parametrize("preset", ["fig3", "fig5", "fig6b"])
@@ -314,6 +314,96 @@ class TestMultisectionWork:
         out = tmp_path / f"{preset}.csv"
         assert cli.main(["compare", "--preset", preset, "--out", str(out)]) == 0
         assert all(np.all(np.diff(np.sort(p)) > 0.0) for p in passes)
+
+
+def preset_problem(preset):
+    """(model, units, analytic levels) of compare on a preset."""
+    cfg = cli.parse_config(["compare", "--preset", preset])
+    model, units = cfg.build_model(), cfg.build_units()
+    return model, units, solve_levels(model, units, cfg.levels, cfg.build_rootfind())
+
+
+class TestAnalyticSeeds:
+    """compare seeds the h grid's first pass with the analytic levels; a
+    seed only picks where that pass counts, never a level."""
+
+    @pytest.mark.parametrize("preset", ["fig3", "fig5", "fig6b"])
+    def test_seeds_cannot_change_the_answer(self, preset):
+        model, units, analytic = preset_problem(preset)
+        cfg = OracleConfig(n_points=1000)
+        e_top = 1.5 * analytic[-1]
+        cold = oracle_levels(model, units, len(analytic), cfg, e_top)
+        a = np.array(analytic)
+        span = a[-1] - a[0]
+        for seeds in (a, a + span, a - span, a[::-1], np.full(a.size, a.mean())):
+            got = oracle_levels(model, units, a.size, cfg, e_top, seeds=seeds.tolist())
+            assert np.allclose(got, cold, rtol=0.0, atol=oracle._LEVEL_TOL)
+
+    def test_analytic_seeds_cut_the_passes(self, tmp_path, monkeypatch):
+        # a ladder start on the h grid takes 17 passes (fig6b: see
+        # TestMultisectionWork)
+        passes = count_passes(monkeypatch)
+        out = tmp_path / "fig3.csv"
+        assert cli.main(["compare", "--preset", "fig3", "--out", str(out)]) == 0
+        assert 0 < len(passes) <= 12
+        assert max(p.size for p in passes) <= oracle._SHIFT_BUDGET
+
+    def test_h_grid_starts_inside_the_seed_brackets(self, tmp_path, monkeypatch):
+        starts = []
+        multisect = oracle._multisect
+
+        def recorded(T, n, tol, shifts):
+            starts.append((T, shifts))
+            return multisect(T, n, tol, shifts)
+
+        monkeypatch.setattr(oracle, "_multisect", recorded)
+        out = tmp_path / "fig3.csv"
+        assert cli.main(["compare", "--preset", "fig3", "--out", str(out)]) == 0
+        T, shifts = starts[0]
+        lo, hi = _gershgorin(T)
+        ladder = lo + (hi - lo) * np.exp2(-np.arange(oracle._LADDER_RUNGS, 0, -1.0))
+        assert not np.any(np.isin(shifts, ladder))
+        analytic = np.array(preset_problem("fig3")[2])
+        half_width = (analytic - lo) ** 2 / -T.offdiag[0]
+        off = np.abs(shifts[:, None] - analytic)
+        assert np.all(np.any(off <= half_width * (1.0 + 1e-9), axis=1))
+
+    def test_single_grid_compare(self, tmp_path, monkeypatch):
+        calls = []
+
+        def recorded(*args, **kwargs):
+            calls.append((args, dict(kwargs), oracle_levels(*args, **kwargs)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(cli, "oracle_levels", recorded)
+        out = tmp_path / "fig3.csv"
+        argv = ["compare", "--preset", "fig3", "--no-richardson", "--out", str(out)]
+        assert cli.main(argv) == 0
+        ((args, kwargs, got),) = calls
+        assert not args[3].richardson
+        assert kwargs.pop("seeds") is not None
+        cold = oracle_levels(*args, **kwargs)
+        assert np.allclose(got, cold, rtol=0.0, atol=oracle._LEVEL_TOL)
+
+    @pytest.mark.parametrize(
+        "seeds", [[1.0, 2.0], [1.0, math.nan, 3.0], [1.0, math.inf, 3.0], [-math.inf, 2.0, 3.0]]
+    )
+    def test_bad_seeds_raise(self, seeds):
+        model = M1Params(0.0, 2.0, 2.0)
+        with pytest.raises(ValueError, match=re.escape(f"{model!r}: need 3 finite seeds")):
+            oracle_levels(model, U1, 3, OracleConfig(n_points=500), seeds=seeds)
+        T = build_hamiltonian(model, U1, OracleConfig(n_points=500))
+        with pytest.raises(ValueError, match="need 3 finite seeds"):
+            lowest_eigenvalues(T, 3, _seeds=seeds)
+
+    @pytest.mark.parametrize("far", [1e200, -1e200])
+    def test_far_seeds_give_the_unseeded_levels(self, far):
+        # clipped into the Gershgorin interval, not squared into an overflow
+        model = M4Params(10.0, 2.0, 2.0, 1.0)
+        cfg = OracleConfig(n_points=1000)
+        cold = oracle_levels(model, U1, 3, cfg, e_top=12.0)
+        got = oracle_levels(model, U1, 3, cfg, e_top=12.0, seeds=[far, 5.0, far])
+        assert np.allclose(got, cold, rtol=0.0, atol=oracle._LEVEL_TOL)
 
 
 class TestOracleErrors:
