@@ -10,8 +10,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -63,19 +64,11 @@ PRESETS: dict[str, dict] = {
 # Default compare-gate tolerance (eV) per model variant.
 _GATE_TOLERANCE = {"m1": 2e-3, "m2": 2e-3, "m3": 5e-3, "m4": 5e-3}
 
-_FLOAT_KEYS = {
-    "u", "v0", "a", "b", "c", "hw1", "hw2",
-    "lambda_min", "lambda_max", "tolerance", "gap_ceiling", "e_min", "e_max",
-}
-_INT_KEYS = {"steps", "levels", "oracle_points"}
-_BOOL_KEYS = {"effective", "richardson"}
-_STR_KEYS = {"model", "preset", "out", "svg"}
-_ALL_KEYS = _FLOAT_KEYS | _INT_KEYS | _BOOL_KEYS | _STR_KEYS
-
 
 @dataclass
 class RunConfig:
-    """Fully merged run settings (defaults < preset < config file < flags)."""
+    """Fully merged run settings (defaults < preset < config file < flags).
+    Each field is a config-file key of its name and type, and a flag."""
 
     model: str | None = None
     u: float = 1.0
@@ -99,17 +92,27 @@ class RunConfig:
     e_min: float | None = None
     e_max: float | None = None
 
+    def __post_init__(self) -> None:
+        # NaN passes every comparison-based check downstream (a NaN tolerance
+        # passes any gate), so no float may be NaN or infinite.
+        for name, kind in _SETTINGS.items():
+            value = getattr(self, name)
+            if kind is float and value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+        if self.levels < 1:
+            raise ConfigError(f"levels must be >= 1, got {self.levels}")
+        if self.gap_ceiling is not None and self.gap_ceiling <= 0.0:
+            raise ConfigError(f"gap_ceiling must be > 0, got {self.gap_ceiling}")
+        if self.tolerance is not None and self.tolerance < 0.0:
+            raise ConfigError(f"tolerance must be >= 0, got {self.tolerance}")
+
     def build_model(self) -> ModelParams:
         if self.model is None:
             raise ConfigError("no model selected (use --model or --preset)")
         cls = VARIANTS.get(self.model.lower())
         if cls is None:
             raise ConfigError(f"unknown model {self.model!r} (expected {'|'.join(VARIANTS)})")
-        values = [self._req(f.name) for f in fields(cls)]
-        try:
-            return cls(*values)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return _built(cls, *[self._req(f.name) for f in fields(cls)])
 
     def _req(self, name: str) -> float:
         value = getattr(self, name)
@@ -118,54 +121,60 @@ class RunConfig:
         return value
 
     def build_units(self) -> UnitsConfig:
-        try:
-            return UnitsConfig(u=self.u)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return _built(UnitsConfig, u=self.u)
 
     def build_sweep_spec(self) -> SweepSpec:
         if self.lambda_min is None or self.lambda_max is None:
             raise ConfigError("sweep needs lambda_min and lambda_max (or a preset)")
-        try:
-            return SweepSpec(
-                lambda_min=self.lambda_min,
-                lambda_max=self.lambda_max,
-                steps=self.steps,
-                n_levels=self.levels,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return _built(SweepSpec, self.lambda_min, self.lambda_max, self.steps, self.levels)
 
     def build_rootfind(self) -> RootfindConfig:
-        overrides = {}
-        if self.e_min is not None:
-            overrides["e_min"] = self.e_min
-        if self.e_max is not None:
-            overrides["e_max"] = self.e_max
-        try:
-            return RootfindConfig(**overrides)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        e_min = RootfindConfig.e_min if self.e_min is None else self.e_min
+        return _built(RootfindConfig, e_min=e_min, e_max=self.e_max)
 
     def build_oracle(self) -> OracleConfig:
         return OracleConfig(n_points=self.oracle_points, richardson=self.richardson)
 
 
+def _built(cls, *args, **kwargs):
+    """cls(*args, **kwargs), its invariant violations reported as ConfigError."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+# Each setting's value type: the field's annotation, "T | None" read as T.
+_SETTINGS: dict[str, type] = {
+    name: next((t for t in get_args(hint) if t is not type(None)), hint)
+    for name, hint in get_type_hints(RunConfig).items()
+}
+
+# Flags are --<name> with "-" for "_", and --no-<name> for a switch that
+# defaults on; these settings differ from that or take more options.
+_FLAG_SPELLING = {"steps": "--lambda-steps"}
+_FLAG_OPTIONS: dict[str, dict] = {
+    "model": dict(choices=list(VARIANTS)),
+    "u": dict(help="units constant 2*mu/hbar^2 in 1/(eV A^2)"),
+    "v0": dict(help="barrier height (eV) or delta strength (eV*A)"),
+    "svg": dict(help="also emit a line chart (sweep only)"),
+    "effective": dict(help="append width-scaled levels u*(a+b)^2*E (m1 sweeps)"),
+    "tolerance": dict(help="compare gate tolerance in eV"),
+}
+
+
 def _parse_value(key: str, raw: str, where: str):
+    kind = _SETTINGS.get(key, str)  # "preset" names a preset
     raw = raw.strip()
     try:
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _BOOL_KEYS:
+        if kind is bool:
             low = raw.lower()
             if low in ("1", "true", "yes", "on"):
                 return True
             if low in ("0", "false", "no", "off"):
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
-        return raw
+        return kind(raw)
     except ValueError as exc:
         raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from exc
 
@@ -181,7 +190,7 @@ def parse_config_text(text: str) -> dict:
             raise ConfigError(f"line {lineno}: expected key=value, got {line.strip()!r}")
         key, raw = stripped.split("=", 1)
         key = key.strip().lower()
-        if key not in _ALL_KEYS:
+        if key not in _SETTINGS and key != "preset":
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         out[key] = _parse_value(key, raw, f"line {lineno}")
     return out
@@ -207,39 +216,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", type=Path, help="key=value configuration file")
     parser.add_argument("--preset", choices=sorted(PRESETS), help="bundled figure configuration")
-    parser.add_argument("--model", choices=list(VARIANTS))
-    parser.add_argument("--u", type=float, help="units constant 2*mu/hbar^2 in 1/(eV A^2)")
-    parser.add_argument("--v0", type=float, help="barrier height (eV) or delta strength (eV*A)")
-    parser.add_argument("--a", type=float)
-    parser.add_argument("--b", type=float)
-    parser.add_argument("--c", type=float)
-    parser.add_argument("--hw1", type=float)
-    parser.add_argument("--hw2", type=float)
-    parser.add_argument("--lambda-min", dest="lambda_min", type=float)
-    parser.add_argument("--lambda-max", dest="lambda_max", type=float)
-    parser.add_argument("--lambda-steps", dest="steps", type=int)
-    parser.add_argument("--levels", type=int)
-    parser.add_argument("--out", type=Path)
-    parser.add_argument("--svg", type=Path, help="also emit a line chart (sweep only)")
-    parser.add_argument("--effective", action="store_true", default=None,
-                        help="append width-scaled levels u*(a+b)^2*E (m1 sweeps)")
-    parser.add_argument("--tolerance", type=float, help="compare gate tolerance in eV")
-    parser.add_argument("--oracle-points", dest="oracle_points", type=int)
-    parser.add_argument("--no-richardson", dest="richardson", action="store_false", default=None)
-    parser.add_argument("--gap-ceiling", dest="gap_ceiling", type=float)
-    parser.add_argument("--e-min", dest="e_min", type=float)
-    parser.add_argument("--e-max", dest="e_max", type=float)
+    for f in fields(RunConfig):
+        kind, options = _SETTINGS[f.name], dict(_FLAG_OPTIONS.get(f.name, {}), dest=f.name)
+        flag = f.name.replace("_", "-")
+        if kind is bool:  # a switch away from the default
+            flag = "no-" + flag if f.default else flag
+            options.update(action="store_false" if f.default else "store_true", default=None)
+        else:
+            options.update(type=kind)
+        parser.add_argument(_FLAG_SPELLING.get(f.name, "--" + flag), **options)
     return parser
 
 
-def parse_config(source: str | list[str]) -> RunConfig:
-    """Build a RunConfig from key=value text or from CLI flag tokens.
+def parse_config(argv: list[str]) -> RunConfig:
+    """Build a RunConfig from CLI flag tokens.
 
-    Precedence: defaults < preset < config file/text keys < flags.
+    Precedence: defaults < preset < config file keys < flags.
     """
-    if isinstance(source, str):
-        return _merge_config(_expand_preset(parse_config_text(source)))
-    return _merge_config(_collect(source)[1])
+    return RunConfig(**_collect(argv)[1])
 
 
 def _expand_preset(values: dict) -> dict:
@@ -265,32 +259,11 @@ def _collect(argv: list[str]) -> tuple[str, dict]:
     if ns.preset:  # the flag's preset, else the file's
         values["preset"] = ns.preset
     merged = _expand_preset(values)
-    for f in fields(RunConfig):
-        value = getattr(ns, f.name, None)
+    for name in _SETTINGS:
+        value = getattr(ns, name)
         if value is not None:
-            merged[f.name] = value if not isinstance(value, Path) else str(value)
+            merged[name] = value
     return ns.command, merged
-
-
-def _merge_config(values: dict) -> RunConfig:
-    cfg = RunConfig()
-    for key, value in values.items():
-        if key not in {f.name for f in fields(RunConfig)}:
-            raise ConfigError(f"unknown configuration key {key!r}")
-        setattr(cfg, key, value)
-    # NaN passes every comparison-based check downstream (a NaN tolerance
-    # passes any gate), so no float may be NaN or infinite.
-    for key in sorted(_FLOAT_KEYS):
-        value = getattr(cfg, key)
-        if value is not None and not math.isfinite(value):
-            raise ConfigError(f"{key} must be finite, got {value}")
-    if cfg.levels < 1:
-        raise ConfigError(f"levels must be >= 1, got {cfg.levels}")
-    if cfg.gap_ceiling is not None and cfg.gap_ceiling <= 0.0:
-        raise ConfigError(f"gap_ceiling must be > 0, got {cfg.gap_ceiling}")
-    if cfg.tolerance is not None and cfg.tolerance < 0.0:
-        raise ConfigError(f"tolerance must be >= 0, got {cfg.tolerance}")
-    return cfg
 
 
 def _fmt(x: float) -> str:
@@ -303,6 +276,11 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
+def _write_csv(path: Path, header: str, rows) -> None:
+    lines = [header] + [",".join(_fmt(v) for v in row) for row in rows]
+    _write_text(path, "\n".join(lines) + "\n")
+
+
 def _default_out(cfg: RunConfig, command: str) -> Path:
     return Path(cfg.out) if cfg.out else Path(f"{command}.csv")
 
@@ -312,9 +290,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     model = cfg.build_model()
     units = cfg.build_units()
     levels = solve_levels(model, units, cfg.levels, cfg.build_rootfind())
-    lines = ["level,energy_ev"]
-    lines += [f"{i},{_fmt(e)}" for i, e in enumerate(levels, start=1)]
-    _write_text(_default_out(cfg, "solve"), "\n".join(lines) + "\n")
+    _write_csv(_default_out(cfg, "solve"), "level,energy_ev", enumerate(levels, start=1))
     return 0
 
 
@@ -323,7 +299,7 @@ def _sweep_model(cfg: RunConfig) -> ModelParams:
     # (every grid point is validated and substituted during the sweep).
     cls = VARIANTS.get((cfg.model or "").lower())
     if cls is not None and cfg.lambda_max is not None and getattr(cfg, cls.sweep_param) is None:
-        setattr(cfg, cls.sweep_param, cfg.lambda_max)
+        cfg = replace(cfg, **{cls.sweep_param: cfg.lambda_max})
     return cfg.build_model()
 
 
@@ -344,23 +320,15 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if cfg.effective:
         columns.append(effective_levels(table))
         header += "," + ",".join(f"Ep{j}" for j in range(1, n + 1))
-    body = np.hstack(columns)
-    lines = [header]
-    for lam, row in zip(table.lambdas, body):
-        lines.append(",".join([_fmt(float(lam))] + [_fmt(float(v)) for v in row]))
-    _write_text(_default_out(cfg, "sweep"), "\n".join(lines) + "\n")
+    body = np.column_stack([table.lambdas] + columns)
+    _write_csv(_default_out(cfg, "sweep"), header, body)
     if cfg.svg:
         _write_svg(Path(cfg.svg), table.lambdas, table.levels, model.sweep_param)
     return 0
 
 
 def _write_crossings(path: Path, crossings: list[AvoidedCrossing]) -> None:
-    lines = ["gap_index,lambda_star,gap_ev,e_mid_ev"]
-    lines += [
-        f"{ac.level_index},{_fmt(ac.lambda_star)},{_fmt(ac.gap)},{_fmt(ac.e_mid)}"
-        for ac in crossings
-    ]
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, "gap_index,lambda_star,gap_ev,e_mid_ev", map(astuple, crossings))
 
 
 def cmd_detect(cfg: RunConfig) -> int:
@@ -387,13 +355,12 @@ def cmd_compare(cfg: RunConfig) -> int:
         model, units, cfg.levels, cfg.build_oracle(), e_top=1.5 * analytic[-1], seeds=analytic
     )
     tolerance = cfg.tolerance if cfg.tolerance is not None else _GATE_TOLERANCE[model.kind]
-    lines = ["level,analytic_ev,oracle_ev,abs_diff_ev"]
-    worst = 0.0
-    for i, (ana, ora) in enumerate(zip(analytic, reference), start=1):
-        diff = abs(ana - ora)
-        worst = max(worst, diff)
-        lines.append(f"{i},{_fmt(ana)},{_fmt(ora)},{_fmt(diff)}")
-    _write_text(_default_out(cfg, "compare"), "\n".join(lines) + "\n")
+    rows = [
+        (i, ana, ora, abs(ana - ora))
+        for i, (ana, ora) in enumerate(zip(analytic, reference), start=1)
+    ]
+    _write_csv(_default_out(cfg, "compare"), "level,analytic_ev,oracle_ev,abs_diff_ev", rows)
+    worst = max(row[-1] for row in rows)
     if worst > tolerance:
         print(
             f"tolerance gate failed: max |analytic - oracle| = {worst:.3e} eV "
@@ -473,7 +440,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         command, merged = _collect(argv)
-        cfg = _merge_config(merged)
+        cfg = RunConfig(**merged)
         if command != "sweep" and (cfg.svg or cfg.effective):
             raise ConfigError(f"svg and effective apply to sweep only, not {command}")
         return _COMMANDS[command](cfg)

@@ -356,8 +356,6 @@ def oracle_levels(
             5 domains, failed; the message starts with the model's repr
             and names the stage and the bracket or domain.
     """
-    if seeds is not None and (len(seeds) != n or not all(map(math.isfinite, seeds))):
-        raise ValueError(f"{model!r}: need {n} finite seeds, got {seeds!r}")
     box_model = model.walls is not None
     sizing = e_top if e_top is not None else model.level_window(units, n)
     for _ in range(5):
@@ -375,8 +373,8 @@ def oracle_levels(
                 levels = [(4.0 * f - c) / 3.0 for c, f in zip(coarse, fine)]
             else:
                 levels = coarse
-        except NonConvergenceError as exc:
-            raise NonConvergenceError(f"{model!r}: {exc}") from exc
+        except (NonConvergenceError, ValueError) as exc:
+            raise type(exc)(f"{model!r}: {exc}") from exc
         if box_model or levels[-1] * 1.5 <= sizing * (1.0 + _SIZING_SLACK):
             return levels
         top, sizing = levels[-1], levels[-1] * 2.0

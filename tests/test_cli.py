@@ -5,15 +5,16 @@ import math
 import os
 import subprocess
 import sys
+import typing
 
 import numpy as np
 import pytest
 
 from dwcross.cli import (
-    _ALL_KEYS,
     PRESETS,
     RunConfig,
     _build_parser,
+    cmd_sweep,
     main,
     parse_config,
     parse_config_text,
@@ -23,15 +24,21 @@ from dwcross.models import M1Params, M2Params, M3Params, M4Params, UnitsConfig
 from dwcross.rootfind import solve_levels
 
 
+def parse_config_file(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text, encoding="utf-8")
+    return parse_config(["solve", "--config", str(path)])
+
+
 class TestParseConfigText:
-    def test_key_value_lines(self):
-        cfg = parse_config("model=m1\nv0=10\na=2\nb=2\nu=1")
+    def test_key_value_lines(self, tmp_path):
+        cfg = parse_config_file(tmp_path, "model=m1\nv0=10\na=2\nb=2\nu=1")
         model = cfg.build_model()
         assert model == M1Params(v0=10.0, a=2.0, b=2.0)
         assert cfg.build_units().u == 1.0
 
-    def test_violated_invariant_is_named(self):
-        cfg = parse_config("model=m2\nv0=1\na=1\nb=2\nc=3")
+    def test_violated_invariant_is_named(self, tmp_path):
+        cfg = parse_config_file(tmp_path, "model=m2\nv0=1\na=1\nb=2\nc=3")
         with pytest.raises(ConfigError, match="a > b"):
             cfg.build_model()
 
@@ -57,12 +64,12 @@ class TestParseConfigText:
         with pytest.raises(ConfigError):
             parse_config_text("effective=maybe")
 
-    def test_preset_key_in_text(self):
-        cfg = parse_config("preset=fig5\nc=4.0")
+    def test_preset_key_in_text(self, tmp_path):
+        cfg = parse_config_file(tmp_path, "preset=fig5\nc=4.0")
         model = cfg.build_model()
         assert model == M2Params(v0=10.0, a=2.0, b=1.0, c=4.0)
         with pytest.raises(ConfigError, match="preset"):
-            parse_config("preset=fig9")
+            parse_config_file(tmp_path, "preset=fig9")
 
 
 class TestPresets:
@@ -133,9 +140,29 @@ def test_settings_views_agree():
     # alike; a knob removed from one view and left in another fails here
     # (preset and config only select where settings come from)
     fields = {f.name for f in dataclasses.fields(RunConfig)}
-    assert _ALL_KEYS - {"preset"} == fields
     dests = {a.dest for a in _build_parser()._actions if a.dest != "help"}
     assert dests - {"command", "config", "preset"} == fields
+
+
+# A valid value of each setting type, as a config line or flag spells it.
+SAMPLE = {float: "0.75", int: "3", str: "m2"}
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(RunConfig), ids=lambda f: f.name)
+def test_config_key_and_flag_agree(tmp_path, field):
+    # the config line name=value and the setting's flag give the same value,
+    # of the field's type; a switch flips the field's default
+    action = next(a for a in _build_parser()._actions if a.dest == field.name)
+    if action.nargs == 0:
+        raw, argv = str(not field.default), [action.option_strings[0]]
+    else:
+        raw = SAMPLE[action.type]
+        argv = [action.option_strings[0], raw]
+    from_file = getattr(parse_config_file(tmp_path, f"{field.name}={raw}\n"), field.name)
+    from_flag = getattr(parse_config(["solve", *argv]), field.name)
+    assert from_file == from_flag and type(from_file) is type(from_flag)
+    assert from_flag != field.default
+    assert isinstance(from_flag, typing.get_type_hints(RunConfig)[field.name])
 
 
 def run_cli(tmp_path, monkeypatch, args):
@@ -457,6 +484,14 @@ class TestSweepOutput:
         assert code == 0
         run_cli(tmp_path, monkeypatch, self.ARGS + ["--out", "flags.csv"])
         assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "flags.csv").read_bytes()
+
+    def test_sweep_leaves_the_config_unchanged(self, tmp_path, monkeypatch):
+        # the swept b is seeded from the window on a copy of the settings
+        monkeypatch.chdir(tmp_path)
+        cfg = parse_config(self.ARGS)
+        assert cfg.b is None
+        assert cmd_sweep(cfg) == 0
+        assert cfg.b is None
 
     def test_byte_identical_across_runs(self, tmp_path, monkeypatch):
         run_cli(tmp_path, monkeypatch, self.ARGS + ["--out", "a.csv"])
