@@ -17,21 +17,20 @@ origin.  Their grids share each round's array call (in blocks of at most
 _EVAL_BLOCK energies), which costs mostly a fixed amount whatever its
 length, but no row reads another's values: each comes out as it would if
 scanned alone.
-solve_rows solves many models of one family so, all in one scan.
 
 Refinement never leaves its bracket.  Its one rule, regula falsi with
 Anderson and Bjorck's end scaling and a bisection where a bracket stalls,
 comes in two forms that give the same root bit for bit on the same F.
 refine_rows refines every bracket of many rows in lockstep, one array
-call per round over the brackets still open.  solve_rows uses it, so a
-sweep's 800 to 1200 brackets share each call's fixed cost.  refine_root
+call per round over the brackets still open.  A sweep uses it, so its
+800 to 1200 brackets share each call's fixed cost.  refine_root
 refines one bracket on the scalar form of F (models.characteristic_fn).
 solve_levels and the probes of the sweep's crossing search use it: they
 hold one to a dozen brackets, and a numpy call on so few costs more than
 the math-module arithmetic of a scalar step.
 
 Each caller chooses its scan's grid density: 32 cells per wanted level
-for a single solve or a probe, 8 for solve_rows (see _CELLS_PER_LEVEL).
+for a single solve or a probe (_CELLS_PER_LEVEL), 8 for a sweep.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ __all__ = [
     "refine_levels",
     "refine_rows",
     "solve_levels",
-    "solve_rows",
 ]
 
 # Hard ceiling for automatic window expansion.
@@ -62,14 +60,11 @@ _E_MAX_CAP = 1e4
 # Window growth factor when the window holds fewer than the wanted levels.
 _EXPAND = 1.6
 
-# Grid cells per wanted level in each trial window, chosen by the caller.
-# A single solve (and a crossing probe) scans at 32: there an array call's
-# fixed cost dominates, so a denser grid costs little and saves halving
-# rounds.  solve_rows scans at 8: its calls are long, so its cost grows
-# with the energies it asks for (fig6b's sweep scans 10 001 energies at 8
-# cells against 38 641 at 32, and refines 9 377 against 7 913).
+# Grid cells per wanted level in each trial window of a single solve or a
+# crossing probe: there an array call's fixed cost dominates, so a denser
+# grid costs little and saves halving rounds.  A sweep scans sparser (see
+# dwcross.sweep).
 _CELLS_PER_LEVEL = 32
-_ROWS_CELLS_PER_LEVEL = 8
 
 # A counted array form of f over many rows: (energies, the row of each)
 # to (F, N) there.
@@ -89,8 +84,10 @@ class Bracket(NamedTuple):
 class RootfindConfig:
     """Count origin, starting window top and refinement tolerance.
 
-    e_max may be left None: solve_levels and solve_rows then start on the
-    model's level_window.
+    Levels are counted from e_min, where every scan window starts.  e_max
+    only sets where the first window ends: a window that holds fewer than
+    the wanted levels grows.  Left None, solve_levels and a sweep start
+    each window on the model's level_window.
     """
 
     e_min: float = 1e-9
@@ -482,40 +479,3 @@ def solve_levels(
     except NonConvergenceError as exc:
         raise NonConvergenceError(f"{model!r}: {exc}") from exc
 
-
-def solve_rows(
-    f: RowsFn,
-    models: list[ModelParams],
-    units: UnitsConfig,
-    n_levels: int,
-    cfg: RootfindConfig = RootfindConfig(),
-) -> list[list[float]]:
-    """solve_levels on many models at once, one row each.  f maps
-    (energies, rows) to (F, N) there, each energy's from its row's model
-    (for a family of models, char_values with `at`).  One scan_brackets
-    call scans every row, at 8 cells per wanted level (solve_levels scans
-    at 32); then one refine_rows call refines the brackets of every row in
-    lockstep.  Each row is scanned and refined as it would be alone: it
-    comes out bit for bit as solve_rows on its model alone, and within
-    2 max(tol_abs, 4 eps |E|) of solve_levels, which refines on the scalar
-    F.
-
-    Raises:
-        NonConvergenceError: as solve_levels, for the first row to fail.
-            The rounds go in turn: the window start (in row order), then
-            the scan's window search, its halving and its count check, then
-            the refinement; within one round the lowest row fails first.
-            The row attribute is the row named.
-    """
-    tops = np.empty(len(models))
-    row = 0
-    try:
-        for row, model in enumerate(models):
-            tops[row] = _start_top(model, units, n_levels, cfg)
-        levels = scan_brackets(
-            f, cfg, n_levels, np.zeros(tops.size), tops, cells_per_level=_ROWS_CELLS_PER_LEVEL
-        )
-        return refine_rows(f, levels, cfg)
-    except NonConvergenceError as exc:
-        row = row if exc.row is None else exc.row
-        raise NonConvergenceError(f"{models[row]!r}: {exc}", row=row) from exc

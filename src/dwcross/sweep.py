@@ -4,11 +4,11 @@ gap minima where adjacent eigenvalue curves repel (avoided crossings).
 Every grid point is solved independently (no continuation seeding): since
 1D bound levels never cross, ascending order at each point is already the
 adiabatic labeling, and independent solves cannot mislabel levels near a
-throat.  The points are independent rows of one solve (rootfind.solve_rows):
-scanned together and then refined together, so that each array call of
-the characteristic function serves many points, but each with its own
-window, count and brackets, and each comes out as that point solved
-alone by solve_rows would.  Detected gap minima are refined by Brent's
+throat.  The points are independent rows of one scan and one lockstep
+refinement (rootfind.scan_brackets and refine_rows), so that each array
+call of the characteristic function serves many points, but each with
+its own window, count and brackets, and each comes out as that point
+would in any other sweep.  Detected gap minima are refined by Brent's
 minimiser on the squared gap, which near an avoided crossing is a parabola
 in the swept parameter, all crossings in lockstep: each round probes every
 crossing still open with one scan.  Each probe finds the two flanking
@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, ModelMismatchError, NonConvergenceError
 from .models import ModelParams, UnitsConfig, characteristic_fn
-from .rootfind import RootfindConfig, refine_levels, scan_brackets, solve_rows
+from .rootfind import RootfindConfig, _start_top, refine_levels, refine_rows, scan_brackets
 
 __all__ = [
     "SweepSpec",
@@ -44,6 +44,12 @@ __all__ = [
 # The search for a gap minimum shrinks its lambda interval to this
 # fraction of the full sweep window.
 _LAMBDA_TOL_FRACTION = 1e-5
+
+# Grid cells per wanted level in a sweep's scan (single solves and crossing
+# probes scan at rootfind's 32).  A sweep's array calls are long, so its
+# cost grows with the energies it asks for: fig6b's sweep scans 10 001
+# energies at 8 cells against 38 641 at 32, and refines 7 976 against 6 576.
+_ROWS_CELLS_PER_LEVEL = 8
 
 
 @dataclass(frozen=True)
@@ -97,10 +103,10 @@ def sweep_levels(
     cfg: RootfindConfig = RootfindConfig(),
 ) -> SpectrumTable:
     """Solve the first n_levels at every grid point of the model's sweep
-    parameter, the rows scanned and refined together (rootfind.solve_rows):
-    each row as solve_rows gives it on that point alone, and within
-    2 max(tol_abs, 4 eps |E|) of solve_levels there, which refines on the
-    scalar F.
+    parameter, as the rows of one scan (at 8 cells per wanted level) and
+    one lockstep refinement: each row bit for bit as that point in any
+    other sweep, and within 2 max(tol_abs, 4 eps |E|) of solve_levels
+    there, which refines on the scalar F.
 
     Every grid point's model is built (and so validated) before the first
     solve: a point outside the model's valid range raises ConfigError.
@@ -123,12 +129,22 @@ def sweep_levels(
     def values(energies: np.ndarray, rows: np.ndarray):
         return model.char_values(energies, units, at=lambdas[rows])
 
+    n = spec.n_levels
+    tops: list[float] = []
     try:
-        rows = solve_rows(values, varied, units, spec.n_levels, cfg)
+        for point in varied:
+            tops.append(_start_top(point, units, n, cfg))
+        scans = scan_brackets(
+            values, cfg, n, np.zeros(len(tops)), np.array(tops),
+            cells_per_level=_ROWS_CELLS_PER_LEVEL,
+        )
+        rows = refine_rows(values, scans, cfg)
     except NonConvergenceError as exc:
-        i = exc.row
+        # a window start fails with no row: the point after the tops found
+        i = len(tops) if exc.row is None else exc.row
         raise NonConvergenceError(
-            f"sweep failed at grid index {i} ({name}={float(lambdas[i])}): {exc}", row=i
+            f"sweep failed at grid index {i} ({name}={float(lambdas[i])}): {varied[i]!r}: {exc}",
+            row=i,
         ) from exc
     return SpectrumTable(lambdas, np.array(rows, dtype=np.float64), model, units, cfg)
 
@@ -157,15 +173,25 @@ def _gaps_at(
     The two levels are the ones with count indices N(e_min)+col+1 and
     N(e_min)+col+2, the labels of the table's columns.  Each probe scans
     [e_min, e_hi[k]], the top taken from the table above the pair, and
-    raises the top only when the count says a level lies above it.
+    raises the top only when the count says a level lies above it.  A
+    failed probe raises NonConvergenceError naming its pair and model.
     """
     varied = [model.at(lam) for lam in lams.tolist()]
 
     def values(energies: np.ndarray, rows: np.ndarray):
         return model.char_values(energies, units, at=lams[rows])
 
-    scans = scan_brackets(values, cfg, 2, cols, e_hi)
-    pairs = [refine_levels(characteristic_fn(v, units), x, cfg) for v, x in zip(varied, scans)]
+    pairs = []
+    try:
+        scans = scan_brackets(values, cfg, 2, cols, e_hi)
+        for v, x in zip(varied, scans):
+            pairs.append(refine_levels(characteristic_fn(v, units), x, cfg))
+    except NonConvergenceError as exc:
+        # a refinement fails with no row: the probe after the pairs found
+        k = len(pairs) if exc.row is None else exc.row
+        raise NonConvergenceError(
+            f"crossing probe of levels {cols[k] + 1} and {cols[k] + 2}: {varied[k]!r}: {exc}"
+        ) from exc
     lo_root, hi_root = np.array(pairs).T
     return hi_root - lo_root, 0.5 * (lo_root + hi_root)
 

@@ -11,7 +11,7 @@ from dwcross import rootfind, sweep
 from dwcross.cli import PRESETS, main, parse_config
 from dwcross.errors import ConfigError, ModelMismatchError, NonConvergenceError
 from dwcross.models import M1Params, M2Params, M3Params, UnitsConfig
-from dwcross.rootfind import RootfindConfig, solve_levels, solve_rows
+from dwcross.rootfind import RootfindConfig, solve_levels
 from dwcross.sweep import (
     SweepSpec,
     default_gap_ceiling,
@@ -164,7 +164,7 @@ class TestSweepLevels:
         lo, hi, _, _ = rootfind.scan_brackets(
             lambda e, rows: M1Params.char_values(model, e, U1, at=np.full(e.size, 2.0)),
             RootfindConfig(), 3, np.zeros(1), np.array([top]),
-            cells_per_level=rootfind._ROWS_CELLS_PER_LEVEL,
+            cells_per_level=sweep._ROWS_CELLS_PER_LEVEL,
         )[0][0]
         monkeypatch.setattr(_NonFiniteInBracket, "inside", (lo, hi))
         message = (
@@ -185,16 +185,15 @@ class TestSweepLevels:
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_rows_equal_single_solves(self, preset):
-        # every row, bit for bit, as solve_rows gives it on that grid point
-        # alone: no row reads another's values
+        # every row, bit for bit, as that grid point comes out of a
+        # two-point sweep: no row reads another's values
         model, units, cfg, spec, table = self._preset_sweep(preset)
-        for lam, row in zip(table.lambdas.tolist(), table.levels.tolist()):
-            at = np.array([lam])
-
-            def values(energies, rows, at=at):
-                return model.char_values(energies, units, at=at[rows])
-
-            assert [row] == solve_rows(values, [model.at(lam)], units, spec.n_levels, cfg)
+        lams = table.lambdas.tolist()
+        for i, (lam, row) in enumerate(zip(lams, table.levels.tolist())):
+            ends, at = ((lam, lams[-1]), 0) if i == 0 else ((lams[0], lam), -1)
+            pair = sweep_levels(model, units, SweepSpec(*ends, 2, spec.n_levels), cfg)
+            assert pair.lambdas[at] == lam
+            assert pair.levels[at].tolist() == row
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_rows_match_solve_levels(self, preset):
@@ -402,12 +401,17 @@ class TestGapProbe:
         run = parse_config(["detect", "--preset", "fig3", "--e-min", "1.0"])
         cfg = run.build_rootfind()
         table = sweep_levels(run.build_model(), run.build_units(), run.build_sweep_spec(), cfg)
-        solves = []
-        solve_rows = sweep.solve_rows
-        monkeypatch.setattr(sweep, "solve_rows", lambda *a: solves.append(a) or solve_rows(*a))
+        scans, refines = [], []
+        scan, refine_rows = sweep.scan_brackets, sweep.refine_rows
+        monkeypatch.setattr(
+            sweep, "scan_brackets", lambda *a, **k: scans.append((a, k)) or scan(*a, **k)
+        )
+        monkeypatch.setattr(sweep, "refine_rows", lambda *a: refines.append(a) or refine_rows(*a))
         acs = detect_avoided_crossings(table, run.gap_ceiling)
         monkeypatch.undo()
-        assert acs and solves == [] and not hasattr(sweep, "solve_levels")
+        # every scan is a probe's, of two levels at the default density
+        assert acs and refines == [] and not hasattr(sweep, "solve_levels")
+        assert scans and all(a[2] == 2 and k == {} for a, k in scans)
         for ac in acs:
             levels = solve_levels(
                 table.model.at(ac.lambda_star), table.units, ac.level_index + 1, cfg
@@ -415,6 +419,35 @@ class TestGapProbe:
             lo, hi = levels[-2:]
             assert ac.gap == pytest.approx(hi - lo, abs=2.0 * cfg.tol_abs)
             assert ac.e_mid == pytest.approx(0.5 * (lo + hi), abs=2.0 * cfg.tol_abs)
+
+    @pytest.mark.parametrize("stage", ["scan", "refine"])
+    def test_probe_failure_names_model_and_pair(self, monkeypatch, stage):
+        # F turns NaN after the fig3 sweep, in the array form (a probe's
+        # scan fails) or the scalar one (its refinement fails): the first
+        # probe of the first crossing is named by its pair and its model
+        run = parse_config(["detect", "--preset", "fig3"])
+        cfg = run.build_rootfind()
+        table = sweep_levels(run.build_model(), run.build_units(), run.build_sweep_spec(), cfg)
+        row, col = sweep._interior_minima(gap_curves(table), run.gap_ceiling)[0]
+        lam_tol = float(table.lambdas[-1] - table.lambdas[0]) * sweep._LAMBDA_TOL_FRACTION
+        lo, hi = table.lambdas[[row - 1, row + 1]].tolist()
+        lam = next(sweep._localmin(lo, hi, lam_tol))
+        if stage == "scan":
+            char_values = M1Params.char_values
+
+            def nan_values(self, energies, units, at=None):
+                values, counts = char_values(self, energies, units, at)
+                return np.full_like(values, np.nan), counts
+
+            monkeypatch.setattr(M1Params, "char_values", nan_values)
+        else:
+            monkeypatch.setattr(M1Params, "char", lambda self, energy, units: math.nan)
+        message = (
+            rf"^crossing probe of levels {col + 1} and {col + 2}: "
+            rf"{re.escape(repr(table.model.at(lam)))}: {stage}: F is not finite at E="
+        )
+        with pytest.raises(NonConvergenceError, match=message):
+            detect_avoided_crossings(table, run.gap_ceiling)
 
 
 class TestEdgeCandidates:
@@ -563,7 +596,7 @@ class TestWorkCounts:
         sizes = {"scan": [], "refine": []}
         stage = ["scan"]
         char_values = M1Params.char_values
-        refine_rows = rootfind.refine_rows
+        refine_rows = sweep.refine_rows
 
         def counted(self, energies, units, at=None):
             sizes[stage[0]].append(np.size(energies))
@@ -574,12 +607,12 @@ class TestWorkCounts:
             return refine_rows(*args)
 
         monkeypatch.setattr(M1Params, "char_values", counted)
-        monkeypatch.setattr(rootfind, "refine_rows", refining)
+        monkeypatch.setattr(sweep, "refine_rows", refining)
         sweep_levels(model, units, spec, cfg)
         # a row's trial grid, at the sweep's density, from e_min; whole
         # rows per block and fig3's one halving round over all rows cost at
         # most one more call
-        nodes = rootfind._ROWS_CELLS_PER_LEVEL * spec.n_levels + 1
+        nodes = sweep._ROWS_CELLS_PER_LEVEL * spec.n_levels + 1
         blocks = math.ceil(spec.steps * nodes / rootfind._EVAL_BLOCK)
         assert len(sizes["scan"]) <= blocks + 1
         # one call per refinement round over every open bracket of every
@@ -591,15 +624,18 @@ class TestWorkCounts:
         assert max(sizes["scan"] + sizes["refine"]) <= rootfind._EVAL_BLOCK
 
     def test_sweep_scans_once(self, monkeypatch):
-        # one scan_brackets call over every row of the sweep
+        # one scan_brackets call over every row of the sweep, then one
+        # refine_rows call
         _, model, units, spec, cfg = self._fig3()
-        calls = []
-        scan = rootfind.scan_brackets
+        calls, refines = [], []
+        scan, refine_rows = sweep.scan_brackets, sweep.refine_rows
         monkeypatch.setattr(
-            rootfind, "scan_brackets", lambda *a, **k: calls.append(a) or scan(*a, **k)
+            sweep, "scan_brackets", lambda *a, **k: calls.append(a) or scan(*a, **k)
         )
+        monkeypatch.setattr(sweep, "refine_rows", lambda *a: refines.append(a) or refine_rows(*a))
         sweep_levels(model, units, spec, cfg)
-        assert len(calls) == 1
+        assert len(calls) == 1 and len(calls[0][3]) == spec.steps
+        assert len(refines) == 1
 
     def test_detect_scans_once_per_brent_round(self, monkeypatch):
         # one scan per round of the lockstep searches; on the parabolic
@@ -615,7 +651,7 @@ class TestWorkCounts:
         assert len(acs) >= 2 and len(calls) <= 8
 
     def test_single_solves_and_probes_keep_32_cells(self, monkeypatch):
-        # only solve_rows scans at the sweep's density: solve_levels' first
+        # only a sweep scans at its own density: solve_levels' first
         # trial grid has 32 cells per level, and a crossing probe's (two
         # levels, from e_min up) 64
         run, model, units, _, _ = self._fig3()
