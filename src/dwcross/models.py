@@ -17,28 +17,31 @@ strength, the shooting breakpoints, the box walls and the oracle's
 grid ends.  Other modules ask the model, never its type.  VARIANTS
 maps each tag to its class.
 
-Each variant writes its level condition once, as `_char(e, u, ops)`:
-one formula over the primitives in `ops` (square root, sine, cosine,
-the reciprocal-gamma and barrier factors, a signed log and a rescaled
-signed-exponential sum).  `char` evaluates it at one energy with
-_SCALAR, the math-module primitives, and returns a float; `char_values`
-evaluates it on a 1-D array of energies with _ARRAY, the numpy
-primitives, with each branch an np.where over the block.  Root
+Each variant is two pieces joined by a barrier, and writes its level
+condition once, as `_char(e, u, ops)`: a join, `_delta` or `_rectangle`,
+over the pieces of `_boxes` or `_harmonics`.  A piece gives its value
+psi and its slope psi' toward the junction there.  The primitives come
+from `ops` (square root, sine, cosine, exponential, maximum, and the
+reciprocal-gamma and barrier factors).  `char` evaluates it at one
+energy with _SCALAR, the math-module primitives, and returns a float;
+`char_values` evaluates it on a 1-D array of energies with _ARRAY, the
+numpy primitives, with each branch an np.where over the block.  Root
 refinement stays on `char` (through characteristic_fn): a numpy call on
 one element costs several times the math-module arithmetic.  The two
-forms agree to a few ulp (numpy may round exp, log, cos, cosh and sinh
-differently, and adds in order where the scalar sum uses fsum); signs
-agree away from the roots.
+forms agree to a few ulp (numpy may round exp, cos, cosh and sinh
+differently); signs agree away from the roots.
 
 With _ARRAY, `_char` also returns N(E), the exact number of levels
 strictly below each energy, from F's own values.  By the Sturm
 oscillation theorem piece by piece, with the line split at x0 (the delta,
 or the barrier's left edge), N = P_L + P_R + [G < 0]: P_L and P_R count
-the levels of the pieces walled at x0, and G = psi_L'/psi_L -
-psi_R'/psi_R (+ u v0 for a delta) falls between its poles and has the
-sign of F psi_L(x0) psi_R(x0) (of minus that for m3, whose F carries a
-leading minus).  Each piece's count steps exactly where the sign of its
-psi(x0), as F computes it, changes.
+the levels of the two sides walled at x0 (each piece gives its own; a
+rectangle adds the zeros of the right piece's solution inside it, from
+the sign of C psi_R + S psi'_R, that solution at x0), and
+G = psi_L'/psi_L + psi_R'/psi_R (+ u v0 for a delta), with psi_R and
+the slopes taken at x0 and toward it, falls between its poles and has
+the sign of F psi_L(x0) psi_R(x0).  Each piece's count steps exactly
+where the sign of its psi(x0), as F computes it, changes.
 
 Each characteristic function is written in a pole-free, spurious-root-free
 form: gamma ratios are cleared into reciprocal-gamma products (entire in E,
@@ -46,7 +49,8 @@ and they keep the odd-parity roots that ratio forms lose at the symmetric
 point), the rectangular-barrier factors are evaluated as entire functions
 of v0 - E (so sweeps pass smoothly through E = v0 and sub/over-barrier
 branches join without caller branching), and an E-continuous positive
-rescale keeps values representable at large quantum numbers.
+rescale of each harmonic piece keeps values representable at large
+quantum numbers.
 """
 
 from __future__ import annotations
@@ -74,11 +78,6 @@ __all__ = [
     "model_kind",
 ]
 
-_LN_SQRT2 = 0.5 * math.log(2.0)
-
-# |log terms| above this trigger a common positive rescale before summation.
-_LOG_RESCALE_THRESHOLD = 600.0
-
 # Barrier factors switch to their power series when (2*half_width)^2*(v0-E)
 # is below this, which joins the E<v0, E=v0 and E>v0 branches smoothly.
 _BARRIER_SERIES_CUT = 1e-6
@@ -87,6 +86,11 @@ _BARRIER_SERIES_CUT = 1e-6
 # common positive rescale instead of overflowing.
 _BARRIER_ARG_CAP = 350.0
 _BARRIER_BIG = 0.5 * math.exp(_BARRIER_ARG_CAP)
+
+# A harmonic piece's value and slope carry one positive rescale that keeps
+# their logs at or below this, so that piece x piece x barrier factor
+# (at most e^350) stays finite.
+_PIECE_LOG_CAP = 150.0
 
 
 @dataclass(frozen=True)
@@ -284,40 +288,6 @@ def _barrier_factor_values(w: np.ndarray, half_width: float) -> tuple[np.ndarray
     return c, s
 
 
-def _signed_exp_sum(terms: list[tuple[int, float]]) -> float:
-    """Sum sign*exp(log) over terms, under a common positive rescale.
-
-    Terms with sign 0 are dead (an exact reciprocal-gamma zero).  When the
-    largest live log exceeds the rescale threshold, every term is shifted
-    by the same amount; the shift is continuous in the underlying energy,
-    so rescaled characteristic values keep their signs, zeros and
-    continuity.
-    """
-    live = [(s, l) for s, l in terms if s != 0]
-    if not live:
-        return 0.0
-    peak = max(l for _, l in live)
-    shift = peak - _LOG_RESCALE_THRESHOLD if peak > _LOG_RESCALE_THRESHOLD else 0.0
-    return math.fsum(s * math.exp(l - shift) for s, l in live)
-
-
-def _signed_exp_sum_values(terms: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """_signed_exp_sum per element; the live terms are added in order
-    rather than by fsum, so sums of three or four terms may differ from
-    the scalar one in the last place."""
-    logs = [np.where(sign == 0.0, -math.inf, log) for sign, log in terms]
-    peak = logs[0]
-    for log in logs[1:]:
-        peak = np.maximum(peak, log)
-    shift = np.where(
-        peak > _LOG_RESCALE_THRESHOLD, peak - _LOG_RESCALE_THRESHOLD, 0.0
-    )
-    total = np.zeros_like(shift)
-    for (sign, _), log in zip(terms, logs):
-        total += sign * np.exp(log - shift)
-    return total
-
-
 def _gamma_factors(nu1: float, nu2: float):
     """(sign, log) of h1, h2, j1, j2 = 1/Gamma(-nu_i/2), 1/Gamma(1/2 - nu_i/2)."""
     return (
@@ -334,19 +304,6 @@ def _gamma_factor_values(nu1: np.ndarray, nu2: np.ndarray):
     args = np.concatenate((-0.5 * nu1, -0.5 * nu2, 0.5 - 0.5 * nu1, 0.5 - 0.5 * nu2))
     signs, logs = recip_gamma_log_values(args)
     return tuple(zip(np.split(signs, 4), np.split(logs, 4)))
-
-
-def _signed_log(x: float) -> tuple[int, float]:
-    """(sign, log|x|); sign 0 and log -inf at x = 0, a dead term."""
-    if x == 0.0:
-        return 0, -math.inf
-    return (1 if x > 0.0 else -1), math.log(abs(x))
-
-
-def _signed_log_values(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_signed_log per element."""
-    with np.errstate(divide="ignore"):
-        return np.sign(x), np.log(np.abs(x))
 
 
 def _box_count(q: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -382,22 +339,16 @@ def _barrier_count(
     return turns + ((end < 0.0) | ((end == 0.0) & (start != 0.0)))
 
 
-def _sum_sign(s1: np.ndarray, l1: np.ndarray, s2: np.ndarray, l2: np.ndarray) -> np.ndarray:
-    """Sign of s1 exp(l1) + s2 exp(l2), from the logs, with no exponential."""
-    return np.where(l1 > l2, s1, np.where(l1 < l2, s2, 0.5 * (s1 + s2)))
-
-
 class _Ops(NamedTuple):
     """The primitives a level condition is built from, for one input form."""
 
     sqrt: Callable
     sin: Callable
     cos: Callable
+    exp: Callable
+    maximum: Callable
     gamma_factors: Callable
     barrier_factors: Callable
-    signed_log: Callable
-    signed_exp_sum: Callable
-    log: Callable  # of the parameter terms, which `at` may make arrays
     counts: bool  # _char returns (F, N), not F
 
 
@@ -405,24 +356,87 @@ class _Ops(NamedTuple):
 # call, so a wrapper installed there (perfbench's tracer) sees every call;
 # recip_gamma_log itself must not go into the table.
 _SCALAR = _Ops(
-    math.sqrt, math.sin, math.cos,
-    _gamma_factors, _barrier_factors, _signed_log, _signed_exp_sum, math.log, False,
+    math.sqrt, math.sin, math.cos, math.exp, max, _gamma_factors, _barrier_factors, False
 )
 _ARRAY = _Ops(
-    np.sqrt, np.sin, np.cos,
-    _gamma_factor_values, _barrier_factor_values, _signed_log_values, _signed_exp_sum_values,
-    np.log, True,
+    np.sqrt, np.sin, np.cos, np.exp, np.maximum, _gamma_factor_values, _barrier_factor_values,
+    True,
 )
 
 
-def _harmonic_orders(energy, hw1: float, hw2, u: float, ops: _Ops):
-    """(nu1, nu2, alpha1, alpha2); hw2, the sweep parameter, may be an
+# A piece is (psi, slope, count): its value and its slope toward the
+# junction there, and with ops.counts its levels strictly below E when it
+# is walled at the junction (else None).
+
+
+def _boxes(k, d1, d2, ops: _Ops):
+    """The box pieces of widths d1 and d2 at wave number k: (sin kd, k cos kd)."""
+    s1, s2 = ops.sin(k * d1), ops.sin(k * d2)
+    n1 = n2 = None
+    if ops.counts:
+        n1, n2 = _box_count(k * (d1 / math.pi), s1), _box_count(k * (d2 / math.pi), s2)
+    return (s1, k * ops.cos(k * d1), n1), (s2, k * ops.cos(k * d2), n2)
+
+
+def _harmonic(nu, root_two_alpha, h, j, ops: _Ops):
+    (sign_h, log_h), (sign_j, log_j) = h, j
+    shift = ops.maximum(ops.maximum(log_h, log_j) - _PIECE_LOG_CAP, 0.0)
+    slope = root_two_alpha * sign_h * ops.exp(log_h - shift)
+    count = _harmonic_count(0.5 - 0.5 * nu, sign_j) if ops.counts else None
+    return sign_j * ops.exp(log_j - shift), slope, count
+
+
+def _harmonics(e, hw1: float, hw2, u: float, ops: _Ops):
+    """The half-harmonic pieces of hw1 and hw2 at energy e:
+    (j, sqrt(2) alpha h), with h = 1/Gamma(-nu/2), j = 1/Gamma(1/2 - nu/2),
+    nu = e/hw - 1/2 and alpha = sqrt(u hw), both times one positive factor
+    that keeps their logs at or below _PIECE_LOG_CAP (continuous in e, so
+    F keeps its signs and zeros).  hw2, the sweep parameter, may be an
     array aligned with the energies."""
-    nu1 = energy / hw1 - 0.5
-    nu2 = energy / hw2 - 0.5
-    alpha1 = math.sqrt(u * hw1)
-    alpha2 = ops.sqrt(u * hw2)
-    return nu1, nu2, alpha1, alpha2
+    nu1, nu2 = e / hw1 - 0.5, e / hw2 - 0.5
+    h1, h2, j1, j2 = ops.gamma_factors(nu1, nu2)
+    left = _harmonic(nu1, math.sqrt(2.0 * u * hw1), h1, j1, ops)
+    return left, _harmonic(nu2, ops.sqrt(2.0 * u * hw2), h2, j2, ops)
+
+
+def _delta(left, right, strength, ops: _Ops):
+    """F of two pieces joined by a delta of strength u v0:
+
+        F = psi_L psi'_R + psi'_L psi_R + u v0 psi_L psi_R
+
+    and with ops.counts (F, N)."""
+    psi_l, slope_l, n_left = left
+    psi_r, slope_r, n_right = right
+    f = psi_l * slope_r + slope_l * psi_r + strength * (psi_l * psi_r)
+    if not ops.counts:
+        return f
+    return f, n_left + n_right + (f * np.sign(psi_l) * np.sign(psi_r) < 0.0)
+
+
+def _rectangle(left, right, w, half_width: float, ops: _Ops):
+    """F of two pieces joined by a rectangular barrier, w = u(v0 - E), with
+    the entire barrier factors C(w), S(w):
+
+        F = (psi_L psi'_R + psi'_L psi_R) C + (psi'_L psi'_R + w psi_L psi_R) S
+
+    and with ops.counts (F, N).  The right piece's solution reaches the
+    barrier's left edge with value C psi_R + S psi'_R and slope
+    w S psi_R + C psi'_R, and F joins it to the left piece: the opened
+    matching determinant divided by p = sqrt(w), which removes the
+    spurious root the raw determinant has at E = v0.  F is written
+    symmetric in the pieces, psi_L psi_R grouped (float products commute
+    but do not associate), so swapping them leaves it bitwise equal."""
+    psi_l, slope_l, n_left = left
+    psi_r, slope_r, n_right = right
+    c_fac, s_fac = ops.barrier_factors(w, half_width)
+    f = (psi_l * slope_r + slope_l * psi_r) * c_fac + (
+        slope_l * slope_r + w * (psi_l * psi_r)
+    ) * s_fac
+    if not ops.counts:
+        return f
+    end = np.sign(c_fac * psi_r + s_fac * slope_r)
+    n_right = n_right + _barrier_count(w, half_width, np.sign(psi_r), np.sign(slope_r), end)
+    return f, n_left + n_right + (f * np.sign(psi_l) * end < 0.0)
 
 
 # Harmonic oracle grids end this many classical turning points of the
@@ -458,23 +472,16 @@ class M1Params(ModelParams):
             raise ValueError("m1 requires a > 0 and b > 0")
 
     def _char(self, e, u: float, ops: _Ops):
-        """Delta-between-walls level condition.
+        """Two boxes joined by a delta, k = sqrt(uE):
 
-            F(E) = k sin(k(a+b)) + u v0 sin(ka) sin(kb),   k = sqrt(uE)
+            F(E) = k sin(k(a+b)) + u v0 sin(ka) sin(kb)
 
         The leading k restores dimensional consistency and reproduces the
         symmetric reduction k cot(ka) = -u v0 / 2 at a = b.  F is entire in E
         and its zeros on (0, inf) are exactly the spectrum.  sin(k(a+b)) is
         expanded so that F changes sign where sin(ka) and sin(kb) vanish together.
         """
-        k = ops.sqrt(u * e)
-        s_a, s_b = ops.sin(k * self.a), ops.sin(k * self.b)
-        f = k * (s_a * ops.cos(k * self.b) + ops.cos(k * self.a) * s_b) + u * self.v0 * (s_a * s_b)
-        if not ops.counts:
-            return f
-        n_left = _box_count(k * (self.a / math.pi), s_a)
-        n_right = _box_count(k * (self.b / math.pi), s_b)
-        return f, n_left + n_right + (f * np.sign(s_a) * np.sign(s_b) < 0.0)
+        return _delta(*_boxes(ops.sqrt(u * e), self.a, self.b, ops), u * self.v0, ops)
 
     def potential(self, units: UnitsConfig, x: np.ndarray) -> np.ndarray:
         return np.zeros_like(x)
@@ -512,38 +519,13 @@ class M2Params(ModelParams):
             raise ValueError("m2 requires c > b (right well width c-b > 0)")
 
     def _char(self, e, u: float, ops: _Ops):
-        """Rectangular-barrier double-well level condition, pole free.
-
-        With d1 = a-b, d2 = c-b, d = d1+d2, w = u(v0-E) and the entire barrier
-        factors C(w), S(w) of half-width b:
+        """Boxes of widths d1 = a-b and d2 = c-b joined by a rectangle of
+        half-width b, d = d1+d2:
 
             F(E) = k sin(kd) C(w) + [k^2 cos(kd) + u v0 sin(kd1) sin(kd2)] S(w)
-
-        This is the opened matching determinant divided by p = sqrt(w), which
-        removes the spurious root the raw determinant has at E = v0; the S(w)
-        series at w ~ 0 is precisely the linear-interior-solution matching
-        condition, and w < 0 continues the formula above the barrier.
         """
-        k = ops.sqrt(u * e)
-        d1 = self.a - self.b
-        d2 = self.c - self.b
-        s1 = ops.sin(k * d1)
-        s2 = ops.sin(k * d2)
-        w = u * (self.v0 - e)
-        c_fac, s_fac = ops.barrier_factors(w, self.b)
-        kd = k * (d1 + d2)
-        # s1*s2 grouped so that swapping the two wells gives a bitwise
-        # identical value (float multiplication commutes but not associates)
-        f = k * ops.sin(kd) * c_fac + (k * k * ops.cos(kd) + u * self.v0 * (s1 * s2)) * s_fac
-        if not ops.counts:
-            return f
-        # the right piece's solution sin(k(c - x)) from b through the barrier
-        c2 = np.cos(k * d2)
-        end = np.sign(c_fac * s2 + s_fac * (k * c2))
-        n_right = _box_count(k * (d2 / math.pi), s2)
-        n_right += _barrier_count(w, self.b, np.sign(s2), np.sign(c2), end)
-        n_left = _box_count(k * (d1 / math.pi), s1)
-        return f, n_left + n_right + (f * np.sign(s1) * end < 0.0)
+        pieces = _boxes(ops.sqrt(u * e), self.a - self.b, self.c - self.b, ops)
+        return _rectangle(*pieces, u * (self.v0 - e), self.b, ops)
 
     def potential(self, units: UnitsConfig, x: np.ndarray) -> np.ndarray:
         return np.where(np.abs(x) <= self.b, self.v0, 0.0)
@@ -586,32 +568,19 @@ class M3Params(ModelParams):
             raise ValueError("m3 requires hw1 > 0 and hw2 > 0")
 
     def _char(self, e, u: float, ops: _Ops):
-        """Delta-in-harmonic-well level condition, pole free.
+        """Two half-harmonic pieces joined by a delta.  Clearing the
+        gamma-ratio matching condition into reciprocal-gamma factors
+        h_i = 1/Gamma(-nu_i/2), j_i = 1/Gamma(1/2 - nu_i/2) and normalizing by
+        the positive factor 2^(-(nu1+nu2)/2)/pi gives, times each piece's
+        positive rescale,
 
-        Clearing the gamma-ratio matching condition into reciprocal-gamma
-        factors h_i = 1/Gamma(-nu_i/2), j_i = 1/Gamma(1/2 - nu_i/2) and
-        normalizing by the positive factor 2^(-(nu1+nu2)/2)/pi gives
-
-            F(E) = -[ sqrt(2) (alpha2 h2 j1 + alpha1 h1 j2) + u v0 j1 j2 ]
+            F(E) = sqrt(2) (alpha2 h2 j1 + alpha1 h1 j2) + u v0 j1 j2
 
         which is entire in E and, unlike the ratio form, keeps the odd-parity
         roots at hw1 = hw2 where D_nu(0) = 0 (there all three products vanish
-        through the exact zeros of j).  Terms are combined in log space.
+        through the exact zeros of j).
         """
-        nu1, nu2, alpha1, alpha2 = _harmonic_orders(e, self.hw1, self.hw2, u, ops)
-        (sh1, lh1), (sh2, lh2), (sj1, lj1), (sj2, lj2) = ops.gamma_factors(nu1, nu2)
-        terms = [
-            (sh2 * sj1, _LN_SQRT2 + ops.log(alpha2) + lh2 + lj1),
-            (sh1 * sj2, _LN_SQRT2 + math.log(alpha1) + lh1 + lj2),
-        ]
-        if self.v0 > 0.0:
-            terms.append((sj1 * sj2, math.log(u * self.v0) + lj1 + lj2))
-        f = -ops.signed_exp_sum(terms)
-        if not ops.counts:
-            return f
-        n_left = _harmonic_count(0.5 - 0.5 * nu1, sj1)
-        n_right = _harmonic_count(0.5 - 0.5 * nu2, sj2)
-        return f, n_left + n_right + (f * sj1 * sj2 > 0.0)
+        return _delta(*_harmonics(e, self.hw1, self.hw2, u, ops), u * self.v0, ops)
 
     def potential(self, units: UnitsConfig, x: np.ndarray) -> np.ndarray:
         curv = np.where(x < 0.0, self.hw1, self.hw2)
@@ -655,49 +624,16 @@ class M4Params(ModelParams):
             raise ValueError("m4 requires a >= 0 (barrier half-width)")
 
     def _char(self, e, u: float, ops: _Ops):
-        """Barrier-in-harmonic-well level condition, pole free.
-
-        With h_i, j_i as in M3Params._char, w = u(v0-E), and the entire
-        barrier factors C(w), S(w) of half-width a:
+        """Two half-harmonic pieces (h_i, j_i as in M3Params._char) joined by
+        a rectangle of half-width a; times each piece's rescale,
 
             F(E) = sqrt(2) (alpha1 h1 j2 + alpha2 h2 j1) C(w)
                  + [ w j1 j2 + 2 alpha1 alpha2 h1 h2 ] S(w)
 
-        Derived by eliminating the interior sinh/cosh amplitudes between the
-        two matching interfaces and clearing denominators; the w j1 j2 term
-        carries q^2 = w through both branches, S(w) removes the spurious root
-        at E = v0, and the sign of the S-group is fixed by the parity
-        factorization at hw1 = hw2 and by the delta limit (a -> 0 with
-        2 a v0 held fixed reproduces m3).  Terms combine in log space
-        under the same positive rescale as m3.  Each factor enters as a
-        (sign, log) pair; a zero factor, or w = 0, has sign 0 and leaves its
-        term dead.
+        Its delta limit (a -> 0 with 2 a v0 held fixed) is m3's F.
         """
-        nu1, nu2, alpha1, alpha2 = _harmonic_orders(e, self.hw1, self.hw2, u, ops)
-        (sh1, lh1), (sh2, lh2), (sj1, lj1), (sj2, lj2) = ops.gamma_factors(nu1, nu2)
-        w = u * (self.v0 - e)
-        c_fac, s_fac = ops.barrier_factors(w, self.a)
-        sign_c, log_c = ops.signed_log(c_fac)
-        sign_s, log_s = ops.signed_log(s_fac)
-        sign_w, log_w = ops.signed_log(w)
-        terms = [
-            (sh1 * sj2 * sign_c, _LN_SQRT2 + math.log(alpha1) + lh1 + lj2 + log_c),
-            (sh2 * sj1 * sign_c, _LN_SQRT2 + ops.log(alpha2) + lh2 + lj1 + log_c),
-            (sh1 * sh2 * sign_s, ops.log(2.0 * alpha1 * alpha2) + lh1 + lh2 + log_s),
-            (sign_w * sj1 * sj2 * sign_s, log_w + lj1 + lj2 + log_s),
-        ]
-        f = ops.signed_exp_sum(terms)
-        if not ops.counts:
-            return f
-        # as in M2Params._char, with D_nu2 (value ~ j2, slope ~ h2) in
-        # place of the right box
-        end = _sum_sign(
-            sign_c * sj2, log_c + lj2, sign_s * sh2, log_s + _LN_SQRT2 + ops.log(alpha2) + lh2
-        )
-        n_right = _harmonic_count(0.5 - 0.5 * nu2, sj2)
-        n_right += _barrier_count(w, self.a, sj2, sh2, end)
-        n_left = _harmonic_count(0.5 - 0.5 * nu1, sj1)
-        return f, n_left + n_right + (f * sj1 * end < 0.0)
+        pieces = _harmonics(e, self.hw1, self.hw2, u, ops)
+        return _rectangle(*pieces, u * (self.v0 - e), self.a, ops)
 
     def potential(self, units: UnitsConfig, x: np.ndarray) -> np.ndarray:
         u = units.u

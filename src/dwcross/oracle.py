@@ -97,10 +97,6 @@ class TridiagonalHamiltonian:
     def size(self) -> int:
         return self.diag.shape[0]
 
-    @property
-    def x_max(self) -> float:
-        return self.x_min + (self.size + 1) * self.h
-
 
 @dataclass(frozen=True)
 class _GridSpec:

@@ -176,13 +176,13 @@ def scan_brackets(
     Raises:
         NonConvergenceError: F is not finite (stage "scan"); the count
             falls from one node to the next, or holds wanted levels F does
-            not separate in a cell wider than tol_abs and 1e-6 max(1, |E|)
-            eV (stage "count"); the window reaches 1e4 eV and still misses
-            a wanted level (stage "window growth").  The message names the
-            failed row's window and its row attribute the row.  Of many
-            failing rows, the first met is named: the rounds go in turn
-            (window search, halving, then the count check), and within one
-            round the lowest row fails first.
+            not separate in a cell wider than max(tol_abs, 4 eps |E|),
+            which only a stopped cell can be (stage "count"); the window
+            reaches 1e4 eV and still misses a wanted level (stage "window
+            growth").  The message names the failed row's window and its
+            row attribute the row.  Of many failing rows, the first met is
+            named: the rounds go in turn (window search, halving, then the
+            count check), and within one round the lowest row fails first.
     """
     hi = np.array(tops, dtype=float)  # the window tops, grown in place
 
@@ -256,7 +256,7 @@ def scan_brackets(
     if odd.any():
         cells = odd.nonzero()[0]
         width = xs[cells + 1] - xs[cells]
-        narrow = width <= np.maximum(cfg.tol_abs, 1e-6 * np.maximum(1.0, np.abs(xs[cells + 1])))
+        narrow = width <= np.maximum(cfg.tol_abs, 4.0 * 2.22e-16 * np.abs(xs[cells + 1]))
         bad = cells[(rise[cells] < 0.0) | ~narrow]
         if bad.size:
             i = int(bad[0])

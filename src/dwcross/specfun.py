@@ -44,9 +44,9 @@ def _log_abs_gamma(x: float) -> float:
 def recip_gamma_log(x: float) -> tuple[int, float]:
     """(sign, log|1/Gamma(x)|) with sign 0 exactly at the poles.
 
-    The log-space form the characteristic functions combine before a
-    single final exponentiation, so their values stay representable even
-    when individual gamma factors would overflow.  x within POLE_TOLERANCE
+    The log-space form a harmonic piece of the characteristic functions
+    exponentiates under its own positive rescale, so their values stay
+    representable even when individual gamma factors would overflow.  x within POLE_TOLERANCE
     of 0, -1, -2, ... is a pole (sign 0, log -inf).  Elsewhere the log is
     -math.lgamma(x), and the sign is -1 exactly where x < 0 and floor(x)
     is odd: Gamma is negative on (-1, 0), positive on (-2, -1), and so on.

@@ -103,7 +103,31 @@ class TestCharM1:
         assert np.allclose(got, ref, atol=1e-9)
 
 
+def _barrier_closed_form(w, half_width):
+    """C(w) = cosh(2L sqrt(w)) and S(w) = sinh(2L sqrt(w))/sqrt(w), with
+    their continuations cos, sin/sqrt(-w) for w < 0 and limits 1, 2L at 0."""
+    width = 2.0 * half_width
+    if w > 0.0:
+        return math.cosh(width * math.sqrt(w)), math.sinh(width * math.sqrt(w)) / math.sqrt(w)
+    if w < 0.0:
+        return math.cos(width * math.sqrt(-w)), math.sin(width * math.sqrt(-w)) / math.sqrt(-w)
+    return 1.0, width
+
+
 class TestCharM2:
+    def test_value_formula(self):
+        # F = k sin(kd) C + [k^2 cos(kd) + u v0 sin(kd1) sin(kd2)] S, below,
+        # at and above the barrier top v0 = 9
+        m = M2Params(9.0, 2.5, 1.0, 3.2)  # d1 = 1.5, d2 = 2.2
+        u = UnitsConfig(0.7)
+        for e in (3.1, 9.0, 14.2):
+            k = math.sqrt(0.7 * e)
+            c, s = _barrier_closed_form(0.7 * (9.0 - e), 1.0)
+            expected = k * math.sin(3.7 * k) * c + (
+                k * k * math.cos(3.7 * k) + 0.7 * 9.0 * math.sin(1.5 * k) * math.sin(2.2 * k)
+            ) * s
+            assert m.char(e, u) == pytest.approx(expected, rel=1e-13)
+
     def test_domain_error(self):
         with pytest.raises(DomainError):
             M2Params(1.0, 2.0, 1.0, 3.0).char(-0.5, U1)
@@ -163,8 +187,8 @@ class TestCharM3:
         assert levels[3] == pytest.approx(7.0, abs=1e-9)
 
     def test_matches_pcf_route_with_normalizer(self):
-        # log-space evaluation equals the direct D_nu(0) formula times
-        # 2^(-(nu1+nu2)/2)/pi
+        # the pieces' evaluation equals minus the direct D_nu(0) formula
+        # times 2^(-(nu1+nu2)/2)/pi (D'_nu(0) carries the sign of -h)
         m = M3Params(4.0, 2.0, 1.3)
         u = UnitsConfig(0.8)
         alpha1, alpha2 = math.sqrt(u.u * m.hw1), math.sqrt(u.u * m.hw2)
@@ -178,7 +202,7 @@ class TestCharM3:
                 - u.u * m.v0 * p1.d0 * p2.d0
             )
             expected = raw * 2.0 ** (-0.5 * (nu1 + nu2)) / math.pi
-            assert m.char(float(e), u) == pytest.approx(expected, rel=1e-9, abs=1e-12)
+            assert m.char(float(e), u) == pytest.approx(-expected, rel=1e-9, abs=1e-12)
 
     def test_monotone_in_delta_strength(self):
         # a non-negative perturbation never lowers a level
@@ -189,6 +213,24 @@ class TestCharM3:
 
 
 class TestCharM4:
+    def test_value_formula(self):
+        # F = sqrt(2) (alpha1 h1 j2 + alpha2 h2 j1) C + [w j1 j2 + 2 alpha1
+        # alpha2 h1 h2] S with h = 1/Gamma(-nu/2), j = 1/Gamma(1/2 - nu/2),
+        # below, at and above the barrier top v0 = 6
+        m = M4Params(6.0, 2.0, 1.3, 0.4)
+        u = UnitsConfig(0.8)
+        alpha1, alpha2 = math.sqrt(0.8 * 2.0), math.sqrt(0.8 * 1.3)
+        for e in (2.3, 6.0, 9.7):
+            nu1, nu2 = e / 2.0 - 0.5, e / 1.3 - 0.5
+            h1, h2 = 1.0 / math.gamma(-0.5 * nu1), 1.0 / math.gamma(-0.5 * nu2)
+            j1, j2 = 1.0 / math.gamma(0.5 - 0.5 * nu1), 1.0 / math.gamma(0.5 - 0.5 * nu2)
+            w = 0.8 * (6.0 - e)
+            c, s = _barrier_closed_form(w, 0.4)
+            expected = math.sqrt(2.0) * (alpha1 * h1 * j2 + alpha2 * h2 * j1) * c + (
+                w * j1 * j2 + 2.0 * alpha1 * alpha2 * h1 * h2
+            ) * s
+            assert m.char(e, u) == pytest.approx(expected, rel=1e-13)
+
     def test_zero_width_barrier_is_pure_oscillator(self):
         # exercises the pole-free form: the ratio form loses the odd levels
         m = M4Params(8.0, 2.0, 2.0, 0.0)
@@ -230,6 +272,19 @@ class TestCharM4:
         levels = solve_levels(m, U1, 4)
         assert levels[0] < levels[1] < 3.0
         assert 5.0 < levels[2] < levels[3] < 7.0
+
+
+class TestHighLevels:
+    @pytest.mark.parametrize(
+        "model", [M3Params(0.0, 2.0, 2.0), M3Params(0.0, 0.5, 0.5), M4Params(7.0, 2.0, 2.0, 0.0)]
+    )
+    def test_five_hundred_oscillator_levels(self, model):
+        # symmetric wells with no barrier: the levels are hw (n + 1/2); at the
+        # top, each reciprocal-gamma log reaches about 1 100 and each term of
+        # F about 2 300, far past what plain floats hold unscaled
+        levels = solve_levels(model, U1, 500)
+        want = model.hw1 * (np.arange(500) + 0.5)
+        assert np.max(np.abs(np.asarray(levels) - want)) <= 1e-9
 
 
 class TestEverywhereFinite:

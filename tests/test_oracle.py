@@ -55,7 +55,7 @@ class TestBuildHamiltonian:
         m = M1Params(0.0, 2.0, 2.0)
         T = build_hamiltonian(m, U1, OracleConfig(n_points=1000))
         assert T.x_min == -2.0
-        assert T.x_max == pytest.approx(2.0, abs=1e-12)
+        assert T.x_min + (T.size + 1) * T.h == pytest.approx(2.0, abs=1e-12)
         kin = 1.0 / (U1.u * T.h * T.h)
         assert np.allclose(T.offdiag, -kin)
         assert np.allclose(T.diag, 2.0 * kin)
@@ -79,7 +79,7 @@ class TestBuildHamiltonian:
         m = M3Params(0.0, 2.0, 1.0)
         e_top = 9.0
         T = build_hamiltonian(m, U1, OracleConfig(n_points=800), e_top=e_top)
-        for wall in (T.x_min, T.x_max):
+        for wall in (T.x_min, T.x_min + (T.size + 1) * T.h):
             hw = m.hw1 if wall < 0 else m.hw2
             v_wall = 0.25 * U1.u * hw * hw * wall * wall
             assert v_wall >= 4.0 * e_top - 1e-9

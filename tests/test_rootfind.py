@@ -568,6 +568,16 @@ class _FallingCount(M1Params):
         return values, np.where(energies > 5.0, 0.0, counts)
 
 
+class _NarrowStoppedCell(M1Params):
+    """A level at 5.1 eV that F does not show, whose count is not trusted
+    within 1e-8 eV of it: its cell stops a few 1e-8 eV wide, above the
+    halving floor max(tol_abs, 4 eps |E|) but below 1e-6 |E|."""
+
+    def char_values(self, energies, units):
+        e = np.asarray(energies)
+        return np.ones_like(e), 1.0 * (e > 5.1) + 2.0 * (np.abs(e - 5.1) < 1e-8)
+
+
 class _UnsplitCell(M1Params):
     """A level F does not show, in a cell whose midpoint is not trusted
     (see TestScanBrackets.test_unsplit_wide_cell_raises)."""
@@ -580,7 +590,8 @@ class _UnsplitCell(M1Params):
 @pytest.mark.parametrize(
     "cls,stage",
     [(_NonFinite, "scan: F is not finite"), (_FallingCount, r"count: N = \d+ at"),
-     (_UnsplitCell, r"count: N = 0 at E=5\.0 and 1 at")],
+     (_UnsplitCell, r"count: N = 0 at E=5\.0 and 1 at"),
+     (_NarrowStoppedCell, r"count: N = 0 at E=5\.09999997\d* and 1 at E=5\.10000001\d* ")],
 )
 def test_scan_failures_name_model_stage_and_window(cls, stage):
     cfg = RootfindConfig(e_min=2.5, e_max=7.5)
