@@ -1,14 +1,17 @@
 """Hot numerical kernels of the oracle, in numpy.
 
 sturm_counts counts the eigenvalues of a symmetric tridiagonal matrix
-below a batch of shifts: the pivot recurrence of the shifted LDL^T
-factorization steps row by row, each row one array operation across all
-shifts.  integrate_schrodinger is RK4 shooting across one smooth span with
-a signed step.  The equation is linear, so each step is a 2x2 matrix; the
-span's matrices are built by array operations and chained as a blocked
-prefix product, one array operation per step within a block across all
-blocks and one scalar loop over the blocks, not one Python iteration per
-node.
+below a batch of shifts by the inertia of a twisted factorization about
+the middle row: a forward pivot chain from the top row and a backward one
+from the bottom row step together, one array operation over both chains
+and all shifts per step, so a pass takes n/2 steps, and a twist pivot at
+the middle row joins them.  Steps go in blocks sized by pivots, not rows,
+so a block stays in cache.  integrate_schrodinger is RK4 shooting across
+one smooth span with a signed step.  The equation is linear, so each step
+is a 2x2 matrix; the span's matrices are built by array operations and
+chained as a blocked prefix product, one array operation per step within
+a block across all blocks and one scalar loop over the blocks, not one
+Python iteration per node.
 """
 
 from __future__ import annotations
@@ -21,72 +24,107 @@ _SAFMIN = 2.2250738585072014e-308
 _LOG_RENORM_LIMIT = math.log(1e100)
 _BLOCK_STEPS = 64  # RK4 steps per block of the prefix product
 _RESCALE_EVERY = 8  # steps between rescalings of a block's running product
-_BLOCK_ROWS = 512  # rows of the pivot recurrence held in memory at once
+_BLOCK_VALUES = 16384  # pivots of a block across both chains and all shifts, about 128 KB
+_MIN_BLOCK_ROWS = 16  # rows of a block, however many shifts
 
 
 def sturm_counts(diag: np.ndarray, offdiag: np.ndarray, shifts: np.ndarray) -> np.ndarray:
     """Number of eigenvalues strictly below each shift, per shift.
 
-    Counts negative pivots of the shifted LDL^T factorization, vectorized
-    across shifts; pivots too close to zero are clamped to -pivmin, which
-    keeps the count monotone and the recurrence finite.
+    Counts negative pivots of the twisted factorization of T - s about
+    the middle row k = n // 2, vectorized across shifts.  Two pivot
+    chains advance together, one step per row pair:
+      - forward, rows 0 .. k-1: q_i = (d_i - s) - e_{i-1}^2 / q_{i-1};
+      - backward, rows n-1 .. k+1: r_i = (d_i - s) - e_i^2 / r_{i+1};
+    and the twist pivot g_k = (d_k - s) - e_{k-1}^2 / q_{k-1} - e_k^2 / r_{k+1}
+    closes them.  T - s = N D N^T with D = diag(q_0, .., q_{k-1}, g_k,
+    r_{k+1}, .., r_{n-1}) and N unit triangular on either side of row k:
+    a congruence, so by Sylvester's law of inertia the negative entries of
+    D count the eigenvalues below s.  Each entry of T - s enters exactly
+    one computed pivot, as in the one-sided recurrence, whose backward
+    error argument carries over.  Pivots too close to zero, g_k included,
+    are clamped to -pivmin, which keeps the count monotone and the
+    recurrence finite.
 
-    Rows go in blocks.  A block first runs the bare recurrence, two
-    in-place ufunc calls per row; only a block holding a pivot below
+    For even n the backward chain is one row short; a decoupled pad row
+    (d = +inf, coupling 0) leads it, and its pivot +inf counts nothing.
+
+    A row step holds the two chains' pivots for every shift side by side,
+    with their couplings as a matching array row.  Steps go in blocks of
+    about _BLOCK_VALUES pivots, so a block stays in cache whatever the
+    number of shifts.  A block first runs the bare recurrence, two
+    in-place ufunc calls per step; only a block holding a pivot below
     pivmin can differ under the clamp, and it is redone with the clamp.
     Every pivot is the clamped recurrence's.
+
+    Refs: Fernando, SIAM J. Matrix Anal. Appl. 18 (1997); Dhillon &
+    Parlett, Linear Algebra Appl. 387 (2004); Demmel, Dhillon & Ren,
+    ETNA 3 (1995), on the count's monotonicity and backward error.
     """
     d = np.ascontiguousarray(diag, dtype=np.float64)
     e = np.ascontiguousarray(offdiag, dtype=np.float64)
     sh = np.atleast_1d(np.ascontiguousarray(shifts, dtype=np.float64))
     n = d.shape[0]
-    # max(e * e) without forming e * e: rounding keeps squares monotone in |e|
-    emax = max(float(e.max()), -float(e.min())) if e.size else 0.0
-    pivmin = _SAFMIN * max(1.0, emax * emax)
+    k = n // 2
+    if n % 2 == 0:  # pad row n: d = +inf, coupled to row n - 1 by 0
+        d = np.append(d, np.inf)
+        e = np.append(e, 0.0)
+    e2 = e * e
+    pivmin = _SAFMIN * max(1.0, float(e2.max(initial=0.0)))
+    # step j holds forward row j and backward row 2k - j, with the e^2
+    # coupling each to its row of the step before (step 0 has none)
+    diags = np.stack((d[:k], d[2 * k : k : -1]), axis=1)
+    couplings = np.zeros((k, 2))
+    couplings[1:, 0] = e2[: k - 1]
+    couplings[1:, 1] = e2[2 * k - 1 : k : -1]
 
-    counts = np.zeros(sh.shape, dtype=np.int64)
-    q = None
-    for start in range(0, n, _BLOCK_ROWS):
-        rows = d[start : start + _BLOCK_ROWS]
-        # e[i-1]^2 couples row i to row i - 1 (row 0 has none), as Python
-        # floats, which divide an array faster than numpy scalars do; one
-        # block at a time keeps the grid's couplings out of memory
-        pairs = e[max(start - 1, 0) : start + rows.size - 1]
-        couplings = ([0.0] if start == 0 else []) + (pairs * pairs).tolist()
+    values = 2 * sh.size
+    rows = max(_MIN_BLOCK_ROWS, _BLOCK_VALUES // max(values, 1))
+    negative = np.zeros(values, dtype=np.int64)
+    x = None
+    for start in range(0, k, rows):
+        block_d = diags[start : start + rows]
+        block_c = np.repeat(couplings[start : start + rows], sh.size, axis=1)
+        shape = (len(block_d), values)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            block = _pivots(np.subtract.outer(rows, sh), couplings, q, None)
+            block = _pivots(np.subtract.outer(block_d, sh).reshape(shape), block_c, x, None)
         if (np.abs(block) < pivmin).any():
-            block = _pivots(np.subtract.outer(rows, sh), couplings, q, pivmin)
-        q = block[-1]
-        counts += np.count_nonzero(block < 0.0, axis=0)
-    return counts
+            block = _pivots(np.subtract.outer(block_d, sh).reshape(shape), block_c, x, pivmin)
+        x = block[-1]
+        negative += np.count_nonzero(block < 0.0, axis=0)
+
+    twist = d[k] - sh
+    if k:
+        twist = twist - e2[k - 1] / x[: sh.size] - e2[k] / x[sh.size :]
+    twist[np.abs(twist) < pivmin] = -pivmin
+    return negative[: sh.size] + negative[sh.size :] + (twist < 0.0)
 
 
 def _pivots(
-    block: np.ndarray, couplings: list[float], q: np.ndarray | None, pivmin: float | None
+    block: np.ndarray, couplings: np.ndarray, x: np.ndarray | None, pivmin: float | None
 ) -> np.ndarray:
-    """Overwrite block, whose rows hold d[i] - sh, with the pivots
-    q_i = (d[i] - sh) - e2[i] / q_{i-1}; couplings holds e2[i] of each row
-    and q is the row of pivots before the block (None at row 0).  With
-    pivmin given, pivots with |q| < pivmin are clamped to -pivmin."""
+    """Overwrite block, whose steps hold d - sh of both chains, with the
+    pivots x_j = (d - sh)_j - couplings_j / x_{j-1}; x is the step of
+    pivots before the block (None at step 0).  With pivmin given, pivots
+    with |x| < pivmin are clamped to -pivmin."""
     ratio = np.empty_like(block[0])
     if pivmin is None:
-        # the bare loop runs once per row of the grid: locals, positional
-        # out arguments and the first row peeled keep its body to two calls
+        # the bare loop runs once per step of the grid: locals, positional
+        # out arguments and the first step peeled keep its body to two calls
         divide, subtract = np.divide, np.subtract
-        rows = iter(block)
-        if q is None:
-            q = next(rows)  # row 0 has no coupling
-            couplings = couplings[1:]
-        for row, coupling in zip(rows, couplings):
-            subtract(row, divide(coupling, q, ratio), row)
-            q = row
+        steps, coupling_rows = iter(block), iter(couplings)
+        if x is None:
+            x = next(steps)  # step 0 has no coupling
+            next(coupling_rows)
+        for step, coupling in zip(steps, coupling_rows):
+            subtract(step, divide(coupling, x, ratio), step)
+            x = step
         return block
-    for row, coupling in zip(block, couplings):
-        if q is not None:
-            np.subtract(row, np.divide(coupling, q, out=ratio), out=row)
-        row[np.abs(row) < pivmin] = -pivmin
-        q = row
+    for step, coupling in zip(block, couplings):
+        if x is not None:
+            np.subtract(step, np.divide(coupling, x, out=ratio), out=step)
+        step[np.abs(step) < pivmin] = -pivmin
+        x = step
     return block
 
 

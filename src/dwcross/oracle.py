@@ -33,12 +33,13 @@ _DEFAULT_POINTS = {"m1": 4000, "m2": 4000, "m3": 6000, "m4": 6000}
 
 # Shifts of one multisection pass, shared evenly among the distinct cells
 # still open, at least _MIN_PROBES per cell.  A pass costs its row loop
-# more than its shifts: on a 12 001-row matrix one Sturm pass takes 8.4 ms
-# at 8 shifts, 9.2 ms at 35, 10.5 ms at 63, 14.0 ms at 140 and 21.3 ms at
+# more than its shifts: on a 12 001-row matrix one Sturm pass takes 4.7 ms
+# at 8 shifts, 5.8 ms at 35, 7.0 ms at 63, 9.9 ms at 140 and 14.6 ms at
 # 280 (2.1 GHz x86-64).  So a pass of 63 shifts splits one open cell 64
-# ways where 8 shifts split it 8 ways, for a quarter more time.  compare's
-# geometric mean over the five presets read 109 ms at 35 shifts (7 per
-# level), 93 ms at 63, 92 ms at 127 and 137 ms at 255.
+# ways where 8 shifts split it 8 ways, for half again the time.  With the
+# one-sided count, which took twice as long per pass at 8-63 shifts,
+# compare's geometric mean over the five presets read 109 ms at 35 shifts
+# (7 per level), 93 ms at 63, 92 ms at 127 and 137 ms at 255.
 _SHIFT_BUDGET = 63
 _MIN_PROBES = 7
 

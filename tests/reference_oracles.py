@@ -5,9 +5,10 @@ level counts: plain bisection on one-variable closed-form conditions,
 the parabolic-cylinder boundary values D_nu(0), D'_nu(0) from math.gamma
 (the library works with signed log|Gamma| from math.lgamma instead), and
 the Sturm count of the finite-difference oracle's matrix, which shares
-no formula with the analytic level conditions.  The RK4 shooting kernel
-is checked against the plain node-by-node loop it replaces, and the
-sweep's gap-minimum searches against plain loops over each gap curve.
+no formula with the analytic level conditions.  The twisted Sturm kernel
+is checked against the forward pivot recurrence, the RK4 shooting kernel
+against the plain node-by-node loop it replaces, and the sweep's
+gap-minimum searches against plain loops over each gap curve.
 """
 
 import math
@@ -128,6 +129,52 @@ def isolated_well_level(v0, width, u, tol=1e-13):
 def sturm_count(T, energy):
     """Number of eigenvalues of the oracle's matrix T strictly below energy."""
     return int(sturm_counts(T.diag, T.offdiag, np.array([energy]))[0])
+
+
+_SAFMIN = 2.2250738585072014e-308
+_FORWARD_BLOCK_ROWS = 512
+
+
+def forward_sturm_counts(diag, offdiag, shifts):
+    """Number of eigenvalues strictly below each shift, from the negative
+    pivots of the shifted LDL^T factorization, rows 0 .. n-1 in turn,
+    vectorized across shifts; pivots within pivmin of 0 are clamped to
+    -pivmin.  Rows go in blocks; a block first runs the bare recurrence
+    and is redone with the clamp only if it holds a pivot below pivmin."""
+    d = np.ascontiguousarray(diag, dtype=np.float64)
+    e = np.ascontiguousarray(offdiag, dtype=np.float64)
+    sh = np.atleast_1d(np.ascontiguousarray(shifts, dtype=np.float64))
+    emax = max(float(e.max()), -float(e.min())) if e.size else 0.0
+    pivmin = _SAFMIN * max(1.0, emax * emax)
+    counts = np.zeros(sh.shape, dtype=np.int64)
+    q = None
+    for start in range(0, d.shape[0], _FORWARD_BLOCK_ROWS):
+        rows = d[start : start + _FORWARD_BLOCK_ROWS]
+        # e[i-1]^2 couples row i to row i - 1 (row 0 has none)
+        pairs = e[max(start - 1, 0) : start + rows.size - 1]
+        couplings = ([0.0] if start == 0 else []) + (pairs * pairs).tolist()
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            block = _forward_pivots(np.subtract.outer(rows, sh), couplings, q, None)
+        if (np.abs(block) < pivmin).any():
+            block = _forward_pivots(np.subtract.outer(rows, sh), couplings, q, pivmin)
+        q = block[-1]
+        counts += np.count_nonzero(block < 0.0, axis=0)
+    return counts
+
+
+def _forward_pivots(block, couplings, q, pivmin):
+    """Overwrite block, whose rows hold d[i] - sh, with the pivots
+    q_i = (d[i] - sh) - e2[i] / q_{i-1}; q is the row of pivots before the
+    block (None at row 0), and pivmin, if given, clamps |q| < pivmin to
+    -pivmin."""
+    ratio = np.empty_like(block[0])
+    for row, coupling in zip(block, couplings):
+        if q is not None:
+            np.subtract(row, np.divide(coupling, q, out=ratio), out=row)
+        if pivmin is not None:
+            row[np.abs(row) < pivmin] = -pivmin
+        q = row
+    return block
 
 
 def sturm_backing(model, units, levels, tol, e_top):

@@ -1,9 +1,10 @@
-"""Kernel correctness: Sturm counts against the scalar recurrence and
+"""Kernel correctness: Sturm counts against the scalar recurrences and
 closed forms, RK4 shooting against analytic solutions and the sequential
 step loop, and the kernel signatures the benchmark tracer relies on."""
 
 import inspect
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,10 +13,13 @@ from dwcross import _kernels
 from reference_oracles import sequential_rk4
 
 
+_SAFMIN = 2.2250738585072014e-308
+
+
 def scalar_sturm_count(diag, off, shift):
-    """The clamped pivot recurrence one shift at a time."""
+    """The clamped forward pivot recurrence one shift at a time."""
     e2 = [v * v for v in off]
-    pivmin = 2.2250738585072014e-308 * max([1.0] + e2)
+    pivmin = _SAFMIN * max([1.0] + e2)
     count = 0
     q = 0.0
     for i, d in enumerate(diag):
@@ -24,6 +28,43 @@ def scalar_sturm_count(diag, off, shift):
             q = -pivmin
         count += q < 0.0
     return count
+
+
+def scalar_twisted_count(diag, off, shift):
+    """The clamped twisted recurrence one shift at a time: forward pivots
+    over rows 0 .. k-1, backward pivots over rows n-1 .. k+1 and the twist
+    pivot of row k = n // 2, each clamped to -pivmin within pivmin of 0."""
+    n, k = len(diag), len(diag) // 2
+    e2 = [v * v for v in off]
+    pivmin = _SAFMIN * max([1.0] + e2)
+
+    def clamped(x):
+        return -pivmin if -pivmin < x < pivmin else x
+
+    count = 0
+    q = r = None
+    for i in range(k):
+        q = clamped(diag[i] - shift if q is None else (diag[i] - shift) - e2[i - 1] / q)
+        count += q < 0.0
+    for i in range(n - 1, k, -1):
+        r = clamped(diag[i] - shift if r is None else (diag[i] - shift) - e2[i] / r)
+        count += r < 0.0
+    twist = diag[k] - shift
+    if q is not None:
+        twist -= e2[k - 1] / q
+    if r is not None:
+        twist -= e2[k] / r
+    return count + (clamped(twist) < 0.0)
+
+
+def exact_det(diag, off, shift):
+    """det(T - shift) by the continuant recurrence in exact rationals."""
+    s = Fraction(shift)
+    before, det = Fraction(1), Fraction(1)
+    for i, d in enumerate(diag):
+        coupling = Fraction(off[i - 1]) ** 2 if i else Fraction(0)
+        before, det = det, (Fraction(d) - s) * det - coupling * before
+    return det
 
 
 class TestSturmKernel:
@@ -38,17 +79,38 @@ class TestSturmKernel:
     @pytest.mark.parametrize("block_rows", [1, 3, 7, 512])
     def test_blocked_pivots_match_scalar_recurrence(self, monkeypatch, block_rows):
         # integer matrices and shifts hit exact zero pivots, so clamped
-        # blocks are redone; small blocks put clamps on block edges
-        monkeypatch.setattr(_kernels, "_BLOCK_ROWS", block_rows)
+        # blocks are redone; blocks of a few rows put clamps on block edges
+        monkeypatch.setattr(_kernels, "_MIN_BLOCK_ROWS", 1)
         rng = np.random.default_rng(11)
         for _ in range(200):
             n = int(rng.integers(1, 40))
             diag = rng.integers(-3, 4, size=n).astype(float)
             off = rng.integers(-2, 3, size=n - 1).astype(float)
             shifts = rng.integers(-5, 6, size=int(rng.integers(1, 10))).astype(float)
+            # a block holds both chains' pivots for every shift
+            monkeypatch.setattr(_kernels, "_BLOCK_VALUES", 2 * shifts.size * block_rows)
             counts = _kernels.sturm_counts(diag, off, shifts)
             assert counts.dtype == np.int64
-            assert counts.tolist() == [scalar_sturm_count(diag, off, s) for s in shifts]
+            assert counts.tolist() == [scalar_twisted_count(diag, off, s) for s in shifts]
+            # the two factorizations share their inertia wherever T - s is
+            # regular; at a singular T - s either may count the level at s
+            for s, count in zip(shifts, counts):
+                if exact_det(diag, off, s) != 0:
+                    assert count == scalar_sturm_count(diag, off, s)
+                else:
+                    eigs = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+                    assert np.sum(eigs < s - 1e-6) <= count <= np.sum(eigs < s + 1e-6)
+
+    @pytest.mark.parametrize(
+        "diag, off", [([0.5], []), ([-1.0], []), ([1.0, 3.0], [0.0]), ([2.0, -1.0], [1.5])]
+    )
+    def test_one_and_two_rows(self, diag, off):
+        dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        eigs = np.linalg.eigvalsh(dense)
+        # away from every eigenvalue: below, between, above
+        shifts = np.concatenate([eigs - 0.25, eigs + 0.25, 0.5 * (eigs[:-1] + eigs[1:])])
+        counts = _kernels.sturm_counts(np.array(diag), np.array(off), shifts)
+        assert counts.tolist() == [int(np.sum(eigs < s)) for s in shifts]
 
 
 class TestShootingKernel:

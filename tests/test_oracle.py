@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference_oracles import sturm_count
+from reference_oracles import forward_sturm_counts, sturm_count
 from dwcross import _kernels, cli, models, oracle
 from dwcross.errors import ConfigError, DomainError, NonConvergenceError
 from dwcross.models import M1Params, M2Params, M3Params, M4Params, UnitsConfig
@@ -188,13 +188,16 @@ def off_seeds(cold, n):
     return above, under
 
 
-def count_passes(monkeypatch):
-    """The shifts of every Sturm pass from here on, one array per pass."""
+def count_passes(monkeypatch, matrices=None):
+    """The shifts of every Sturm pass from here on, one array per pass;
+    given a list, matrices also gets each pass's (diag, offdiag)."""
     passes = []
     sturm_counts = _kernels.sturm_counts
 
     def counted(diag, offdiag, shifts):
         passes.append(np.array(shifts))
+        if matrices is not None:
+            matrices.append((diag, offdiag))
         return sturm_counts(diag, offdiag, shifts)
 
     monkeypatch.setattr(_kernels, "sturm_counts", counted)
@@ -404,6 +407,56 @@ class TestAnalyticSeeds:
         cold = oracle_levels(model, U1, 3, cfg, e_top=12.0)
         got = oracle_levels(model, U1, 3, cfg, e_top=12.0, seeds=[far, 5.0, far])
         assert np.allclose(got, cold, rtol=0.0, atol=oracle._LEVEL_TOL)
+
+
+class TestTwistedCount:
+    """sturm_counts counts by the twisted factorization about the middle
+    row; its counts must be the forward recurrence's on every pass compare
+    makes, never fall as the shift rises through a level, and match dense
+    eigenvalue counts away from the eigenvalues."""
+
+    @pytest.mark.parametrize("preset", ["fig3", "fig5", "fig6b"])
+    def test_compare_counts_match_forward_recurrence(self, preset, tmp_path, monkeypatch):
+        twisted = _kernels.sturm_counts
+        matrices = []
+        passes = count_passes(monkeypatch, matrices)
+        out = tmp_path / f"{preset}.csv"
+        assert cli.main(["compare", "--preset", preset, "--out", str(out)]) == 0
+        assert passes
+        for (diag, offdiag), shifts in zip(matrices, passes):
+            got = twisted(diag, offdiag, shifts)
+            assert got.tolist() == forward_sturm_counts(diag, offdiag, shifts).tolist()
+
+    @pytest.mark.parametrize("preset", ["fig3", "fig4", "fig5", "fig6a", "fig6b"])
+    def test_counts_never_fall_through_a_level(self, preset):
+        # 801 ascending shifts one float apart about each level of
+        # compare's h and h/2 grids, each level found to 4 floats
+        model, units, analytic = preset_problem(preset)
+        cfg = cli.parse_config(["compare", "--preset", preset]).build_oracle()
+        spec = _grid_spec(model, units, cfg, 1.5 * analytic[-1])
+        levels = analytic
+        for grid in (spec, spec.refined()):
+            T = _assemble(model, units, grid)
+            # np.spacing is negative below 0
+            tol = 4.0 * float(np.max(np.abs(np.spacing(levels))))
+            levels = lowest_eigenvalues(T, len(levels), tol, _seeds=levels)
+            for j, level in enumerate(levels):
+                shifts = level + abs(np.spacing(level)) * np.arange(-400.0, 401.0)
+                counts = _kernels.sturm_counts(T.diag, T.offdiag, shifts)
+                assert np.all(np.diff(counts) >= 0)
+                assert counts[0] <= j < counts[-1]
+
+    @pytest.mark.parametrize("index", range(13))
+    def test_random_tridiagonals_match_dense_counts(self, index):
+        # the last matrix is two uncoupled copies of one block: exact
+        # doublets and a zero coupling
+        T = list(random_tridiagonals())[index]
+        eigs = np.linalg.eigvalsh(dense(T))
+        gaps = np.diff(eigs)
+        mids = 0.5 * (eigs[:-1] + eigs[1:])[gaps > 1e-6]
+        shifts = np.concatenate([[eigs[0] - 1.0], mids, [eigs[-1] + 1.0]])
+        counts = _kernels.sturm_counts(T.diag, T.offdiag, shifts)
+        assert counts.tolist() == [int(np.sum(eigs < s)) for s in shifts]
 
 
 class TestOracleErrors:
