@@ -78,10 +78,6 @@ __all__ = [
     "model_kind",
 ]
 
-# Barrier factors switch to their power series when (2*half_width)^2*(v0-E)
-# is below this, which joins the E<v0, E=v0 and E>v0 branches smoothly.
-_BARRIER_SERIES_CUT = 1e-6
-
 # Barrier arguments above this are held at it: the factors then carry a
 # common positive rescale instead of overflowing.
 _BARRIER_ARG_CAP = 350.0
@@ -241,24 +237,21 @@ def _barrier_factors(w: float, half_width: float) -> tuple[float, float]:
     S(w) = sinh(2L*sqrt(w))/sqrt(w), continued through w <= 0.
 
     w = u*(v0 - E) and L = half_width.  For w < 0 these are cos and
-    sin/sqrt(-w); near w = 0 both are evaluated by series, so a sweep in E
+    sin/sqrt(-w), and at w = 0 their limits 1 and 2L, so a sweep in E
     crosses the top of the barrier smoothly and no spurious root appears
     at E = v0.  When the argument would overflow, both factors carry a
     common positive rescale exp(350 - s), which preserves signs, zeros and
     continuity in E.
     """
     width = 2.0 * half_width
-    s2 = width * width * w
-    if abs(s2) < _BARRIER_SERIES_CUT:
-        c = 1.0 + s2 * (0.5 + s2 * (1.0 / 24.0 + s2 / 720.0))
-        s = width * (1.0 + s2 * (1.0 / 6.0 + s2 * (1.0 / 120.0 + s2 / 5040.0)))
-        return c, s
     if w > 0.0:
         root = math.sqrt(w)
         arg = width * root
         if arg <= _BARRIER_ARG_CAP:
             return math.cosh(arg), math.sinh(arg) / root
         return _BARRIER_BIG, _BARRIER_BIG / root
+    if w == 0.0:
+        return 1.0, width
     root = math.sqrt(-w)
     arg = width * root
     return math.cos(arg), math.sin(arg) / root
@@ -266,11 +259,8 @@ def _barrier_factors(w: float, half_width: float) -> tuple[float, float]:
 
 def _barrier_factor_values(w: np.ndarray, half_width: float) -> tuple[np.ndarray, np.ndarray]:
     """_barrier_factors on an array of w: every branch evaluated, then
-    selected per element."""
+    selected per element (at w = 0, cos gives C its limit 1)."""
     width = 2.0 * half_width
-    s2 = width * width * w
-    series_c = 1.0 + s2 * (0.5 + s2 * (1.0 / 24.0 + s2 / 720.0))
-    series_s = width * (1.0 + s2 * (1.0 / 6.0 + s2 * (1.0 / 120.0 + s2 / 5040.0)))
     root = np.sqrt(np.abs(w))
     arg = width * root
     below_cap = arg <= _BARRIER_ARG_CAP
@@ -278,13 +268,12 @@ def _barrier_factor_values(w: np.ndarray, half_width: float) -> tuple[np.ndarray
     hyper_c = np.where(below_cap, np.cosh(capped), _BARRIER_BIG)
     hyper_s = np.where(below_cap, np.sinh(capped), _BARRIER_BIG)
     with np.errstate(divide="ignore", invalid="ignore"):
-        # root is 0 only where the series branch is taken
+        # root is 0 only at w = 0, where S is its limit 2L
         hyper_s = hyper_s / root
         trig_s = np.sin(arg) / root
-    series = np.abs(s2) < _BARRIER_SERIES_CUT
     over = w > 0.0
-    c = np.where(series, series_c, np.where(over, hyper_c, np.cos(arg)))
-    s = np.where(series, series_s, np.where(over, hyper_s, trig_s))
+    c = np.where(over, hyper_c, np.cos(arg))
+    s = np.where(w == 0.0, width, np.where(over, hyper_s, trig_s))
     return c, s
 
 
@@ -444,10 +433,14 @@ def _rectangle(left, right, w, half_width: float, ops: _Ops):
 _TURNING_POINT_MARGIN = 2.0
 
 
-def _harmonic_reach(e_top: float, hw: float, u: float) -> float:
-    """Distance from a harmonic well's center to its end of the oracle grid."""
-    x_turn = 2.0 * math.sqrt(e_top / u) / hw
-    return _TURNING_POINT_MARGIN * x_turn
+def _harmonic_domain(
+    e_top: float, u: float, hw1: float, hw2: float, offset: float
+) -> tuple[float, float]:
+    """Ends of a harmonic pair's oracle grid, its wells centred at -offset
+    and offset: each _TURNING_POINT_MARGIN classical turning points of
+    e_top, 2 sqrt(e_top/u)/hw, beyond its well's center."""
+    reach = _TURNING_POINT_MARGIN * 2.0 * math.sqrt(e_top / u)
+    return -offset - reach / hw1, offset + reach / hw2
 
 
 def _harmonic_window(hw1: float, hw2: float, n_levels: int) -> float:
@@ -590,10 +583,7 @@ class M3Params(ModelParams):
         return _harmonic_window(self.hw1, self.hw2, n_levels)
 
     def domain(self, e_top: float, units: UnitsConfig) -> tuple[float, float]:
-        return (
-            -_harmonic_reach(e_top, self.hw1, units.u),
-            _harmonic_reach(e_top, self.hw2, units.u),
-        )
+        return _harmonic_domain(e_top, units.u, self.hw1, self.hw2, 0.0)
 
     @property
     def delta_strength(self) -> float:
@@ -664,10 +654,7 @@ class M4Params(ModelParams):
 
     def domain(self, e_top: float, units: UnitsConfig) -> tuple[float, float]:
         # the wells are centred on the barrier edges -a and a
-        return (
-            -self.a - _harmonic_reach(e_top, self.hw1, units.u),
-            self.a + _harmonic_reach(e_top, self.hw2, units.u),
-        )
+        return _harmonic_domain(e_top, units.u, self.hw1, self.hw2, self.a)
 
     @property
     def breakpoints(self) -> list[float]:

@@ -54,11 +54,11 @@ __all__ = [
     "solve_levels",
 ]
 
-# Hard ceiling for automatic window expansion.
-_E_MAX_CAP = 1e4
-
-# Window growth factor when the window holds fewer than the wanted levels.
+# Window growth factor when the window holds fewer than the wanted levels,
+# and the most growths a scan row may take: 1.6^64 is about 1.2e13, so a
+# first top of 1e-9 eV can still grow past 1e4 eV.
 _EXPAND = 1.6
+_MAX_GROWTHS = 64
 
 # Grid cells per wanted level in each trial window of a single solve or a
 # crossing probe: there an array call's fixed cost dominates, so a denser
@@ -167,7 +167,7 @@ def scan_brackets(
     Each row's trial window, from [e_min, tops[r]] on, is one pass over
     cells_per_level * n cells, whose first node gives the count origin
     N(e_min).  While its top counts fewer than the wanted levels, the top
-    grows 1.6-fold, up to 1e4 eV.  Then each round halves, in one pass,
+    grows 1.6-fold, at most 64 times.  Then each round halves, in one pass,
     every cell holding a wanted level whose count rises by 2 or more, or
     by 1 with no sign change of F, down to max(tol_abs, 4 eps |E|).  A
     midpoint whose count falls outside its cell's end counts is not
@@ -178,7 +178,7 @@ def scan_brackets(
             falls from one node to the next, or holds wanted levels F does
             not separate in a cell wider than max(tol_abs, 4 eps |E|),
             which only a stopped cell can be (stage "count"); the window
-            reaches 1e4 eV and still misses a wanted level (stage "window
+            still misses a wanted level after 64 growths (stage "window
             growth").  The message names the failed row's window and its
             row attribute the row.  Of many failing rows, the first met is
             named: the rounds go in turn (window search, halving, then the
@@ -196,7 +196,7 @@ def scan_brackets(
     grids = state.reshape(5, hi.size, nodes)  # a view: one trial grid per row
     want = np.empty(hi.size)
     todo = np.arange(hi.size)  # rows whose window is still searched
-    while True:
+    for growths in range(_MAX_GROWTHS + 1):  # each row of todo has grown this often
         top = hi[todo]
         # np.linspace's arithmetic, row by row
         x = steps * ((top - e_min) / (nodes - 1.0))[:, None] + e_min
@@ -214,16 +214,15 @@ def scan_brackets(
             grow &= ~(nx[:, 1:] < nx[:, :-1]).any(axis=1)
         if not grow.any():
             break
-        capped = (grow & (top >= _E_MAX_CAP)).nonzero()[0]
-        if capped.size:
-            i = int(capped[0])
+        if growths == _MAX_GROWTHS:
+            i = int(grow.argmax())
             raise NonConvergenceError(
                 f"window growth: only {nx[i, -1] - nx[i, 0]:.0f} levels "
-                f"{window(todo[i])}, which reaches the {_E_MAX_CAP} eV cap",
+                f"{window(todo[i])} after {_MAX_GROWTHS} growths",
                 row=int(todo[i]),
             )
         todo = todo[grow]
-        hi[todo] = np.minimum(top[grow] * _EXPAND, _E_MAX_CAP)
+        hi[todo] = top[grow] * _EXPAND
 
     state[_ROW] = np.arange(hi.size).repeat(nodes)
     state[_STOP] = 0.0
@@ -433,19 +432,9 @@ def refine_rows(
 
 def _start_top(model: ModelParams, units: UnitsConfig, n_levels: int, cfg: RootfindConfig) -> float:
     """Top of the first scan window: cfg.e_max, else the model's
-    level_window, shifted up to start at an e_min past it.
-
-    Raises:
-        NonConvergenceError: no window is left below the 1e4 eV cap.
-    """
+    level_window, shifted up to start at an e_min past it."""
     e_max = cfg.e_max if cfg.e_max is not None else model.level_window(units, n_levels)
-    if e_max <= cfg.e_min:
-        e_max = min(cfg.e_min + e_max, _E_MAX_CAP)
-    if e_max <= cfg.e_min:
-        raise NonConvergenceError(
-            f"window growth: e_min={cfg.e_min} leaves no window below the {_E_MAX_CAP} eV cap"
-        )
-    return e_max
+    return e_max if e_max > cfg.e_min else cfg.e_min + e_max
 
 
 def solve_levels(
@@ -472,8 +461,8 @@ def solve_levels(
     def values(energies: np.ndarray, rows: np.ndarray):
         return model.char_values(energies, units)
 
+    top = _start_top(model, units, n_levels, cfg)
     try:
-        top = _start_top(model, units, n_levels, cfg)
         [levels] = scan_brackets(values, cfg, n_levels, np.zeros(1), np.array([top]))
         return refine_levels(characteristic_fn(model, units), levels, cfg)
     except NonConvergenceError as exc:

@@ -113,9 +113,8 @@ def sweep_levels(
     A solver failure aborts the sweep with NonConvergenceError.  Both name
     the offending grid index (partial tables are never returned).  When
     several points fail, the one named fails in the earliest round (the
-    window start, the scan's window search, its halving, its count check,
-    then the refinement), and has the lowest index of those failing in
-    that round.
+    scan's window search, its halving, its count check, then the
+    refinement), and has the lowest index of those failing in that round.
     """
     lambdas = spec.grid()
     name = model.sweep_param
@@ -130,18 +129,14 @@ def sweep_levels(
         return model.char_values(energies, units, at=lambdas[rows])
 
     n = spec.n_levels
-    tops: list[float] = []
+    tops = np.array([_start_top(point, units, n, cfg) for point in varied])
     try:
-        for point in varied:
-            tops.append(_start_top(point, units, n, cfg))
         scans = scan_brackets(
-            values, cfg, n, np.zeros(len(tops)), np.array(tops),
-            cells_per_level=_ROWS_CELLS_PER_LEVEL,
+            values, cfg, n, np.zeros(tops.size), tops, cells_per_level=_ROWS_CELLS_PER_LEVEL
         )
         rows = refine_rows(values, scans, cfg)
     except NonConvergenceError as exc:
-        # a window start fails with no row: the point after the tops found
-        i = len(tops) if exc.row is None else exc.row
+        i = exc.row
         raise NonConvergenceError(
             f"sweep failed at grid index {i} ({name}={float(lambdas[i])}): {varied[i]!r}: {exc}",
             row=i,

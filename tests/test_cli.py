@@ -333,16 +333,26 @@ class TestExitCodes:
         assert not (tmp_path / "bad.csv").exists()
         assert capsys.readouterr().err.startswith("config error:")
 
+    NARROW_ARGV = ["solve", "--model", "m1", "--v0", "0", "--a", "0.02", "--b", "0.02",
+                   "--levels", "3"]
+
     def test_solver_error_is_two(self, tmp_path, monkeypatch, capsys):
-        # a window forced to expand past the 1e4 eV cap cannot deliver
-        # three levels of this very narrow well
-        code = run_cli(
-            tmp_path, monkeypatch,
-            ["solve", "--model", "m1", "--v0", "0", "--a", "0.02", "--b", "0.02",
-             "--levels", "3", "--e-max", "5.0", "--out", "x.csv"],
-        )
-        assert code == 2
-        assert "solver error" in capsys.readouterr().err
+        # 64 growths of a 2e-9 eV window cannot deliver three levels of
+        # this very narrow well
+        argv = self.NARROW_ARGV + ["--e-max", "2e-9", "--out", "x.csv"]
+        assert run_cli(tmp_path, monkeypatch, argv) == 2
+        err = capsys.readouterr().err
+        assert "solver error" in err and "after 64 growths" in err
+
+    def test_e_max_does_not_change_levels_past_1e4_ev(self, tmp_path, monkeypatch):
+        # the first window top, from --e-max or the model's estimate, only
+        # sets where the growth starts
+        assert run_cli(tmp_path, monkeypatch, self.NARROW_ARGV + ["--out", "a.csv"]) == 0
+        argv = self.NARROW_ARGV + ["--e-max", "5", "--out", "b.csv"]
+        assert run_cli(tmp_path, monkeypatch, argv) == 0
+        text = (tmp_path / "a.csv").read_text()
+        assert text == (tmp_path / "b.csv").read_text()
+        assert text == "level,energy_ev\n1,6168.50275068\n2,24674.0110027\n3,55516.5247561\n"
 
     E_MIN_ARGV = ["solve", "--model", "m1", "--v0", "1", "--a", "2", "--b", "2",
                   "--levels", "2", "--out", "e.csv", "--e-min"]
@@ -357,9 +367,11 @@ class TestExitCodes:
         assert min(got) > 100.0
         assert np.allclose(got, want, rtol=0.0, atol=1e-9)
 
-    def test_e_min_past_window_cap_is_solver_error(self, tmp_path, monkeypatch, capsys):
-        assert run_cli(tmp_path, monkeypatch, self.E_MIN_ARGV + ["20000"]) == 2
-        assert "solver error" in capsys.readouterr().err
+    def test_e_min_above_1e4_ev_gives_levels_above_it(self, tmp_path, monkeypatch):
+        assert run_cli(tmp_path, monkeypatch, self.E_MIN_ARGV + ["20000"]) == 0
+        lines = (tmp_path / "e.csv").read_text().strip().split("\n")[1:]
+        got = [float(line.split(",")[1]) for line in lines]
+        assert len(got) == 2 and min(got) > 2e4
 
     def test_compare_rejects_e_min(self, tmp_path, monkeypatch, capsys):
         # the oracle gives the lowest levels: analytic levels above e_min
@@ -557,3 +569,21 @@ def test_import_does_not_load_multiprocessing():
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert out.stdout.strip() == "False"
+
+
+def _run_module(args, cwd):
+    return subprocess.run(
+        [sys.executable, "-m", "dwcross", *args], cwd=cwd, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+
+
+def test_module_entry_point_runs_main(tmp_path, monkeypatch):
+    # python -m dwcross is cli.main: the same CSV, and its exit codes
+    out = _run_module(["solve", "--preset", "fig3", "--out", "module.csv"], tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert run_cli(tmp_path, monkeypatch, ["solve", "--preset", "fig3", "--out", "main.csv"]) == 0
+    assert (tmp_path / "module.csv").read_text() == (tmp_path / "main.csv").read_text()
+    bad = _run_module(["solve", "--preset", "fig3", "--no-such-flag", "--out", "bad.csv"], tmp_path)
+    assert bad.returncode == 1 and bad.stderr.startswith("config error:")
+    assert not (tmp_path / "bad.csv").exists()

@@ -21,7 +21,7 @@ from dwcross.models import (
     model_kind,
 )
 from dwcross.rootfind import solve_levels
-from dwcross import oracle
+from dwcross import models, oracle
 from reference_oracles import bisect, pcf_at_zero, symmetric_delta_box_levels
 
 U1 = UnitsConfig(1.0)
@@ -112,6 +112,29 @@ def _barrier_closed_form(w, half_width):
     if w < 0.0:
         return math.cos(width * math.sqrt(-w)), math.sin(width * math.sqrt(-w)) / math.sqrt(-w)
     return 1.0, width
+
+
+class TestBarrierFactors:
+    @pytest.mark.parametrize("half_width", [0.05, 1.0, 3.5])
+    def test_closed_forms_at_and_near_the_top(self, half_width):
+        # at w = 0 and -0, and for |z| = |(2L)^2 w| from 1e-15 to 2e-6 on
+        # both sides: the scalar form is the closed form bit for bit, and
+        # the array form (numpy's cosh and sinh) and the Taylor series
+        # 1 + z/2, 2L (1 + z/6) both lie within 2 ulp of it
+        width = 2.0 * half_width
+        z = np.geomspace(1e-15, 2e-6, 97)
+        z = np.concatenate(([0.0, -0.0], z, -z))
+        w = z / width**2
+        scalar = np.array([models._barrier_factors(x, half_width) for x in w.tolist()])
+        assert scalar.tolist() == [list(_barrier_closed_form(x, half_width)) for x in w.tolist()]
+        array = np.column_stack(models._barrier_factor_values(w, half_width))
+        series = np.column_stack(
+            (1.0 + z * (0.5 + z / 24.0), width * (1.0 + z * (1.0 / 6.0 + z / 120.0)))
+        )
+        ulp = np.spacing(np.abs(scalar))
+        assert (np.abs(array - scalar) <= 2.0 * ulp).all()
+        assert (np.abs(series - scalar) <= 2.0 * ulp).all()
+        assert array[:2].tolist() == scalar[:2].tolist() == [[1.0, width]] * 2
 
 
 class TestCharM2:

@@ -528,19 +528,35 @@ class TestSolveLevels:
             solve_levels(M1Params(0.0, 1.0, 1.0), U1, 0)
 
     def test_cap_raises(self):
-        # a well so narrow that 4 levels exceed the expansion cap
+        # a well so narrow that 64 growths of a 2e-9 eV window (to ~23 158
+        # eV) hold only its first level, 6168.5 eV
         model = M1Params(0.0, 0.02, 0.02)
         message = (
             r"^M1Params\(v0=0\.0, a=0\.02, b=0\.02\): window growth: only 1 levels "
-            r"in the window \[1e-09, 10000\.0\] eV, which reaches the 10000\.0 eV cap$"
+            r"in the window \[1e-09, 23158\.4\d*\] eV after 64 growths$"
         )
         with pytest.raises(NonConvergenceError, match=message):
-            solve_levels(model, U1, 4, RootfindConfig(e_max=20.0))
+            solve_levels(model, U1, 4, RootfindConfig(e_max=2e-9))
 
-    def test_e_min_past_cap_raises(self):
-        message = r"^M1Params\(v0=1\.0, a=2\.0, b=2\.0\): window growth: e_min=20000\.0"
-        with pytest.raises(NonConvergenceError, match=message):
-            solve_levels(M1Params(1.0, 2.0, 2.0), U1, 2, RootfindConfig(e_min=2e4))
+    def test_e_min_above_1e4_ev_gives_levels_above_it(self):
+        # the estimated window (~16 eV) is shifted up to start at e_min
+        got = solve_levels(M1Params(1.0, 2.0, 2.0), U1, 2, RootfindConfig(e_min=2e4))
+        ref = reference_oracles.symmetric_delta_box_levels(1.0, 2.0, 1.0, 200)
+        want = [e for e in ref if e > 2e4][:2]
+        assert min(got) > 2e4
+        for e, w in zip(got, want):
+            assert abs(e - w) <= 2.0 * max(1e-10, 4.0 * 2.22e-16 * abs(w))
+
+    def test_window_top_does_not_change_the_levels(self):
+        # levels past 1e4 eV: a first window of 5 eV grows to them, and the
+        # model's level_window (~55 517 eV) holds them at once; the two
+        # grids differ, so each level is refined from another bracket
+        model = M1Params(0.0, 0.02, 0.02)
+        levels = solve_levels(model, U1, 3)
+        grown = solve_levels(model, U1, 3, RootfindConfig(e_max=5.0))
+        for e, g in zip(levels, grown):
+            assert abs(e - g) <= 2.0 * max(1e-10, 4.0 * 2.22e-16 * abs(e))
+        assert levels == pytest.approx([6168.50275068, 24674.0110027, 55516.5247561], rel=1e-11)
 
     def test_refine_failure_names_model_and_window(self, monkeypatch):
         def fail(f, bracket, cfg):

@@ -113,11 +113,14 @@ class TestSweepLevels:
         assert np.all(np.diff(table.levels, axis=1) > 0.0)
 
     def test_failure_reports_grid_index(self):
-        # an expansion-capped solve fails; the sweep must name the point
+        # a solve that its 64 window growths leave short fails; the sweep
+        # must name the point, here the narrowest well, b = 0.01
         spec = SweepSpec(0.01, 0.03, 3, 4)
-        cfg = RootfindConfig(e_max=20.0)
-        with pytest.raises(NonConvergenceError, match="grid index"):
+        cfg = RootfindConfig(e_max=2e-9)
+        message = r"^sweep failed at grid index 0 \(b=0\.01\): .* after 64 growths$"
+        with pytest.raises(NonConvergenceError, match=message) as info:
             sweep_levels(M1Params(0.0, 0.02, 0.02), U1, spec, cfg)
+        assert info.value.row == 0
 
     @pytest.mark.parametrize(
         "cls,stage",
