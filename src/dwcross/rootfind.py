@@ -7,7 +7,7 @@ round, every wanted level's cell whose count says it holds more levels
 than F's sign shows.  A cell whose count rises by one across a sign
 change of F brackets one level.  A cell that still holds levels when it
 is too narrow to halve is an unresolved doublet, which double precision
-cannot split: each of its levels is its midpoint.
+cannot split: each of its levels is a zero-width bracket at its midpoint.
 
 Every trial grid starts at e_min, so its first node gives the count
 origin N(e_min), and a window grows only at its top.  A scan holds
@@ -152,10 +152,11 @@ def scan_brackets(
     tops: np.ndarray,
     *,
     cells_per_level: int = _CELLS_PER_LEVEL,
-) -> list[list[Bracket | float]]:
+) -> np.ndarray:
     """Levels first[r]+1 ... first[r]+n of each row r counted from
-    cfg.e_min, ascending, one list per row: each a Bracket or a doublet's
-    midpoint.
+    cfg.e_min, ascending: float64 of shape (rows, n, 4), each level a
+    bracket (lo, hi, F(lo), F(hi)).  An unresolved doublet's m levels are
+    m zero-width brackets (mid, mid, 0.0, 0.0) at its cell's midpoint.
 
     first and tops hold one entry per row: the count of its levels to skip
     and the top of its first window (tops is not written to).  f maps
@@ -267,20 +268,15 @@ def scan_brackets(
                 row=r,
             )
     # a cell across two rows holds no wanted level: the first row's top
-    # count reaches its wanted levels
+    # count reaches its wanted levels; so each row holds n, in order
     cells = (held > 0.0).nonzero()[0]
-    levels: list[list[Bracket | float]] = [[] for _ in range(hi.size)]
-    for r, whole, x0, x1, f0, f1, m in zip(
-        *(v.tolist() for v in (
-            row[cells].astype(int), bracket[cells], xs[cells], xs[cells + 1], fs[cells],
-            fs[cells + 1], held[cells],
-        ))
-    ):
-        if whole:
-            levels[r].append(Bracket(x0, x1, f0, f1))
-        else:
-            levels[r] += [0.5 * (x0 + x1)] * int(m)
-    return levels
+    cells = cells.repeat(held[cells].astype(int))
+    # x, then F, at each level's two ends: (lo, hi, F(lo), F(hi))
+    levels = state[_X : _F + 1, cells[:, None] + (0, 1)].swapaxes(0, 1).reshape(-1, 4)
+    if odd.any():  # the odd cells left are unresolved doublets: (mid, mid, 0, 0)
+        doublet = ~bracket[cells]
+        levels[doublet] = 0.5 * (levels[doublet, :1] + levels[doublet, 1:2]) * (1.0, 1.0, 0.0, 0.0)
+    return levels.reshape(hi.size, n, 4)
 
 
 # Steps a bracket may take without halving its width before it bisects.
@@ -291,14 +287,15 @@ def refine_root(f: Callable[[float], float], bracket: Bracket, cfg: RootfindConf
     """Root inside the bracket, to width max(tol_abs, 4 eps |E|): refine_rows'
     rule on one bracket and the scalar f, with the same arithmetic in the
     same order, so that on the same F both give the same root bit for bit
-    after as many steps.
+    after as many steps.  A bracket with F 0 at an end, as a doublet's
+    zero-width ones have, gives that end without a call of f.
 
     Raises:
         NonConvergenceError: as refine_rows, F is not finite at a step or
             the bracket exceeds its 300 steps (stage "refine").
     """
     a, b, fa, fb = bracket
-    if not (a < b) or (fa > 0.0 and fb > 0.0) or (fa < 0.0 and fb < 0.0):
+    if not (a <= b) or (fa > 0.0 and fb > 0.0) or (fa < 0.0 and fb < 0.0):
         raise ValueError(f"invalid bracket {bracket}")
     # as refine_rows' state: the secant's values, whether the last step
     # replaced a (None before the first), the width at the last halving and
@@ -340,18 +337,18 @@ def refine_root(f: Callable[[float], float], bracket: Bracket, cfg: RootfindConf
 
 
 def refine_levels(
-    f: Callable[[float], float], levels: list[Bracket | float], cfg: RootfindConfig
+    f: Callable[[float], float], levels: np.ndarray, cfg: RootfindConfig
 ) -> list[float]:
-    """A scan's levels as energies: each Bracket refined on f."""
-    return [refine_root(f, x, cfg) if isinstance(x, Bracket) else x for x in levels]
+    """One row of a scan's levels, shape (n, 4), as energies: each level
+    refined by refine_root on the scalar f, from Python floats."""
+    return [refine_root(f, x, cfg) for x in map(Bracket._make, levels.tolist())]
 
 
-def refine_rows(
-    f: RowsFn, levels: list[list[Bracket | float]], cfg: RootfindConfig
-) -> list[list[float]]:
-    """Many rows' scan results as energies, as refine_levels gives one
-    row's: each Bracket of row r refined on f(energies, rows), rows[i]
-    being the row of energies[i] (the f the rows were scanned with).
+def refine_rows(f: RowsFn, brackets: np.ndarray, cfg: RootfindConfig) -> np.ndarray:
+    """A scan's levels, shape (rows, n, 4), as energies of shape (rows, n),
+    as refine_levels gives one row's: each bracket of row r refined on
+    f(energies, rows), rows[i] being the row of energies[i] (the f the rows
+    were scanned with).  A zero-width bracket is its own root.
 
     A bracket stops, as refine_root does, at an exact zero or at width
     tol = max(tol_abs, 4 eps |E|), with the end of smaller |F|.  Every
@@ -372,25 +369,20 @@ def refine_rows(
             the bracket and the row attribute its row: of many, the lowest
             row failing in the earliest round.
     """
-    out: list[list[float]] = [list(row) for row in levels]
-    slots = [
-        (r, j) for r, row in enumerate(levels) for j, x in enumerate(row) if isinstance(x, Bracket)
-    ]
-    if not slots:
-        return out
-    brackets = np.array([levels[r][j] for r, j in slots], dtype=float).T
-    lo, hi, f_lo, f_hi = brackets
-    if not ((lo < hi) & (f_lo * np.sign(f_hi) <= 0.0)).all():
+    rows, n = brackets.shape[:2]
+    ends = brackets.reshape(-1, 4).T
+    lo, hi, f_lo, f_hi = ends
+    if not ((lo <= hi) & (f_lo * np.sign(f_hi) <= 0.0)).all():
         raise ValueError("invalid bracket among the rows")
     # one column per open bracket: its ends and F there, the values its
     # secant uses (F, the one at an end kept twice running scaled), the end
     # its last step kept (-1 lo, 1 hi, 0 none), its width when it last
-    # halved, the steps since then, its row, and its index in slots
-    zeros = np.zeros(len(slots))
+    # halved, the steps since then, its row, and its index in the flat rows
+    zeros = np.zeros(lo.size)
     state = np.vstack(
-        (brackets, f_lo, f_hi, zeros, hi - lo, zeros, [r for r, _ in slots], np.arange(len(slots)))
+        (ends, f_lo, f_hi, zeros, hi - lo, zeros, np.arange(rows).repeat(n), np.arange(lo.size))
     )
-    roots = np.empty(len(slots))
+    roots = np.empty(lo.size)
 
     def named(k: float) -> str:
         return f"[{float(lo[int(k)])!r}, {float(hi[int(k)])!r}]"
@@ -425,9 +417,7 @@ def refine_rows(
         raise NonConvergenceError(
             f"refine: the root on {named(slot[0])} exceeded its iteration budget", row=int(row[0])
         )
-    for (r, j), root in zip(slots, roots.tolist()):
-        out[r][j] = root
-    return out
+    return roots.reshape(rows, n)
 
 
 def _start_top(model: ModelParams, units: UnitsConfig, n_levels: int, cfg: RootfindConfig) -> float:

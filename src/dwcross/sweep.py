@@ -134,14 +134,14 @@ def sweep_levels(
         scans = scan_brackets(
             values, cfg, n, np.zeros(tops.size), tops, cells_per_level=_ROWS_CELLS_PER_LEVEL
         )
-        rows = refine_rows(values, scans, cfg)
+        levels = refine_rows(values, scans, cfg)
     except NonConvergenceError as exc:
         i = exc.row
         raise NonConvergenceError(
             f"sweep failed at grid index {i} ({name}={float(lambdas[i])}): {varied[i]!r}: {exc}",
             row=i,
         ) from exc
-    return SpectrumTable(lambdas, np.array(rows, dtype=np.float64), model, units, cfg)
+    return SpectrumTable(lambdas, levels, model, units, cfg)
 
 
 def gap_curves(table: SpectrumTable) -> np.ndarray:

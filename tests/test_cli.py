@@ -279,6 +279,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "m1" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["solve", "--preset", "fig3", "--out", "file/x.csv"], id="solve-out"),
+            pytest.param(["sweep", "--preset", "fig3", "--svg", "file/x.svg"], id="sweep-svg"),
+        ],
+    )
+    def test_unwritable_output_is_config_error(self, tmp_path, monkeypatch, capsys, argv):
+        # the output's directory would be a regular file
+        (tmp_path / "file").write_text("")
+        assert run_cli(tmp_path, monkeypatch, argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write file/x.")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["solve", "detect", "compare"])
     @pytest.mark.parametrize("option", [["--svg", "chart.svg"], ["--effective"]],
                              ids=["svg", "effective"])

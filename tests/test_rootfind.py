@@ -23,6 +23,7 @@ from dwcross.models import (
 from dwcross.rootfind import (
     Bracket,
     RootfindConfig,
+    refine_levels,
     refine_root,
     refine_rows,
     scan_brackets,
@@ -44,6 +45,10 @@ def scan_one(f, cfg, n, first=0):
     [levels] = scan_brackets(lambda e, rows: f(e), cfg, n, np.array([first]), tops)
     assert tops[0] == cfg.e_max
     return levels
+
+
+def _no_f(*args):
+    raise AssertionError("F evaluated")
 
 
 def sin_sqrt(e):
@@ -72,19 +77,19 @@ class TestScanBrackets:
         cfg = RootfindConfig(e_min=0.5, e_max=9.5)
         brackets = scan_one(f, cfg, 3)
         assert len(brackets) == 3
-        for b, root in zip(brackets, (1.0, 4.0, 9.0)):
-            assert b.lo < root < b.hi
-            assert b.f_lo * b.f_hi < 0
+        for (lo, hi, f_lo, f_hi), root in zip(brackets.tolist(), (1.0, 4.0, 9.0)):
+            assert lo < root < hi
+            assert f_lo * f_hi < 0
         # count indices start above e_min: first=1 skips the level at 1
-        [second] = scan_one(f, cfg, 1, first=1)
-        assert second.lo < 4.0 < second.hi
+        [(lo, hi, _, _)] = scan_one(f, cfg, 1, first=1).tolist()
+        assert lo < 4.0 < hi
 
     def test_brackets_sorted_and_disjoint(self):
         f = sin_sqrt
         cfg = RootfindConfig(e_min=0.5, e_max=9.5)
-        brackets = scan_one(f, cfg, 3)
+        brackets = scan_one(f, cfg, 3).tolist()
         for left, right in zip(brackets[:-1], brackets[1:]):
-            assert left.hi <= right.lo
+            assert left[1] <= right[0]
 
     def test_subgrid_doublet_resolved(self):
         # two roots 0.062 apart inside one 0.25-wide grid cell (5 levels,
@@ -95,7 +100,7 @@ class TestScanBrackets:
         cfg = RootfindConfig(e_min=1e-9, e_max=40.0)
         brackets = scan_one(values_fn(m), cfg, 5)
         assert len(brackets) == 5
-        pair = [b for b in brackets if 5.0 < b.lo < 5.6]
+        pair = [Bracket(*b) for b in brackets.tolist() if 5.0 < b[0] < 5.6]
         assert len(pair) == 2
         roots = sorted(refine_root(f, b, cfg) for b in pair)
         assert roots[0] == pytest.approx(5.34486, abs=1e-3)
@@ -128,9 +133,9 @@ class TestScanBrackets:
         cfg = RootfindConfig(e_min=1e-9, e_max=12.0)
         brackets = scan_one(values_fn(m), cfg, expected)
         assert len(brackets) == expected
-        assert all(b.hi <= 12.0 for b in brackets)
-        *_, extra = scan_one(values_fn(m), cfg, expected + 1)
-        assert refine_root(characteristic_fn(m, U1), extra, cfg) > 12.0
+        assert all(hi <= 12.0 for _, hi, _, _ in brackets.tolist())
+        *_, extra = scan_one(values_fn(m), cfg, expected + 1).tolist()
+        assert refine_root(characteristic_fn(m, U1), Bracket(*extra), cfg) > 12.0
 
     def test_exact_grid_zero_handled(self):
         # a root exactly on a scan node must still produce one bracket
@@ -187,16 +192,21 @@ class TestScanBrackets:
 
     def test_unresolved_doublet_at_midpoint(self):
         # a count that rises by two at a point where F only touches zero:
-        # both levels come back at the midpoint of the narrowest cell
+        # both levels come back as zero-width brackets at the midpoint of
+        # the narrowest cell, with F 0 at both ends
         def f(e):
             return (e - 5.0) ** 2 + 1.0, 2.0 * (e > 5.0)
 
         for tol_abs in (1e-10, 1e-3):
             cfg = RootfindConfig(e_min=2.5, e_max=7.5, tol_abs=tol_abs)
             levels = scan_one(f, cfg, 2)
-            assert len(levels) == 2 and levels[0] == levels[1]
-            assert type(levels[0]) is float
-            assert abs(levels[0] - 5.0) <= cfg.tol_abs
+            assert len(levels) == 2 and levels[0].tolist() == levels[1].tolist()
+            mid = levels[0][0].item()
+            assert levels[0].tolist() == [mid, mid, 0.0, 0.0]
+            assert abs(mid - 5.0) <= cfg.tol_abs
+            # refined on the scalar F, each is the midpoint as a Python float
+            roots = refine_levels(_no_f, levels, cfg)
+            assert roots == [mid, mid] and all(type(e) is float for e in roots)
 
     def test_evaluations_in_bounded_blocks(self):
         # many wanted levels make a wide grid (512 levels, 16384 cells),
@@ -213,11 +223,41 @@ class TestScanBrackets:
         assert sum(sizes) >= 16385 and max(sizes) <= 2048
 
     def test_brackets_are_python_floats(self):
+        # the scan hands on float64; refinement on the scalar F steps on
+        # Python floats, and the solved levels are Python floats
         m = M2Params(10.0, 2.0, 1.0, 3.0)
         cfg = RootfindConfig(e_min=1e-9, e_max=16.0)
-        for b in scan_one(values_fn(m), cfg, 5):
-            assert all(type(v) is float for v in b)
+        levels = scan_one(values_fn(m), cfg, 5)
+        assert levels.dtype == np.float64
+        scalar_f, seen = characteristic_fn(m, U1), []
+
+        def spy(e):
+            seen.append(e)
+            return scalar_f(e)
+
+        roots = refine_levels(spy, levels, cfg)
+        assert seen and all(type(e) is float for e in seen + roots)
         assert all(type(e) is float for e in solve_levels(m, U1, 3))
+
+    def test_rows_of_levels_in_one_array(self):
+        # row r holds a level at 1.3 + r where F changes sign, then a
+        # doublet at 6.2 + r that F does not show: one array of brackets,
+        # rows in order, each row's levels ascending, the doublet's two
+        # levels as (mid, mid, 0, 0)
+        def f(e, rows):
+            simple, double = 1.3 + rows, 6.2 + rows
+            values = (e - simple) * ((e - double) ** 2 + 1.0)
+            return values, 1.0 * (e > simple) + 2.0 * (e > double)
+
+        cfg = RootfindConfig(e_min=0.5)
+        levels = scan_brackets(f, cfg, 3, np.zeros(3), np.full(3, 9.5))
+        assert levels.dtype == np.float64 and levels.shape == (3, 3, 4)
+        for r, (simple, *doublet) in enumerate(levels.tolist()):
+            lo, hi, f_lo, f_hi = simple
+            assert lo < 1.3 + r < hi and f_lo * f_hi < 0.0
+            mid = doublet[0][0]
+            assert doublet == [[mid, mid, 0.0, 0.0]] * 2
+            assert hi < mid and abs(mid - (6.2 + r)) <= cfg.tol_abs
 
 
 def _scan_cases():
@@ -270,7 +310,7 @@ def test_array_scan_matches_scalar_reference(name, model, units, n):
     held = int(counts[1] - counts[0])
     scan = scan_one(values_fn(model, units), cfg, held)
     assert len(scan) == held >= n
-    assert all((x.hi if isinstance(x, Bracket) else x) <= cfg.e_max for x in scan)
+    assert all(hi <= cfg.e_max for _, hi, _, _ in scan.tolist())
 
 
 # Models on which solve_levels returned wrong levels with exit 0 while
@@ -378,19 +418,19 @@ class TestRefineRows:
     def test_each_root_as_refine_root_and_as_alone(self):
         # one rule in two forms: the same root bit for bit, after the same
         # number of evaluations
-        levels = [[_bracket(g, lo, hi)] for g, lo, hi, _ in _ROWS]
-        levels[0].append(0.25)  # a doublet's midpoint passes through
+        # a doublet's zero-width bracket at 0.25 in each row passes through
+        levels = np.array([[_bracket(g, lo, hi), (0.25, 0.25, 0.0, 0.0)] for g, lo, hi, _ in _ROWS])
         cfg = RootfindConfig()
-        got = refine_rows(_rows_fn([]), levels, cfg)
-        assert got[0][1] == 0.25
+        got = refine_rows(_rows_fn([]), levels, cfg).tolist()
+        assert all(row[1] == 0.25 for row in got)
         for r, (g, lo, hi, root) in enumerate(_ROWS):
             x = got[r][0]
             evals = [0]
             scalar_g = _counted(lambda e: float(g(np.float64(e))), evals)
-            scalar = refine_root(scalar_g, levels[r][0], cfg)
+            scalar = refine_root(scalar_g, Bracket(*levels[r, 0].tolist()), cfg)
             assert abs(x - root) <= cfg.tol_abs and x == scalar
             calls = []
-            assert refine_rows(_rows_fn(calls, r), [[levels[r][0]]], cfg) == [[x]]
+            assert refine_rows(_rows_fn(calls, r), levels[r : r + 1, :1], cfg).tolist() == [[x]]
             assert sum(calls) == evals[0]
             if r == 2:  # an exact zero at an end costs no evaluation
                 assert x == 3.0 and calls == []
@@ -413,8 +453,8 @@ class TestRefineRows:
         # the rows form on the scalar F, elementwise, gives every root of a
         # model's scan as refine_root does, after as many evaluations
         cfg = RootfindConfig(e_max=model.level_window(U1, n))
-        brackets = [x for x in scan_one(values_fn(model), cfg, n) if isinstance(x, Bracket)]
-        assert len(brackets) == n
+        brackets = scan_one(values_fn(model), cfg, n)
+        assert len(brackets) == n and all(lo < hi for lo, hi, _, _ in brackets.tolist())
         scalar_f = characteristic_fn(model, U1)
         energies = []
 
@@ -423,14 +463,15 @@ class TestRefineRows:
             return np.array([scalar_f(x) for x in e.tolist()]), np.zeros_like(e)
 
         evals = [0]
-        scalar = [refine_root(_counted(scalar_f, evals), x, cfg) for x in brackets]
-        assert refine_rows(f, [[x] for x in brackets], cfg) == [[x] for x in scalar]
+        counted = _counted(scalar_f, evals)
+        scalar = [refine_root(counted, Bracket(*x), cfg) for x in brackets.tolist()]
+        assert refine_rows(f, brackets[:, None], cfg).tolist() == [[x] for x in scalar]
         assert sum(energies) == evals[0]
 
     def test_bisection_bounds_the_rounds(self):
         # a bracket bisects when _STALL_STEPS steps have not halved it, so
         # it halves at least once every _STALL_STEPS + 1 rounds
-        levels = [[_bracket(g, lo, hi)] for g, lo, hi, _ in _ROWS]
+        levels = np.array([[_bracket(g, lo, hi)] for g, lo, hi, _ in _ROWS])
         cfg = RootfindConfig()
         calls = []
         refine_rows(_rows_fn(calls), levels, cfg)
@@ -453,22 +494,30 @@ class TestRefineRows:
         # a triple root near 2e-9 in [1e-9, 1e4] needs about 93 halvings
         # at tol_abs = 1e-300, more than 300 steps allow
         g = lambda e: (e - 2e-9) ** 3  # noqa: E731
-        levels = [[1.0], [_bracket(g, 1e-9, 1e4)]]
+        levels = np.array([[(1.0, 1.0, 0.0, 0.0)], [_bracket(g, 1e-9, 1e4)]])
         message = r"^refine: the root on \[1e-09, 10000\.0\] exceeded its iteration budget$"
         with pytest.raises(NonConvergenceError, match=message) as info:
             refine_rows(lambda e, rows: (g(e), e), levels, RootfindConfig(tol_abs=1e-300))
         assert info.value.row == 1
         with pytest.raises(NonConvergenceError, match=message):
-            refine_root(g, levels[1][0], RootfindConfig(tol_abs=1e-300))
+            refine_root(g, Bracket(*levels[1, 0].tolist()), RootfindConfig(tol_abs=1e-300))
         # F not finite at the first step, E = 1.5
         message = r"^refine: F is not finite at E=1\.5 in the bracket \[1\.0, 2\.0\] eV$"
         bracket = Bracket(1.0, 2.0, -1.0, 1.0)
         with pytest.raises(NonConvergenceError, match=message):
-            refine_rows(lambda e, rows: (np.full_like(e, np.nan), e), [[bracket]], RootfindConfig())
+            nan = lambda e, rows: (np.full_like(e, np.nan), e)  # noqa: E731
+            refine_rows(nan, np.array([[bracket]]), RootfindConfig())
         with pytest.raises(NonConvergenceError, match=message):
             refine_root(lambda e: math.nan, bracket, RootfindConfig())
         with pytest.raises(ValueError):
-            refine_rows(_rows_fn([]), [[Bracket(1.0, 2.0, 1.0, 2.0)]], RootfindConfig())
+            refine_rows(_rows_fn([]), np.array([[Bracket(1.0, 2.0, 1.0, 2.0)]]), RootfindConfig())
+
+    def test_zero_width_bracket_is_its_point(self):
+        # a doublet's level comes back as its point, with no F evaluation
+        cfg = RootfindConfig()
+        assert refine_root(_no_f, Bracket(5.25, 5.25, 0.0, 0.0), cfg) == 5.25
+        levels = np.array([[(5.25, 5.25, 0.0, 0.0)] * 2, [(7.5, 7.5, 0.0, 0.0)] * 2])
+        assert refine_rows(_no_f, levels, cfg).tolist() == [[5.25, 5.25], [7.5, 7.5]]
 
 
 class TestSolveLevels:

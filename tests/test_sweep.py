@@ -112,6 +112,12 @@ class TestSweepLevels:
         table = sweep_levels(M3Params(10.0, 2.0, 2.0), U1, spec)
         assert np.all(np.diff(table.levels, axis=1) > 0.0)
 
+    def test_levels_are_one_float64_array(self):
+        spec = SweepSpec(1.0, 3.0, 9, 3)
+        table = sweep_levels(M1Params(10.0, 2.0, 2.0), U1, spec)
+        assert type(table.levels) is np.ndarray
+        assert table.levels.dtype == np.float64 and table.levels.shape == (9, 3)
+
     def test_failure_reports_grid_index(self):
         # a solve that its 64 window growths leave short fails; the sweep
         # must name the point, here the narrowest well, b = 0.01
@@ -168,7 +174,7 @@ class TestSweepLevels:
             lambda e, rows: M1Params.char_values(model, e, U1, at=np.full(e.size, 2.0)),
             RootfindConfig(), 3, np.zeros(1), np.array([top]),
             cells_per_level=sweep._ROWS_CELLS_PER_LEVEL,
-        )[0][0]
+        )[0][0].tolist()
         monkeypatch.setattr(_NonFiniteInBracket, "inside", (lo, hi))
         message = (
             r"^sweep failed at grid index 4 \(b=2\.0\): _NonFiniteInBracket\(v0=10\.0, "
