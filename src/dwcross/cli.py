@@ -324,9 +324,14 @@ def cmd_sweep(cfg: RunConfig) -> int:
         columns.append(effective_levels(table))
         header += "," + ",".join(f"Ep{j}" for j in range(1, n + 1))
     body = np.column_stack([table.lambdas] + columns)
-    _write_csv(_default_out(cfg, "sweep"), header, body)
+    out = _default_out(cfg, "sweep")
+    _write_csv(out, header, body)
     if cfg.svg:
-        _write_svg(Path(cfg.svg), table.lambdas, table.levels, model.sweep_param)
+        try:
+            _write_svg(Path(cfg.svg), table.lambdas, table.levels, model.sweep_param)
+        except ConfigError:
+            out.unlink()  # a config error leaves no output behind
+            raise
     return 0
 
 

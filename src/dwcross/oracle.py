@@ -86,13 +86,14 @@ class OracleConfig:
 @dataclass(frozen=True)
 class TridiagonalHamiltonian:
     """Discretized Hamiltonian: diag[i] = 2/(u h^2) + V(x_i) (+ v0/h at the
-    delta node), offdiag = -1/(u h^2), interior nodes x_i = x_min + (i+1) h."""
+    delta node), offdiag = -1/(u h^2), on the interior nodes x_i of a grid
+    of step h.  The grid's geometry (its first wall x_min, so that
+    x_i = x_min + (i+1) h, and the delta node) is the _GridSpec it was
+    assembled on."""
 
     diag: np.ndarray
     offdiag: np.ndarray
-    x_min: float
     h: float
-    delta_index: int | None = None
 
     @property
     def size(self) -> int:
@@ -177,13 +178,7 @@ def _assemble(
         if spec.delta_index is None:
             raise ConfigError("delta model without a delta node in the grid")
         diag[spec.delta_index] += v0 / spec.h
-    return TridiagonalHamiltonian(
-        diag=diag,
-        offdiag=offdiag,
-        x_min=spec.x_min,
-        h=spec.h,
-        delta_index=spec.delta_index,
-    )
+    return TridiagonalHamiltonian(diag=diag, offdiag=offdiag, h=spec.h)
 
 
 def build_hamiltonian(

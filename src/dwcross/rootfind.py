@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -136,12 +136,21 @@ def _evaluate(
     return values, counts
 
 
-# Rows of scan_brackets' halving state, one column per node: the node's
-# energy, F there, its count less its row's lowest wanted count (so that
-# its row's wanted levels are the counts 0 < R <= n), its row, and whether
-# the cell the node starts may be halved (0.0), is stopped (1.0), or is
-# none, the node being its row's last (2.0).
-_X, _F, _R, _ROW, _STOP = range(5)
+# Rows of scan_brackets' halving state, one column per cell that holds a
+# wanted level, in row and energy order: the cell's ends, F there, their
+# counts less the row's lowest wanted count (so that the row's wanted
+# levels are the counts 0 < R <= n), and its row.
+_LO, _UP, _F_LO, _F_UP, _R_LO, _R_UP, _ROW = range(7)
+
+
+def _count_error(x: np.ndarray, counts: np.ndarray, row: int, where: str) -> NoReturn:
+    """Raise the count failure of the cell [x[0], x[1]], whose ends count
+    counts[0] and counts[1] levels."""
+    raise NonConvergenceError(
+        f"count: N = {counts[0]:.0f} at E={float(x[0])!r} and {counts[1]:.0f} at "
+        f"E={float(x[1])!r} is not one level per sign change of F {where}",
+        row=row,
+    )
 
 
 def scan_brackets(
@@ -169,21 +178,19 @@ def scan_brackets(
     cells_per_level * n cells, whose first node gives the count origin
     N(e_min).  While its top counts fewer than the wanted levels, the top
     grows 1.6-fold, at most 64 times.  Then each round halves, in one pass,
-    every cell holding a wanted level whose count rises by 2 or more, or
-    by 1 with no sign change of F, down to max(tol_abs, 4 eps |E|).  A
-    midpoint whose count falls outside its cell's end counts is not
-    trusted, and that cell stops.
+    every cell holding a wanted level that is not yet a bracket (a count
+    rise of 1 across a sign change of F), down to max(tol_abs, 4 eps |E|),
+    and drops the halves that hold none.
 
     Raises:
         NonConvergenceError: F is not finite (stage "scan"); the count
-            falls from one node to the next, or holds wanted levels F does
-            not separate in a cell wider than max(tol_abs, 4 eps |E|),
-            which only a stopped cell can be (stage "count"); the window
-            still misses a wanted level after 64 growths (stage "window
-            growth").  The message names the failed row's window and its
-            row attribute the row.  Of many failing rows, the first met is
-            named: the rounds go in turn (window search, halving, then the
-            count check), and within one round the lowest row fails first.
+            falls from one node of a trial grid to the next, or a midpoint
+            counts outside its cell's end counts (stage "count"); the
+            window still misses a wanted level after 64 growths (stage
+            "window growth").  The message names the failed row's window
+            and its row attribute the row.  Of many failing rows, the first
+            met is named: the rounds go in turn; within a round, a
+            non-finite F first, then a count failure; the lowest row first.
     """
     hi = np.array(tops, dtype=float)  # the window tops, grown in place
 
@@ -193,8 +200,7 @@ def scan_brackets(
     e_min = cfg.e_min
     nodes = cells_per_level * n + 1  # of a trial grid
     steps = np.arange(float(nodes))
-    state = np.empty((5, hi.size * nodes))
-    grids = state.reshape(5, hi.size, nodes)  # a view: one trial grid per row
+    grids = np.empty((3, hi.size, nodes))  # x, F and R on each row's trial grid
     want = np.empty(hi.size)
     todo = np.arange(hi.size)  # rows whose window is still searched
     for growths in range(_MAX_GROWTHS + 1):  # each row of todo has grown this often
@@ -205,14 +211,13 @@ def scan_brackets(
         rows = todo.repeat(nodes)
         values, counts = _evaluate(f, x.ravel(), rows, "scan", lambda i: window(rows[i]))
         nx = counts.reshape(x.shape)
+        fall = nx[:, 1:] < nx[:, :-1]
+        if fall.any():
+            i, c = np.unravel_index(fall.argmax(), fall.shape)
+            _count_error(x[i, c : c + 2], nx[i, c : c + 2], int(todo[i]), window(todo[i]))
         want[todo] = nx[:, 0] + first[todo]
-        grids[_X, todo], grids[_F, todo] = x, values.reshape(x.shape)
-        grids[_R, todo] = nx - want[todo, None]
+        grids[:, todo] = x, values.reshape(x.shape), nx - want[todo, None]
         grow = nx[:, -1] < want[todo] + n
-        if grow.any():
-            # a falling count makes the end counts meaningless: the check
-            # after the halving reports it
-            grow &= ~(nx[:, 1:] < nx[:, :-1]).any(axis=1)
         if not grow.any():
             break
         if growths == _MAX_GROWTHS:
@@ -225,56 +230,42 @@ def scan_brackets(
         todo = todo[grow]
         hi[todo] = top[grow] * _EXPAND
 
-    state[_ROW] = np.arange(hi.size).repeat(nodes)
-    state[_STOP] = 0.0
-    state[_STOP, nodes - 1 :: nodes] = 2.0
+    # the cells that hold wanted levels, both ends' x, F and R in one gather
+    held = np.minimum(grids[2, :, 1:], n) - np.maximum(grids[2, :, :-1], 0.0)
+    row, c = (held > 0.0).nonzero()
+    held = held[row, c]
+    cells = np.vstack((grids[:, row, c + [[0], [1]]].reshape(6, -1), row))
     while True:
-        xs, fs, rs, row, stopped = state
-        held = np.minimum(rs[1:], n) - np.maximum(rs[:-1], 0.0)
-        rise = rs[1:] - rs[:-1]
-        signs = np.sign(fs)
-        changes = signs[:-1] * signs[1:] <= 0.0  # opposite signs, or a 0 at an end
-        split = (held > 0.0) & (stopped[:-1] == 0.0) & ((rise >= 2.0) | ((rise == 1.0) & ~changes))
-        cells = split.nonzero()[0]
-        if cells.size:
-            width = xs[cells + 1] - xs[cells]
-            cells = cells[width > np.maximum(cfg.tol_abs, 4.0 * 2.22e-16 * np.abs(xs[cells + 1]))]
-        if not cells.size:
+        lo, up, f_lo, f_up, r_lo, r_up, row = cells
+        # a count rise of 1 across opposite signs of F, or a 0 at an end
+        bracket = (r_up - r_lo == 1.0) & (np.sign(f_lo) * np.sign(f_up) <= 0.0)
+        split = ~bracket & (up - lo > np.maximum(cfg.tol_abs, 4.0 * 2.22e-16 * np.abs(up)))
+        if not split.any():
             break
-        mids = state[:, cells]  # each midpoint's row is its cell's
-        mids[_X] = 0.5 * (xs[cells] + xs[cells + 1])
-        rows = mids[_ROW].astype(int)
-        mids[_F], counts = _evaluate(f, mids[_X], rows, "scan", lambda i: window(rows[i]))
-        mids[_R] = counts - want[rows]
-        trusted = (rs[cells] <= mids[_R]) & (mids[_R] <= rs[cells + 1])
-        stopped[cells[~trusted]] = 1.0
-        mids[_STOP] = 0.0
-        state = np.insert(state, cells[trusted] + 1, mids[:, trusted], axis=1)
-
-    bracket = (rise == 1.0) & changes
-    odd = ((rise < 0.0) | ((held > 0.0) & ~bracket)) & (stopped[:-1] != 2.0)
-    if odd.any():
-        cells = odd.nonzero()[0]
-        width = xs[cells + 1] - xs[cells]
-        narrow = width <= np.maximum(cfg.tol_abs, 4.0 * 2.22e-16 * np.abs(xs[cells + 1]))
-        bad = cells[(rise[cells] < 0.0) | ~narrow]
-        if bad.size:
-            i = int(bad[0])
+        k = split.nonzero()[0]
+        rows = row[k].astype(int)
+        mids = 0.5 * (lo[k] + up[k])
+        f_mid, counts = _evaluate(f, mids, rows, "scan", lambda i: window(rows[i]))
+        r_mid = counts - want[rows]
+        trusted = (r_lo[k] <= r_mid) & (r_mid <= r_up[k])
+        if not trusted.all():
+            i = int(k[trusted.argmin()])
             r = int(row[i])
-            n_lo, n_hi = rs[i : i + 2] + want[r]
-            raise NonConvergenceError(
-                f"count: N = {n_lo:.0f} at E={float(xs[i])!r} and {n_hi:.0f} at "
-                f"E={float(xs[i + 1])!r} is not one level per sign change of F {window(r)}",
-                row=r,
-            )
-    # a cell across two rows holds no wanted level: the first row's top
-    # count reaches its wanted levels; so each row holds n, in order
-    cells = (held > 0.0).nonzero()[0]
-    cells = cells.repeat(held[cells].astype(int))
-    # x, then F, at each level's two ends: (lo, hi, F(lo), F(hi))
-    levels = state[_X : _F + 1, cells[:, None] + (0, 1)].swapaxes(0, 1).reshape(-1, 4)
-    if odd.any():  # the odd cells left are unresolved doublets: (mid, mid, 0, 0)
-        doublet = ~bracket[cells]
+            ends = cells[_R_LO : _R_UP + 1, i] + want[r]
+            _count_error(cells[_LO : _UP + 1, i], ends, r, window(r))
+        # a split cell's two copies, at k plus the split cells before it
+        # and the column after, become its lower and upper halves
+        cells = cells.repeat(split + 1, axis=1)
+        k += np.arange(k.size)
+        cells[_UP:_ROW:2, k] = mids, f_mid, r_mid
+        cells[_LO:_ROW:2, k + 1] = mids, f_mid, r_mid
+        held = np.minimum(cells[_R_UP], n) - np.maximum(cells[_R_LO], 0.0)
+        cells, held = cells[:, held > 0.0], held[held > 0.0]
+
+    copies = held.astype(int)  # each row's cells hold its n levels, in order
+    levels = cells[_LO : _F_UP + 1].T.repeat(copies, axis=0)
+    if not bracket.all():  # the other cells are unresolved doublets: (mid, mid, 0, 0)
+        doublet = ~bracket.repeat(copies)
         levels[doublet] = 0.5 * (levels[doublet, :1] + levels[doublet, 1:2]) * (1.0, 1.0, 0.0, 0.0)
     return levels.reshape(hi.size, n, 4)
 

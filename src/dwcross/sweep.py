@@ -113,8 +113,9 @@ def sweep_levels(
     A solver failure aborts the sweep with NonConvergenceError.  Both name
     the offending grid index (partial tables are never returned).  When
     several points fail, the one named fails in the earliest round (the
-    scan's window search, its halving, its count check, then the
-    refinement), and has the lowest index of those failing in that round.
+    scan's window search, its halving, then the refinement); within a
+    round a non-finite F comes before a count failure, and of those the
+    lowest index is named.
     """
     lambdas = spec.grid()
     name = model.sweep_param

@@ -294,6 +294,15 @@ class TestExitCodes:
         assert err.startswith("config error: cannot write file/x.")
         assert "Traceback" not in err
 
+    def test_unwritable_svg_leaves_no_csv(self, tmp_path, monkeypatch, capsys):
+        # the sweep's CSV is written before its SVG, and removed when the
+        # SVG cannot be written
+        (tmp_path / "afile").write_text("")
+        argv = ["sweep", "--preset", "fig3", "--svg", "afile/x.svg", "--out", "s.csv"]
+        assert run_cli(tmp_path, monkeypatch, argv) == 1
+        assert capsys.readouterr().err.startswith("config error: cannot write")
+        assert [path.name for path in tmp_path.iterdir()] == ["afile"]
+
     @pytest.mark.parametrize("command", ["solve", "detect", "compare"])
     @pytest.mark.parametrize("option", [["--svg", "chart.svg"], ["--effective"]],
                              ids=["svg", "effective"])

@@ -34,7 +34,6 @@ def tridiag(diag, off):
     return TridiagonalHamiltonian(
         diag=np.asarray(diag, dtype=float),
         offdiag=np.asarray(off, dtype=float),
-        x_min=0.0,
         h=1.0,
     )
 
@@ -51,35 +50,42 @@ class TestConfigValidation:
 
 
 class TestBuildHamiltonian:
+    @staticmethod
+    def assembled(m, cfg, e_top=None):
+        """build_hamiltonian's matrix and the grid it is assembled on."""
+        T, spec = build_hamiltonian(m, U1, cfg, e_top), _grid_spec(m, U1, cfg, e_top)
+        assert (spec.h, spec.n_interior) == (T.h, T.size)
+        return T, spec
+
     def test_box_domain_and_kinetic(self):
         m = M1Params(0.0, 2.0, 2.0)
-        T = build_hamiltonian(m, U1, OracleConfig(n_points=1000))
-        assert T.x_min == -2.0
-        assert T.x_min + (T.size + 1) * T.h == pytest.approx(2.0, abs=1e-12)
+        T, spec = self.assembled(m, OracleConfig(n_points=1000))
+        assert spec.x_min == -2.0
+        assert spec.x_min + (T.size + 1) * T.h == pytest.approx(2.0, abs=1e-12)
         kin = 1.0 / (U1.u * T.h * T.h)
         assert np.allclose(T.offdiag, -kin)
         assert np.allclose(T.diag, 2.0 * kin)
 
     def test_delta_spike_on_node(self):
         m = M1Params(10.0, 2.0, 2.0)
-        T = build_hamiltonian(m, U1, OracleConfig(n_points=1000))
-        i = T.delta_index
+        T, spec = self.assembled(m, OracleConfig(n_points=1000))
+        i = spec.delta_index
         assert i is not None
-        x_delta = T.x_min + (i + 1) * T.h
+        x_delta = spec.x_min + (i + 1) * T.h
         assert abs(x_delta) < T.h / 100.0  # snapped grid puts a node at 0
         assert T.diag[i] - T.diag[i + 1] == pytest.approx(10.0 / T.h, rel=1e-9)
 
     def test_m3_delta_node_exact(self):
         m = M3Params(5.0, 2.0, 1.3)
-        T = build_hamiltonian(m, U1, OracleConfig(n_points=1000), e_top=12.0)
-        x_delta = T.x_min + (T.delta_index + 1) * T.h
+        T, spec = self.assembled(m, OracleConfig(n_points=1000), e_top=12.0)
+        x_delta = spec.x_min + (spec.delta_index + 1) * T.h
         assert x_delta == pytest.approx(0.0, abs=1e-12)
 
     def test_harmonic_walls_high_enough(self):
         m = M3Params(0.0, 2.0, 1.0)
         e_top = 9.0
-        T = build_hamiltonian(m, U1, OracleConfig(n_points=800), e_top=e_top)
-        for wall in (T.x_min, T.x_min + (T.size + 1) * T.h):
+        T, spec = self.assembled(m, OracleConfig(n_points=800), e_top=e_top)
+        for wall in (spec.x_min, spec.x_min + (T.size + 1) * T.h):
             hw = m.hw1 if wall < 0 else m.hw2
             v_wall = 0.25 * U1.u * hw * hw * wall * wall
             assert v_wall >= 4.0 * e_top - 1e-9

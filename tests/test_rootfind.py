@@ -56,6 +56,12 @@ def sin_sqrt(e):
     return np.sin(np.pi * np.sqrt(e)), np.floor(np.sqrt(e))
 
 
+def unsplit_wide(e):
+    # F never changes sign, one level above 5.04, and a count of 2 near
+    # 5.0390625 that lies outside the end counts of any cell around it
+    return np.ones_like(e), 1.0 * (e > 5.04) + 2.0 * (np.abs(e - 5.0390625) < 1e-3)
+
+
 class TestConfig:
     def test_window_ordering(self):
         with pytest.raises(ValueError):
@@ -189,6 +195,36 @@ class TestScanBrackets:
         message = r"^count: N = 0 at E=5\.0 and 1 at E=5\.078125 is not one level per sign change"
         with pytest.raises(NonConvergenceError, match=message):
             scan_one(f, cfg, 1)
+
+    def test_window_count_check_precedes_halving(self):
+        # row 0 is test_unsplit_wide_cell_raises' F, whose round-2 midpoint
+        # is counted outside its cell; row 1's count falls to 0 above 5.3,
+        # which the window search finds before any halving: row 1 is named
+        def f(e, rows):
+            values, counts = sin_sqrt(e)
+            falling = values, np.where(e > 5.3, 0.0, counts)
+            return np.where(rows == 0, unsplit_wide(e), falling)
+
+        message = (
+            r"^count: N = 2 at E=5\.15625 and 0 at E=5\.3125 is not one level per sign "
+            r"change of F in the window \[2\.5, 7\.5\] eV$"
+        )
+        with pytest.raises(NonConvergenceError, match=message) as info:
+            scan_brackets(f, RootfindConfig(e_min=2.5), 1, np.zeros(2), np.full(2, 7.5))
+        assert info.value.row == 1
+
+    def test_untrusted_midpoint_fails_its_own_round(self):
+        # row 0 hides two levels at 5.0 where F keeps its sign, and F is NaN
+        # at its round-3 midpoint 5.01953125; row 1's round-2 midpoint is
+        # counted outside its cell, which fails round 2: row 1 is named
+        def f(e, rows):
+            hidden = np.where(np.abs(e - 5.01953125) < 1e-6, np.nan, (e - 5.0) ** 2 + 1.0)
+            return np.where(rows == 0, (hidden, 2.0 * (e > 5.0)), unsplit_wide(e))
+
+        message = r"^count: N = 0 at E=5\.0 and 1 at E=5\.078125 is not one level per sign change"
+        with pytest.raises(NonConvergenceError, match=message) as info:
+            scan_brackets(f, RootfindConfig(e_min=2.5), 1, np.zeros(2), np.full(2, 7.5))
+        assert info.value.row == 1
 
     def test_unresolved_doublet_at_midpoint(self):
         # a count that rises by two at a point where F only touches zero:

@@ -150,8 +150,8 @@ class TestSweepLevels:
 
     def test_earliest_round_failure_is_named(self, monkeypatch):
         # the count falls at grid index 10 and F is NaN at index 150: the
-        # NaN fails the window search, the count only the check after the
-        # halving, so index 150 is named though index 10 comes first
+        # NaN fails the window search's first call before its counts are
+        # read, so index 150 is named though index 10 comes first
         spec = SweepSpec(1.0, 3.0, 201, 3)
         lams = spec.grid()
         monkeypatch.setattr(_TwoFailingPoints, "falling", lams[10])
