@@ -28,7 +28,7 @@ energy with _SCALAR, the math-module primitives, and returns a float;
 numpy primitives, with each branch an np.where over the block.  Root
 refinement stays on `char` (through characteristic_fn): a numpy call on
 one element costs several times the math-module arithmetic.  The two
-forms agree to a few ulp (numpy may round exp, cos, cosh and sinh
+forms agree to a few ulp (numpy may round exp, cos, sin and sinh
 differently); signs agree away from the roots.
 
 With _ARRAY, `_char` also returns N(E), the exact number of levels
@@ -37,7 +37,7 @@ oscillation theorem piece by piece, with the line split at x0 (the delta,
 or the barrier's left edge), N = P_L + P_R + [G < 0]: P_L and P_R count
 the levels of the two sides walled at x0 (each piece gives its own; a
 rectangle adds the zeros of the right piece's solution inside it, from
-the sign of C psi_R + S psi'_R, that solution at x0), and
+the sign of R psi_R + S g_R, that solution at x0; see `_rectangle`), and
 G = psi_L'/psi_L + psi_R'/psi_R (+ u v0 for a delta), with psi_R and
 the slopes taken at x0 and toward it, falls between its poles and has
 the sign of F psi_L(x0) psi_R(x0).  Each piece's count steps exactly
@@ -46,11 +46,12 @@ where the sign of its psi(x0), as F computes it, changes.
 Each characteristic function is written in a pole-free, spurious-root-free
 form: gamma ratios are cleared into reciprocal-gamma products (entire in E,
 and they keep the odd-parity roots that ratio forms lose at the symmetric
-point), the rectangular-barrier factors are evaluated as entire functions
-of v0 - E (so sweeps pass smoothly through E = v0 and sub/over-barrier
-branches join without caller branching), and an E-continuous positive
-rescale of each harmonic piece keeps values representable at large
-quantum numbers.
+point), the rectangular barrier's F, though not each of its factors, is
+entire in v0 - E (so sweeps pass smoothly through E = v0 and the sub- and
+over-barrier branches join without caller branching), and no two of its
+terms cancel near a doublet; E-continuous positive rescales of each
+harmonic piece and of the barrier factors (by a cap on their argument)
+keep values representable.
 """
 
 from __future__ import annotations
@@ -81,7 +82,6 @@ __all__ = [
 # Barrier arguments above this are held at it: the factors then carry a
 # common positive rescale instead of overflowing.
 _BARRIER_ARG_CAP = 350.0
-_BARRIER_BIG = 0.5 * math.exp(_BARRIER_ARG_CAP)
 
 # A harmonic piece's value and slope carry one positive rescale that keeps
 # their logs at or below this, so that piece x piece x barrier factor
@@ -232,49 +232,41 @@ def _positive_energies(energies: np.ndarray) -> np.ndarray:
     return e
 
 
-def _barrier_factors(w: float, half_width: float) -> tuple[float, float]:
-    """Entire-in-w barrier factors C(w) = cosh(2L*sqrt(w)) and
-    S(w) = sinh(2L*sqrt(w))/sqrt(w), continued through w <= 0.
-
-    w = u*(v0 - E) and L = half_width.  For w < 0 these are cos and
-    sin/sqrt(-w), and at w = 0 their limits 1 and 2L, so a sweep in E
-    crosses the top of the barrier smoothly and no spurious root appears
-    at E = v0.  When the argument would overflow, both factors carry a
-    common positive rescale exp(350 - s), which preserves signs, zeros and
-    continuity in E.
+def _barrier_factors(w: float, half_width: float) -> tuple[float, float, float, float]:
+    """Barrier factors (p, S, R, K) for `_rectangle`, at w = u*(v0 - E) and
+    L = half_width: (sqrt(w), sinh(2Lp)/p, exp(-2Lp), 0) below the top, so
+    that cosh(2Lp) = R + p S; (0, sin(2Lq)/q, cos(2Lq), w S), q = sqrt(-w),
+    above it; and their common limit (0, 2L, 1, 0) at w = 0, so a sweep in
+    E crosses the top smoothly.  Past 2Lp = 350, S and R carry one common
+    positive rescale exp(350 - 2Lp) instead of overflowing.
     """
     width = 2.0 * half_width
     if w > 0.0:
         root = math.sqrt(w)
         arg = width * root
-        if arg <= _BARRIER_ARG_CAP:
-            return math.cosh(arg), math.sinh(arg) / root
-        return _BARRIER_BIG, _BARRIER_BIG / root
+        capped = arg if arg <= _BARRIER_ARG_CAP else _BARRIER_ARG_CAP
+        return root, math.sinh(capped) / root, math.exp(capped - 2.0 * arg), 0.0
     if w == 0.0:
-        return 1.0, width
+        return 0.0, width, 1.0, 0.0
     root = math.sqrt(-w)
     arg = width * root
-    return math.cos(arg), math.sin(arg) / root
+    s_fac = math.sin(arg) / root
+    return 0.0, s_fac, math.cos(arg), w * s_fac
 
 
-def _barrier_factor_values(w: np.ndarray, half_width: float) -> tuple[np.ndarray, np.ndarray]:
-    """_barrier_factors on an array of w: every branch evaluated, then
-    selected per element (at w = 0, cos gives C its limit 1)."""
+def _barrier_factor_values(w: np.ndarray, half_width: float) -> tuple[np.ndarray, ...]:
+    """_barrier_factors on an array of w: both branches evaluated, then
+    selected per element (at w = 0, cos gives R its limit 1)."""
     width = 2.0 * half_width
     root = np.sqrt(np.abs(w))
     arg = width * root
-    below_cap = arg <= _BARRIER_ARG_CAP
     capped = np.minimum(arg, _BARRIER_ARG_CAP)
-    hyper_c = np.where(below_cap, np.cosh(capped), _BARRIER_BIG)
-    hyper_s = np.where(below_cap, np.sinh(capped), _BARRIER_BIG)
+    over = w > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         # root is 0 only at w = 0, where S is its limit 2L
-        hyper_s = hyper_s / root
-        trig_s = np.sin(arg) / root
-    over = w > 0.0
-    c = np.where(over, hyper_c, np.cos(arg))
-    s = np.where(w == 0.0, width, np.where(over, hyper_s, trig_s))
-    return c, s
+        s_fac = np.where(w == 0.0, width, np.where(over, np.sinh(capped), np.sin(arg)) / root)
+    r_fac = np.where(over, np.exp(capped - 2.0 * arg), np.cos(arg))
+    return np.where(over, root, 0.0), s_fac, r_fac, np.minimum(w, 0.0) * s_fac
 
 
 def _gamma_factors(nu1: float, nu2: float):
@@ -403,27 +395,29 @@ def _delta(left, right, strength, ops: _Ops):
 
 
 def _rectangle(left, right, w, half_width: float, ops: _Ops):
-    """F of two pieces joined by a rectangular barrier, w = u(v0 - E), with
-    the entire barrier factors C(w), S(w):
+    """F of two pieces joined by a rectangular barrier, w = u(v0 - E), from
+    the barrier factors (p, S, R, K) and each piece's g = p psi + psi':
 
-        F = (psi_L psi'_R + psi'_L psi_R) C + (psi'_L psi'_R + w psi_L psi_R) S
+        F = S g_L g_R + R (psi_L psi'_R + psi'_L psi_R) + K psi_L psi_R
 
-    and with ops.counts (F, N).  The right piece's solution reaches the
-    barrier's left edge with value C psi_R + S psi'_R and slope
-    w S psi_R + C psi'_R, and F joins it to the left piece: the opened
-    matching determinant divided by p = sqrt(w), which removes the
-    spurious root the raw determinant has at E = v0.  F is written
-    symmetric in the pieces, psi_L psi_R grouped (float products commute
-    but do not associate), so swapping them leaves it bitwise equal."""
+    and with ops.counts (F, N).  This is the matching determinant divided by
+    p (which removes its spurious root at E = v0) with C = R + p S never
+    formed: below the top each g is one well's own matching value behind a
+    semi-infinite barrier, accurate when small, so no terms of size
+    S w psi^2 cancel down to a doublet's splitting.  The right piece's
+    solution reaches the barrier's left edge with value R psi_R + S g_R.
+    F is symmetric in the pieces, psi_L psi_R grouped (float products
+    commute but do not associate), so swapping them leaves it bitwise equal."""
     psi_l, slope_l, n_left = left
     psi_r, slope_r, n_right = right
-    c_fac, s_fac = ops.barrier_factors(w, half_width)
-    f = (psi_l * slope_r + slope_l * psi_r) * c_fac + (
-        slope_l * slope_r + w * (psi_l * psi_r)
-    ) * s_fac
+    p_fac, s_fac, r_fac, k_fac = ops.barrier_factors(w, half_width)
+    g_r = p_fac * psi_r + slope_r
+    f = s_fac * ((p_fac * psi_l + slope_l) * g_r) + r_fac * (
+        psi_l * slope_r + slope_l * psi_r
+    ) + k_fac * (psi_l * psi_r)
     if not ops.counts:
         return f
-    end = np.sign(c_fac * psi_r + s_fac * slope_r)
+    end = np.sign(r_fac * psi_r + s_fac * g_r)
     n_right = n_right + _barrier_count(w, half_width, np.sign(psi_r), np.sign(slope_r), end)
     return f, n_left + n_right + (f * np.sign(psi_l) * end < 0.0)
 

@@ -20,7 +20,7 @@ from dwcross.models import (
     characteristic_fn,
     model_kind,
 )
-from dwcross.rootfind import solve_levels
+from dwcross.rootfind import RootfindConfig, solve_levels
 from dwcross import models, oracle
 from reference_oracles import bisect, pcf_at_zero, symmetric_delta_box_levels
 
@@ -117,24 +117,38 @@ def _barrier_closed_form(w, half_width):
 class TestBarrierFactors:
     @pytest.mark.parametrize("half_width", [0.05, 1.0, 3.5])
     def test_closed_forms_at_and_near_the_top(self, half_width):
-        # at w = 0 and -0, and for |z| = |(2L)^2 w| from 1e-15 to 2e-6 on
-        # both sides: the scalar form is the closed form bit for bit, and
-        # the array form (numpy's cosh and sinh) and the Taylor series
-        # 1 + z/2, 2L (1 + z/6) both lie within 2 ulp of it
+        # at w = 0 and -0 the factors (p, S, R, K) are exactly (0, 2L, 1, 0);
+        # for |z| = |(2L)^2 w| from 1e-15 to 2e-6 on both sides, C = R + p S
+        # and S lie within 2 ulp of the closed forms, and the array form
+        # within 2 ulp of the scalar form
         width = 2.0 * half_width
         z = np.geomspace(1e-15, 2e-6, 97)
         z = np.concatenate(([0.0, -0.0], z, -z))
         w = z / width**2
         scalar = np.array([models._barrier_factors(x, half_width) for x in w.tolist()])
-        assert scalar.tolist() == [list(_barrier_closed_form(x, half_width)) for x in w.tolist()]
+        p, s, r, k = scalar.T
+        closed = np.array([_barrier_closed_form(x, half_width) for x in w.tolist()])
+        pair = np.column_stack((r + p * s, s))
+        assert (np.abs(pair - closed) <= 2.0 * np.spacing(np.abs(closed))).all()
+        assert (k == np.minimum(w, 0.0) * s).all()
         array = np.column_stack(models._barrier_factor_values(w, half_width))
-        series = np.column_stack(
-            (1.0 + z * (0.5 + z / 24.0), width * (1.0 + z * (1.0 / 6.0 + z / 120.0)))
-        )
-        ulp = np.spacing(np.abs(scalar))
-        assert (np.abs(array - scalar) <= 2.0 * ulp).all()
-        assert (np.abs(series - scalar) <= 2.0 * ulp).all()
-        assert array[:2].tolist() == scalar[:2].tolist() == [[1.0, width]] * 2
+        assert (np.abs(array - scalar) <= 2.0 * np.spacing(np.abs(scalar))).all()
+        assert array[:2].tolist() == scalar[:2].tolist() == [[0.0, width, 1.0, 0.0]] * 2
+
+    @pytest.mark.parametrize("half_width", [0.05, 1.0, 3.5])
+    def test_common_rescale_past_the_cap(self, half_width):
+        # at 2Lp = 400 (S, R) is a positive multiple of (sinh(x)/p, e^-x), x
+        # = 2Lp: their logs differ by one shift, to rounding
+        w = (400.0 / (2.0 * half_width)) ** 2
+        for p, s, r, k in (
+            models._barrier_factors(w, half_width),
+            [float(v[0]) for v in models._barrier_factor_values(np.array([w]), half_width)],
+        ):
+            x = 2.0 * half_width * p
+            assert p == math.sqrt(w) and k == 0.0 and s > 0.0 and r > 0.0
+            shift = math.log(s) - math.log(math.sinh(x) / p)
+            assert shift < -40.0
+            assert math.log(r) + x == pytest.approx(shift, abs=1e-12)
 
 
 class TestCharM2:
@@ -295,6 +309,78 @@ class TestCharM4:
         levels = solve_levels(m, U1, 4)
         assert levels[0] < levels[1] < 3.0
         assert 5.0 < levels[2] < levels[3] < 7.0
+
+
+def _level_bound(levels, cfg):
+    """2 max(tol_abs, 4 eps |E|) per level: the spread two correct solves
+    of one level may show."""
+    return 2.0 * np.maximum(cfg.tol_abs, 4.0 * np.finfo(float).eps * np.abs(levels))
+
+
+def _symmetric_opaque_models():
+    """Mirror-symmetric m2 (a = c) and m4 (hw1 = hw2) models whose barrier
+    exponent width * sqrt(v0) lies in [18, 40], with 2 to 5 levels: their
+    low levels come in tunnelling doublets split by up to about 1e-5 eV,
+    and at the opaque end by far less than tol_abs."""
+    exponent = st.floats(18.0, 40.0)
+    m2 = st.builds(
+        lambda x, b, d: M2Params((x / (2.0 * b)) ** 2, b + d, b, b + d),
+        exponent, st.floats(0.5, 2.0), st.floats(1.0, 3.0),
+    )
+    m4 = st.builds(
+        lambda x, a, hw: M4Params((x / (2.0 * a)) ** 2, hw, hw, a),
+        exponent, st.floats(0.5, 1.5), st.floats(0.5, 3.0),
+    )
+    return st.tuples(st.one_of(m2, m4), st.integers(2, 5))
+
+
+class TestSymmetricDoublets:
+    # 20-digit roots of the even and odd parity conditions of M2Params(v0,
+    # a, b, a) at u = 1, from tests/parity_roots.py
+    @pytest.mark.parametrize("e_max", [None, 0.5, 3.0, 30.0, 300.0])
+    @pytest.mark.parametrize(
+        "model,roots",
+        [
+            (M2Params(100.0, 3.0, 1.0, 3.0), [
+                2.2372028971464528710, 2.2372028993203955183,
+                8.9387952925446433121, 8.9387953092259337754,
+            ]),
+            (M2Params(400.0, 3.0, 1.0, 3.0), [
+                2.3483954971828864425, 2.3483954971828864447,
+                9.3922192892195675534, 9.3922192892195675657,
+            ]),
+            (M2Params(52.49141126437775, 3.0717800837688944, 1.7109533681534321,
+                      3.0717800837688944), [
+                4.3815398826394091082, 4.3815398827908781827,
+                17.362993863901063573, 17.362993879852575697,
+                38.140527415728539173,
+            ]),
+        ],
+        ids=["v0-100", "v0-400", "v0-52.5"],
+    )
+    def test_parity_roots(self, model, roots, e_max):
+        # each doublet's levels, split by 2e-18 to 2e-8 eV, come back within
+        # the bound of the parity roots wherever the first window ends
+        cfg = RootfindConfig(e_max=e_max)
+        got = np.array(solve_levels(model, U1, len(roots), cfg))
+        assert (np.abs(got - roots) <= _level_bound(np.array(roots), cfg)).all()
+
+    @given(case=_symmetric_opaque_models())
+    @settings(max_examples=20, deadline=None)
+    def test_window_does_not_move_the_levels(self, case):
+        # e_max only sets where the first window ends, and e_min is the
+        # count origin: the levels above a mid-gap e_min are the default
+        # solve's levels above it
+        model, n = case
+        levels = np.array(solve_levels(model, U1, n))
+        bound = _level_bound(levels, RootfindConfig())
+        for e_max in (0.3 * levels[0], 3.0 * levels[-1], 30.0 * levels[-1]):
+            got = solve_levels(model, U1, n, RootfindConfig(e_max=e_max))
+            assert (np.abs(got - levels) <= bound).all(), e_max
+        for i in np.flatnonzero(np.diff(levels) > 1e-6):
+            e_min = 0.5 * (levels[i] + levels[i + 1])
+            got = solve_levels(model, U1, n - i - 1, RootfindConfig(e_min=e_min))
+            assert (np.abs(got - levels[i + 1 :]) <= bound[i + 1 :]).all(), e_min
 
 
 class TestHighLevels:

@@ -478,10 +478,9 @@ class TestRefineRows:
         [
             (M2Params(10.0, 2.0, 1.0, 3.0), 6),
             (M3Params(50.0, 1.5, 2.5), 6),
-            # levels 5 and 6 lie within 8e-8 eV of 9.56355 eV, where F and N
-            # go back and forth
-            (M4Params(130.3175284899192, 1.7959721417898837, 1.7959721417898837,
-                      1.1405624060483137), 8),
+            # four tunnelling doublets, split by 2.7e-8 to 2.9e-7 eV: F is
+            # flat between the members of each, yet still brackets both
+            (M4Params(60.0, 1.7959721417898837, 1.7959721417898837, 1.1405624060483137), 8),
         ],
         ids=["m2", "m3", "m4-flat"],
     )
