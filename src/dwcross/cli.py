@@ -90,7 +90,6 @@ class RunConfig:
     richardson: bool = True
     gap_ceiling: float | None = None
     e_min: float | None = None
-    e_max: float | None = None
 
     def __post_init__(self) -> None:
         # NaN passes every comparison-based check downstream (a NaN tolerance
@@ -130,7 +129,7 @@ class RunConfig:
 
     def build_rootfind(self) -> RootfindConfig:
         e_min = RootfindConfig.e_min if self.e_min is None else self.e_min
-        return _built(RootfindConfig, e_min=e_min, e_max=self.e_max)
+        return _built(RootfindConfig, e_min=e_min)
 
     def build_oracle(self) -> OracleConfig:
         return OracleConfig(n_points=self.oracle_points, richardson=self.richardson)

@@ -507,9 +507,10 @@ class M2Params(ModelParams):
 
     def _char(self, e, u: float, ops: _Ops):
         """Boxes of widths d1 = a-b and d2 = c-b joined by a rectangle of
-        half-width b, d = d1+d2:
+        half-width b (p, S, R, K as in _rectangle), d = d1+d2 and
+        g_i = p sin(kd_i) + k cos(kd_i):
 
-            F(E) = k sin(kd) C(w) + [k^2 cos(kd) + u v0 sin(kd1) sin(kd2)] S(w)
+            F(E) = S g1 g2 + R k sin(kd) + K sin(kd1) sin(kd2)
         """
         pieces = _boxes(ops.sqrt(u * e), self.a - self.b, self.c - self.b, ops)
         return _rectangle(*pieces, u * (self.v0 - e), self.b, ops)
@@ -609,10 +610,10 @@ class M4Params(ModelParams):
 
     def _char(self, e, u: float, ops: _Ops):
         """Two half-harmonic pieces (h_i, j_i as in M3Params._char) joined by
-        a rectangle of half-width a; times each piece's rescale,
+        a rectangle of half-width a (p, S, R, K as in _rectangle), with
+        g_i = p j_i + sqrt(2) alpha_i h_i; times each piece's rescale,
 
-            F(E) = sqrt(2) (alpha1 h1 j2 + alpha2 h2 j1) C(w)
-                 + [ w j1 j2 + 2 alpha1 alpha2 h1 h2 ] S(w)
+            F(E) = S g1 g2 + sqrt(2) R (alpha1 h1 j2 + alpha2 h2 j1) + K j1 j2
 
         Its delta limit (a -> 0 with 2 a v0 held fixed) is m3's F.
         """

@@ -82,27 +82,22 @@ class Bracket(NamedTuple):
 
 @dataclass(frozen=True)
 class RootfindConfig:
-    """Count origin, starting window top and refinement tolerance.
+    """Count origin and refinement tolerance.
 
-    Levels are counted from e_min, where every scan window starts.  e_max
-    only sets where the first window ends: a window that holds fewer than
-    the wanted levels grows.  Left None, solve_levels and a sweep start
-    each window on the model's level_window.
+    Levels are counted from e_min, where every scan window starts; the
+    first window ends on the model's level_window and grows as needed.
     """
 
     e_min: float = 1e-9
-    e_max: float | None = None
     tol_abs: float = 1e-10
 
     def __post_init__(self) -> None:
-        for name in ("e_min", "e_max", "tol_abs"):
+        for name in ("e_min", "tol_abs"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if not self.e_min > 0.0:
             raise ValueError(f"e_min must be positive, got {self.e_min}")
-        if self.e_max is not None and not (self.e_min < self.e_max):
-            raise ValueError(f"need e_min < e_max, got [{self.e_min}, {self.e_max}]")
         if not self.tol_abs > 0.0:
             raise ValueError("tol_abs must be positive")
 
@@ -168,7 +163,8 @@ def scan_brackets(
     m zero-width brackets (mid, mid, 0.0, 0.0) at its cell's midpoint.
 
     first and tops hold one entry per row: the count of its levels to skip
-    and the top of its first window (tops is not written to).  f maps
+    and the top of its first window, above cfg.e_min (solve_levels and a
+    sweep pass the model's level_window; tops is not written to).  f maps
     (energies, rows) to (F, N) there, rows[i] being the row of energies[i].
     The rows share one array call per round (in blocks of at most
     _EVAL_BLOCK energies); every row keeps its own window top, count
@@ -412,10 +408,10 @@ def refine_rows(f: RowsFn, brackets: np.ndarray, cfg: RootfindConfig) -> np.ndar
 
 
 def _start_top(model: ModelParams, units: UnitsConfig, n_levels: int, cfg: RootfindConfig) -> float:
-    """Top of the first scan window: cfg.e_max, else the model's
-    level_window, shifted up to start at an e_min past it."""
-    e_max = cfg.e_max if cfg.e_max is not None else model.level_window(units, n_levels)
-    return e_max if e_max > cfg.e_min else cfg.e_min + e_max
+    """Top of the first scan window: the model's level_window, shifted up
+    to start at an e_min past it."""
+    top = model.level_window(units, n_levels)
+    return top if top > cfg.e_min else cfg.e_min + top
 
 
 def solve_levels(
@@ -426,9 +422,9 @@ def solve_levels(
 ) -> list[float]:
     """First n_levels levels of the model above cfg.e_min, ascending.
 
-    The scan starts on the model's level_window (or cfg.e_max) and grows
-    it as scan_brackets does.  An e_min past the estimate shifts the
-    estimated window up to start there.  Levels that double precision
+    The scan starts on the model's level_window and grows it as
+    scan_brackets does.  An e_min past the estimate shifts the estimated
+    window up to start there.  Levels that double precision
     cannot split come back as equal values (see scan_brackets).
 
     Raises:

@@ -10,6 +10,19 @@ settings.load_profile("tier1")
 _ACCEPTANCE_LINES: list[str] = []
 
 
+@pytest.fixture
+def first_top(monkeypatch):
+    """first_top(model, top): for the rest of the test, level_window of
+    the model's variant returns top, so that solve_levels and sweep_levels
+    end each first scan window there (shifted above e_min as the model's
+    own estimate is)."""
+
+    def patch(model, top: float) -> None:
+        monkeypatch.setattr(type(model), "level_window", lambda self, units, n_levels: top)
+
+    return patch
+
+
 @pytest.fixture(scope="session")
 def acceptance_report():
     """Collects one pass/fail line per acceptance criterion; the lines are

@@ -203,6 +203,30 @@ class TestExitCodes:
         assert not (tmp_path / "bad.csv").exists()
         assert "a > b" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,config,message",
+        [
+            pytest.param(["solve", "--config", "run.cfg"], "model = m9\nv0 = 1\n",
+                         "unknown model 'm9'", id="config-unknown-model"),
+            pytest.param(["solve", "--v0", "1"], None, "no model selected", id="no-model"),
+            pytest.param(["solve", "--model", "m2", "--v0", "1", "--a", "3", "--b", "1"], None,
+                         "requires parameter 'c'", id="m2-missing-c"),
+            pytest.param(["sweep", "--model", "m1", "--v0", "1", "--a", "2", "--b", "2"], None,
+                         "sweep needs lambda_min and lambda_max", id="sweep-no-window"),
+            pytest.param(["solve", "--preset", "fig3", "--config", "missing.cfg"], None,
+                         "cannot read config file missing.cfg", id="config-file-missing"),
+        ],
+    )
+    def test_unbuildable_run_is_config_error(
+        self, tmp_path, monkeypatch, capsys, argv, config, message
+    ):
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config, encoding="utf-8")
+        assert run_cli(tmp_path, monkeypatch, argv + ["--out", "bad.csv"]) == 1
+        assert not list(tmp_path.glob("*.csv"))
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+
     @pytest.mark.parametrize("cls,params", NON_FINITE)
     def test_non_finite_parameter_is_config_error(
         self, tmp_path, monkeypatch, capsys, cls, params
@@ -343,13 +367,19 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "argv,config",
-        [(["--coarse-steps", "64"], None), (["--config", "run.cfg"], "coarse_steps = 64\n")],
-        ids=["flag", "config-line"],
+        [
+            (["--coarse-steps", "64"], None),
+            (["--config", "run.cfg"], "coarse_steps = 64\n"),
+            (["--e-max", "5"], None),
+            (["--config", "run.cfg"], "e_max = 5\n"),
+        ],
+        ids=["flag", "config-line", "e-max-flag", "e-max-config-line"],
     )
     def test_removed_setting_is_config_error(
         self, tmp_path, monkeypatch, capsys, argv, config
     ):
-        # the scan grid is sized by the level count: no setting sizes it
+        # the scan grid is sized by the level count and the first window
+        # ends on the model's own estimate: no setting sizes either
         if config is not None:
             (tmp_path / "run.cfg").write_text(config, encoding="utf-8")
         argv = ["solve", "--preset", "fig3", *argv, "--out", "bad.csv"]
@@ -360,23 +390,14 @@ class TestExitCodes:
     NARROW_ARGV = ["solve", "--model", "m1", "--v0", "0", "--a", "0.02", "--b", "0.02",
                    "--levels", "3"]
 
-    def test_solver_error_is_two(self, tmp_path, monkeypatch, capsys):
+    def test_solver_error_is_two(self, tmp_path, monkeypatch, capsys, first_top):
         # 64 growths of a 2e-9 eV window cannot deliver three levels of
         # this very narrow well
-        argv = self.NARROW_ARGV + ["--e-max", "2e-9", "--out", "x.csv"]
+        first_top(M1Params(0.0, 0.02, 0.02), 2e-9)
+        argv = self.NARROW_ARGV + ["--out", "x.csv"]
         assert run_cli(tmp_path, monkeypatch, argv) == 2
         err = capsys.readouterr().err
         assert "solver error" in err and "after 64 growths" in err
-
-    def test_e_max_does_not_change_levels_past_1e4_ev(self, tmp_path, monkeypatch):
-        # the first window top, from --e-max or the model's estimate, only
-        # sets where the growth starts
-        assert run_cli(tmp_path, monkeypatch, self.NARROW_ARGV + ["--out", "a.csv"]) == 0
-        argv = self.NARROW_ARGV + ["--e-max", "5", "--out", "b.csv"]
-        assert run_cli(tmp_path, monkeypatch, argv) == 0
-        text = (tmp_path / "a.csv").read_text()
-        assert text == (tmp_path / "b.csv").read_text()
-        assert text == "level,energy_ev\n1,6168.50275068\n2,24674.0110027\n3,55516.5247561\n"
 
     E_MIN_ARGV = ["solve", "--model", "m1", "--v0", "1", "--a", "2", "--b", "2",
                   "--levels", "2", "--out", "e.csv", "--e-min"]

@@ -47,6 +47,10 @@ class TestParamsValidation:
     def test_m4_allows_zero_width(self):
         M4Params(5.0, 2.0, 1.0, 0.0)
 
+    def test_m4_rejects_negative_width(self):
+        with pytest.raises(ValueError, match="a >= 0"):
+            M4Params(10.0, 2.0, 2.0, -1.0)
+
     def test_units_positive(self):
         with pytest.raises(ValueError):
             UnitsConfig(0.0)
@@ -337,7 +341,7 @@ def _symmetric_opaque_models():
 class TestSymmetricDoublets:
     # 20-digit roots of the even and odd parity conditions of M2Params(v0,
     # a, b, a) at u = 1, from tests/parity_roots.py
-    @pytest.mark.parametrize("e_max", [None, 0.5, 3.0, 30.0, 300.0])
+    @pytest.mark.parametrize("top", [None, 0.5, 3.0, 30.0, 300.0])
     @pytest.mark.parametrize(
         "model,roots",
         [
@@ -358,25 +362,30 @@ class TestSymmetricDoublets:
         ],
         ids=["v0-100", "v0-400", "v0-52.5"],
     )
-    def test_parity_roots(self, model, roots, e_max):
+    def test_parity_roots(self, first_top, model, roots, top):
         # each doublet's levels, split by 2e-18 to 2e-8 eV, come back within
-        # the bound of the parity roots wherever the first window ends
-        cfg = RootfindConfig(e_max=e_max)
+        # the bound of the parity roots wherever the first window ends (top,
+        # or the model's own estimate where None)
+        if top is not None:
+            first_top(model, top)
+        cfg = RootfindConfig()
         got = np.array(solve_levels(model, U1, len(roots), cfg))
         assert (np.abs(got - roots) <= _level_bound(np.array(roots), cfg)).all()
 
     @given(case=_symmetric_opaque_models())
     @settings(max_examples=20, deadline=None)
     def test_window_does_not_move_the_levels(self, case):
-        # e_max only sets where the first window ends, and e_min is the
-        # count origin: the levels above a mid-gap e_min are the default
-        # solve's levels above it
+        # the first window's top only sets where the growth starts, and
+        # e_min is the count origin: the levels above a mid-gap e_min are
+        # the default solve's levels above it
         model, n = case
         levels = np.array(solve_levels(model, U1, n))
         bound = _level_bound(levels, RootfindConfig())
-        for e_max in (0.3 * levels[0], 3.0 * levels[-1], 30.0 * levels[-1]):
-            got = solve_levels(model, U1, n, RootfindConfig(e_max=e_max))
-            assert (np.abs(got - levels) <= bound).all(), e_max
+        for top in (0.3 * levels[0], 3.0 * levels[-1], 30.0 * levels[-1]):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(type(model), "level_window", lambda self, units, n_levels: top)
+                got = solve_levels(model, U1, n)
+            assert (np.abs(got - levels) <= bound).all(), top
         for i in np.flatnonzero(np.diff(levels) > 1e-6):
             e_min = 0.5 * (levels[i] + levels[i + 1])
             got = solve_levels(model, U1, n - i - 1, RootfindConfig(e_min=e_min))

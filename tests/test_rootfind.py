@@ -38,12 +38,12 @@ def values_fn(model, units=U1):
     return lambda e: model.char_values(e, units)
 
 
-def scan_one(f, cfg, n, first=0):
-    """scan_brackets on one row, [cfg.e_min, cfg.e_max] on: f maps energies
-    to (F, N) there.  The caller's window top is left as it was."""
-    tops = np.array([cfg.e_max])
+def scan_one(f, cfg, n, top, first=0):
+    """scan_brackets on one row, [cfg.e_min, top] on: f maps energies to
+    (F, N) there.  The caller's window top is left as it was."""
+    tops = np.array([top])
     [levels] = scan_brackets(lambda e, rows: f(e), cfg, n, np.array([first]), tops)
-    assert tops[0] == cfg.e_max
+    assert tops[0] == top
     return levels
 
 
@@ -63,10 +63,6 @@ def unsplit_wide(e):
 
 
 class TestConfig:
-    def test_window_ordering(self):
-        with pytest.raises(ValueError):
-            RootfindConfig(e_min=2.0, e_max=1.0)
-
     @pytest.mark.parametrize("e_min", [0.0, -1.0])
     def test_positive_e_min(self, e_min):
         with pytest.raises(ValueError, match="e_min must be positive"):
@@ -76,24 +72,28 @@ class TestConfig:
         with pytest.raises(ValueError):
             RootfindConfig(tol_abs=0.0)
 
+    def test_finite_tolerance(self):
+        with pytest.raises(ValueError, match="tol_abs must be finite"):
+            RootfindConfig(tol_abs=float("nan"))
+
 
 class TestScanBrackets:
     def test_known_zeros_of_sin_sqrt(self):
         f = sin_sqrt
-        cfg = RootfindConfig(e_min=0.5, e_max=9.5)
-        brackets = scan_one(f, cfg, 3)
+        cfg = RootfindConfig(e_min=0.5)
+        brackets = scan_one(f, cfg, 3, 9.5)
         assert len(brackets) == 3
         for (lo, hi, f_lo, f_hi), root in zip(brackets.tolist(), (1.0, 4.0, 9.0)):
             assert lo < root < hi
             assert f_lo * f_hi < 0
         # count indices start above e_min: first=1 skips the level at 1
-        [(lo, hi, _, _)] = scan_one(f, cfg, 1, first=1).tolist()
+        [(lo, hi, _, _)] = scan_one(f, cfg, 1, 9.5, first=1).tolist()
         assert lo < 4.0 < hi
 
     def test_brackets_sorted_and_disjoint(self):
         f = sin_sqrt
-        cfg = RootfindConfig(e_min=0.5, e_max=9.5)
-        brackets = scan_one(f, cfg, 3).tolist()
+        cfg = RootfindConfig(e_min=0.5)
+        brackets = scan_one(f, cfg, 3, 9.5).tolist()
         for left, right in zip(brackets[:-1], brackets[1:]):
             assert left[1] <= right[0]
 
@@ -103,8 +103,8 @@ class TestScanBrackets:
         # rectangular double well
         m = M2Params(10.0, 2.0, 1.0, 3.3553)
         f = characteristic_fn(m, U1)
-        cfg = RootfindConfig(e_min=1e-9, e_max=40.0)
-        brackets = scan_one(values_fn(m), cfg, 5)
+        cfg = RootfindConfig(e_min=1e-9)
+        brackets = scan_one(values_fn(m), cfg, 5, 40.0)
         assert len(brackets) == 5
         pair = [Bracket(*b) for b in brackets.tolist() if 5.0 < b[0] < 5.6]
         assert len(pair) == 2
@@ -119,8 +119,8 @@ class TestScanBrackets:
         # 0.25-wide grid cell (3 levels, 32 cells each, over 24 eV)
         m = M2Params(10.0, 2.0, 1.0, 2.0003)
         f = characteristic_fn(m, U1)
-        cfg = RootfindConfig(e_min=1e-9, e_max=24.0)
-        brackets = scan_one(values_fn(m), cfg, 3)
+        cfg = RootfindConfig(e_min=1e-9)
+        brackets = scan_one(values_fn(m), cfg, 3, 24.0)
         assert len(brackets) == 3
         roots = [refine_root(f, b, cfg) for b in brackets]
         assert roots[0] == pytest.approx(5.33282, abs=1e-3)
@@ -136,19 +136,19 @@ class TestScanBrackets:
         T = build_hamiltonian(m, U1, OracleConfig(n_points=2000))
         expected = reference_oracles.sturm_count(T, 12.0)
         assert expected == 4
-        cfg = RootfindConfig(e_min=1e-9, e_max=12.0)
-        brackets = scan_one(values_fn(m), cfg, expected)
+        cfg = RootfindConfig(e_min=1e-9)
+        brackets = scan_one(values_fn(m), cfg, expected, 12.0)
         assert len(brackets) == expected
         assert all(hi <= 12.0 for _, hi, _, _ in brackets.tolist())
-        *_, extra = scan_one(values_fn(m), cfg, expected + 1).tolist()
+        *_, extra = scan_one(values_fn(m), cfg, expected + 1, 12.0).tolist()
         assert refine_root(characteristic_fn(m, U1), Bracket(*extra), cfg) > 12.0
 
     def test_exact_grid_zero_handled(self):
         # a root exactly on a scan node must still produce one bracket
         f = lambda e: (e - 5.0, 1.0 * (e > 5.0))  # noqa: E731
-        cfg = RootfindConfig(e_min=2.5, e_max=7.5)
-        assert 5.0 in np.linspace(cfg.e_min, cfg.e_max, rootfind._CELLS_PER_LEVEL + 1)
-        brackets = scan_one(f, cfg, 1)
+        cfg = RootfindConfig(e_min=2.5)
+        assert 5.0 in np.linspace(cfg.e_min, 7.5, rootfind._CELLS_PER_LEVEL + 1)
+        brackets = scan_one(f, cfg, 1, 7.5)
         assert len(brackets) == 1
         lo, hi, f_lo, f_hi = brackets[0]
         assert lo <= 5.0 <= hi
@@ -162,10 +162,10 @@ class TestScanBrackets:
             values, counts = sin_sqrt(e)
             return np.where(e > 5.3, np.nan, values), counts
 
-        cfg = RootfindConfig(e_min=0.5, e_max=9.5)
+        cfg = RootfindConfig(e_min=0.5)
         message = r"^scan: F is not finite at E=5\.421875 in the window \[0\.5, 9\.5\] eV$"
         with pytest.raises(NonConvergenceError, match=message):
-            scan_one(f, cfg, 2)
+            scan_one(f, cfg, 2, 9.5)
 
     def test_falling_count_raises(self):
         def f(e):
@@ -175,14 +175,14 @@ class TestScanBrackets:
         # the count falls on 5.3: above the last wanted level (at 1 or 4),
         # in a cell never halved, or below the wanted level at 9, where the
         # end counts would grow the window
-        cfg = RootfindConfig(e_min=0.5, e_max=9.5)
+        cfg = RootfindConfig(e_min=0.5)
         for n, top in ((1, r"5\.5625"), (2, r"5\.421875"), (3, r"5\.375")):
             message = (
                 rf"^count: N = 2 at E=5\.28125 and 0 at E={top} is not one level per sign "
                 r"change of F in the window \[0\.5, 9\.5\] eV$"
             )
             with pytest.raises(NonConvergenceError, match=message):
-                scan_one(f, cfg, n)
+                scan_one(f, cfg, n, 9.5)
 
     def test_unsplit_wide_cell_raises(self):
         # the count puts one level in the cell [5.0, 5.078125] where F keeps
@@ -191,10 +191,10 @@ class TestScanBrackets:
         def f(e):
             return np.ones_like(e), 1.0 * (e > 5.04) + 2.0 * (np.abs(e - 5.0390625) < 1e-3)
 
-        cfg = RootfindConfig(e_min=2.5, e_max=7.5)
+        cfg = RootfindConfig(e_min=2.5)
         message = r"^count: N = 0 at E=5\.0 and 1 at E=5\.078125 is not one level per sign change"
         with pytest.raises(NonConvergenceError, match=message):
-            scan_one(f, cfg, 1)
+            scan_one(f, cfg, 1, 7.5)
 
     def test_window_count_check_precedes_halving(self):
         # row 0 is test_unsplit_wide_cell_raises' F, whose round-2 midpoint
@@ -234,8 +234,8 @@ class TestScanBrackets:
             return (e - 5.0) ** 2 + 1.0, 2.0 * (e > 5.0)
 
         for tol_abs in (1e-10, 1e-3):
-            cfg = RootfindConfig(e_min=2.5, e_max=7.5, tol_abs=tol_abs)
-            levels = scan_one(f, cfg, 2)
+            cfg = RootfindConfig(e_min=2.5, tol_abs=tol_abs)
+            levels = scan_one(f, cfg, 2, 7.5)
             assert len(levels) == 2 and levels[0].tolist() == levels[1].tolist()
             mid = levels[0][0].item()
             assert levels[0].tolist() == [mid, mid, 0.0, 0.0]
@@ -254,16 +254,16 @@ class TestScanBrackets:
             sizes.append(e.size)
             return np.sin(np.pi * e), np.floor(e)
 
-        cfg = RootfindConfig(e_min=0.5, e_max=512.5)
-        assert len(scan_one(f, cfg, 512)) == 512
+        cfg = RootfindConfig(e_min=0.5)
+        assert len(scan_one(f, cfg, 512, 512.5)) == 512
         assert sum(sizes) >= 16385 and max(sizes) <= 2048
 
     def test_brackets_are_python_floats(self):
         # the scan hands on float64; refinement on the scalar F steps on
         # Python floats, and the solved levels are Python floats
         m = M2Params(10.0, 2.0, 1.0, 3.0)
-        cfg = RootfindConfig(e_min=1e-9, e_max=16.0)
-        levels = scan_one(values_fn(m), cfg, 5)
+        cfg = RootfindConfig(e_min=1e-9)
+        levels = scan_one(values_fn(m), cfg, 5, 16.0)
         assert levels.dtype == np.float64
         scalar_f, seen = characteristic_fn(m, U1), []
 
@@ -341,12 +341,12 @@ def test_array_scan_matches_scalar_reference(name, model, units, n):
     backing = reference_oracles.sturm_backing(model, units, levels, tol, max(levels[-1], 1.0))
     for j, (below, above) in enumerate(backing, start=1):
         assert below <= j - 1 and above >= j, (j, levels[j - 1], below, above)
-    cfg = RootfindConfig(e_max=model.level_window(units, n))
-    _, counts = model.char_values(np.array([cfg.e_min, cfg.e_max]), units)
+    cfg, top = RootfindConfig(), model.level_window(units, n)
+    _, counts = model.char_values(np.array([cfg.e_min, top]), units)
     held = int(counts[1] - counts[0])
-    scan = scan_one(values_fn(model, units), cfg, held)
+    scan = scan_one(values_fn(model, units), cfg, held, top)
     assert len(scan) == held >= n
-    assert all(hi <= cfg.e_max for _, hi, _, _ in scan.tolist())
+    assert all(hi <= top for _, hi, _, _ in scan.tolist())
 
 
 # Models on which solve_levels returned wrong levels with exit 0 while
@@ -371,13 +371,13 @@ def test_unresolvable_doublets_and_opaque_barrier(model, want):
 class TestRefineRoot:
     def test_linear(self):
         f = lambda e: e - 2.0  # noqa: E731
-        cfg = RootfindConfig(e_max=10.0)
+        cfg = RootfindConfig()
         root = refine_root(f, Bracket(1.0, 3.0, f(1.0), f(3.0)), cfg)
         assert root == pytest.approx(2.0, abs=cfg.tol_abs)
 
     def test_idempotent_under_rerefinement(self):
         f = lambda e: math.cos(4.0 * math.sqrt(e)) * math.sqrt(e) - 0.1  # noqa: E731
-        cfg = RootfindConfig(e_max=10.0)
+        cfg = RootfindConfig()
         root = refine_root(f, Bracket(0.02, 0.1, f(0.02), f(0.1)), cfg)
         tiny = 10.0 * cfg.tol_abs
         again = refine_root(f, Bracket(root - tiny, root + tiny, f(root - tiny), f(root + tiny)), cfg)
@@ -386,12 +386,12 @@ class TestRefineRoot:
     def test_ground_state_closed_form(self):
         m = M1Params(0.0, 2.0, 2.0)
         f = characteristic_fn(m, U1)
-        cfg = RootfindConfig(e_max=2.0)
+        cfg = RootfindConfig()
         root = refine_root(f, Bracket(0.5, 0.7, f(0.5), f(0.7)), cfg)
         assert root == pytest.approx((math.pi / 4.0) ** 2, abs=1e-10)
 
     def test_invalid_bracket_rejected(self):
-        cfg = RootfindConfig(e_max=2.0)
+        cfg = RootfindConfig()
         with pytest.raises(ValueError):
             refine_root(lambda e: e, Bracket(1.0, 2.0, 1.0, 2.0), cfg)
 
@@ -406,9 +406,9 @@ class TestRefineRoot:
             values, counts = f_values(e)
             return 1000.0 * values, counts
 
-        cfg = RootfindConfig(e_min=1e-9, e_max=16.0)
-        roots_f = [refine_root(f, b, cfg) for b in scan_one(f_values, cfg, 5)]
-        roots_g = [refine_root(g, b, cfg) for b in scan_one(g_values, cfg, 5)]
+        cfg = RootfindConfig(e_min=1e-9)
+        roots_f = [refine_root(f, b, cfg) for b in scan_one(f_values, cfg, 5, 16.0)]
+        roots_g = [refine_root(g, b, cfg) for b in scan_one(g_values, cfg, 5, 16.0)]
         assert roots_f == roots_g  # bitwise: refinement uses only f-ratios
 
 
@@ -487,8 +487,8 @@ class TestRefineRows:
     def test_model_brackets_as_refine_root(self, model, n):
         # the rows form on the scalar F, elementwise, gives every root of a
         # model's scan as refine_root does, after as many evaluations
-        cfg = RootfindConfig(e_max=model.level_window(U1, n))
-        brackets = scan_one(values_fn(model), cfg, n)
+        cfg = RootfindConfig()
+        brackets = scan_one(values_fn(model), cfg, n, model.level_window(U1, n))
         assert len(brackets) == n and all(lo < hi for lo, hi, _, _ in brackets.tolist())
         scalar_f = characteristic_fn(model, U1)
         energies = []
@@ -567,18 +567,19 @@ class TestSolveLevels:
             for lo, hi in zip(levels[:-1], levels[1:]):
                 assert hi - lo > 2.0 * cfg.tol_abs
 
-    def test_window_auto_expansion(self):
+    def test_window_auto_expansion(self, first_top):
         # deliberately tiny initial window: solver must grow it
-        cfg = RootfindConfig(e_max=1.5)
-        levels = solve_levels(M3Params(0.0, 2.0, 2.0), U1, 4, cfg)
+        model = M3Params(0.0, 2.0, 2.0)
+        first_top(model, 1.5)
+        levels = solve_levels(model, U1, 4)
         assert np.allclose(levels, [1.0, 3.0, 5.0, 7.0], atol=1e-8)
 
     @pytest.mark.parametrize(
-        "model,e_max,tops",
+        "model,first,tops",
         [(M3Params(0.0, 2.0, 2.0), 1.5, 5), (M2Params(100.0, 2.0, 1.0, 2.0), 9.0, 4)],
         ids=["oscillator", "m2-doublets"],
     )
-    def test_window_growth_by_the_count(self, monkeypatch, model, e_max, tops):
+    def test_window_growth_by_the_count(self, monkeypatch, first_top, model, first, tops):
         # each trial top costs one grid of 32 cells per wanted level, and
         # cells are halved only in the final window, at most one cell per
         # wanted level per round, down to tol_abs
@@ -590,12 +591,13 @@ class TestSolveLevels:
             return char_values(self, energies, units)
 
         monkeypatch.setattr(type(model), "char_values", counted)
-        cfg = RootfindConfig(e_max=e_max)
+        first_top(model, first)
+        cfg = RootfindConfig()
         solve_levels(model, U1, 4, cfg)
         grid = 4 * rootfind._CELLS_PER_LEVEL + 1
-        top = e_max * 1.6 ** (tops - 1)
+        top = first * 1.6 ** (tops - 1)
         assert [c.size for c in calls[:tops]] == [grid] * tops
-        assert [c[-1] for c in calls[:tops]] == pytest.approx(e_max * 1.6 ** np.arange(tops))
+        assert [c[-1] for c in calls[:tops]] == pytest.approx(first * 1.6 ** np.arange(tops))
         halving = calls[tops:]
         assert all(c.size <= 4 and cfg.e_min < c.min() and c.max() < top for c in halving)
         rounds = math.ceil(math.log2(top / (grid - 1) / cfg.tol_abs))
@@ -611,7 +613,7 @@ class TestSolveLevels:
         with pytest.raises(ValueError):
             solve_levels(M1Params(0.0, 1.0, 1.0), U1, 0)
 
-    def test_cap_raises(self):
+    def test_cap_raises(self, first_top):
         # a well so narrow that 64 growths of a 2e-9 eV window (to ~23 158
         # eV) hold only its first level, 6168.5 eV
         model = M1Params(0.0, 0.02, 0.02)
@@ -619,8 +621,9 @@ class TestSolveLevels:
             r"^M1Params\(v0=0\.0, a=0\.02, b=0\.02\): window growth: only 1 levels "
             r"in the window \[1e-09, 23158\.4\d*\] eV after 64 growths$"
         )
+        first_top(model, 2e-9)
         with pytest.raises(NonConvergenceError, match=message):
-            solve_levels(model, U1, 4, RootfindConfig(e_max=2e-9))
+            solve_levels(model, U1, 4)
 
     def test_e_min_above_1e4_ev_gives_levels_above_it(self):
         # the estimated window (~16 eV) is shifted up to start at e_min
@@ -631,13 +634,14 @@ class TestSolveLevels:
         for e, w in zip(got, want):
             assert abs(e - w) <= 2.0 * max(1e-10, 4.0 * 2.22e-16 * abs(w))
 
-    def test_window_top_does_not_change_the_levels(self):
+    def test_window_top_does_not_change_the_levels(self, first_top):
         # levels past 1e4 eV: a first window of 5 eV grows to them, and the
         # model's level_window (~55 517 eV) holds them at once; the two
         # grids differ, so each level is refined from another bracket
         model = M1Params(0.0, 0.02, 0.02)
         levels = solve_levels(model, U1, 3)
-        grown = solve_levels(model, U1, 3, RootfindConfig(e_max=5.0))
+        first_top(model, 5.0)
+        grown = solve_levels(model, U1, 3)
         for e, g in zip(levels, grown):
             assert abs(e - g) <= 2.0 * max(1e-10, 4.0 * 2.22e-16 * abs(e))
         assert levels == pytest.approx([6168.50275068, 24674.0110027, 55516.5247561], rel=1e-11)
@@ -693,8 +697,10 @@ class _UnsplitCell(M1Params):
      (_UnsplitCell, r"count: N = 0 at E=5\.0 and 1 at"),
      (_NarrowStoppedCell, r"count: N = 0 at E=5\.09999997\d* and 1 at E=5\.10000001\d* ")],
 )
-def test_scan_failures_name_model_stage_and_window(cls, stage):
-    cfg = RootfindConfig(e_min=2.5, e_max=7.5)
+def test_scan_failures_name_model_stage_and_window(first_top, cls, stage):
+    cfg = RootfindConfig(e_min=2.5)
+    model = cls(10.0, 2.0, 2.0)
+    first_top(model, 7.5)
     message = rf"^_?\w+\(v0=10\.0, a=2\.0, b=2\.0\): {stage}.* in the window \[2\.5, 7\.5\] eV$"
     with pytest.raises(NonConvergenceError, match=message):
-        solve_levels(cls(10.0, 2.0, 2.0), U1, 1, cfg)
+        solve_levels(model, U1, 1, cfg)

@@ -118,14 +118,15 @@ class TestSweepLevels:
         assert type(table.levels) is np.ndarray
         assert table.levels.dtype == np.float64 and table.levels.shape == (9, 3)
 
-    def test_failure_reports_grid_index(self):
+    def test_failure_reports_grid_index(self, first_top):
         # a solve that its 64 window growths leave short fails; the sweep
         # must name the point, here the narrowest well, b = 0.01
         spec = SweepSpec(0.01, 0.03, 3, 4)
-        cfg = RootfindConfig(e_max=2e-9)
+        model = M1Params(0.0, 0.02, 0.02)
+        first_top(model, 2e-9)
         message = r"^sweep failed at grid index 0 \(b=0\.01\): .* after 64 growths$"
         with pytest.raises(NonConvergenceError, match=message) as info:
-            sweep_levels(M1Params(0.0, 0.02, 0.02), U1, spec, cfg)
+            sweep_levels(model, U1, spec)
         assert info.value.row == 0
 
     @pytest.mark.parametrize(
