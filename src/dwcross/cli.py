@@ -8,6 +8,7 @@ gate failure (compare).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import astuple, dataclass, fields, replace
@@ -202,7 +203,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args leaves it
+    unchanged, and each call returns a new namespace."""
     parser = _Parser(
         prog="dwcross",
         description="Bound-state spectra and avoided crossings of 1D double wells",

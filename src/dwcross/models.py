@@ -25,11 +25,13 @@ from `ops` (square root, sine, cosine, exponential, maximum, and the
 reciprocal-gamma and barrier factors).  `char` evaluates it at one
 energy with _SCALAR, the math-module primitives, and returns a float;
 `char_values` evaluates it on a 1-D array of energies with _ARRAY, the
-numpy primitives, with each branch an np.where over the block.  Root
-refinement stays on `char` (through characteristic_fn): a numpy call on
-one element costs several times the math-module arithmetic.  The two
-forms agree to a few ulp (numpy may round exp, cos, sin and sinh
-differently); signs agree away from the roots.
+numpy primitives, with each branch an np.where over the block, and
+`f_values` with _ARRAY_F, the same primitives without the count.  Root
+refinement of a few brackets stays on `char` (through characteristic_fn):
+a numpy call on one element costs several times the math-module
+arithmetic.  The scalar and array forms agree to a few ulp (numpy may
+round exp, cos, sin and sinh differently); signs agree away from the
+roots.
 
 With _ARRAY, `_char` also returns N(E), the exact number of levels
 strictly below each energy, from F's own values.  By the Sturm
@@ -123,8 +125,9 @@ class ModelParams:
             raise ValueError(f"{self.kind} requires v0 >= 0 (repulsive in-barrier)")
 
     def _char(self, e: float | np.ndarray, u: float, ops: _Ops) -> float | np.ndarray:
-        """F at e, a float (ops = _SCALAR), or (F, N) on a 1-D array of
-        energies (ops = _ARRAY); e is positive and finite."""
+        """F at e, a float (ops = _SCALAR), or on a 1-D array of energies
+        (F, N) (ops = _ARRAY) or F alone (ops = _ARRAY_F); e is positive
+        and finite."""
         raise NotImplementedError
 
     def char(self, energy: float, units: UnitsConfig) -> float:
@@ -151,11 +154,27 @@ class ModelParams:
         Raises:
             DomainError: some energy is not positive and finite.
         """
-        model = self
-        if at is not None:
-            model = object.__new__(type(self))
-            model.__dict__.update(vars(self), **{self.sweep_param: np.asarray(at, dtype=float)})
-        return model._char(_positive_energies(energies), units.u, _ARRAY)
+        return self._varied(at)._char(_positive_energies(energies), units.u, _ARRAY)
+
+    def f_values(
+        self, energies: np.ndarray, units: UnitsConfig, at: np.ndarray | None = None
+    ) -> np.ndarray:
+        """F alone, as char_values gives it bit for bit, without the count:
+        the same _char with _ARRAY's counts switched off.
+
+        Raises:
+            DomainError: some energy is not positive and finite.
+        """
+        return self._varied(at)._char(_positive_energies(energies), units.u, _ARRAY_F)
+
+    def _varied(self, at: np.ndarray | None) -> ModelParams:
+        """self, or with at given a copy whose sweep parameter is that array
+        (unvalidated: char_values' at)."""
+        if at is None:
+            return self
+        model = object.__new__(type(self))
+        model.__dict__.update(vars(self), **{self.sweep_param: np.asarray(at, dtype=float)})
+        return model
 
     def at(self, value: float) -> ModelParams:
         """The same model with its sweep parameter set to value (validated)."""
@@ -284,7 +303,7 @@ def _gamma_factor_values(nu1: np.ndarray, nu2: np.ndarray):
     call over the four arguments stacked."""
     args = np.concatenate((-0.5 * nu1, -0.5 * nu2, 0.5 - 0.5 * nu1, 0.5 - 0.5 * nu2))
     signs, logs = recip_gamma_log_values(args)
-    return tuple(zip(np.split(signs, 4), np.split(logs, 4)))
+    return tuple(zip(signs.reshape(4, -1), logs.reshape(4, -1)))
 
 
 def _box_count(q: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -343,6 +362,7 @@ _ARRAY = _Ops(
     np.sqrt, np.sin, np.cos, np.exp, np.maximum, _gamma_factor_values, _barrier_factor_values,
     True,
 )
+_ARRAY_F = _ARRAY._replace(counts=False)
 
 
 # A piece is (psi, slope, count): its value and its slope toward the

@@ -22,15 +22,17 @@ Refinement never leaves its bracket.  Its one rule, regula falsi with
 Anderson and Bjorck's end scaling and a bisection where a bracket stalls,
 comes in two forms that give the same root bit for bit on the same F.
 refine_rows refines every bracket of many rows in lockstep, one array
-call per round over the brackets still open.  A sweep uses it, so its
-800 to 1200 brackets share each call's fixed cost.  refine_root
-refines one bracket on the scalar form of F (models.characteristic_fn).
+call per round over the brackets still open, on the count-free array F
+(models' f_values: char_values' F bit for bit, without N, which no step
+reads).  A sweep uses it, so its 800 to 1200 brackets share each call's
+fixed cost.  refine_root refines one bracket on the scalar form of F
+(models.characteristic_fn).
 solve_levels and the probes of the sweep's crossing search use it: they
 hold one to a dozen brackets, and a numpy call on so few costs more than
 the math-module arithmetic of a scalar step.
 
 Each caller chooses its scan's grid density: 32 cells per wanted level
-for a single solve or a probe (_CELLS_PER_LEVEL), 8 for a sweep.
+for a single solve or a probe (_CELLS_PER_LEVEL), 3 for a sweep.
 """
 
 from __future__ import annotations
@@ -66,9 +68,11 @@ _MAX_GROWTHS = 64
 # dwcross.sweep).
 _CELLS_PER_LEVEL = 32
 
-# A counted array form of f over many rows: (energies, the row of each)
-# to (F, N) there.
+# Array forms of f over many rows, from (energies, the row of each): the
+# counted one, to (F, N) there, which scans; the count-free one, to F
+# alone, which refines.
 RowsFn = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+RowsValuesFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 class Bracket(NamedTuple):
@@ -107,20 +111,29 @@ _EVAL_BLOCK = 2048
 
 
 def _evaluate(
-    f: RowsFn, xs: np.ndarray, rows: np.ndarray, stage: str, place: Callable[[int], str]
-) -> tuple[np.ndarray, np.ndarray]:
-    """F and N on xs, rows[i] being the row of xs[i], in blocks of at most
-    _EVAL_BLOCK energies.
+    f: RowsFn | RowsValuesFn,
+    xs: np.ndarray,
+    rows: np.ndarray,
+    stage: str,
+    place: Callable[[int], str],
+    counts: np.ndarray | None = None,
+) -> np.ndarray:
+    """F on xs, rows[i] being the row of xs[i], in blocks of at most
+    _EVAL_BLOCK energies: f is count-free, or, when counts is given,
+    counted, and N goes into counts.
 
     Raises:
         NonConvergenceError: F is NaN or infinite somewhere; the first such
             energy of the lowest row is named, with the stage and place(i),
             i being its index in xs.
     """
-    values, counts = np.empty(xs.size), np.empty(xs.size)
+    values = np.empty(xs.size)
     for start in range(0, xs.size, _EVAL_BLOCK):
         block = slice(start, start + _EVAL_BLOCK)
-        values[block], counts[block] = f(xs[block], rows[block])
+        if counts is None:
+            values[block] = f(xs[block], rows[block])
+        else:
+            values[block], counts[block] = f(xs[block], rows[block])
         finite = np.isfinite(values[block])
         if not finite.all():
             bad = (~finite).nonzero()[0] + start
@@ -128,7 +141,7 @@ def _evaluate(
             raise NonConvergenceError(
                 f"{stage}: F is not finite at E={float(xs[i])!r} {place(i)}", row=int(rows[i])
             )
-    return values, counts
+    return values
 
 
 # Rows of scan_brackets' halving state, one column per cell that holds a
@@ -205,8 +218,8 @@ def scan_brackets(
         x = steps * ((top - e_min) / (nodes - 1.0))[:, None] + e_min
         x[:, -1] = top
         rows = todo.repeat(nodes)
-        values, counts = _evaluate(f, x.ravel(), rows, "scan", lambda i: window(rows[i]))
-        nx = counts.reshape(x.shape)
+        nx = np.empty(x.shape)
+        values = _evaluate(f, x.ravel(), rows, "scan", lambda i: window(rows[i]), nx.ravel())
         fall = nx[:, 1:] < nx[:, :-1]
         if fall.any():
             i, c = np.unravel_index(fall.argmax(), fall.shape)
@@ -241,7 +254,8 @@ def scan_brackets(
         k = split.nonzero()[0]
         rows = row[k].astype(int)
         mids = 0.5 * (lo[k] + up[k])
-        f_mid, counts = _evaluate(f, mids, rows, "scan", lambda i: window(rows[i]))
+        counts = np.empty(k.size)
+        f_mid = _evaluate(f, mids, rows, "scan", lambda i: window(rows[i]), counts)
         r_mid = counts - want[rows]
         trusted = (r_lo[k] <= r_mid) & (r_mid <= r_up[k])
         if not trusted.all():
@@ -331,11 +345,12 @@ def refine_levels(
     return [refine_root(f, x, cfg) for x in map(Bracket._make, levels.tolist())]
 
 
-def refine_rows(f: RowsFn, brackets: np.ndarray, cfg: RootfindConfig) -> np.ndarray:
+def refine_rows(f: RowsValuesFn, brackets: np.ndarray, cfg: RootfindConfig) -> np.ndarray:
     """A scan's levels, shape (rows, n, 4), as energies of shape (rows, n),
     as refine_levels gives one row's: each bracket of row r refined on
-    f(energies, rows), rows[i] being the row of energies[i] (the f the rows
-    were scanned with).  A zero-width bracket is its own root.
+    f(energies, rows), F alone, rows[i] being the row of energies[i] (the
+    count-free form of the f the rows were scanned with: refinement reads
+    no count).  A zero-width bracket is its own root.
 
     A bracket stops, as refine_root does, at an exact zero or at width
     tol = max(tol_abs, 4 eps |E|), with the end of smaller |F|.  Every
@@ -386,7 +401,7 @@ def refine_rows(f: RowsFn, brackets: np.ndarray, cfg: RootfindConfig) -> np.ndar
         inset = 0.5 * tol[~done]
         x = np.where(stalls >= _STALL_STEPS, 0.5 * (a + b), a + (b - a) * (wa / (wa - wb)))
         x = np.minimum(np.maximum(x, a + inset), b - inset)
-        fx, _ = _evaluate(
+        fx = _evaluate(
             f, x, row.astype(int), "refine", lambda i: f"in the bracket {named(slot[i])} eV"
         )
         # x replaces the end whose F has its sign; an exact 0 replaces b

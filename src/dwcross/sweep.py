@@ -8,12 +8,14 @@ throat.  The points are independent rows of one scan and one lockstep
 refinement (rootfind.scan_brackets and refine_rows), so that each array
 call of the characteristic function serves many points, but each with
 its own window, count and brackets, and each comes out as that point
-would in any other sweep.  Detected gap minima are refined by Brent's
-minimiser on the squared gap, which near an avoided crossing is a parabola
-in the swept parameter, all crossings in lockstep: each round probes every
-crossing still open with one scan.  Each probe finds the two flanking
-levels by their count indices, scanning from e_min up to a top taken
-from the table, and refines them on the scalar F (see rootfind).
+would in any other sweep.  The scan reads F and the count N
+(char_values); the refinement reads F alone (f_values).  Detected gap
+minima are refined by Brent's minimiser on the squared gap, which near an
+avoided crossing is a parabola in the swept parameter, all crossings in
+lockstep: each round probes every crossing still open with one scan.
+Each probe finds the two flanking levels by their count indices,
+scanning from e_min up to a top taken from the table, and refines them
+on the scalar F (see rootfind).
 """
 
 from __future__ import annotations
@@ -47,9 +49,19 @@ _LAMBDA_TOL_FRACTION = 1e-5
 
 # Grid cells per wanted level in a sweep's scan (single solves and crossing
 # probes scan at rootfind's 32).  A sweep's array calls are long, so its
-# cost grows with the energies it asks for: fig6b's sweep scans 10 001
-# energies at 8 cells against 38 641 at 32, and refines 7 976 against 6 576.
-_ROWS_CELLS_PER_LEVEL = 8
+# cost grows with the energies it asks for, and its count-free refinement
+# costs less per energy than the counted scan.  Median sweep_levels ms on
+# fig3 / fig4 / fig5 / fig6a / fig6b (41 runs each, densities interleaved,
+# 2-vCPU x86-64 host):
+#   2 cells: 3.35 / 3.78 / 5.30 / 10.04 / 13.62, sum 36.09
+#   3 cells: 3.33 / 3.74 / 5.48 / 10.49 / 13.12, sum 36.17
+#   4 cells: 3.35 / 3.83 / 5.01 / 10.78 / 13.80, sum 36.77
+#   8 cells: 3.33 / 3.78 / 5.40 / 13.00 / 16.42, sum 41.94
+# 2 and 3 tie within the host's noise (61 more runs of each: 36.22 and
+# 36.10); 3 takes fewer refinement rounds on fig6b (17 against 22).  fig6b
+# scans 4 519 energies and refines 8 874 at 3 cells, against 10 001 and
+# 7 991 at 8.
+_ROWS_CELLS_PER_LEVEL = 3
 
 
 @dataclass(frozen=True)
@@ -103,8 +115,9 @@ def sweep_levels(
     cfg: RootfindConfig = RootfindConfig(),
 ) -> SpectrumTable:
     """Solve the first n_levels at every grid point of the model's sweep
-    parameter, as the rows of one scan (at 8 cells per wanted level) and
-    one lockstep refinement: each row bit for bit as that point in any
+    parameter, as the rows of one scan (at _ROWS_CELLS_PER_LEVEL cells per
+    wanted level, on F and the count) and one lockstep refinement (on F
+    alone, no count evaluated): each row bit for bit as that point in any
     other sweep, and within 2 max(tol_abs, 4 eps |E|) of solve_levels
     there, which refines on the scalar F.
 
@@ -126,14 +139,17 @@ def sweep_levels(
         except ValueError as exc:
             raise ConfigError(f"sweep grid index {i} ({name}={lam}): {exc}") from exc
 
-    def values(energies: np.ndarray, rows: np.ndarray):
+    def counted(energies: np.ndarray, rows: np.ndarray):
         return model.char_values(energies, units, at=lambdas[rows])
+
+    def values(energies: np.ndarray, rows: np.ndarray):
+        return model.f_values(energies, units, at=lambdas[rows])
 
     n = spec.n_levels
     tops = np.array([_start_top(point, units, n, cfg) for point in varied])
     try:
         scans = scan_brackets(
-            values, cfg, n, np.zeros(tops.size), tops, cells_per_level=_ROWS_CELLS_PER_LEVEL
+            counted, cfg, n, np.zeros(tops.size), tops, cells_per_level=_ROWS_CELLS_PER_LEVEL
         )
         levels = refine_rows(values, scans, cfg)
     except NonConvergenceError as exc:

@@ -362,6 +362,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err
 
+    def test_successive_runs_share_no_parsed_value(self, tmp_path, monkeypatch):
+        # one parser serves every main call of a process; what a run's
+        # flags set does not carry into the next run
+        from dwcross import cli
+
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, "solve", lambda cfg: seen.append(cfg) or 0)
+        first = ["solve", "--preset", "fig5", "--levels", "7", "--e-min", "0.5",
+                 "--u", "0.5", "--no-richardson", "--out", "a.csv"]
+        second = ["solve", "--model", "m3", "--v0", "0", "--hw1", "2", "--hw2", "2"]
+        assert run_cli(tmp_path, monkeypatch, first) == 0
+        assert run_cli(tmp_path, monkeypatch, second) == 0
+        assert _build_parser() is _build_parser()
+        assert seen == [parse_config(first), parse_config(second)]
+        fresh = RunConfig(model="m3", v0=0.0, hw1=2.0, hw2=2.0)
+        assert seen[1] == fresh and seen[0].levels == 7 and not seen[0].richardson
+
     def test_unknown_flag_is_one(self, tmp_path, monkeypatch):
         assert run_cli(tmp_path, monkeypatch, ["solve", "--frobnicate"]) == 1
 

@@ -532,6 +532,24 @@ class TestSweepParameterArray:
             assert (f, n) == (want_f[0], want_n[0])
             assert math.copysign(1.0, f) == math.copysign(1.0, want_f[0])
 
+    @pytest.mark.parametrize("kind", list(VARIANTS))
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_count_free_values_equal_counted(self, kind, seed):
+        # f_values is char_values' F bit for bit, signed zeros and the
+        # harmonic variants' exact gamma poles included, with and without at
+        rng = np.random.default_rng(seed)
+        model, values = _swept_models(kind, rng)
+        top = max(model.at(v).level_window(U1, 8) for v in values.tolist())
+        energies = rng.uniform(1e-6, top, values.size)
+        if kind in ("m3", "m4"):
+            energies[::7] = values[::7] * (2 * rng.integers(0, 6, energies[::7].size) + 0.5)
+        for at in (None, values):
+            want, _ = model.char_values(energies, U1, at=at)
+            got = model.f_values(energies, U1, at=at)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        with pytest.raises(DomainError):
+            model.f_values(np.array([1.0, 0.0]), U1)
+
     def test_model_unchanged(self):
         model = M3Params(10.0, 2.0, 2.0)
         model.char_values(np.array([1.0, 2.0]), U1, at=np.array([1.5, 2.5]))

@@ -423,15 +423,15 @@ _ROWS = [
 
 
 def _rows_fn(calls, offset=0):
-    """f(energies, rows) of _ROWS, its rows shifted by offset; records the
-    energies of each call."""
+    """f(energies, rows) of _ROWS, F alone, its rows shifted by offset;
+    records the energies of each call."""
 
     def f(e, rows):
         calls.append(e.size)
         values = np.empty_like(e)
         for r, (g, *_) in enumerate(_ROWS):
             values[rows + offset == r] = g(e[rows + offset == r])
-        return values, np.zeros_like(e)
+        return values
 
     return f
 
@@ -495,7 +495,7 @@ class TestRefineRows:
 
         def f(e, rows):
             energies.append(e.size)
-            return np.array([scalar_f(x) for x in e.tolist()]), np.zeros_like(e)
+            return np.array([scalar_f(x) for x in e.tolist()])
 
         evals = [0]
         counted = _counted(scalar_f, evals)
@@ -532,7 +532,7 @@ class TestRefineRows:
         levels = np.array([[(1.0, 1.0, 0.0, 0.0)], [_bracket(g, 1e-9, 1e4)]])
         message = r"^refine: the root on \[1e-09, 10000\.0\] exceeded its iteration budget$"
         with pytest.raises(NonConvergenceError, match=message) as info:
-            refine_rows(lambda e, rows: (g(e), e), levels, RootfindConfig(tol_abs=1e-300))
+            refine_rows(lambda e, rows: g(e), levels, RootfindConfig(tol_abs=1e-300))
         assert info.value.row == 1
         with pytest.raises(NonConvergenceError, match=message):
             refine_root(g, Bracket(*levels[1, 0].tolist()), RootfindConfig(tol_abs=1e-300))
@@ -540,7 +540,7 @@ class TestRefineRows:
         message = r"^refine: F is not finite at E=1\.5 in the bracket \[1\.0, 2\.0\] eV$"
         bracket = Bracket(1.0, 2.0, -1.0, 1.0)
         with pytest.raises(NonConvergenceError, match=message):
-            nan = lambda e, rows: (np.full_like(e, np.nan), e)  # noqa: E731
+            nan = lambda e, rows: np.full_like(e, np.nan)  # noqa: E731
             refine_rows(nan, np.array([[bracket]]), RootfindConfig())
         with pytest.raises(NonConvergenceError, match=message):
             refine_root(lambda e: math.nan, bracket, RootfindConfig())

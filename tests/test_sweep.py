@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import reference_oracles
-from dwcross import rootfind, sweep
+from dwcross import models, rootfind, sweep
 from dwcross.cli import PRESETS, main, parse_config
 from dwcross.errors import ConfigError, ModelMismatchError, NonConvergenceError
 from dwcross.models import M1Params, M2Params, M3Params, UnitsConfig
@@ -70,15 +70,16 @@ class _FallingCountAtOnePoint(M1Params):
 
 
 class _NonFiniteInBracket(M1Params):
-    """F is NaN strictly inside (lo, hi) = inside where b = 2.0."""
+    """The count-free F is NaN strictly inside (lo, hi) = inside where
+    b = 2.0; the counted F, which a scan reads, is not."""
 
     inside = (0.0, 0.0)
 
-    def char_values(self, energies, units, at=None):
-        values, counts = super().char_values(energies, units, at)
+    def f_values(self, energies, units, at=None):
+        values = super().f_values(energies, units, at)
         lo, hi = self.inside
         hit = (np.asarray(self.b if at is None else at) == 2.0) & (lo < energies) & (energies < hi)
-        return np.where(hit, np.nan, values), counts
+        return np.where(hit, np.nan, values)
 
 
 class _TwoFailingPoints(M1Params):
@@ -605,33 +606,60 @@ class TestWorkCounts:
         run, model, units, spec, cfg = self._fig3()
         sizes = {"scan": [], "refine": []}
         stage = ["scan"]
-        char_values = M1Params.char_values
+        char_values, f_values = M1Params.char_values, M1Params.f_values
         refine_rows = sweep.refine_rows
 
         def counted(self, energies, units, at=None):
-            sizes[stage[0]].append(np.size(energies))
+            assert stage[0] == "scan", "a counted call in the refinement"
+            sizes["scan"].append(np.size(energies))
             return char_values(self, energies, units, at)
+
+        def values(self, energies, units, at=None):
+            sizes[stage[0]].append(np.size(energies))
+            return f_values(self, energies, units, at)
 
         def refining(*args):
             stage[0] = "refine"
             return refine_rows(*args)
 
         monkeypatch.setattr(M1Params, "char_values", counted)
+        monkeypatch.setattr(M1Params, "f_values", values)
         monkeypatch.setattr(sweep, "refine_rows", refining)
         sweep_levels(model, units, spec, cfg)
-        # a row's trial grid, at the sweep's density, from e_min; whole
-        # rows per block and fig3's one halving round over all rows cost at
-        # most one more call
+        # a row's trial grid, at the sweep's density, from e_min, in whole
+        # blocks; fig3's first top holds every wanted level, and its
+        # sparse grid takes three halving rounds over all rows
         nodes = sweep._ROWS_CELLS_PER_LEVEL * spec.n_levels + 1
         blocks = math.ceil(spec.steps * nodes / rootfind._EVAL_BLOCK)
-        assert len(sizes["scan"]) <= blocks + 1
-        # one call per refinement round over every open bracket of every
-        # row (fig3's 800 levels); the sparser scan leaves wider brackets,
-        # and scan plus refinement ask for at most 15 000 energies (30 525
-        # at 32 cells per level)
+        assert len(sizes["scan"]) <= blocks + 3
+        # one count-free call per refinement round over every open bracket
+        # of every row (fig3's 800 levels); scan plus refinement ask for
+        # at most 10 100 energies (9 190 at 3 cells per level, 11 592 at 8,
+        # 30 525 at 32)
         assert sizes["refine"][0] == spec.steps * spec.n_levels
-        assert sum(sizes["scan"]) + sum(sizes["refine"]) <= 15_000
+        assert sum(sizes["scan"]) + sum(sizes["refine"]) <= 10_100
         assert max(sizes["scan"] + sizes["refine"]) <= rootfind._EVAL_BLOCK
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_refinement_counts_no_level(self, monkeypatch, preset):
+        # every piece's count raises once refine_rows starts: the sweep's
+        # refinement evaluates F alone, on the delta and barrier joins alike
+        run = parse_config(["sweep", "--preset", preset])
+        model, units = run.build_model(), run.build_units()
+        spec, cfg = run.build_sweep_spec(), run.build_rootfind()
+        refine_rows = sweep.refine_rows
+
+        def no_count(*args):
+            raise AssertionError("a level count in the refinement")
+
+        def refining(*args):
+            for name in ("_box_count", "_harmonic_count", "_barrier_count"):
+                monkeypatch.setattr(models, name, no_count)
+            return refine_rows(*args)
+
+        monkeypatch.setattr(sweep, "refine_rows", refining)
+        table = sweep_levels(model, units, spec, cfg)
+        assert table.levels.shape == (spec.steps, spec.n_levels)
 
     def test_sweep_scans_once(self, monkeypatch):
         # one scan_brackets call over every row of the sweep, then one
