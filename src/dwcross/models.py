@@ -21,8 +21,8 @@ Each variant is two pieces joined by a barrier, and writes its level
 condition once, as `_char(e, u, ops)`: a join, `_delta` or `_rectangle`,
 over the pieces of `_boxes` or `_harmonics`.  A piece gives its value
 psi and its slope psi' toward the junction there.  The primitives come
-from `ops` (square root, sine, cosine, exponential, maximum, and the
-reciprocal-gamma and barrier factors).  `char` evaluates it at one
+from `ops` (square root, sine, cosine, the reciprocal-gamma pairs and the
+barrier factors).  `char` evaluates it at one
 energy with _SCALAR, the math-module primitives, and returns a float;
 `char_values` evaluates it on a 1-D array of energies with _ARRAY, the
 numpy primitives, with each branch an np.where over the block, and
@@ -30,8 +30,9 @@ numpy primitives, with each branch an np.where over the block, and
 refinement of a few brackets stays on `char` (through characteristic_fn):
 a numpy call on one element costs several times the math-module
 arithmetic.  The scalar and array forms agree to a few ulp (numpy may
-round exp, cos, sin and sinh differently); signs agree away from the
-roots.
+round cos, sin and sinh differently, and the harmonic pieces' pairs
+differ by the scalar form's log-gamma error; see dwcross.specfun); signs
+agree away from the roots, and at the gamma poles exactly.
 
 With _ARRAY, `_char` also returns N(E), the exact number of levels
 strictly below each energy, from F's own values.  By the Sturm
@@ -46,14 +47,15 @@ the sign of F psi_L(x0) psi_R(x0).  Each piece's count steps exactly
 where the sign of its psi(x0), as F computes it, changes.
 
 Each characteristic function is written in a pole-free, spurious-root-free
-form: gamma ratios are cleared into reciprocal-gamma products (entire in E,
+form: gamma ratios are cleared into reciprocal-gamma pairs (entire in E,
 and they keep the odd-parity roots that ratio forms lose at the symmetric
-point), the rectangular barrier's F, though not each of its factors, is
+point), each divided by its length, which is positive and analytic in E,
+so that a harmonic piece's value and slope are bounded however high the
+level; the rectangular barrier's F, though not each of its factors, is
 entire in v0 - E (so sweeps pass smoothly through E = v0 and the sub- and
 over-barrier branches join without caller branching), and no two of its
-terms cancel near a doublet; E-continuous positive rescales of each
-harmonic piece and of the barrier factors (by a cap on their argument)
-keep values representable.
+terms cancel near a doublet; a positive rescale of the barrier factors
+(by a cap on their argument) keeps their values representable.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ from typing import Callable, ClassVar, NamedTuple
 import numpy as np
 
 from .errors import DomainError, ModelMismatchError
-from .specfun import recip_gamma_log, recip_gamma_log_values
+from .specfun import recip_gamma_log, recip_gamma_pair_values
 
 __all__ = [
     "UnitsConfig",
@@ -84,12 +86,6 @@ __all__ = [
 # Barrier arguments above this are held at it: the factors then carry a
 # common positive rescale instead of overflowing.
 _BARRIER_ARG_CAP = 350.0
-
-# A harmonic piece's value and slope carry one positive rescale that keeps
-# their logs at or below this, so that piece x piece x barrier factor
-# (at most e^350) stays finite.
-_PIECE_LOG_CAP = 150.0
-
 
 @dataclass(frozen=True)
 class UnitsConfig:
@@ -288,22 +284,20 @@ def _barrier_factor_values(w: np.ndarray, half_width: float) -> tuple[np.ndarray
     return np.where(over, root, 0.0), s_fac, r_fac, np.minimum(w, 0.0) * s_fac
 
 
-def _gamma_factors(nu1: float, nu2: float):
-    """(sign, log) of h1, h2, j1, j2 = 1/Gamma(-nu_i/2), 1/Gamma(1/2 - nu_i/2)."""
-    return (
-        recip_gamma_log(-0.5 * nu1),
-        recip_gamma_log(-0.5 * nu2),
-        recip_gamma_log(0.5 - 0.5 * nu1),
-        recip_gamma_log(0.5 - 0.5 * nu2),
-    )
-
-
-def _gamma_factor_values(nu1: np.ndarray, nu2: np.ndarray):
-    """_gamma_factors on arrays of orders, with one recip_gamma_log_values
-    call over the four arguments stacked."""
-    args = np.concatenate((-0.5 * nu1, -0.5 * nu2, 0.5 - 0.5 * nu1, 0.5 - 0.5 * nu2))
-    signs, logs = recip_gamma_log_values(args)
-    return tuple(zip(signs.reshape(4, -1), logs.reshape(4, -1)))
+def _gamma_factors(xs):
+    """recip_gamma_pair_values on a tuple of floats, from recip_gamma_log's
+    signed logs: the ratio h/j = +-exp(log|h| - log|j|) as a unit vector,
+    by scaling the larger of h and j to 1 first.  Returns the lists
+    (j of each x, h of each x)."""
+    js, hs = [], []
+    for x in xs:
+        (sign_h, log_h), (sign_j, log_j) = recip_gamma_log(x), recip_gamma_log(x + 0.5)
+        top = max(log_h, log_j)
+        h, j = sign_h * math.exp(log_h - top), sign_j * math.exp(log_j - top)
+        norm = math.hypot(h, j)
+        js.append(j / norm)
+        hs.append(h / norm)
+    return js, hs
 
 
 def _box_count(q: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -319,8 +313,9 @@ def _box_count(q: np.ndarray, s: np.ndarray) -> np.ndarray:
 def _harmonic_count(x: np.ndarray, sign: np.ndarray) -> np.ndarray:
     """Levels strictly below E of a half-harmonic piece walled at its
     center: the poles 0, -1, -2, ... of Gamma at or above x = 1/2 - nu/2.
-    A pole counts as reached where sign, that of 1/Gamma(x), is 0 (within
-    POLE_TOLERANCE), so the count steps exactly where the sign changes."""
+    A pole counts as reached where sign, a value with the sign of
+    1/Gamma(x) (the piece's psi), is 0 (within POLE_TOLERANCE), so the
+    count steps exactly where the sign changes."""
     return np.where(sign == 0.0, 1.0 - np.rint(x), np.floor(-x) + 1.0)
 
 
@@ -345,9 +340,7 @@ class _Ops(NamedTuple):
     sqrt: Callable
     sin: Callable
     cos: Callable
-    exp: Callable
-    maximum: Callable
-    gamma_factors: Callable
+    gamma_pairs: Callable
     barrier_factors: Callable
     counts: bool  # _char returns (F, N), not F
 
@@ -355,13 +348,8 @@ class _Ops(NamedTuple):
 # _gamma_factors looks recip_gamma_log up in this module's globals at each
 # call, so a wrapper installed there (perfbench's tracer) sees every call;
 # recip_gamma_log itself must not go into the table.
-_SCALAR = _Ops(
-    math.sqrt, math.sin, math.cos, math.exp, max, _gamma_factors, _barrier_factors, False
-)
-_ARRAY = _Ops(
-    np.sqrt, np.sin, np.cos, np.exp, np.maximum, _gamma_factor_values, _barrier_factor_values,
-    True,
-)
+_SCALAR = _Ops(math.sqrt, math.sin, math.cos, _gamma_factors, _barrier_factors, False)
+_ARRAY = _Ops(np.sqrt, np.sin, np.cos, recip_gamma_pair_values, _barrier_factor_values, True)
 _ARRAY_F = _ARRAY._replace(counts=False)
 
 
@@ -379,25 +367,19 @@ def _boxes(k, d1, d2, ops: _Ops):
     return (s1, k * ops.cos(k * d1), n1), (s2, k * ops.cos(k * d2), n2)
 
 
-def _harmonic(nu, root_two_alpha, h, j, ops: _Ops):
-    (sign_h, log_h), (sign_j, log_j) = h, j
-    shift = ops.maximum(ops.maximum(log_h, log_j) - _PIECE_LOG_CAP, 0.0)
-    slope = root_two_alpha * sign_h * ops.exp(log_h - shift)
-    count = _harmonic_count(0.5 - 0.5 * nu, sign_j) if ops.counts else None
-    return sign_j * ops.exp(log_j - shift), slope, count
-
-
 def _harmonics(e, hw1: float, hw2, u: float, ops: _Ops):
     """The half-harmonic pieces of hw1 and hw2 at energy e:
-    (j, sqrt(2) alpha h), with h = 1/Gamma(-nu/2), j = 1/Gamma(1/2 - nu/2),
-    nu = e/hw - 1/2 and alpha = sqrt(u hw), both times one positive factor
-    that keeps their logs at or below _PIECE_LOG_CAP (continuous in e, so
-    F keeps its signs and zeros).  hw2, the sweep parameter, may be an
-    array aligned with the energies."""
+    (j, sqrt(2) alpha h) / sqrt(h^2 + j^2), with h = 1/Gamma(-nu/2),
+    j = 1/Gamma(1/2 - nu/2), nu = e/hw - 1/2 and alpha = sqrt(u hw).  The
+    divisor is positive and continuous in e, so F keeps its signs and
+    zeros, and it bounds each piece: |psi| <= 1, |psi'| <= sqrt(2 u hw).
+    hw2, the sweep parameter, may be an array aligned with the energies."""
     nu1, nu2 = e / hw1 - 0.5, e / hw2 - 0.5
-    h1, h2, j1, j2 = ops.gamma_factors(nu1, nu2)
-    left = _harmonic(nu1, math.sqrt(2.0 * u * hw1), h1, j1, ops)
-    return left, _harmonic(nu2, ops.sqrt(2.0 * u * hw2), h2, j2, ops)
+    j, h = ops.gamma_pairs((-0.5 * nu1, -0.5 * nu2))
+    # with ops.counts both pieces' counts in one pass over the stacked j
+    n = _harmonic_count(0.5 - 0.5 * np.asarray((nu1, nu2)), j) if ops.counts else (None, None)
+    left = (j[0], math.sqrt(2.0 * u * hw1) * h[0], n[0])
+    return left, (j[1], ops.sqrt(2.0 * u * hw2) * h[1], n[1])
 
 
 def _delta(left, right, strength, ops: _Ops):
@@ -579,14 +561,14 @@ class M3Params(ModelParams):
         """Two half-harmonic pieces joined by a delta.  Clearing the
         gamma-ratio matching condition into reciprocal-gamma factors
         h_i = 1/Gamma(-nu_i/2), j_i = 1/Gamma(1/2 - nu_i/2) and normalizing by
-        the positive factor 2^(-(nu1+nu2)/2)/pi gives, times each piece's
-        positive rescale,
+        the positive factor 2^(-(nu1+nu2)/2)/pi and each piece's length
+        N_i = sqrt(h_i^2 + j_i^2) gives
 
-            F(E) = sqrt(2) (alpha2 h2 j1 + alpha1 h1 j2) + u v0 j1 j2
+            F(E) = [sqrt(2) (alpha2 h2 j1 + alpha1 h1 j2) + u v0 j1 j2] / (N1 N2)
 
-        which is entire in E and, unlike the ratio form, keeps the odd-parity
-        roots at hw1 = hw2 where D_nu(0) = 0 (there all three products vanish
-        through the exact zeros of j).
+        whose bracket is entire in E and, unlike the ratio form, keeps the
+        odd-parity roots at hw1 = hw2 where D_nu(0) = 0 (there all three
+        products vanish through the exact zeros of j).
         """
         return _delta(*_harmonics(e, self.hw1, self.hw2, u, ops), u * self.v0, ops)
 
@@ -629,11 +611,11 @@ class M4Params(ModelParams):
             raise ValueError("m4 requires a >= 0 (barrier half-width)")
 
     def _char(self, e, u: float, ops: _Ops):
-        """Two half-harmonic pieces (h_i, j_i as in M3Params._char) joined by
-        a rectangle of half-width a (p, S, R, K as in _rectangle), with
-        g_i = p j_i + sqrt(2) alpha_i h_i; times each piece's rescale,
+        """Two half-harmonic pieces (h_i, j_i, N_i as in M3Params._char)
+        joined by a rectangle of half-width a (p, S, R, K as in _rectangle),
+        with g_i = p j_i + sqrt(2) alpha_i h_i:
 
-            F(E) = S g1 g2 + sqrt(2) R (alpha1 h1 j2 + alpha2 h2 j1) + K j1 j2
+            F(E) = [S g1 g2 + sqrt(2) R (alpha1 h1 j2 + alpha2 h2 j1) + K j1 j2] / (N1 N2)
 
         Its delta limit (a -> 0 with 2 a v0 held fixed) is m3's F.
         """

@@ -1,17 +1,20 @@
-"""The real-line reciprocal gamma function, in sign-tracked log form.
+"""The real-line reciprocal gamma function, alone and in pairs.
 
 The level conditions for the harmonic double wells need Gamma(x) for
 arbitrary real x, including deep on the negative axis where Gamma
 oscillates between poles.  They take it as 1/Gamma(x), an entire
-function, in the form (sign, log|1/Gamma(x)|), so model code never
-evaluates Gamma at or near a pole: the sign is exactly 0 at the poles.
+function, so model code never evaluates Gamma at or near a pole: a factor
+is exactly 0 at the poles.
 
-One algorithm, the standard library's math.lgamma (log|Gamma(x)|, with
-its own reflection on the negative axis), in two forms, as for the level
-conditions themselves (see dwcross.models): recip_gamma_log on one
-float, for root refinement, and recip_gamma_log_values on an array, for
-the bracket scan.  Both apply the same pole rule and parity sign and call
-math.lgamma on each point, so they agree bit for bit.
+Two forms, as for the level conditions themselves (see dwcross.models).
+recip_gamma_log, on one float for root refinement, gives (sign,
+log|1/Gamma(x)|) from the standard library's math.lgamma.
+recip_gamma_pair_values, on an array for the bracket scan, gives what a
+half-harmonic piece needs, the pair (1/Gamma(x + 1/2), 1/Gamma(x)) divided
+by its length, from the one ratio Gamma(x + 1/2)/Gamma(x) (reflection, a
+fixed recurrence and an asymptotic series; no log-gamma).  Both apply the
+same pole rule and give the same signs, bit for bit; the values agree to
+the scalar form's error, a few ulp of each log-gamma it subtracts.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .errors import DomainError
 
 __all__ = [
     "recip_gamma_log",
-    "recip_gamma_log_values",
+    "recip_gamma_pair_values",
     "POLE_TOLERANCE",
 ]
 
@@ -44,9 +47,9 @@ def _log_abs_gamma(x: float) -> float:
 def recip_gamma_log(x: float) -> tuple[int, float]:
     """(sign, log|1/Gamma(x)|) with sign 0 exactly at the poles.
 
-    The log-space form a harmonic piece of the characteristic functions
-    exponentiates under its own positive rescale, so their values stay
-    representable even when individual gamma factors would overflow.  x within POLE_TOLERANCE
+    The scalar harmonic pieces of the characteristic functions take their
+    gamma ratio from two of these logs, exp(log|h| - log|j|), so no gamma
+    factor that would overflow is formed.  x within POLE_TOLERANCE
     of 0, -1, -2, ... is a pole (sign 0, log -inf).  Elsewhere the log is
     -math.lgamma(x), and the sign is -1 exactly where x < 0 and floor(x)
     is odd: Gamma is negative on (-1, 0), positive on (-2, -1), and so on.
@@ -63,30 +66,68 @@ def recip_gamma_log(x: float) -> tuple[int, float]:
     return sign, -_log_abs_gamma(x)
 
 
-def recip_gamma_log_values(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """recip_gamma_log on a 1-D array: (signs, logs), the signs as floats
-    -1.0, 0.0 and 1.0.  Elementwise the same pole rule (nearest integer
-    rounded half to even), parity sign and math.lgamma call, so signs and
-    logs equal the scalar ones exactly.
+# recip_gamma_pair_values takes Gamma(y + 1/2)/Gamma(y) up this many unit
+# steps, to z = y + _STEPS >= 8.25, where the series below has converged:
+# its first omitted term, -3202291/8912896 z^-17, is below 1e-16.
+_STEPS = 8
+_RISES = np.arange(_STEPS, dtype=np.float64)[:, None]
+_HALF_RISES = _RISES + 0.5
+_HALVES = np.array([[0.0], [0.5]])
+
+# log Gamma(z + 1/2) - log Gamma(z) = log(z)/2 + sum_k c_k z^(1 - 2k),
+# c_k = B_2k (2^(1 - 2k) - 2) / ((2k - 1) 2k) (DLMF 5.11.8 and 24.4.27),
+# k = 8 down to 1.
+_SERIES = (
+    929569 / 15728640, -5461 / 425984, 691 / 180224, -31 / 18432,
+    17 / 14336, -1 / 640, 1 / 192, -1 / 8,
+)
+
+
+def recip_gamma_pair_values(x) -> tuple[np.ndarray, np.ndarray]:
+    """(j, h) / sqrt(h^2 + j^2), h = 1/Gamma(x) and j = 1/Gamma(x + 1/2),
+    elementwise on an array of x <= 1/4: the ratio R = h/j =
+    Gamma(x + 1/2)/Gamma(x) as a unit vector, which stays finite where R
+    does not (at the poles of Gamma(x + 1/2)).
+
+    Reflection (DLMF 5.5.3) gives (j, h) = Gamma(y)/pi (cos pi x,
+    R(y) sin pi x) with y = 1/2 - x >= 1/4, and R(y) > 0 comes from
+    _STEPS steps of R(y) = R(y + 1) y / (y + 1/2) and the series at
+    y + _STEPS.  The cosine and sine come from the exact reductions
+    t = x - rint(x) and s = x + 1/2 - rint(x + 1/2), each used where its
+    tangent is at most 1: (cos pi t, sin pi t) is along
+    (min(1, |tan pi s|), clip(tan pi t, -1, 1)), and the parity of rint(x)
+    gives the common sign.  No log-gamma is taken.
+
+    The pole rule is recip_gamma_log's: t or s within POLE_TOLERANCE of 0
+    makes h or j exactly 0, and elsewhere each has the sign of the
+    reciprocal gamma it stands for, so those signs equal recip_gamma_log's.
 
     Raises:
-        DomainError: some x is not finite.
+        DomainError: some x is not finite, or below -2^52, where x and
+            x + 1/2 are both integers in floating point.
     """
     x = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(x).all():
-        bad = float(x[~np.isfinite(x)][0])
-        raise DomainError(f"recip_gamma_log_values requires finite x, got {bad!r}")
-    nearest = np.rint(x)
-    live = ~((nearest <= 0.0) & (np.abs(x - nearest) < POLE_TOLERANCE))
-    points = x[live].tolist()
-    # math.lgamma itself, not the wrapper, on the common path: a Python
-    # call per element costs about a third more on wide scans.
-    try:
-        log_gamma = np.fromiter(map(math.lgamma, points), float, len(points))
-    except OverflowError:
-        log_gamma = np.fromiter(map(_log_abs_gamma, points), float, len(points))
-    logs = np.full_like(x, -math.inf)
-    logs[live] = -log_gamma
-    odd = (x < 0.0) & (np.floor(x) % 2.0 == 1.0)
-    signs = np.where(live, np.where(odd, -1.0, 1.0), 0.0)
-    return signs, logs
+    if x.size and not x.min() > -(2.0**52):
+        bad = float(x[~(x > -(2.0**52))].flat[0])
+        raise DomainError(f"recip_gamma_pair_values requires finite x > -2^52, got {bad!r}")
+    shape, x = x.shape, x.ravel()
+    args = x + _HALVES
+    near = np.rint(args)
+    off = args - near
+    tan = np.tan(np.pi * (off * (np.abs(off) >= POLE_TOLERANCE)))
+    tan = np.minimum(np.maximum(tan, -1.0), 1.0)
+    half = 0.5 * near[0]
+    parity = 0.25 - (half - np.floor(half))  # < 0 where rint(x) is odd
+    y = 0.5 - x
+    steps = np.multiply.reduce(y + _RISES, axis=0) / np.multiply.reduce(y + _HALF_RISES, axis=0)
+    z = y + _STEPS
+    w = 1.0 / z
+    w2 = w * w
+    series = _SERIES[0]
+    for c in _SERIES[1:]:
+        series = series * w2 + c
+    ratio = np.sqrt(z) * np.exp(series * w) * steps
+    j = np.copysign(tan[1], parity)
+    h = np.copysign(ratio, parity) * tan[0]
+    norm = np.sqrt(j * j + h * h)
+    return (j / norm).reshape(shape), (h / norm).reshape(shape)

@@ -229,7 +229,10 @@ class TestCharM3:
 
     def test_matches_pcf_route_with_normalizer(self):
         # the pieces' evaluation equals minus the direct D_nu(0) formula
-        # times 2^(-(nu1+nu2)/2)/pi (D'_nu(0) carries the sign of -h)
+        # divided by each piece's sqrt(D_nu(0)^2 + D'_nu(0)^2 / 2): with
+        # D_nu(0) = 2^(nu/2) sqrt(pi) j and D'_nu(0) = -2^((nu+1)/2) sqrt(pi) h,
+        # that is the normalizer 2^(-(nu1+nu2)/2)/pi and the pieces' divisor
+        # sqrt(h^2 + j^2) (D'_nu(0) carries the sign of -h)
         m = M3Params(4.0, 2.0, 1.3)
         u = UnitsConfig(0.8)
         alpha1, alpha2 = math.sqrt(u.u * m.hw1), math.sqrt(u.u * m.hw2)
@@ -242,7 +245,10 @@ class TestCharM3:
                 + alpha1 * p1.d0_prime * p2.d0
                 - u.u * m.v0 * p1.d0 * p2.d0
             )
-            expected = raw * 2.0 ** (-0.5 * (nu1 + nu2)) / math.pi
+            divisor = math.sqrt(
+                (p1.d0**2 + 0.5 * p1.d0_prime**2) * (p2.d0**2 + 0.5 * p2.d0_prime**2)
+            )
+            expected = raw / divisor
             assert m.char(float(e), u) == pytest.approx(-expected, rel=1e-9, abs=1e-12)
 
     def test_monotone_in_delta_strength(self):
@@ -255,8 +261,9 @@ class TestCharM3:
 
 class TestCharM4:
     def test_value_formula(self):
-        # F = sqrt(2) (alpha1 h1 j2 + alpha2 h2 j1) C + [w j1 j2 + 2 alpha1
-        # alpha2 h1 h2] S with h = 1/Gamma(-nu/2), j = 1/Gamma(1/2 - nu/2),
+        # F = [sqrt(2) (alpha1 h1 j2 + alpha2 h2 j1) C + [w j1 j2 + 2 alpha1
+        # alpha2 h1 h2] S] / (N1 N2) with h = 1/Gamma(-nu/2),
+        # j = 1/Gamma(1/2 - nu/2) and each piece's divisor N = sqrt(h^2 + j^2),
         # below, at and above the barrier top v0 = 6
         m = M4Params(6.0, 2.0, 1.3, 0.4)
         u = UnitsConfig(0.8)
@@ -270,6 +277,7 @@ class TestCharM4:
             expected = math.sqrt(2.0) * (alpha1 * h1 * j2 + alpha2 * h2 * j1) * c + (
                 w * j1 * j2 + 2.0 * alpha1 * alpha2 * h1 * h2
             ) * s
+            expected /= math.hypot(h1, j1) * math.hypot(h2, j2)
             assert m.char(e, u) == pytest.approx(expected, rel=1e-13)
 
     def test_zero_width_barrier_is_pure_oscillator(self):
@@ -398,11 +406,22 @@ class TestHighLevels:
     )
     def test_five_hundred_oscillator_levels(self, model):
         # symmetric wells with no barrier: the levels are hw (n + 1/2); at the
-        # top, each reciprocal-gamma log reaches about 1 100 and each term of
-        # F about 2 300, far past what plain floats hold unscaled
+        # top, each reciprocal-gamma log reaches about 1 100, far past what
+        # plain floats hold unscaled
         levels = solve_levels(model, U1, 500)
         want = model.hw1 * (np.arange(500) + 0.5)
         assert np.max(np.abs(np.asarray(levels) - want)) <= 1e-9
+        # each piece is divided by sqrt(h^2 + j^2), which bounds it in both
+        # forms: |psi| <= 1 and |psi'| <= sqrt(2 u hw)
+        energies = np.linspace(1e-6, levels[-1] + model.hw1, 2001)
+        bound = math.sqrt(2.0 * U1.u * model.hw1)
+        array = models._harmonics(energies, model.hw1, model.hw2, U1.u, models._ARRAY)
+        for e in energies[::10].tolist():
+            scalar = models._harmonics(e, model.hw1, model.hw2, U1.u, models._SCALAR)
+            for psi, slope, _ in scalar:
+                assert abs(psi) <= 1.0 and abs(slope) <= bound
+        for psi, slope, _ in array:
+            assert np.all(np.abs(psi) <= 1.0) and np.all(np.abs(slope) <= bound)
 
 
 class TestEverywhereFinite:
@@ -554,34 +573,6 @@ class TestSweepParameterArray:
         model = M3Params(10.0, 2.0, 2.0)
         model.char_values(np.array([1.0, 2.0]), U1, at=np.array([1.5, 2.5]))
         assert model == M3Params(10.0, 2.0, 2.0) and type(model.hw2) is float
-
-
-class TestGammaFactors:
-    def test_stacked_call_matches_four_calls(self):
-        # orders whose arguments -nu/2 and 1/2 - nu/2 sit exactly on the
-        # poles 0, -1, -2, ..., just inside and outside the pole
-        # tolerance, and seeded ones
-        from dwcross.models import _gamma_factor_values
-        from dwcross.specfun import POLE_TOLERANCE, recip_gamma_log_values
-
-        whole = np.arange(0.0, 60.0)
-        nu = np.concatenate([
-            whole, whole + POLE_TOLERANCE, whole - 3.0 * POLE_TOLERANCE,
-            np.random.default_rng(5).uniform(-5.0, 400.0, 500),
-        ])
-        nu1, nu2 = nu, np.random.default_rng(6).permutation(nu)
-        separate = (
-            recip_gamma_log_values(-0.5 * nu1),
-            recip_gamma_log_values(-0.5 * nu2),
-            recip_gamma_log_values(0.5 - 0.5 * nu1),
-            recip_gamma_log_values(0.5 - 0.5 * nu2),
-        )
-        stacked = _gamma_factor_values(nu1, nu2)
-        assert len(stacked) == 4
-        for (sign, log), (want_sign, want_log) in zip(stacked, separate):
-            assert sign.tobytes() == want_sign.tobytes()
-            assert log.tobytes() == want_log.tobytes()
-        assert any((sign == 0.0).any() for sign, _ in stacked)
 
 
 def _count_models(kind):

@@ -1,5 +1,6 @@
-"""The reciprocal gamma function, and the parabolic-cylinder boundary
-values the m3 level condition is checked against."""
+"""The reciprocal gamma function and its pair form, and the
+parabolic-cylinder boundary values the m3 level condition is checked
+against."""
 
 import math
 
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dwcross.errors import DomainError
-from dwcross.specfun import POLE_TOLERANCE, recip_gamma_log, recip_gamma_log_values
+from dwcross.models import _gamma_factors
+from dwcross.specfun import POLE_TOLERANCE, recip_gamma_log, recip_gamma_pair_values
 from reference_oracles import pcf_at_zero
 
 SQRT_PI = math.sqrt(math.pi)
@@ -141,55 +143,142 @@ class TestRecipGamma:
             assert recip_gamma(float(x)) == pytest.approx(1.0 / math.gamma(float(x)), rel=1e-12)
 
 
-class TestRecipGammaLogValues:
-    @given(
-        st.lists(
-            st.one_of(
-                st.floats(min_value=-250.0, max_value=250.0),
-                st.floats(min_value=-250.0, max_value=-100.0),
-                # exact poles, and points just inside and outside the tolerance
-                st.integers(min_value=-250, max_value=0).map(float),
-                st.integers(min_value=-250, max_value=0).map(
-                    lambda n: n + 0.5 * POLE_TOLERANCE
-                ),
-                st.integers(min_value=-250, max_value=0).map(lambda n: n - 2.0 * POLE_TOLERANCE),
-                st.integers(min_value=-250, max_value=250).map(lambda n: n + 0.5),
-            ),
-            min_size=1,
-            max_size=40,
-        )
-    )
-    @settings(max_examples=300, deadline=None)
-    def test_matches_scalar(self, xs):
-        signs, logs = recip_gamma_log_values(np.array(xs))
-        for x, sign, log in zip(xs, signs, logs):
-            want_sign, want_log = recip_gamma_log(x)
-            assert sign == want_sign
-            assert log == want_log
+# (x, Gamma(x + 1/2)/Gamma(x)) at 40 digits, printed by gamma_ratio_refs.py
+_REFERENCE_RATIOS = [
+    (-2e-12, -3.5449077018208605544e-12),
+    (2e-12, 3.5449077018012034122e-12),
+    (-1e-09, -1.7724538533626589212e-9),
+    (1e-09, 1.7724538484483733635e-9),
+    (-1e-06, -1.772456308052913543e-6),
+    (1e-06, 1.7724513937673558138e-6),
+    (-1.000000000002, -7.0896585647154693228e-12),
+    (-0.999999999998, 7.0896585647045147846e-12),
+    (-1.000000001, -3.5449079964873885539e-9),
+    (-0.999999999, 3.5449076001848176208e-9),
+    (-1.000001, -3.544909070908673088e-6),
+    (-0.999999, 3.5449063325465252403e-6),
+    (-2.000000000002, -9.4539275897910015711e-12),
+    (-1.999999999998, 9.4528780862758372691e-12),
+    (-2.000000001, -4.7265439945287606747e-9),
+    (-1.999999999, 4.7265439924526005828e-9),
+    (-2.000001, -4.7265446411706886749e-6),
+    (-1.999999, 4.7265425639614367798e-6),
+    (-7.000000000002, -1.6924513727173193538e-11),
+    (-6.999999999998, 1.6924513727168529811e-11),
+    (-7.000000001, -8.4615053315871577197e-9),
+    (-6.999999999, 8.4615053304214330633e-9),
+    (-7.000001, -8.4615052149690440469e-6),
+    (-6.999999, 8.4615040492445801817e-6),
+    (-30.000000000002, -3.4561181411117673507e-11),
+    (-29.999999999998, 3.4561181411115388423e-11),
+    (-30.000000001, -1.7279056017504102668e-8),
+    (-29.999999999, 1.7279056016932933159e-8),
+    (-30.000001, -0.000017279054890946796892),
+    (-29.999999, 0.000017279054319777380589),
+    (-0.500000000002, 141050516167.15383453),
+    (-0.499999999998, -141046601250.59656428),
+    (-0.500000001, 282094799.92518709969),
+    (-0.499999999, -282094783.91953410667),
+    (-0.500001, 282094.96488795563649),
+    (-0.499999, -282094.61865728622355),
+    (-1.500000000002, 211575774250.5897044),
+    (-1.499999999998, -211575774250.3524297),
+    (-1.500000001, 423142152.76851586893),
+    (-1.499999999, -423142152.53124116747),
+    (-1.500001, 423142.30633157027399),
+    (-1.499999, -423142.06905686881762),
+    (-3.500000000002, 308513751450.59697821),
+    (-3.499999999998, -308513751450.43313883),
+    (-3.500000001, 617082306.02965919903),
+    (-3.499999999, -617082305.86581981242),
+    (-3.500001, 617082.43883676171229),
+    (-3.499999, -617082.27499737510846),
+    (-20.500000000002, 724947121159.95660722),
+    (-20.499999999998, -724947121159.88673672),
+    (-20.500000001, 1450023018.8218111698),
+    (-20.499999999, -1450023018.751940673),
+    (-20.500001, 1450023.172202235479),
+    (-20.499999, -1450023.1023317387358),
+    (0.05, 0.083005505260899174693),
+    (0.125, 0.190407481831223707),
+    (0.2, 0.28274875253429151795),
+    (0.25, 0.3379891200336423645),
+    (-123.4, -34.223267008013744803),
+    (-999.7, 43.523930530721019912),
+    (-9999.3, -137.63509517380166058),
+    (-10000.3, -137.64197706619819859),
+]
+
+EPS = np.finfo(float).eps
+
+
+def _scalar_pairs(xs):
+    """(j, h) of each x from the scalar form, through recip_gamma_log."""
+    js, hs = _gamma_factors(tuple(xs))
+    return np.array(js), np.array(hs)
+
+
+class TestRecipGammaPairValues:
+    def test_reference_ratios(self):
+        # R = h/j next to the poles of both gammas, in (0, 1/4] and down to
+        # -1e4: the array form within 8 ulp; the scalar form, which
+        # subtracts two math.lgamma values, within 2 ulp of each of them
+        xs = np.array([x for x, _ in _REFERENCE_RATIOS])
+        want = np.array([r for _, r in _REFERENCE_RATIOS])
+        j, h = recip_gamma_pair_values(xs)
+        assert np.all(np.abs(h / j - want) <= 8.0 * EPS * np.abs(want))
+        j, h = _scalar_pairs(xs.tolist())
+        lgammas = np.array([abs(math.lgamma(x)) + abs(math.lgamma(x + 0.5)) for x in xs])
+        assert np.all(np.abs(h / j - want) <= (2.0 * lgammas + 4.0) * EPS * np.abs(want))
+        # within POLE_TOLERANCE of 0, -1, -2, ... R is exactly 0, and of
+        # -1/2, -3/2, ... 1/R is
+        poles = np.array([0.0, -1.0, -2.0, -15.0, -3.0 + 0.5 * POLE_TOLERANCE, -7.0 - 0.9e-12])
+        j, h = recip_gamma_pair_values(np.concatenate([poles, poles - 0.5]))
+        assert np.all(h[: poles.size] == 0.0) and np.all(j[poles.size :] == 0.0)
+        assert np.all(np.abs(j[: poles.size]) == 1.0) and np.all(np.abs(h[poles.size :]) == 1.0)
+
+    def test_signs_match_scalar(self):
+        # orders nu on the poles of h = 1/Gamma(-nu/2) (even nu) and of
+        # j = 1/Gamma(1/2 - nu/2) (odd nu), inside and at the pole tolerance
+        # either side, and seeded ones: the counts read these signs, so
+        # the array form's equal recip_gamma_log's and the scalar form's
+        whole = np.arange(0.0, 60.0)
+        nu = np.concatenate([
+            whole + offset * POLE_TOLERANCE for offset in (0.0, -1.0, 1.0, -2.0, 2.0, -4.0, 4.0)
+        ] + [np.random.default_rng(5).uniform(-0.5, 400.0, 500)])
+        x = -0.5 * nu
+        j, h = recip_gamma_pair_values(x)
+        want_h = [recip_gamma_log(v)[0] for v in x.tolist()]
+        want_j = [recip_gamma_log(v)[0] for v in (0.5 - 0.5 * nu).tolist()]
+        assert np.sign(h).tolist() == want_h and np.sign(j).tolist() == want_j
+        scalar_j, scalar_h = _scalar_pairs(x.tolist())
+        assert np.sign(scalar_h).tolist() == want_h and np.sign(scalar_j).tolist() == want_j
+        assert 0 in want_h and 0 in want_j
 
     def test_matches_scalar_bulk(self):
-        # a seeded sweep as a floor under the property test: a few-ulp
-        # difference shows on a small share of points only
-        xs = np.random.default_rng(11).uniform(-250.0, 250.0, 20000)
-        signs, logs = recip_gamma_log_values(xs)
-        assert list(zip(signs.tolist(), logs.tolist())) == [
-            recip_gamma_log(x) for x in xs.tolist()
-        ]
+        # the two forms agree within the scalar's lgamma error, a few ulp
+        # of each log-gamma, on a seeded sweep of x <= 1/4
+        xs = np.random.default_rng(11).uniform(-250.0, 0.25, 20000)
+        j, h = recip_gamma_pair_values(xs)
+        scalar_j, scalar_h = _scalar_pairs(xs.tolist())
+        lgammas = np.array([abs(math.lgamma(x)) + abs(math.lgamma(x + 0.5)) for x in xs])
+        bound = (2.0 * lgammas + 16.0) * EPS
+        assert np.all(np.abs(j - scalar_j) <= bound * np.abs(scalar_j))
+        assert np.all(np.abs(h - scalar_h) <= bound * np.abs(scalar_h))
+        assert [v.shape for v in recip_gamma_pair_values(np.array([]))] == [(0,), (0,)]
 
-    def test_rejects_non_finite(self):
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, -(2.0**52)])
+    def test_rejects_non_finite(self, bad):
+        # below -2^52, x and x + 1/2 are both integers in floating point
         with pytest.raises(DomainError):
-            recip_gamma_log_values(np.array([1.0, math.nan]))
+            recip_gamma_pair_values(np.array([0.1, bad]))
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("x", [3e305, 1e306, 1.7e308])
 def test_gamma_overflow_is_a_dead_term(x):
     # log|Gamma(x)| itself overflows here: 1/Gamma(x) is an exact zero with
-    # a positive sign, not an exception and not a numpy warning
+    # a positive sign, not an exception
     assert recip_gamma_log(x) == (1, -math.inf)
-    signs, logs = recip_gamma_log_values(np.array([2.0, x, -1.0]))
-    assert signs.tolist() == [1.0, 1.0, 0.0]
-    assert logs[1] == -math.inf and logs[2] == -math.inf
 
 
 class TestPcfAtZero:
