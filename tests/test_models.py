@@ -575,6 +575,39 @@ class TestSweepParameterArray:
         assert model == M3Params(10.0, 2.0, 2.0) and type(model.hw2) is float
 
 
+class TestGammaFactors:
+    def test_stacked_call_matches_four_calls(self):
+        # orders whose arguments -nu/2 and 1/2 - nu/2 sit exactly on the
+        # poles 0, -1, -2, ..., just inside and outside the pole
+        # tolerance, and seeded ones: _harmonics' one call on the stacked
+        # (-nu1/2, -nu2/2) equals a call per well bit for bit, in both
+        # forms, and its four factors j1, j2, h1, h2 carry the signs of
+        # four recip_gamma_log calls
+        from dwcross.specfun import POLE_TOLERANCE, recip_gamma_log, recip_gamma_pair_values
+
+        whole = np.arange(0.0, 60.0)
+        nu = np.concatenate([
+            whole, whole + POLE_TOLERANCE, whole - 3.0 * POLE_TOLERANCE,
+            np.random.default_rng(5).uniform(-0.5, 400.0, 500),
+        ])
+        nu1, nu2 = nu, np.random.default_rng(6).permutation(nu)
+        j, h = models._ARRAY.gamma_pairs((-0.5 * nu1, -0.5 * nu2))
+        assert j.shape == h.shape == (2, nu.size)
+        for row, nu_row in enumerate((nu1, nu2)):
+            j_row, h_row = recip_gamma_pair_values(-0.5 * nu_row)
+            assert j[row].tobytes() == j_row.tobytes()
+            assert h[row].tobytes() == h_row.tobytes()
+            want_h = [recip_gamma_log(-0.5 * v)[0] for v in nu_row.tolist()]
+            want_j = [recip_gamma_log(0.5 - 0.5 * v)[0] for v in nu_row.tolist()]
+            assert np.sign(h[row]).tolist() == want_h
+            assert np.sign(j[row]).tolist() == want_j
+        for a, b in zip((-0.5 * nu1).tolist(), (-0.5 * nu2).tolist()):
+            (j1, j2), (h1, h2) = models._SCALAR.gamma_pairs((a, b))
+            assert ([j1], [h1]) == models._gamma_factors((a,))
+            assert ([j2], [h2]) == models._gamma_factors((b,))
+        assert (h == 0.0).any() and (j == 0.0).any()
+
+
 def _count_models(kind):
     """Strategy for models of one variant for the level count: about a
     third exactly symmetric, v0 = 0 or log-uniform in [0.1, 1e3] eV (so

@@ -274,6 +274,49 @@ class TestRecipGammaPairValues:
             recip_gamma_pair_values(np.array([0.1, bad]))
 
 
+class TestRecipGammaLogValues:
+    """The array pair form against recip_gamma_log's signed logs, on drawn
+    lists of x <= 1/4 (the pair form's domain)."""
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(min_value=-250.0, max_value=0.25),
+                st.floats(min_value=-250.0, max_value=-100.0),
+                # exact poles of Gamma(x) and of Gamma(x + 1/2), and points
+                # just inside and outside the tolerance
+                st.integers(min_value=-250, max_value=0).map(float),
+                st.integers(min_value=-250, max_value=0).map(
+                    lambda n: n + 0.5 * POLE_TOLERANCE
+                ),
+                st.integers(min_value=-250, max_value=0).map(lambda n: n - 2.0 * POLE_TOLERANCE),
+                st.integers(min_value=-250, max_value=-1).map(lambda n: n + 0.5),
+                st.integers(min_value=-250, max_value=-1).map(
+                    lambda n: n + 0.5 - 2.0 * POLE_TOLERANCE
+                ),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar(self, xs):
+        # signs equal recip_gamma_log's at x and x + 1/2 bit for bit, and
+        # values the scalar form's within its lgamma error
+        j, h = recip_gamma_pair_values(np.array(xs))
+        assert np.sign(h).tolist() == [recip_gamma_log(x)[0] for x in xs]
+        assert np.sign(j).tolist() == [recip_gamma_log(x + 0.5)[0] for x in xs]
+        scalar_j, scalar_h = _scalar_pairs(xs)
+        # |log-gamma| at x and x + 1/2, counting a pole's (a snapped zero) as 0
+        lgammas = np.array([
+            sum(abs(log) for sign, log in (recip_gamma_log(x), recip_gamma_log(x + 0.5)) if sign)
+            for x in xs
+        ])
+        bound = (2.0 * lgammas + 16.0) * EPS
+        assert np.all(np.abs(j - scalar_j) <= bound * np.abs(scalar_j))
+        assert np.all(np.abs(h - scalar_h) <= bound * np.abs(scalar_h))
+
+
 @pytest.mark.parametrize("x", [3e305, 1e306, 1.7e308])
 def test_gamma_overflow_is_a_dead_term(x):
     # log|Gamma(x)| itself overflows here: 1/Gamma(x) is an exact zero with
